@@ -283,32 +283,81 @@ def literal_stats(configs: np.ndarray, fields: list[FieldDistribution]) -> dict:
     return stats
 
 
-def literal_xs_from_stats(gt: float, mode_count: int, stats: dict):
-    """Multimode literal amplitudes x1, x2, x3 from configuration statistics.
+class LiteralTerms:
+    """The multimode literal amplitudes x1, x2, x3 of a set of summation
+    configurations, split into a gt-independent part, built once here from
+    configuration statistics (see literal_stats), and a per-gt part, `at`,
+    which only evaluates cosines and sines:
+
+        x1 = coef1 * (cos(gt w1) - 1)
+        x2 = c0 * (ratio2 * (cos(gt w2) - 1) + 1)
+        x3 = coef3 * sin(gt w3)
 
     The x2 frequency argument involves sqrt(n_k - 1) and is evaluated with
     complex square roots; configurations containing zero photons therefore
     produce a complex frequency, exactly as the expressions read.  The
     all-zero configuration, whose cosine coefficient vanishes, is
-    short-circuited to avoid 0*cosh overflow.
+    short-circuited to avoid 0*cosh overflow.  Configurations whose x2
+    frequency is real take real cosines, which give the same bits as the
+    real part of the complex evaluation; only the others pay for complex
+    arithmetic.  Real weights stay real.
     """
-    m = mode_count
-    sn, s0 = stats["Sn"], stats["S0"]
-    s1p, s2p = stats["S1p"], stats["S2p"]
 
-    d1 = (m - 1) * (2 * sn + 3 * m) + 2 * (s1p * s2p - stats["T12"])
-    x1 = stats["prod_c2"] * (2 * s1p * s2p / d1) * (np.cos(gt * np.sqrt(d1)) - 1.0)
+    def __init__(self, mode_count: int, stats: dict):
+        m = mode_count
+        sn, s0 = stats["Sn"], stats["S0"]
+        s1p, s2p = stats["S1p"], stats["S2p"]
+        self.size = sn.size
 
-    sm = stats["Sm_re"] + 1j * stats["n_zeros"]
-    d2 = (m - 1) * (2 * sn - m) + 2 * (s0 * sm - stats["Tm0"])
-    zero = s0 == 0.0
-    d2_eff = np.where(zero, 1.0, d2)
-    ratio2 = np.where(zero, 0.0, 2 * s0 ** 2 / d2_eff)
-    x2 = stats["prod_c0"] * (ratio2 * (np.cos(gt * np.sqrt(d2_eff)) - 1.0) + 1.0)
+        d1 = (m - 1) * (2 * sn + 3 * m) + 2 * (s1p * s2p - stats["T12"])
+        self.w1 = np.sqrt(d1)
+        self.coef1 = stats["prod_c2"] * (2 * s1p * s2p / d1)
 
-    d3 = (m - 1) * (2 * sn + m) + 2 * (s0 * s1p - stats["T01"])
-    x3 = stats["prod_c1"] * (s1p / np.sqrt(d3)) * np.sin(gt * np.sqrt(d3))
-    return x1, x2, x3
+        d3 = (m - 1) * (2 * sn + m) + 2 * (s0 * s1p - stats["T01"])
+        self.w3 = np.sqrt(d3)
+        self.coef3 = stats["prod_c1"] * (s1p / self.w3)
+
+        sm = stats["Sm_re"] + 1j * stats["n_zeros"]
+        d2 = (m - 1) * (2 * sn - m) + 2 * (s0 * sm - stats["Tm0"])
+        zero = s0 == 0.0
+        d2_eff = np.where(zero, 1.0, d2)
+        ratio2 = np.where(zero, 0.0, 2 * s0 ** 2 / d2_eff)
+        w2 = np.sqrt(d2_eff)
+        c0 = stats["prod_c0"]
+        real = w2.imag == 0.0
+        self.real2 = np.flatnonzero(real)
+        self.complex2 = np.flatnonzero(~real)
+        self.w2_re, self.ratio2_re = w2.real[real], ratio2.real[real]
+        self.c0_re = c0[real]
+        self.w2_c, self.ratio2_c = w2[~real], ratio2[~real]
+        self.c0_c = c0[~real]
+
+    def at(self, gts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x1, x2, x3 as (len(gts), size) arrays."""
+        t = np.atleast_1d(np.asarray(gts, dtype=float))[:, None]
+        x1 = self.coef1 * (np.cos(t * self.w1) - 1.0)
+        x3 = self.coef3 * np.sin(t * self.w3)
+        x2_re = self.c0_re * (self.ratio2_re * (np.cos(t * self.w2_re) - 1.0) + 1.0)
+        if not self.complex2.size:
+            return x1, x2_re, x3
+        # flat, contiguous operands: numpy can round a complex product on
+        # broadcast 2-D operands differently (seen for a 1 x 1 result), and
+        # x2 must not depend on how the gts are chunked
+        g = t.shape[0]
+        x2_c = np.tile(self.c0_c, g) * (np.tile(self.ratio2_c, g) * (
+            np.cos(np.repeat(t[:, 0], self.complex2.size) * np.tile(self.w2_c, g))
+            - 1.0) + 1.0)
+        x2 = np.empty((g, self.size), dtype=complex)
+        x2[:, self.real2] = x2_re
+        x2[:, self.complex2] = x2_c.reshape(g, self.complex2.size)
+        return x1, x2, x3
+
+
+def literal_xs_from_stats(gt: float, mode_count: int, stats: dict):
+    """Multimode literal amplitudes x1, x2, x3 at one gt from configuration
+    statistics; see LiteralTerms."""
+    x1, x2, x3 = LiteralTerms(mode_count, stats).at([gt])
+    return x1[0], x2[0], x3[0]
 
 
 def multimode_literal(config: tuple[int, ...], gt: float,

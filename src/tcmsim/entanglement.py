@@ -47,7 +47,10 @@ def concurrence(rho) -> ConcurrenceResult:
     tolerance raise NumericalFailureError.
     """
     m = _as_matrix(rho)
-    eigs = np.linalg.eigvals(m @ spin_flip(m))
+    try:
+        eigs = np.linalg.eigvals(m @ spin_flip(m))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"concurrence eigenvalues: {exc}") from exc
     max_imag = float(np.max(np.abs(eigs.imag)))
     if max_imag > EIG_IMAG_TOL:
         raise NumericalFailureError(

@@ -114,11 +114,16 @@ class _Sector:
 
 @dataclass
 class OracleState:
-    """Per-sector coefficient vectors of the exactly evolved state."""
+    """Per-sector coefficient vectors of the exactly evolved state; norm is
+    its total norm, computed once on construction."""
 
     gt: float
     evolver: "ExactEvolver"
     coeffs: list
+    norm: float = field(init=False)
+
+    def __post_init__(self):
+        self.norm = self.total_norm()
 
     def sector_norms(self) -> np.ndarray:
         return np.array([float(np.sum(np.abs(c) ** 2)) for c in self.coeffs])
@@ -205,7 +210,7 @@ class ExactEvolver:
     def state_at(self, gt: float) -> OracleState:
         coeffs = [s.propagate(c0, gt) for s, c0 in zip(self.sectors, self._init_coeffs)]
         state = OracleState(gt=gt, evolver=self, coeffs=coeffs)
-        drift = abs(state.total_norm() - self._norm0)
+        drift = abs(state.norm - self._norm0)
         if drift > NORM_DRIFT_TOL:
             raise NumericalFailureError(
                 f"norm drift {drift:.3e} beyond {NORM_DRIFT_TOL:g}; "

@@ -77,12 +77,12 @@ def oracle_series(fields: list[FieldDistribution], gts: np.ndarray,
     c = np.zeros(gts.size)
     e = np.zeros(gts.size)
     drift = np.zeros(gts.size)
-    norm0 = evolver.state_at(0.0).total_norm()
+    norm0 = evolver.state_at(0.0).norm
     for i, gt in enumerate(gts):
         state = evolver.state_at(float(gt))
         rho = rho_atom_exact(state)
         w[i], c[i], e[i] = observables_from_density(rho)
-        drift[i] = abs(state.total_norm() - norm0)
+        drift[i] = abs(state.norm - norm0)
     return TimeSeries(gt=gts, w=w, concurrence=c, eof=e,
                       extras={"norm_drift": drift})
 

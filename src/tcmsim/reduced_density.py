@@ -29,11 +29,16 @@ class TwoAtomDensity:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise NumericalFailureError(f"density matrix must be 4x4, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise NumericalFailureError("density matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise NumericalFailureError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise NumericalFailureError(f"density matrix trace {np.trace(m)} != 1")
-        lo = float(np.linalg.eigvalsh(m).min())
+        try:
+            lo = float(np.linalg.eigvalsh(m).min())
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"density matrix eigenvalues: {exc}") from exc
         if lo < -PSD_TOL:
             raise NumericalFailureError(
                 f"density matrix has negative eigenvalue {lo:.3e} beyond tolerance")
@@ -42,6 +47,10 @@ class TwoAtomDensity:
     @classmethod
     def from_unnormalized(cls, raw: np.ndarray) -> "TwoAtomDensity":
         raw = np.asarray(raw, dtype=complex)
+        if not np.all(np.isfinite(raw)):
+            raise NumericalFailureError(
+                "unnormalized density matrix has non-finite entries: the "
+                "amplitude sums overflowed")
         raw = 0.5 * (raw + raw.conj().T)
         trace = float(np.trace(raw).real)
         if trace <= 0.0:

@@ -11,6 +11,13 @@ Multisets are enumerated level by level as nondecreasing tuples: each level
 extends every partial tuple by all values not below its last entry, and all
 the statistics, weight products, and multiplicity denominators are carried
 along as flat numpy arrays, so no per-configuration Python loop runs.
+
+The last level is never stored whole: it is built one block at a time, a
+block being the multisets that share their largest value.  Each block's
+gt-independent terms (frequencies and coefficients, closed_form.LiteralTerms)
+are built once per block, its statistics are then dropped, and only the
+cosines, sines and the density contraction run per gt, over chunks of
+CHUNK_ELEMENTS amplitudes.
 """
 
 from __future__ import annotations
@@ -19,13 +26,15 @@ import math
 
 import numpy as np
 
-from .closed_form import literal_xs_from_stats
+from .closed_form import LiteralTerms
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution
 
 _STAT_KEYS = ("Sn", "S0", "S1p", "S2p", "T01", "T12", "Tm0", "Sm_re", "n_zeros")
 
 MAX_MULTISETS = 100_000_000
+# amplitudes evaluated at once per block: gts per chunk x multisets per block
+CHUNK_ELEMENTS = 8192
 
 
 def _per_value_features(field: FieldDistribution) -> dict[str, np.ndarray]:
@@ -129,24 +138,36 @@ class SymmetricLiteralEvaluator:
     def raw_densities(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), 4, 4) unnormalized density matrices: for every gt the
         multiplicity-weighted sum over multisets of the outer product of the
-        branch amplitude vector (x1, -i x3, -i x3, x2)."""
+        branch amplitude vector (x1, -i x3, -i x3, x2).
+
+        Multisets are taken in blocks that share their largest value.  Each
+        block's gt-independent terms are built once; its amplitudes are then
+        evaluated a chunk of gts at a time and contracted one gt at a time,
+        so every matrix is the same whatever the grid or chunking."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
-        m = self.mode_count
-        m_fact = float(math.factorial(m))
-        level = self._penultimate
-        counts = np.searchsorted(level.last, np.arange(self.n_values), side="right")
+        counts = np.searchsorted(self._penultimate.last, np.arange(self.n_values),
+                                 side="right")
         raw = np.zeros((gts.size, 4, 4), dtype=complex)
         for iv in range(self.n_values):
-            prefix = int(counts[iv])
-            if prefix == 0:
-                continue
-            block = _extend_block(level, prefix, iv, self.feats, self.wfeats)
-            stats = dict(block.stats)
-            stats.update({k: np.asarray(w, dtype=complex)
-                          for k, w in block.weights.items()})
-            mult = m_fact / block.denom
-            for gi, gt in enumerate(gts):
-                x1, x2, x3 = literal_xs_from_stats(float(gt), m, stats)
-                amp = np.stack([x1, -1j * x3, -1j * x3, x2])
-                raw[gi] += (mult * amp) @ amp.conj().T
+            if counts[iv] > 0:
+                self._add_block(raw, gts, int(counts[iv]), iv)
         return raw
+
+    def _add_block(self, raw: np.ndarray, gts: np.ndarray, prefix: int,
+                   iv: int) -> None:
+        """Add the multisets whose largest value is value index iv to raw."""
+        m = self.mode_count
+        block = _extend_block(self._penultimate, prefix, iv, self.feats, self.wfeats)
+        mult = float(math.factorial(m)) / block.denom
+        terms = LiteralTerms(m, {**block.stats, **block.weights})
+        del block
+        step = max(1, CHUNK_ELEMENTS // terms.size)
+        for start in range(0, gts.size, step):
+            x1, x2, x3 = terms.at(gts[start:start + step])
+            amp = np.empty((x1.shape[0], 4, terms.size), dtype=complex)
+            amp[:, 0] = x1
+            amp[:, 1] = amp[:, 2] = -1j * x3
+            amp[:, 3] = x2
+            del x1, x2, x3
+            # one (4, size) @ (size, 4) product per gt
+            raw[start:start + step] += (mult * amp) @ amp.conj().transpose(0, 2, 1)

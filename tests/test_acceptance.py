@@ -108,11 +108,10 @@ def test_criterion_4_initial_condition():
                   f"worst deviation {worst:.1e}")
 
 
-def test_criterion_5_mode_frequency_monotonicity():
-    gts = np.linspace(0.0, 10.0, 1200)
+def test_criterion_5_mode_frequency_monotonicity(literal_mean25_series):
     rates, full_rates = [], []
     for m in (1, 2, 3):
-        series = closed_form_series([coherent_field(25.0)] * m, gts, LITERAL)
+        series = literal_mean25_series[m]
         rates.append(oscillation_rate(series, "concurrence", (0.0, 1.0)))
         full_rates.append(oscillation_rate(series, "concurrence", (0.0, 10.0)))
     ok = rates[0] < rates[1] < rates[2]

@@ -145,7 +145,7 @@ def test_deviation_report_identical_and_mismatch():
         deviation_report(series, other)
 
 
-def test_mode_frequency_evidence():
+def test_mode_frequency_evidence(literal_mean25_series):
     """The closed-form oscillation frequencies grow with the mode count, and
     the inversion's pre-collapse crossing rate ranks accordingly."""
     from tcmsim.closed_form import literal_stats
@@ -160,9 +160,8 @@ def test_mode_frequency_evidence():
             freqs.append(float(np.sqrt(d1[0])))
     assert freqs[0] < freqs[1] < freqs[2]
 
-    gts = np.linspace(0, 10, 1200)
     rates = []
     for m in (1, 2, 3):
-        series = closed_form_series([coherent_field(25.0)] * m, gts, LITERAL)
+        series = literal_mean25_series[m]
         rates.append(oscillation_rate(series, "W", (0.0, 1.0)))
     assert rates[0] < rates[1] < rates[2]

@@ -46,6 +46,16 @@ def test_exit_code_on_bad_flag_value(tmp_path):
     assert main(["run", "--field", "custom", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def test_literal_overflow_exits_as_numerical_failure(tmp_path, capsys):
+    # the literal m=2 norm deficit overflows long before gt=400
+    out = tmp_path / "x.csv"
+    code = main(["run", "--modes", "2", "--mean", "3", "--convention", "literal",
+                 "--gt-max", "400", "--gt-steps", "50", "--out", str(out)])
+    assert code == 2
+    assert "numerical failure: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_determinism(tmp_path):
     args = ["run", "--mean", "3", "--gt-max", "4", "--gt-steps", "40"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

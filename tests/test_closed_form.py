@@ -239,6 +239,24 @@ def test_symmetric_evaluator_matches_direct_assembly(m):
         assert rho_sym.norm_deficit == pytest.approx(rho_dir.norm_deficit, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("chunk_elements", [None, 40])
+def test_symmetric_evaluator_is_exact_across_chunks(m, chunk_elements, monkeypatch):
+    from tcmsim import symmetric
+
+    if chunk_elements is not None:
+        monkeypatch.setattr(symmetric, "CHUNK_ELEMENTS", chunk_elements)
+    # the window reaches n = 0: complex x2 frequencies and the all-zero multiset
+    field = coherent_field(1.5, sigma_width=4.0, coverage_epsilon=1e-8)
+    assert field.window.n_min == 0
+    ev = symmetric.SymmetricLiteralEvaluator(field, m)
+    gts = np.linspace(0.0, 8.0, 701)
+    # the largest block (every penultimate multiset) spans several chunks
+    assert gts.size > symmetric.CHUNK_ELEMENTS // ev._penultimate.size
+    assert np.array_equal(ev.raw_densities(gts),
+                          np.stack([ev.raw_densities([g])[0] for g in gts]))
+
+
 def test_assemble_validation():
     fields = [coherent_field(1.0)]
     with pytest.raises(ConfigurationError):

@@ -62,6 +62,14 @@ def test_norm_preserved_over_grid():
         assert abs(evolver.state_at(float(gt)).total_norm() - norm0) <= 1e-10
 
 
+def test_state_carries_its_norm():
+    evolver = ExactEvolver([coherent_field(2.0), coherent_field(1.0)])
+    state = evolver.state_at(1.3)
+    assert state.norm == state.total_norm()
+    later = evolver.evolve_from(state, 0.4)
+    assert later.norm == later.total_norm()
+
+
 def test_sector_populations_constant():
     evolver = ExactEvolver([coherent_field(3.0)])
     ref = evolver.state_at(0.0).sector_norms()

@@ -67,6 +67,16 @@ def test_density_validation():
         TwoAtomDensity(np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex))
 
 
+def test_non_finite_density_raises():
+    overflowed = np.diag([np.inf, 0.0, 0.0, 1.0]).astype(complex)
+    with pytest.raises(NumericalFailureError, match="non-finite"):
+        TwoAtomDensity.from_unnormalized(overflowed)
+    nan = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    nan[1, 2] = nan[2, 1] = np.nan
+    with pytest.raises(NumericalFailureError, match="non-finite"):
+        TwoAtomDensity(nan)
+
+
 def test_literal_norm_deficit_recorded():
     amp = assemble(EvolutionParams(gt=1.5, mode_count=1), [coherent_field(5.0)],
                    "literal")
