@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import ConfigurationError
 from .fock_field import coherent_field
@@ -123,6 +122,8 @@ def detect_revival_peaks(series: TimeSeries, channel: str, max_j: int,
     # ignore numerical ripple in the collapsed stretches: a revival must
     # reach a nonnegligible fraction of the strongest envelope value
     floor = 0.05 * float(region.max())
+    # imported here: scipy.signal costs most of the CLI's start-up
+    from scipy.signal import find_peaks
     peaks, _ = find_peaks(region, distance=max(1, int(np.ceil(separation / dgt))),
                           height=floor)
     times = [float(series.gt[start + i]) for i in peaks][:max_j]

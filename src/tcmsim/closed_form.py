@@ -122,11 +122,19 @@ class AmplitudeSet:
         """Coherently accumulate amplitudes on (branch, config) keys; anchors
         default to the final configurations themselves."""
         amps = np.atleast_1d(amps)
-        np.add.at(self._arrays[branch], self._flat_index(np.atleast_2d(configs)),
-                  amps)
+        self.add_final(branch, configs, amps)
         anchors = configs if anchors is None else anchors
         np.add.at(self._anchored[branch], self._flat_index(np.atleast_2d(anchors)),
                   amps)
+
+    def add_final(self, branch: str, configs: np.ndarray, amps: np.ndarray) -> None:
+        """Accumulate amplitudes on (branch, final config) keys only."""
+        np.add.at(self._arrays[branch], self._flat_index(np.atleast_2d(configs)),
+                  np.atleast_1d(amps))
+
+    def add_anchored(self, branch: str, vector: np.ndarray) -> None:
+        """Accumulate a dense anchored vector laid out like anchored_array."""
+        self._anchored[branch] += vector
 
     # -- access ------------------------------------------------------
 
@@ -333,7 +341,13 @@ class LiteralTerms:
         self.c0_c = c0[~real]
 
     def at(self, gts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x1, x2, x3 as (len(gts), size) arrays."""
+        """x1, x2, x3 as (len(gts), size) arrays.  The complex x2 terms grow
+        like cosh and may overflow; that is left to the density's
+        non-finite check to report, without numpy warnings."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._at(gts)
+
+    def _at(self, gts):
         t = np.atleast_1d(np.asarray(gts, dtype=float))[:, None]
         x1 = self.coef1 * (np.cos(t * self.w1) - 1.0)
         x3 = self.coef3 * np.sin(t * self.w3)
@@ -422,6 +436,13 @@ class ConsistentBlocks:
         for k, f in enumerate(fields):
             weights *= f.amplitudes_at(configs[:, k])
         self.weights = weights
+        # the anchors' (initial configurations') flat indices over the
+        # extended windows, the layout of AmplitudeSet.anchored_array
+        windows = [extended_window(f.window) for f in fields]
+        shape = tuple(w.size for w in windows)
+        self.vector_size = int(np.prod(shape))
+        self._anchor_flat = np.ravel_multi_index(
+            tuple((configs - [w.n_min for w in windows]).T), shape)
 
         n = configs.astype(float)
         h = np.zeros((len(configs), self.dim, self.dim))
@@ -437,28 +458,54 @@ class ConsistentBlocks:
         self.eigvals, self.eigvecs = np.linalg.eigh(h)
         # overlap of each eigenvector with the initial |aa,n> block state
         self._p0 = self.eigvecs[:, 0, :].astype(complex)
+        # the operands every gt shares, cast once
+        self._rates = -1j * self.eigvals
+        self._eigvecs_c = self.eigvecs.astype(complex)
 
     def amplitudes_at(self, gt: float) -> np.ndarray:
         """(n_configs, dim) complex block amplitudes at time gt."""
-        phase = np.exp(-1j * self.eigvals * gt) * self._p0
-        return np.einsum("ndm,nm->nd", self.eigvecs, phase)
+        phase = np.exp(self._rates * gt) * self._p0
+        return np.einsum("ndm,nm->nd", self._eigvecs_c, phase)
 
-    def fill(self, amp_set: AmplitudeSet, gt: float) -> None:
-        amps = self.amplitudes_at(gt) * self.weights[:, None]
+    def _terms(self, amps: np.ndarray):
+        """Yield (branch index, modes that gained a photon, amplitudes) for
+        every block state of the weighted block amplitudes, in cascade
+        order."""
         m = self.mode_count
-        amp_set.add("aa", self.configs, amps[:, 0])
+        yield 0, (), amps[:, 0]
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         for k in range(m):
-            shifted = self.configs.copy()
-            shifted[:, k] += 1
             half = amps[:, 1 + k] * inv_sqrt2
-            amp_set.add("ab", shifted, half, anchors=self.configs)
-            amp_set.add("ba", shifted, half, anchors=self.configs)
-        for pi, (k, l) in enumerate(self.pairs):
+            yield 1, (k,), half
+            yield 2, (k,), half
+        for pi, pair in enumerate(self.pairs):
+            yield 3, pair, amps[:, 1 + m + pi]
+
+    def _anchored(self, amps: np.ndarray) -> np.ndarray:
+        block = np.zeros((4, len(self.configs)), dtype=complex)
+        for b, _, a in self._terms(amps):
+            block[b] += a
+        vectors = np.zeros((4, self.vector_size), dtype=complex)
+        vectors[:, self._anchor_flat] = block
+        return vectors
+
+    def anchored_vectors(self, gt: float) -> np.ndarray:
+        """(4, vector_size) branch amplitudes at gt keyed by initial
+        configuration, laid out like AmplitudeSet.anchored_array: what the
+        density contraction reads."""
+        return self._anchored(self.amplitudes_at(gt) * self.weights[:, None])
+
+    def fill(self, amp_set: AmplitudeSet, gt: float) -> None:
+        """Add the amplitudes at gt to amp_set, anchored at the initial
+        configuration and keyed by the final one."""
+        amps = self.amplitudes_at(gt) * self.weights[:, None]
+        for branch, vector in zip(BRANCHES, self._anchored(amps)):
+            amp_set.add_anchored(branch, vector)
+        for b, modes, a in self._terms(amps):
             shifted = self.configs.copy()
-            shifted[:, k] += 1
-            shifted[:, l] += 1
-            amp_set.add("bb", shifted, amps[:, 1 + m + pi], anchors=self.configs)
+            for k in modes:
+                shifted[:, k] += 1
+            amp_set.add_final(BRANCHES[b], shifted, a)
 
 
 # ---------------------------------------------------------------------------

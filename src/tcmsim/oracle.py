@@ -22,9 +22,11 @@ from .basis import BRANCHES, EXCITED_COUNT
 from .closed_form import CONSISTENT, AmplitudeSet
 from .errors import ConfigurationError, NumericalFailureError
 from .fock_field import FieldDistribution, TruncationWindow, config_array
-from .reduced_density import TwoAtomDensity, density_from_branch_vectors
+from .reduced_density import TwoAtomDensity, raw_density
 
 NORM_DRIFT_TOL = 1e-8
+# gts propagated at once: bounds the (CHUNK_GTS, 4, N) branch vectors
+CHUNK_GTS = 32
 MAX_SECTOR_DIM = 4000
 ORACLE_WINDOW_EXTENSION = 2
 
@@ -97,19 +99,50 @@ def build_hamiltonian(sector: SectorBasis) -> HamiltonianBlock:
 
 class _Sector:
     """One diagonalized block plus the bookkeeping to scatter its
-    coefficients back into the product-space branch vectors."""
+    coefficients back into the product-space branch vectors.
 
-    def __init__(self, block: HamiltonianBlock, shape: tuple, lows: np.ndarray):
+    The initial coefficients' eigenbasis projection and a C-ordered complex
+    copy of the eigenvectors are kept, so that propagating many gts repeats
+    neither; the complex copy is the operand numpy's mixed real-complex
+    matmul would build, which keeps every coefficient bit for bit."""
+
+    def __init__(self, block: HamiltonianBlock, shape: tuple, lows: np.ndarray,
+                 c0: np.ndarray):
         self.basis = block.sector
         self.eigvals, self.eigvecs = np.linalg.eigh(block.matrix)
         self.branch_of = np.array([BRANCHES.index(b) for b, _ in self.basis.states])
         cfgs = np.array([c for _, c in self.basis.states], dtype=int)
         self.flat = np.ravel_multi_index(tuple((cfgs - lows).T), shape)
         self.configs = cfgs
+        # where rho_atom_exact's (4, N) branch vectors take each coefficient;
+        # for a single mode each branch is shifted back by the photons it
+        # emitted, and states shifted below the window drop out
+        flat = self.flat
+        if len(shape) == 1:
+            flat = flat - np.array([_EMITTED[b] for b in BRANCHES])[self.branch_of]
+        self.positions = np.flatnonzero(flat >= 0)
+        self.targets = (self.branch_of[self.positions] * int(np.prod(shape))
+                        + flat[self.positions])
+        self.c0 = c0
+        self._rates = -1j * self.eigvals
+        self._eigvecs_c = np.ascontiguousarray(self.eigvecs, dtype=complex)
+        self._proj = self.eigvecs.T @ c0
 
     def propagate(self, coeffs: np.ndarray, gt: float) -> np.ndarray:
         phases = np.exp(-1j * self.eigvals * gt)
         return self.eigvecs @ (phases * (self.eigvecs.T @ coeffs))
+
+    def evolve(self, gts: np.ndarray) -> np.ndarray:
+        """(len(gts), dim) coefficients of the initial state: one stacked
+        matrix-vector product per gt."""
+        phases = np.exp(self._rates * gts[:, None])
+        return (self._eigvecs_c @ (phases * self._proj)[:, :, None])[:, :, 0]
+
+
+def _sector_norms(coeffs: list) -> np.ndarray:
+    """(..., sectors) squared norms of per-sector coefficient arrays of
+    shape (..., dim)."""
+    return np.stack([np.sum(np.abs(c) ** 2, axis=-1) for c in coeffs], axis=-1)
 
 
 @dataclass
@@ -126,12 +159,14 @@ class OracleState:
         self.norm = self.total_norm()
 
     def sector_norms(self) -> np.ndarray:
-        return np.array([float(np.sum(np.abs(c) ** 2)) for c in self.coeffs])
+        return _sector_norms(self.coeffs)
 
     def total_norm(self) -> float:
         return float(self.sector_norms().sum())
 
     def branch_vectors(self) -> dict[str, np.ndarray]:
+        """Amplitudes per branch over the final configurations, unshifted:
+        what the standard partial trace over field states pairs."""
         size = int(np.prod(self.evolver.shape))
         out = {b: np.zeros(size, dtype=complex) for b in BRANCHES}
         for sector, c in zip(self.evolver.sectors, self.coeffs):
@@ -162,7 +197,10 @@ class OracleState:
 
 class ExactEvolver:
     """Diagonalizes every sector holding initial weight and evolves the
-    initial state |a1, a2> x prod_k |field_k> to arbitrary times."""
+    initial state |a1, a2> x prod_k |field_k> to arbitrary times.
+
+    Many gts are evaluated CHUNK_GTS at a time (densities); state_at and
+    rho_atom_exact are the one-gt views of the same code."""
 
     def __init__(self, fields: list[FieldDistribution],
                  extension: int = ORACLE_WINDOW_EXTENSION,
@@ -170,7 +208,6 @@ class ExactEvolver:
         if not fields:
             raise ConfigurationError("at least one field is required")
         self.fields = fields
-        m = len(fields)
         self.windows = [TruncationWindow(f.window.n_min, f.window.n_max + extension)
                         for f in fields]
         self.shape = tuple(w.size for w in self.windows)
@@ -184,7 +221,6 @@ class ExactEvolver:
         init_totals = init_cfgs.sum(axis=1)
 
         self.sectors: list[_Sector] = []
-        self._init_coeffs: list[np.ndarray] = []
         for total in np.unique(init_totals):
             excitation = int(total) + 2
             states = []
@@ -197,25 +233,48 @@ class ExactEvolver:
                 raise ConfigurationError(
                     f"sector {excitation} has dimension {basis.dim} "
                     f"(budget {max_sector_dim}); reduce modes, mean, or coverage")
-            sector = _Sector(build_hamiltonian(basis), self.shape, lows)
             c0 = np.zeros(basis.dim, dtype=complex)
             sel = init_totals == total
             idx = {s: i for i, s in enumerate(basis.states)}
             for cfg, w in zip(init_cfgs[sel], init_weights[sel]):
                 c0[idx[("aa", tuple(int(n) for n in cfg))]] = w
-            self.sectors.append(sector)
-            self._init_coeffs.append(c0)
-        self._norm0 = float(sum(np.sum(np.abs(c) ** 2) for c in self._init_coeffs))
+            self.sectors.append(_Sector(build_hamiltonian(basis), self.shape, lows, c0))
+        self._norm0 = float(sum(np.sum(np.abs(s.c0) ** 2) for s in self.sectors))
+        self._vector_size = int(np.prod(self.shape))
 
-    def state_at(self, gt: float) -> OracleState:
-        coeffs = [s.propagate(c0, gt) for s, c0 in zip(self.sectors, self._init_coeffs)]
-        state = OracleState(gt=gt, evolver=self, coeffs=coeffs)
-        drift = abs(state.norm - self._norm0)
+    def _check_drift(self, norm: float) -> None:
+        drift = abs(norm - self._norm0)
         if drift > NORM_DRIFT_TOL:
             raise NumericalFailureError(
                 f"norm drift {drift:.3e} beyond {NORM_DRIFT_TOL:g}; "
                 "the truncation window is too small")
+
+    def raw_densities(self, coeffs: list) -> np.ndarray:
+        """(G, 4, 4) unnormalized densities of per-sector (G, dim)
+        coefficient arrays."""
+        g = coeffs[0].shape[0]
+        vectors = np.zeros((g, 4 * self._vector_size), dtype=complex)
+        for sector, c in zip(self.sectors, coeffs):
+            vectors[:, sector.targets] = c[:, sector.positions]
+        return raw_density(vectors.reshape(g, 4, self._vector_size))
+
+    def state_at(self, gt: float) -> OracleState:
+        coeffs = [s.evolve(np.array([gt], dtype=float))[0] for s in self.sectors]
+        state = OracleState(gt=gt, evolver=self, coeffs=coeffs)
+        self._check_drift(state.norm)
         return state
+
+    def densities(self, gts: np.ndarray):
+        """Yield (unnormalized density, total norm) for each gt in turn,
+        propagating CHUNK_GTS gts at once.  Raises NumericalFailureError at
+        the first gt whose norm drifts, as state_at does."""
+        gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        for start in range(0, gts.size, CHUNK_GTS):
+            coeffs = [s.evolve(gts[start:start + CHUNK_GTS]) for s in self.sectors]
+            norms = _sector_norms(coeffs).sum(axis=-1)
+            for raw, norm in zip(self.raw_densities(coeffs), norms):
+                self._check_drift(float(norm))
+                yield raw, float(norm)
 
     def evolve_from(self, state: OracleState, dgt: float) -> OracleState:
         coeffs = [s.propagate(c, dgt) for s, c in zip(self.sectors, state.coeffs)]
@@ -238,19 +297,8 @@ def rho_atom_exact(state: OracleState) -> TwoAtomDensity:
     evolution, so amplitudes are paired by final configuration: the
     standard partial trace over field states.
     """
-    vectors = state.branch_vectors()
-    if len(state.evolver.windows) == 1:
-        anchored = {}
-        for branch, vec in vectors.items():
-            shift = _EMITTED[branch]
-            rolled = np.zeros_like(vec)
-            if shift == 0:
-                rolled[:] = vec
-            else:
-                rolled[:-shift] = vec[shift:]
-            anchored[branch] = rolled
-        vectors = anchored
-    return density_from_branch_vectors(vectors)
+    raw = state.evolver.raw_densities([c[None, :] for c in state.coeffs])
+    return TwoAtomDensity.from_unnormalized(raw[0])
 
 
 # ---------------------------------------------------------------------------

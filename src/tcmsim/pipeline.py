@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import TimeSeries
-from .closed_form import (CONSISTENT, LITERAL, AmplitudeSet, ConsistentBlocks,
-                          EvolutionParams, assemble)
+from .closed_form import (CONSISTENT, LITERAL, ConsistentBlocks, EvolutionParams,
+                          assemble)
 from .entanglement import concurrence, eof
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, same_fields
-from .oracle import ExactEvolver, rho_atom_exact
-from .reduced_density import TwoAtomDensity, partial_trace
+from .oracle import ExactEvolver
+from .reduced_density import TwoAtomDensity, partial_trace, raw_density
 from .symmetric import SymmetricLiteralEvaluator
 
 
@@ -49,12 +49,17 @@ def compute_observables(fields: list[FieldDistribution], gts: np.ndarray,
             fill_point(i, TwoAtomDensity.from_unnormalized(raws[i]))
         return out
 
-    blocks = None
     if m >= 2 and convention == CONSISTENT:
         blocks = ConsistentBlocks(fields)
+        for i, gt in enumerate(gts):
+            params = EvolutionParams(gt=float(gt), mode_count=m)
+            fill_point(i, TwoAtomDensity.from_unnormalized(
+                raw_density(blocks.anchored_vectors(params.gt))))
+        return out
+
     for i, gt in enumerate(gts):
         amp_set = assemble(EvolutionParams(gt=float(gt), mode_count=m), fields,
-                           convention, blocks=blocks)
+                           convention)
         fill_point(i, partial_trace(amp_set))
     return out
 
@@ -78,11 +83,10 @@ def oracle_series(fields: list[FieldDistribution], gts: np.ndarray,
     e = np.zeros(gts.size)
     drift = np.zeros(gts.size)
     norm0 = evolver.state_at(0.0).norm
-    for i, gt in enumerate(gts):
-        state = evolver.state_at(float(gt))
-        rho = rho_atom_exact(state)
-        w[i], c[i], e[i] = observables_from_density(rho)
-        drift[i] = abs(state.norm - norm0)
+    for i, (raw, norm) in enumerate(evolver.densities(gts)):
+        w[i], c[i], e[i] = observables_from_density(
+            TwoAtomDensity.from_unnormalized(raw))
+        drift[i] = abs(norm - norm0)
     return TimeSeries(gt=gts, w=w, concurrence=c, eof=e,
                       extras={"norm_drift": drift})
 

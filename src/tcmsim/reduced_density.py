@@ -64,12 +64,18 @@ class TwoAtomDensity:
         return complex(self.matrix[BRANCHES.index(bra), BRANCHES.index(ket)])
 
 
+def raw_density(vectors: np.ndarray) -> np.ndarray:
+    """Unnormalized rho[..., b, b'] = sum_f v[..., b, f] conj(v[..., b', f])
+    of (..., 4, N) branch vectors over a shared configuration indexing; a
+    stack of gts gives the same matrices as one gt at a time."""
+    return vectors @ np.swapaxes(vectors.conj(), -1, -2)
+
+
 def density_from_branch_vectors(vectors: dict[str, np.ndarray]) -> TwoAtomDensity:
     """rho[b, b'] = sum_f amp(b, f) conj(amp(b', f)) over a shared final-
     configuration indexing, then normalized to unit trace."""
     stacked = np.stack([np.ravel(vectors[b]) for b in BRANCHES])
-    raw = stacked @ stacked.conj().T
-    return TwoAtomDensity.from_unnormalized(raw)
+    return TwoAtomDensity.from_unnormalized(raw_density(stacked))
 
 
 def partial_trace(amp_set) -> TwoAtomDensity:

@@ -96,15 +96,36 @@ def _extend_block(level: _Level, prefix: int, iv: int, feats, weights):
     return _Level(stats, wts, last, run, denom)
 
 
-def _concat_levels(blocks: list[_Level]) -> _Level:
-    return _Level(
-        stats={k: np.concatenate([b.stats[k] for b in blocks]) for k in _STAT_KEYS},
-        weights={k: np.concatenate([b.weights[k] for b in blocks])
-                 for k in blocks[0].weights},
-        last=np.concatenate([b.last for b in blocks]),
-        run=np.concatenate([b.run for b in blocks]),
-        denom=np.concatenate([b.denom for b in blocks]),
+def _next_level(level: _Level, n_values: int, feats, weights) -> _Level:
+    """All nondecreasing tuples one entry longer than level's: for every
+    value index iv, the rows with last <= iv extended by iv.  Each extended
+    block is written into one preallocated level, so at most one block is
+    held besides the two levels."""
+    counts = np.searchsorted(level.last, np.arange(n_values), side="right")
+    total = int(counts.sum())
+    out = _Level(
+        stats={k: np.empty(total) for k in _STAT_KEYS},
+        weights={k: np.empty(total, dtype=w.dtype) for k, w in level.weights.items()},
+        last=np.empty(total, dtype=level.last.dtype),
+        run=np.empty(total, dtype=np.int32),
+        denom=np.empty(total),
     )
+    start = 0
+    for iv in range(n_values):
+        prefix = int(counts[iv])
+        if prefix == 0:
+            continue
+        block = _extend_block(level, prefix, iv, feats, weights)
+        rows = slice(start, start + prefix)
+        for k in _STAT_KEYS:
+            out.stats[k][rows] = block.stats[k]
+        for k in out.weights:
+            out.weights[k][rows] = block.weights[k]
+        out.last[rows] = block.last
+        out.run[rows] = block.run
+        out.denom[rows] = block.denom
+        start += prefix
+    return out
 
 
 class SymmetricLiteralEvaluator:
@@ -129,10 +150,7 @@ class SymmetricLiteralEvaluator:
     def _build_penultimate(self) -> _Level:
         level = _first_level(self.feats, self.wfeats, self.n_values)
         for _ in range(self.mode_count - 2):
-            counts = np.searchsorted(level.last, np.arange(self.n_values), side="right")
-            blocks = [_extend_block(level, int(counts[iv]), iv, self.feats, self.wfeats)
-                      for iv in range(self.n_values) if counts[iv] > 0]
-            level = _concat_levels(blocks)
+            level = _next_level(level, self.n_values, self.feats, self.wfeats)
         return level
 
     def raw_densities(self, gts: np.ndarray) -> np.ndarray:
@@ -148,13 +166,17 @@ class SymmetricLiteralEvaluator:
         counts = np.searchsorted(self._penultimate.last, np.arange(self.n_values),
                                  side="right")
         raw = np.zeros((gts.size, 4, 4), dtype=complex)
+        # the chunk's amplitude stacks, allocated once per call: freeing and
+        # reallocating them per chunk lets the C allocator hand the pages
+        # back and fault them in again on every chunk
+        work = np.empty((3, 4 * CHUNK_ELEMENTS), dtype=complex)
         for iv in range(self.n_values):
             if counts[iv] > 0:
-                self._add_block(raw, gts, int(counts[iv]), iv)
+                self._add_block(raw, gts, int(counts[iv]), iv, work)
         return raw
 
     def _add_block(self, raw: np.ndarray, gts: np.ndarray, prefix: int,
-                   iv: int) -> None:
+                   iv: int, work: np.ndarray) -> None:
         """Add the multisets whose largest value is value index iv to raw."""
         m = self.mode_count
         block = _extend_block(self._penultimate, prefix, iv, self.feats, self.wfeats)
@@ -164,10 +186,25 @@ class SymmetricLiteralEvaluator:
         step = max(1, CHUNK_ELEMENTS // terms.size)
         for start in range(0, gts.size, step):
             x1, x2, x3 = terms.at(gts[start:start + step])
-            amp = np.empty((x1.shape[0], 4, terms.size), dtype=complex)
+            shape = (x1.shape[0], 4, terms.size)
+            amp = _work_array(work[0], shape)
             amp[:, 0] = x1
-            amp[:, 1] = amp[:, 2] = -1j * x3
+            np.multiply(-1j, x3, out=amp[:, 1])
+            amp[:, 2] = amp[:, 1]
             amp[:, 3] = x2
             del x1, x2, x3
-            # one (4, size) @ (size, 4) product per gt
-            raw[start:start + step] += (mult * amp) @ amp.conj().transpose(0, 2, 1)
+            # one (4, size) @ (size, 4) product per gt; an overflow is
+            # reported by the density's non-finite check
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw[start:start + step] += (
+                    np.multiply(mult, amp, out=_work_array(work[1], shape))
+                    @ np.conjugate(amp, out=_work_array(work[2], shape)).transpose(0, 2, 1))
+
+
+def _work_array(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """A view of the front of buffer with the given shape, or a new array
+    when the buffer is too small (blocks larger than CHUNK_ELEMENTS)."""
+    size = math.prod(shape)
+    if size > buffer.size:
+        return np.empty(shape, dtype=buffer.dtype)
+    return buffer[:size].reshape(shape)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,11 +54,27 @@ def test_exit_code_on_bad_flag_value(tmp_path):
 def test_literal_overflow_exits_as_numerical_failure(tmp_path, capsys):
     # the literal m=2 norm deficit overflows long before gt=400
     out = tmp_path / "x.csv"
-    code = main(["run", "--modes", "2", "--mean", "3", "--convention", "literal",
-                 "--gt-max", "400", "--gt-steps", "50", "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--modes", "2", "--mean", "3", "--convention", "literal",
+                     "--gt-max", "400", "--gt-steps", "50", "--out", str(out)])
     assert code == 2
-    assert "numerical failure: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: " in err
+    # one message: no numpy overflow warnings ahead of it
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # only revival-peak detection needs scipy.signal; the CLI loads it lazily
+    code = ("import sys, tcmsim.cli; "
+            "sys.exit('scipy.signal' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_determinism(tmp_path):

@@ -281,3 +281,95 @@ def test_amplitude_set_accessors():
     assert all(v != 0 for v in entries.values())
     norm_from_entries = sum(abs(v) ** 2 for v in entries.values())
     assert norm_from_entries == pytest.approx(amp.total_norm(), abs=1e-12)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("fields", [[coherent_field(2.0)] * 2,
+                                    [coherent_field(1.5), coherent_field(4.0)],
+                                    [coherent_field(1.0)] * 3])
+def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
+    from tcmsim.basis import BRANCHES
+    from tcmsim.closed_form import extended_window
+    from tcmsim.reduced_density import TwoAtomDensity, partial_trace, raw_density
+
+    blocks = ConsistentBlocks(fields)
+    m = len(fields)
+    windows = [extended_window(f.window) for f in fields]
+    shape = tuple(w.size for w in windows)
+    flat = np.ravel_multi_index(
+        tuple((blocks.configs - [w.n_min for w in windows]).T), shape)
+    for gt in (0.0, 0.45, 2.7):
+        # the anchored arrays as AmplitudeSet.add built them: np.add.at on
+        # zeros, in cascade order (aa; ab and ba per mode; bb per pair)
+        amps = blocks.amplitudes_at(gt) * blocks.weights[:, None]
+        ref = np.zeros((4, int(np.prod(shape))), dtype=complex)
+        np.add.at(ref[0], flat, amps[:, 0])
+        for k in range(m):
+            half = amps[:, 1 + k] * (1.0 / math.sqrt(2.0))
+            np.add.at(ref[1], flat, half)
+            np.add.at(ref[2], flat, half)
+        for pi in range(len(blocks.pairs)):
+            np.add.at(ref[3], flat, amps[:, 1 + m + pi])
+        vectors = blocks.anchored_vectors(gt)
+        assert _same_bits(vectors, ref)
+
+        params = EvolutionParams(gt=gt, mode_count=m)
+        amp_set = assemble(params, fields, CONSISTENT, blocks=blocks)
+        for b, branch in enumerate(BRANCHES):
+            assert _same_bits(amp_set.anchored_array(branch), ref[b])
+        rho = TwoAtomDensity.from_unnormalized(raw_density(vectors))
+        rho_set = partial_trace(amp_set)
+        assert _same_bits(rho.matrix, rho_set.matrix)
+        assert rho.norm_deficit == rho_set.norm_deficit
+
+
+def test_consistent_observables_match_assembled_densities():
+    from tcmsim.pipeline import compute_observables, observables_from_density
+    from tcmsim.reduced_density import partial_trace
+
+    fields = [coherent_field(1.5), coherent_field(3.0)]
+    gts = np.linspace(0.0, 5.0, 41)
+    obs = compute_observables(fields, gts, CONSISTENT)
+    for i, gt in enumerate(gts):
+        rho = partial_trace(assemble(EvolutionParams(gt=float(gt), mode_count=2),
+                                     fields, CONSISTENT))
+        w, c, e = observables_from_density(rho)
+        assert (obs["w"][i], obs["concurrence"][i], obs["eof"][i]) == (w, c, e)
+        assert obs["norm_deficit"][i] == rho.norm_deficit
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_penultimate_level_equals_concatenated_blocks(m):
+    from tcmsim import symmetric
+
+    field = coherent_field(2.0, sigma_width=4.0, coverage_epsilon=1e-8)
+    ev = symmetric.SymmetricLiteralEvaluator(field, m)
+    # reference: each level as the concatenation of its extended blocks
+    level = symmetric._first_level(ev.feats, ev.wfeats, ev.n_values)
+    for _ in range(m - 2):
+        counts = np.searchsorted(level.last, np.arange(ev.n_values), side="right")
+        blocks = [symmetric._extend_block(level, int(counts[iv]), iv, ev.feats, ev.wfeats)
+                  for iv in range(ev.n_values) if counts[iv] > 0]
+        level = symmetric._Level(
+            stats={k: np.concatenate([b.stats[k] for b in blocks])
+                   for k in symmetric._STAT_KEYS},
+            weights={k: np.concatenate([b.weights[k] for b in blocks])
+                     for k in blocks[0].weights},
+            last=np.concatenate([b.last for b in blocks]),
+            run=np.concatenate([b.run for b in blocks]),
+            denom=np.concatenate([b.denom for b in blocks]))
+    built = ev._penultimate
+    assert built.size == level.size == math.comb(ev.n_values + m - 2, m - 1)
+    for k in symmetric._STAT_KEYS:
+        assert np.array_equal(built.stats[k], level.stats[k])
+    assert built.weights.keys() == level.weights.keys()
+    for k in level.weights:
+        assert built.weights[k].dtype == level.weights[k].dtype
+        assert np.array_equal(built.weights[k], level.weights[k])
+    for name in ("last", "run", "denom"):
+        assert getattr(built, name).dtype == getattr(level, name).dtype
+        assert np.array_equal(getattr(built, name), getattr(level, name))

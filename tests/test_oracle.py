@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tcmsim import (CONSISTENT, ConfigurationError, EvolutionParams,
-                    ExactEvolver, TruncationWindow, assemble,
-                    build_hamiltonian, build_sector_basis, coherent_field,
-                    concurrence, evolve, expansion_diagnostic, fock_field,
-                    partial_trace, rho_atom_exact)
+                    ExactEvolver, NumericalFailureError, TruncationWindow,
+                    TwoAtomDensity, assemble, build_hamiltonian,
+                    build_sector_basis, coherent_field, concurrence, evolve,
+                    expansion_diagnostic, fock_field, partial_trace,
+                    rho_atom_exact)
 
 
 def test_sector_basis_m1_n2():
@@ -143,3 +144,84 @@ def test_expansion_diagnostic_guards():
         expansion_diagnostic(4, 1)
     with pytest.raises(ConfigurationError):
         expansion_diagnostic(1, 1, n_cut=9)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_density(state):
+    """rho_atom_exact as a per-branch roll: for one mode, each branch's
+    final-configuration vector is shifted back by the photons it emitted."""
+    from tcmsim.reduced_density import density_from_branch_vectors
+
+    vectors = state.branch_vectors()
+    if len(state.evolver.windows) == 1:
+        for branch, shift in (("ab", 1), ("ba", 1), ("bb", 2)):
+            rolled = np.zeros_like(vectors[branch])
+            rolled[:-shift] = vectors[branch][shift:]
+            vectors[branch] = rolled
+    return density_from_branch_vectors(vectors)
+
+
+@pytest.mark.parametrize("fields", [[coherent_field(3.0)],
+                                    [coherent_field(2.0), coherent_field(1.0)]])
+def test_oracle_series_equals_per_gt_views(fields, monkeypatch):
+    from tcmsim import oracle
+    from tcmsim.pipeline import observables_from_density, oracle_series
+
+    monkeypatch.setattr(oracle, "CHUNK_GTS", 7)
+    evolver = ExactEvolver(fields)
+    gts = np.linspace(0.0, 9.0, 40)
+    assert gts.size > 5 * oracle.CHUNK_GTS
+    series = oracle_series(fields, gts, evolver=evolver)
+    norm0 = evolver.state_at(0.0).norm
+    batched = list(evolver.densities(gts))
+    assert len(batched) == gts.size
+    for i, gt in enumerate(gts):
+        state = evolver.state_at(float(gt))
+        rho = rho_atom_exact(state)
+        assert _same_bits(rho.matrix, _reference_density(state).matrix)
+        raw, norm = batched[i]
+        assert _same_bits(TwoAtomDensity.from_unnormalized(raw).matrix, rho.matrix)
+        assert norm == state.norm
+        w, c, e = observables_from_density(rho)
+        assert (series.w[i], series.concurrence[i], series.eof[i]) == (w, c, e)
+        assert _same_bits(series.extras["norm_drift"][i], abs(state.norm - norm0))
+
+
+def test_state_coefficients_equal_direct_propagation():
+    # the batched sector propagation gives the bits of the one-gt product
+    # eigvecs @ (exp(-i lambda gt) * (eigvecs^T @ c0))
+    evolver = ExactEvolver([coherent_field(2.0), coherent_field(1.0)])
+    for gt in (0.0, 0.8, 6.3):
+        state = evolver.state_at(gt)
+        for sector, c in zip(evolver.sectors, state.coeffs):
+            assert _same_bits(c, sector.propagate(sector.c0, gt))
+
+
+def test_batched_oracle_raises_on_norm_drift():
+    from tcmsim.pipeline import oracle_series
+
+    fields = [coherent_field(2.0)]
+    evolver = ExactEvolver(fields)
+    evolver._norm0 += 1e-6
+    with pytest.raises(NumericalFailureError, match="norm drift"):
+        evolver.state_at(0.5)
+    with pytest.raises(NumericalFailureError, match="norm drift"):
+        oracle_series(fields, np.linspace(0.0, 2.0, 5), evolver=evolver)
+    with pytest.raises(NumericalFailureError, match="norm drift"):
+        next(evolver.densities([0.5]))
+
+
+def test_branch_vectors_pair_like_the_multimode_density():
+    # for m >= 2 rho_atom_exact pairs amplitudes by final configuration,
+    # which is the standard partial trace over branch_vectors
+    from tcmsim.reduced_density import density_from_branch_vectors
+
+    evolver = ExactEvolver([coherent_field(2.0), coherent_field(1.0)])
+    for gt in (0.0, 1.7):
+        state = evolver.state_at(gt)
+        assert _same_bits(density_from_branch_vectors(state.branch_vectors()).matrix,
+                          rho_atom_exact(state).matrix)
