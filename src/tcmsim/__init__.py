@@ -7,9 +7,8 @@ interaction.  Observables: atomic inversion, Wootters concurrence, and
 entanglement of formation.
 """
 
-from .analysis import (RevivalReport, TimeSeries, collapse_windows,
-                       detect_revival_peaks, deviation_report, mode_sweep,
-                       oscillation_rate)
+from .analysis import (RevivalReport, collapse_windows, detect_revival_peaks,
+                       deviation_report, mode_sweep, oscillation_rate)
 from .basis import BRANCHES
 from .closed_form import (CONSISTENT, LITERAL, AmplitudeSet, BranchAmplitudes,
                           EvolutionParams, assemble, multimode_literal,
@@ -29,6 +28,7 @@ from .oracle import (ExactEvolver, ExpansionReport, HamiltonianBlock,
                      rho_atom_exact)
 from .pipeline import closed_form_series, compute_observables, oracle_series
 from .reduced_density import TwoAtomDensity, partial_trace
+from .series import TimeSeries
 
 __all__ = [
     "AmplitudeSet", "BRANCHES", "BranchAmplitudes", "CONSISTENT",

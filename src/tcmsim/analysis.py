@@ -3,55 +3,16 @@ mode sweeps, and closed-form-versus-oracle deviation summaries."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import pipeline
 from .errors import ConfigurationError
 from .fock_field import coherent_field
+from .series import TimeSeries
 
 ENVELOPE_WINDOW_GT = 1.0
-
-
-@dataclass
-class TimeSeries:
-    """Uniformly sampled (gt, W, C, E_F) records, plus optional named
-    extra columns (oracle observables, deltas, norm deficits)."""
-
-    gt: np.ndarray
-    w: np.ndarray
-    concurrence: np.ndarray
-    eof: np.ndarray
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.gt = np.asarray(self.gt, dtype=float)
-        self.w = np.asarray(self.w, dtype=float)
-        self.concurrence = np.asarray(self.concurrence, dtype=float)
-        self.eof = np.asarray(self.eof, dtype=float)
-        n = self.gt.size
-        if any(a.shape != (n,) for a in (self.w, self.concurrence, self.eof)):
-            raise ConfigurationError("all series columns must share the gt grid")
-        if n >= 2 and np.any(np.diff(self.gt) <= 0):
-            raise ConfigurationError("gt grid must be strictly increasing")
-        tol = 1e-12
-        if np.any(np.abs(self.w) > 1 + tol):
-            raise ConfigurationError("|W| exceeds 1")
-        for name, col in (("concurrence", self.concurrence), ("eof", self.eof)):
-            if np.any(col < -tol) or np.any(col > 1 + tol):
-                raise ConfigurationError(f"{name} outside [0, 1]")
-
-    def channel(self, name: str) -> np.ndarray:
-        key = {"W": "w", "w": "w", "W_envelope": "w",
-               "C": "concurrence", "concurrence": "concurrence",
-               "eof": "eof", "E_F": "eof"}.get(name)
-        if key is None:
-            raise ConfigurationError(f"unknown channel {name!r}")
-        return getattr(self, key)
-
-    @property
-    def step(self) -> float:
-        return float(self.gt[1] - self.gt[0]) if self.gt.size >= 2 else 0.0
 
 
 def moving_average(values: np.ndarray, half_width: int) -> np.ndarray:
@@ -189,8 +150,6 @@ def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
     """Entanglement per (mode count, gt) cell for identical coherent fields
     of the given per-mode mean.  Single-mode cells use the single-mode
     amplitudes."""
-    from . import pipeline  # deferred: pipeline builds on this module
-
     if not m_range:
         raise ConfigurationError("empty mode list")
     if len(set(m_range)) != len(m_range):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import TimeSeries
 from .closed_form import (CONSISTENT, LITERAL, ConsistentBlocks, EvolutionParams,
                           assemble)
 from .entanglement import concurrence, eof
@@ -12,6 +11,7 @@ from .errors import ConfigurationError
 from .fock_field import FieldDistribution, same_fields
 from .oracle import ExactEvolver
 from .reduced_density import TwoAtomDensity, partial_trace, raw_density
+from .series import TimeSeries
 from .symmetric import SymmetricLiteralEvaluator
 
 

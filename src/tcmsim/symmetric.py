@@ -12,12 +12,15 @@ extends every partial tuple by all values not below its last entry, and all
 the statistics, weight products, and multiplicity denominators are carried
 along as flat numpy arrays, so no per-configuration Python loop runs.
 
-The last level is never stored whole: it is built one block at a time, a
-block being the multisets that share their largest value.  Each block's
-gt-independent terms (frequencies and coefficients, closed_form.LiteralTerms)
-are built once per block, its statistics are then dropped, and only the
-cosines, sines and the density contraction run per gt, over chunks of
-CHUNK_ELEMENTS amplitudes.
+The last level is never stored whole: it is built one tile at a time, a
+tile being at most CHUNK_ELEMENTS of the multisets that share their largest
+value (a block).  Each tile's gt-independent terms (frequencies and
+coefficients, closed_form.LiteralTerms) are built once per call, its
+statistics are then dropped, and only the cosines, sines and the density
+contraction run per gt, over chunks of at most CHUNK_ELEMENTS amplitudes,
+so the working set stays the same size whatever the mode count.  Tile
+boundaries depend only on the block, never on the gt grid, so a grid call
+and single-gt calls sum the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .fock_field import FieldDistribution
 _STAT_KEYS = ("Sn", "S0", "S1p", "S2p", "T01", "T12", "Tm0", "Sm_re", "n_zeros")
 
 MAX_MULTISETS = 100_000_000
-# amplitudes evaluated at once per block: gts per chunk x multisets per block
+# multisets per tile, and amplitudes evaluated at once: gts per chunk x tile size
 CHUNK_ELEMENTS = 8192
 
 
@@ -85,14 +88,15 @@ def _first_level(feats, weights, n_values) -> _Level:
     )
 
 
-def _extend_block(level: _Level, prefix: int, iv: int, feats, weights):
-    """Extend the first `prefix` rows (those with last <= iv) by value iv."""
-    stats = {k: level.stats[k][:prefix] + feats[k][iv] for k in _STAT_KEYS}
-    wts = {k: level.weights[k][:prefix] * weights[k][iv] for k in weights}
-    same = level.last[:prefix] == iv
-    run = np.where(same, level.run[:prefix] + 1, 1).astype(np.int32)
-    denom = np.where(same, level.denom[:prefix] * run, level.denom[:prefix])
-    last = np.full(prefix, iv, dtype=level.last.dtype)
+def _extend_rows(level: _Level, lo: int, hi: int, iv: int, feats, weights):
+    """Extend rows lo:hi of level (all with last <= iv) by value iv."""
+    rows = slice(lo, hi)
+    stats = {k: level.stats[k][rows] + feats[k][iv] for k in _STAT_KEYS}
+    wts = {k: level.weights[k][rows] * weights[k][iv] for k in weights}
+    same = level.last[rows] == iv
+    run = np.where(same, level.run[rows] + 1, 1).astype(np.int32)
+    denom = np.where(same, level.denom[rows] * run, level.denom[rows])
+    last = np.full(hi - lo, iv, dtype=level.last.dtype)
     return _Level(stats, wts, last, run, denom)
 
 
@@ -115,7 +119,7 @@ def _next_level(level: _Level, n_values: int, feats, weights) -> _Level:
         prefix = int(counts[iv])
         if prefix == 0:
             continue
-        block = _extend_block(level, prefix, iv, feats, weights)
+        block = _extend_rows(level, 0, prefix, iv, feats, weights)
         rows = slice(start, start + prefix)
         for k in _STAT_KEYS:
             out.stats[k][rows] = block.stats[k]
@@ -158,10 +162,12 @@ class SymmetricLiteralEvaluator:
         multiplicity-weighted sum over multisets of the outer product of the
         branch amplitude vector (x1, -i x3, -i x3, x2).
 
-        Multisets are taken in blocks that share their largest value.  Each
-        block's gt-independent terms are built once; its amplitudes are then
+        Multisets are taken in blocks that share their largest value, and
+        each block in tiles of at most CHUNK_ELEMENTS multisets.  Each tile's
+        gt-independent terms are built once; its amplitudes are then
         evaluated a chunk of gts at a time and contracted one gt at a time,
-        so every matrix is the same whatever the grid or chunking."""
+        and every raw[g] sums the tiles in the same order, so every matrix
+        is the same whatever the grid or chunking."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
         counts = np.searchsorted(self._penultimate.last, np.arange(self.n_values),
                                  side="right")
@@ -171,23 +177,26 @@ class SymmetricLiteralEvaluator:
         # back and fault them in again on every chunk
         work = np.empty((3, 4 * CHUNK_ELEMENTS), dtype=complex)
         for iv in range(self.n_values):
-            if counts[iv] > 0:
-                self._add_block(raw, gts, int(counts[iv]), iv, work)
+            prefix = int(counts[iv])
+            for lo in range(0, prefix, CHUNK_ELEMENTS):
+                self._add_tile(raw, gts, lo, min(lo + CHUNK_ELEMENTS, prefix), iv, work)
         return raw
 
-    def _add_block(self, raw: np.ndarray, gts: np.ndarray, prefix: int,
-                   iv: int, work: np.ndarray) -> None:
-        """Add the multisets whose largest value is value index iv to raw."""
+    def _add_tile(self, raw: np.ndarray, gts: np.ndarray, lo: int, hi: int,
+                  iv: int, work: np.ndarray) -> None:
+        """Add to raw the multisets that extend penultimate rows lo:hi by
+        value index iv, their largest value."""
         m = self.mode_count
-        block = _extend_block(self._penultimate, prefix, iv, self.feats, self.wfeats)
-        mult = float(math.factorial(m)) / block.denom
-        terms = LiteralTerms(m, {**block.stats, **block.weights})
-        del block
-        step = max(1, CHUNK_ELEMENTS // terms.size)
+        tile = _extend_rows(self._penultimate, lo, hi, iv, self.feats, self.wfeats)
+        mult = float(math.factorial(m)) / tile.denom
+        terms = LiteralTerms(m, {**tile.stats, **tile.weights})
+        del tile
+        step = CHUNK_ELEMENTS // terms.size
         for start in range(0, gts.size, step):
             x1, x2, x3 = terms.at(gts[start:start + step])
             shape = (x1.shape[0], 4, terms.size)
-            amp = _work_array(work[0], shape)
+            size = math.prod(shape)
+            amp = work[0, :size].reshape(shape)
             amp[:, 0] = x1
             np.multiply(-1j, x3, out=amp[:, 1])
             amp[:, 2] = amp[:, 1]
@@ -197,14 +206,5 @@ class SymmetricLiteralEvaluator:
             # reported by the density's non-finite check
             with np.errstate(over="ignore", invalid="ignore"):
                 raw[start:start + step] += (
-                    np.multiply(mult, amp, out=_work_array(work[1], shape))
-                    @ np.conjugate(amp, out=_work_array(work[2], shape)).transpose(0, 2, 1))
-
-
-def _work_array(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """A view of the front of buffer with the given shape, or a new array
-    when the buffer is too small (blocks larger than CHUNK_ELEMENTS)."""
-    size = math.prod(shape)
-    if size > buffer.size:
-        return np.empty(shape, dtype=buffer.dtype)
-    return buffer[:size].reshape(shape)
+                    np.multiply(mult, amp, out=work[1, :size].reshape(shape))
+                    @ np.conjugate(amp, out=work[2, :size].reshape(shape)).transpose(0, 2, 1))

@@ -257,6 +257,51 @@ def test_symmetric_evaluator_is_exact_across_chunks(m, chunk_elements, monkeypat
                           np.stack([ev.raw_densities([g])[0] for g in gts]))
 
 
+def test_symmetric_evaluator_is_exact_across_tiles(monkeypatch):
+    from tcmsim import symmetric
+    from tcmsim.reduced_density import TwoAtomDensity, partial_trace
+
+    m = 4
+    # a window reaching n = 0, small enough for 301 single-gt calls
+    field = coherent_field(1.5, sigma_width=1.0, coverage_epsilon=0.05)
+    assert (field.window.n_min, field.window.n_max) == (0, 4)
+    gts = np.linspace(0.0, 8.0, 301)
+    ev = symmetric.SymmetricLiteralEvaluator(field, m)
+    blocks = np.searchsorted(ev._penultimate.last, np.arange(ev.n_values), side="right")
+    assert blocks.max() <= symmetric.CHUNK_ELEMENTS
+    untiled = ev.raw_densities(gts)
+
+    monkeypatch.setattr(symmetric, "CHUNK_ELEMENTS", 3)
+    # every block but the all-zero multiset's spans several tiles
+    assert blocks[0] == 1 and np.all(blocks[1:] > symmetric.CHUNK_ELEMENTS)
+    tiled = ev.raw_densities(gts)
+    assert np.array_equal(tiled, np.stack([ev.raw_densities([g])[0] for g in gts]))
+    scale = np.max(np.abs(untiled), axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(tiled - untiled) / scale) <= 1e-14
+    for gt in (0.6, 2.1):
+        rho_sym = TwoAtomDensity.from_unnormalized(ev.raw_densities([gt])[0])
+        amp = assemble(EvolutionParams(gt=gt, mode_count=m), [field] * m, LITERAL)
+        assert np.max(np.abs(rho_sym.matrix - partial_trace(amp).matrix)) <= 1e-13
+
+
+def test_symmetric_evaluator_memory_is_one_tile():
+    import tracemalloc
+
+    from tcmsim.symmetric import SymmetricLiteralEvaluator
+
+    # the sweep-modes field at m = 5, whose largest block holds 101,270
+    # multisets; the traced peak is the tile's working set, not the block's
+    field = coherent_field(15.0, sigma_width=4, coverage_epsilon=1e-6)
+    ev = SymmetricLiteralEvaluator(field, 5)
+    tracemalloc.start()
+    try:
+        ev.raw_densities([1.5, 2.25, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_assemble_validation():
     fields = [coherent_field(1.0)]
     with pytest.raises(ConfigurationError):
@@ -352,7 +397,7 @@ def test_penultimate_level_equals_concatenated_blocks(m):
     level = symmetric._first_level(ev.feats, ev.wfeats, ev.n_values)
     for _ in range(m - 2):
         counts = np.searchsorted(level.last, np.arange(ev.n_values), side="right")
-        blocks = [symmetric._extend_block(level, int(counts[iv]), iv, ev.feats, ev.wfeats)
+        blocks = [symmetric._extend_rows(level, 0, int(counts[iv]), iv, ev.feats, ev.wfeats)
                   for iv in range(ev.n_values) if counts[iv] > 0]
         level = symmetric._Level(
             stats={k: np.concatenate([b.stats[k] for b in blocks])
