@@ -65,11 +65,14 @@ def build_sector_basis(excitation: int, mode_count: int,
         raise ConfigurationError(f"excitation must be nonnegative, got {excitation}")
     if len(windows) != mode_count:
         raise ConfigurationError("one window per mode required")
-    groups = _configs_by_total(windows)
+    return _sector_basis(excitation, _configs_by_total(windows))
+
+
+def _sector_basis(excitation: int, groups: dict[int, np.ndarray]) -> SectorBasis:
+    """The sector's basis from the configurations grouped by photon total."""
     states = []
     for branch in BRANCHES:
-        total = excitation - EXCITED_COUNT[branch]
-        for cfg in groups.get(total, ()):
+        for cfg in groups.get(excitation - EXCITED_COUNT[branch], ()):
             states.append((branch, tuple(int(n) for n in cfg)))
     return SectorBasis(excitation=excitation, states=tuple(states))
 
@@ -223,12 +226,7 @@ class ExactEvolver:
         self.sectors: list[_Sector] = []
         for total in np.unique(init_totals):
             excitation = int(total) + 2
-            states = []
-            for branch in BRANCHES:
-                t = excitation - EXCITED_COUNT[branch]
-                for cfg in groups.get(t, ()):
-                    states.append((branch, tuple(int(n) for n in cfg)))
-            basis = SectorBasis(excitation=excitation, states=tuple(states))
+            basis = _sector_basis(excitation, groups)
             if basis.dim > max_sector_dim:
                 raise ConfigurationError(
                     f"sector {excitation} has dimension {basis.dim} "

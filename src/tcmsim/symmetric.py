@@ -10,17 +10,21 @@ mode counts up to six tractable.
 Multisets are enumerated level by level as nondecreasing tuples: each level
 extends every partial tuple by all values not below its last entry, and all
 the statistics, weight products, and multiplicity denominators are carried
-along as flat numpy arrays, so no per-configuration Python loop runs.
+along as stacked numpy arrays, so no per-configuration Python loop runs.
 
-The last level is never stored whole: it is built one tile at a time, a
-tile being at most CHUNK_ELEMENTS of the multisets that share their largest
-value (a block).  Each tile's gt-independent terms (frequencies and
-coefficients, closed_form.LiteralTerms) are built once per call, its
-statistics are then dropped, and only the cosines, sines and the density
-contraction run per gt, over chunks of at most CHUNK_ELEMENTS amplitudes,
-so the working set stays the same size whatever the mode count.  Tile
-boundaries depend only on the block, never on the gt grid, so a grid call
-and single-gt calls sum the same terms in the same order.
+Only the (m - 2)-level is stored; the last two levels are built one tile at
+a time.  A tile is at most CHUNK_ELEMENTS of the multisets that share their
+largest value (a block), and each of its multisets extends a penultimate
+tuple, which in turn extends a stored one: the tile's penultimate rows are
+written slice by slice from the stored level, then extended by the block's
+value.  The sums run in the same order as if the penultimate level were
+stored, so every bit is the same.  Each tile's gt-independent terms
+(frequencies and coefficients, closed_form.LiteralTerms) are built once per
+call, and only the cosines, sines and the density contraction run per gt,
+over chunks of at most CHUNK_ELEMENTS amplitudes, so the working set stays
+the same size whatever the mode count.  Tile boundaries depend only on the
+block, never on the gt grid, so a grid call and single-gt calls sum the
+same terms in the same order.
 """
 
 from __future__ import annotations
@@ -34,100 +38,94 @@ from .errors import ConfigurationError
 from .fock_field import FieldDistribution
 
 _STAT_KEYS = ("Sn", "S0", "S1p", "S2p", "T01", "T12", "Tm0", "Sm_re", "n_zeros")
+_WEIGHT_KEYS = ("prod_c0", "prod_c1", "prod_c2")
 
 MAX_MULTISETS = 100_000_000
 # multisets per tile, and amplitudes evaluated at once: gts per chunk x tile size
 CHUNK_ELEMENTS = 8192
 
 
-def _per_value_features(field: FieldDistribution) -> dict[str, np.ndarray]:
+def _per_value_features(field: FieldDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Per-value statistics, one row per _STAT_KEYS entry, and amplitude
+    factors c_n, c_{n+1}, c_{n+2}, one row per _WEIGHT_KEYS entry; the
+    factors are real when the field's amplitudes are."""
     lo = max(0, field.window.n_min - 2)
     v = np.arange(lo, field.window.n_max + 1, dtype=float)
-    feats = {
-        "Sn": v,
-        "S0": np.sqrt(v),
-        "S1p": np.sqrt(v + 1.0),
-        "S2p": np.sqrt(v + 2.0),
-        "T01": np.sqrt(v * (v + 1.0)),
-        "T12": np.sqrt((v + 1.0) * (v + 2.0)),
-        "Tm0": np.sqrt(np.maximum(v - 1.0, 0.0) * v),
-        "Sm_re": np.sqrt(np.maximum(v - 1.0, 0.0)),
-        "n_zeros": (v == 0).astype(float),
-    }
+    feats = np.stack([
+        v,
+        np.sqrt(v),
+        np.sqrt(v + 1.0),
+        np.sqrt(v + 2.0),
+        np.sqrt(v * (v + 1.0)),
+        np.sqrt((v + 1.0) * (v + 2.0)),
+        np.sqrt(np.maximum(v - 1.0, 0.0) * v),
+        np.sqrt(np.maximum(v - 1.0, 0.0)),
+        (v == 0).astype(float),
+    ])
     ns = np.arange(lo, field.window.n_max + 1)
-    weights = {
-        "prod_c0": field.amplitudes_at(ns),
-        "prod_c1": field.amplitudes_at(ns + 1),
-        "prod_c2": field.amplitudes_at(ns + 2),
-    }
-    if all(np.allclose(w.imag, 0.0) for w in weights.values()):
-        weights = {k: w.real.copy() for k, w in weights.items()}
+    weights = np.stack([field.amplitudes_at(ns + shift) for shift in range(3)])
+    if np.allclose(weights.imag, 0.0):
+        weights = weights.real.copy()
     return feats, weights
 
 
 class _Level:
-    """All nondecreasing j-tuples over the value range, as parallel arrays."""
+    """All nondecreasing j-tuples over the value range, as parallel arrays,
+    ordered by their last value."""
 
     def __init__(self, stats, weights, last, run, denom):
-        self.stats = stats        # dict key -> float array
-        self.weights = weights    # dict key -> (possibly real) array
+        self.stats = stats        # (len(_STAT_KEYS), size) float array
+        self.weights = weights    # (len(_WEIGHT_KEYS), size), real or complex
         self.last = last          # index of the largest (= final) value
         self.run = run            # length of the trailing equal-value run
         self.denom = denom        # product of factorials of completed counts
         self.size = last.size
 
-
-def _first_level(feats, weights, n_values) -> _Level:
-    idx = np.arange(n_values)
-    return _Level(
-        stats={k: feats[k].copy() for k in _STAT_KEYS},
-        weights={k: weights[k].copy() for k in weights},
-        last=idx,
-        run=np.ones(n_values, dtype=np.int32),
-        denom=np.ones(n_values),
-    )
+    @classmethod
+    def empty(cls, size: int, dtype) -> _Level:
+        return cls(stats=np.empty((len(_STAT_KEYS), size)),
+                   weights=np.empty((len(_WEIGHT_KEYS), size), dtype=dtype),
+                   last=np.empty(size, dtype=np.int64),
+                   run=np.empty(size, dtype=np.int32),
+                   denom=np.empty(size))
 
 
-def _extend_rows(level: _Level, lo: int, hi: int, iv: int, feats, weights):
-    """Extend rows lo:hi of level (all with last <= iv) by value iv."""
-    rows = slice(lo, hi)
-    stats = {k: level.stats[k][rows] + feats[k][iv] for k in _STAT_KEYS}
-    wts = {k: level.weights[k][rows] * weights[k][iv] for k in weights}
-    same = level.last[rows] == iv
-    run = np.where(same, level.run[rows] + 1, 1).astype(np.int32)
-    denom = np.where(same, level.denom[rows] * run, level.denom[rows])
-    last = np.full(hi - lo, iv, dtype=level.last.dtype)
-    return _Level(stats, wts, last, run, denom)
+def _level_zero(weights) -> _Level:
+    """The empty tuple: zero statistics, unit weights, no last value."""
+    return _Level(stats=np.zeros((len(_STAT_KEYS), 1)),
+                  weights=np.ones((len(_WEIGHT_KEYS), 1), dtype=weights.dtype),
+                  last=np.full(1, -1, dtype=np.int64),
+                  run=np.zeros(1, dtype=np.int32),
+                  denom=np.ones(1))
+
+
+def _extend_rows(level: _Level, lo: int, hi: int, iv: int, feats, weights,
+                 out: _Level | None = None, at: int = 0) -> _Level:
+    """Extend rows lo:hi of level (all with last <= iv) by value index iv,
+    writing them into out's rows from `at`, or into a new level."""
+    if out is None:
+        out = _Level.empty(hi - lo, weights.dtype)
+    end = at + hi - lo
+    np.add(level.stats[:, lo:hi], feats[:, iv, None], out=out.stats[:, at:end])
+    np.multiply(level.weights[:, lo:hi], weights[:, iv, None], out=out.weights[:, at:end])
+    out.last[at:end] = iv
+    # the rows already ending in iv come last; they lengthen their run
+    tail = at + int(np.searchsorted(level.last[lo:hi], iv))
+    out.run[at:tail] = 1
+    np.add(level.run[lo + tail - at:hi], 1, out=out.run[tail:end])
+    np.multiply(level.denom[lo:hi], out.run[at:end], out=out.denom[at:end])
+    return out
 
 
 def _next_level(level: _Level, n_values: int, feats, weights) -> _Level:
     """All nondecreasing tuples one entry longer than level's: for every
-    value index iv, the rows with last <= iv extended by iv.  Each extended
-    block is written into one preallocated level, so at most one block is
-    held besides the two levels."""
-    counts = np.searchsorted(level.last, np.arange(n_values), side="right")
-    total = int(counts.sum())
-    out = _Level(
-        stats={k: np.empty(total) for k in _STAT_KEYS},
-        weights={k: np.empty(total, dtype=w.dtype) for k, w in level.weights.items()},
-        last=np.empty(total, dtype=level.last.dtype),
-        run=np.empty(total, dtype=np.int32),
-        denom=np.empty(total),
-    )
+    value index iv, the rows with last <= iv extended by iv, written
+    block after block into one preallocated level."""
+    counts = np.searchsorted(level.last, np.arange(n_values), side="right").tolist()
+    out = _Level.empty(sum(counts), weights.dtype)
     start = 0
-    for iv in range(n_values):
-        prefix = int(counts[iv])
-        if prefix == 0:
-            continue
-        block = _extend_rows(level, 0, prefix, iv, feats, weights)
-        rows = slice(start, start + prefix)
-        for k in _STAT_KEYS:
-            out.stats[k][rows] = block.stats[k]
-        for k in out.weights:
-            out.weights[k][rows] = block.weights[k]
-        out.last[rows] = block.last
-        out.run[rows] = block.run
-        out.denom[rows] = block.denom
+    for iv, prefix in enumerate(counts):
+        _extend_rows(level, 0, prefix, iv, feats, weights, out, start)
         start += prefix
     return out
 
@@ -143,19 +141,21 @@ class SymmetricLiteralEvaluator:
         self.field = field
         self.mode_count = mode_count
         self.feats, self.wfeats = _per_value_features(field)
-        self.n_values = self.feats["Sn"].size
+        self.n_values = self.feats.shape[1]
         total = math.comb(self.n_values + mode_count - 1, mode_count)
         if total > max_multisets:
             raise ConfigurationError(
                 f"{total} occupation multisets exceed the budget {max_multisets}; "
                 "reduce windows, coverage, or mode count")
-        self._penultimate = self._build_penultimate()
-
-    def _build_penultimate(self) -> _Level:
-        level = _first_level(self.feats, self.wfeats, self.n_values)
-        for _ in range(self.mode_count - 2):
+        level = _level_zero(self.wfeats)
+        for _ in range(mode_count - 2):
             level = _next_level(level, self.n_values, self.feats, self.wfeats)
-        return level
+        self._level = level
+        # penultimate block jv is the stored level's first counts[jv] rows
+        # (those with last <= jv) extended by jv, and the multisets whose
+        # largest value is iv extend the penultimate blocks 0..iv by iv
+        self._counts = np.searchsorted(level.last, np.arange(self.n_values), side="right")
+        self.block_sizes = np.cumsum(self._counts)
 
     def raw_densities(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), 4, 4) unnormalized density matrices: for every gt the
@@ -163,34 +163,62 @@ class SymmetricLiteralEvaluator:
         branch amplitude vector (x1, -i x3, -i x3, x2).
 
         Multisets are taken in blocks that share their largest value, and
-        each block in tiles of at most CHUNK_ELEMENTS multisets.  Each tile's
+        each block in tiles of at most CHUNK_ELEMENTS multisets, generated
+        from the stored (m - 2)-level (see _tiles).  Each tile's
         gt-independent terms are built once; its amplitudes are then
         evaluated a chunk of gts at a time and contracted one gt at a time,
         and every raw[g] sums the tiles in the same order, so every matrix
         is the same whatever the grid or chunking."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
-        counts = np.searchsorted(self._penultimate.last, np.arange(self.n_values),
-                                 side="right")
         raw = np.zeros((gts.size, 4, 4), dtype=complex)
         # the chunk's amplitude stacks, allocated once per call: freeing and
         # reallocating them per chunk lets the C allocator hand the pages
         # back and fault them in again on every chunk
         work = np.empty((3, 4 * CHUNK_ELEMENTS), dtype=complex)
-        for iv in range(self.n_values):
-            prefix = int(counts[iv])
-            for lo in range(0, prefix, CHUNK_ELEMENTS):
-                self._add_tile(raw, gts, lo, min(lo + CHUNK_ELEMENTS, prefix), iv, work)
+        for _, _, _, tile in self._tiles():
+            self._add_tile(raw, gts, tile, work)
         return raw
 
-    def _add_tile(self, raw: np.ndarray, gts: np.ndarray, lo: int, hi: int,
-                  iv: int, work: np.ndarray) -> None:
-        """Add to raw the multisets that extend penultimate rows lo:hi by
-        value index iv, their largest value."""
+    def _tiles(self):
+        """Yield (lo, hi, iv, tile) in summation order: tile holds the
+        multisets that extend penultimate rows lo:hi by value index iv,
+        their largest value.
+
+        The penultimate rows are written into one buffer first.  A tile
+        starting at the same row as the one before reuses the rows already
+        there, and only the rest are written: at m = 3 a block of a window
+        of up to 127 values is one tile, so each block adds one penultimate
+        block."""
+        rows = _Level.empty(CHUNK_ELEMENTS, self.wfeats.dtype)
+        held_lo = held_hi = 0     # rows holds penultimate rows held_lo:held_hi
+        for iv, size in enumerate(self.block_sizes):
+            for lo in range(0, size, CHUNK_ELEMENTS):
+                hi = min(lo + CHUNK_ELEMENTS, size)
+                self._write_penultimate(rows, lo, held_hi if lo == held_lo else lo, hi)
+                held_lo, held_hi = lo, hi
+                yield lo, hi, iv, _extend_rows(rows, 0, hi - lo, iv, self.feats, self.wfeats)
+
+    def _write_penultimate(self, rows: _Level, lo: int, start: int, hi: int) -> None:
+        """Write penultimate rows start:hi into rows from row start - lo.
+        Penultimate block jv is the stored level's first counts[jv] rows
+        extended by jv, so the range is one slice of the stored level per
+        block it meets."""
+        jv = int(np.searchsorted(self.block_sizes, start, side="right"))
+        while start < hi:
+            first = self.block_sizes[jv] - self._counts[jv]
+            stop = min(self.block_sizes[jv], hi)
+            _extend_rows(self._level, start - first, stop - first, jv,
+                         self.feats, self.wfeats, rows, start - lo)
+            start = stop
+            jv += 1
+
+    def _add_tile(self, raw: np.ndarray, gts: np.ndarray, tile: _Level,
+                  work: np.ndarray) -> None:
+        """Add one tile's multisets to raw."""
         m = self.mode_count
-        tile = _extend_rows(self._penultimate, lo, hi, iv, self.feats, self.wfeats)
         mult = float(math.factorial(m)) / tile.denom
-        terms = LiteralTerms(m, {**tile.stats, **tile.weights})
-        del tile
+        terms = LiteralTerms(m, {**dict(zip(_STAT_KEYS, tile.stats)),
+                                 **dict(zip(_WEIGHT_KEYS, tile.weights))})
         step = CHUNK_ELEMENTS // terms.size
         for start in range(0, gts.size, step):
             x1, x2, x3 = terms.at(gts[start:start + step])

@@ -223,6 +223,7 @@ def test_criterion_9_multimode_report_and_sweep(tmp_path):
 
 
 def test_criterion_10_determinism(tmp_path):
+    import os
     import subprocess
     import sys
 
@@ -239,10 +240,13 @@ def test_criterion_10_determinism(tmp_path):
         assert main(inv_args + ["--out", str(path)]) == 0
         outs.append(path.read_bytes())
     # separate processes as well, not just repeated in-process calls
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     for name in ("e.csv", "f.csv"):
         path = tmp_path / name
         subprocess.run([sys.executable, "-m", "tcmsim"] + args
-                       + ["--out", str(path)], check=True)
+                       + ["--out", str(path)], check=True, env=env)
         outs.append(path.read_bytes())
     ok = (outs[0] == outs[1] and outs[2] == outs[3]
           and outs[4] == outs[5] and outs[4] == outs[0])

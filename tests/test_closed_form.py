@@ -252,7 +252,7 @@ def test_symmetric_evaluator_is_exact_across_chunks(m, chunk_elements, monkeypat
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
     gts = np.linspace(0.0, 8.0, 701)
     # the largest block (every penultimate multiset) spans several chunks
-    assert gts.size > symmetric.CHUNK_ELEMENTS // ev._penultimate.size
+    assert gts.size > symmetric.CHUNK_ELEMENTS // ev.block_sizes[-1]
     assert np.array_equal(ev.raw_densities(gts),
                           np.stack([ev.raw_densities([g])[0] for g in gts]))
 
@@ -267,7 +267,7 @@ def test_symmetric_evaluator_is_exact_across_tiles(monkeypatch):
     assert (field.window.n_min, field.window.n_max) == (0, 4)
     gts = np.linspace(0.0, 8.0, 301)
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
-    blocks = np.searchsorted(ev._penultimate.last, np.arange(ev.n_values), side="right")
+    blocks = ev.block_sizes
     assert blocks.max() <= symmetric.CHUNK_ELEMENTS
     untiled = ev.raw_densities(gts)
 
@@ -300,6 +300,62 @@ def test_symmetric_evaluator_memory_is_one_tile():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_symmetric_evaluator_constructor_memory():
+    import tracemalloc
+
+    from tcmsim.symmetric import SymmetricLiteralEvaluator
+
+    # the sweep-modes field at m = 6: the stored (m - 2)-level holds
+    # 101,270 rows (~12 MB); the penultimate level would hold 850,668
+    field = coherent_field(15.0, sigma_width=4, coverage_epsilon=1e-6)
+    tracemalloc.start()
+    try:
+        SymmetricLiteralEvaluator(field, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_symmetric_tiles_equal_extended_penultimate_level(m, monkeypatch):
+    from tcmsim import symmetric
+    from tcmsim.fock_field import custom_field
+
+    monkeypatch.setattr(symmetric, "CHUNK_ELEMENTS", 7)
+    amps = np.array([0.3, -0.5j, 0.4 + 0.2j, -0.6, 0.1j, 0.25 - 0.35j])
+    fields = [
+        # the window reaches n = 0: real weights, complex x2 frequencies
+        coherent_field(1.5, sigma_width=4.0, coverage_epsilon=1e-8),
+        custom_field(amps / np.linalg.norm(amps)),
+    ]
+    for field, dtype in zip(fields, (float, complex)):
+        ev = symmetric.SymmetricLiteralEvaluator(field, m)
+        assert ev.wfeats.dtype == dtype
+        penultimate = symmetric._next_level(ev._level, ev.n_values, ev.feats, ev.wfeats)
+        tiles = list(ev._tiles())
+        # the tiles cover every block in order, some start inside a
+        # penultimate block and some span several
+        covered = [(lo, hi) for lo, hi, iv, _ in tiles if iv == ev.n_values - 1]
+        assert covered[0][0] == 0 and covered[-1][1] == penultimate.size
+        assert sum(hi - lo for lo, hi, _, _ in tiles) == math.comb(ev.n_values + m - 1, m)
+        if m > 2:
+            assert any(penultimate.last[lo - 1] == penultimate.last[lo]
+                       for lo, _, _, _ in tiles if lo > 0)
+        assert any(np.unique(penultimate.last[lo:hi]).size > 1 for lo, hi, _, _ in tiles)
+        for lo, hi, iv, tile in tiles:
+            ref = symmetric._extend_rows(penultimate, lo, hi, iv, ev.feats, ev.wfeats)
+            assert tile.stats.dtype == ref.stats.dtype
+            assert np.array_equal(tile.stats, ref.stats)
+            assert tile.weights.dtype == ref.weights.dtype == dtype
+            assert np.array_equal(tile.weights, ref.weights)
+            assert tile.denom.dtype == ref.denom.dtype
+            assert np.array_equal(tile.denom, ref.denom)
+        gts = np.linspace(0.0, 6.0, 13)
+        assert np.array_equal(ev.raw_densities(gts),
+                              np.stack([ev.raw_densities([g])[0] for g in gts]))
 
 
 def test_assemble_validation():
@@ -394,27 +450,28 @@ def test_penultimate_level_equals_concatenated_blocks(m):
     field = coherent_field(2.0, sigma_width=4.0, coverage_epsilon=1e-8)
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
     # reference: each level as the concatenation of its extended blocks
-    level = symmetric._first_level(ev.feats, ev.wfeats, ev.n_values)
+    level = symmetric._next_level(symmetric._level_zero(ev.wfeats), ev.n_values,
+                                  ev.feats, ev.wfeats)
     for _ in range(m - 2):
         counts = np.searchsorted(level.last, np.arange(ev.n_values), side="right")
         blocks = [symmetric._extend_rows(level, 0, int(counts[iv]), iv, ev.feats, ev.wfeats)
                   for iv in range(ev.n_values) if counts[iv] > 0]
         level = symmetric._Level(
-            stats={k: np.concatenate([b.stats[k] for b in blocks])
-                   for k in symmetric._STAT_KEYS},
-            weights={k: np.concatenate([b.weights[k] for b in blocks])
-                     for k in blocks[0].weights},
+            stats=np.concatenate([b.stats for b in blocks], axis=1),
+            weights=np.concatenate([b.weights for b in blocks], axis=1),
             last=np.concatenate([b.last for b in blocks]),
             run=np.concatenate([b.run for b in blocks]),
             denom=np.concatenate([b.denom for b in blocks]))
-    built = ev._penultimate
+    # the evaluator stores the (m - 2)-level; the penultimate level is one
+    # more level on top of it
+    built = symmetric._next_level(ev._level, ev.n_values, ev.feats, ev.wfeats)
     assert built.size == level.size == math.comb(ev.n_values + m - 2, m - 1)
-    for k in symmetric._STAT_KEYS:
-        assert np.array_equal(built.stats[k], level.stats[k])
-    assert built.weights.keys() == level.weights.keys()
-    for k in level.weights:
-        assert built.weights[k].dtype == level.weights[k].dtype
-        assert np.array_equal(built.weights[k], level.weights[k])
+    for i, k in enumerate(symmetric._STAT_KEYS):
+        assert np.array_equal(built.stats[i], level.stats[i]), k
+    assert built.weights.shape == level.weights.shape
+    for i in range(len(symmetric._WEIGHT_KEYS)):
+        assert built.weights[i].dtype == level.weights[i].dtype
+        assert np.array_equal(built.weights[i], level.weights[i])
     for name in ("last", "run", "denom"):
         assert getattr(built, name).dtype == getattr(level, name).dtype
         assert np.array_equal(getattr(built, name), getattr(level, name))

@@ -28,6 +28,18 @@ def test_sector_basis_empty_beyond_capacity():
     assert basis.dim == 0
 
 
+@pytest.mark.parametrize("fields", [
+    [coherent_field(2.0)],
+    [coherent_field(1.5), coherent_field(0.8)],
+])
+def test_evolver_sectors_use_the_sector_basis(fields):
+    ev = ExactEvolver(fields)
+    assert ev.sectors
+    for sector in ev.sectors:
+        assert sector.basis == build_sector_basis(
+            sector.basis.excitation, len(fields), ev.windows)
+
+
 def test_hamiltonian_eigenvalues_m1_n2():
     block = build_hamiltonian(build_sector_basis(2, 1, [TruncationWindow(0, 10)]))
     assert np.max(np.abs(block.matrix - block.matrix.T)) == 0.0
