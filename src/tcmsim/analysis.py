@@ -27,6 +27,33 @@ def moving_average(values: np.ndarray, half_width: int) -> np.ndarray:
     return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
 
 
+def find_peaks(x: np.ndarray, distance: int, height: float) -> np.ndarray:
+    """Indices of the local maxima of x that reach height and lie at least
+    distance samples apart, as ``scipy.signal.find_peaks(x,
+    distance=distance, height=height)`` returns them.
+
+    A local maximum is a strict rise, a plateau of equal values and a
+    strict fall; it sits at the plateau's midpoint.  Among peaks closer
+    than distance, the highest is kept, visited in ``np.argsort`` order.
+    """
+    x = np.asarray(x, dtype=float)
+    # a rise, then a fall at the next step between unequal neighbours
+    diffs = np.diff(x)
+    steps = np.flatnonzero(diffs)
+    diffs = diffs[steps]
+    tops = np.flatnonzero((diffs[:-1] > 0) & (diffs[1:] < 0))
+    peaks = (steps[tops] + 1 + steps[tops + 1]) // 2
+    peaks = peaks[x[peaks] >= height]
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if not keep[j]:
+            continue
+        near = np.abs(peaks - peaks[j]) < distance
+        near[j] = False
+        keep &= ~near
+    return peaks[keep]
+
+
 @dataclass
 class RevivalReport:
     """Detected revival peak times paired in order with the coherent-state
@@ -83,10 +110,8 @@ def detect_revival_peaks(series: TimeSeries, channel: str, max_j: int,
     # ignore numerical ripple in the collapsed stretches: a revival must
     # reach a nonnegligible fraction of the strongest envelope value
     floor = 0.05 * float(region.max())
-    # imported here: scipy.signal costs most of the CLI's start-up
-    from scipy.signal import find_peaks
-    peaks, _ = find_peaks(region, distance=max(1, int(np.ceil(separation / dgt))),
-                          height=floor)
+    peaks = find_peaks(region, distance=max(1, int(np.ceil(separation / dgt))),
+                       height=floor)
     times = [float(series.gt[start + i]) for i in peaks][:max_j]
     predicted = [2 * j * np.pi * np.sqrt(mean) for j in range(1, max_j + 1)]
     rel = [(t - p) / p for t, p in zip(times, predicted)]

@@ -35,11 +35,27 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
+def _finite_float(text: str) -> float:
+    """float() that rejects nan and the infinities: the caster of every
+    float flag, config key and list entry."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+# what a failed caster raises
+_CAST_ERRORS = (ValueError, argparse.ArgumentTypeError)
+
 _TYPES = {
-    "modes": int, "field": str, "mean": float, "n0": int, "custom_file": str,
-    "gt_max": float, "gt_steps": int, "convention": str, "oracle": _parse_bool,
-    "sigma_width": float, "coverage_epsilon": float, "out": str,
-    "sweep_gt": str, "sweep_modes": str, "threshold": float, "max_j": int,
+    "modes": int, "field": str, "mean": _finite_float, "n0": int,
+    "custom_file": str, "gt_max": _finite_float, "gt_steps": int,
+    "convention": str, "oracle": _parse_bool, "sigma_width": _finite_float,
+    "coverage_epsilon": _finite_float, "out": str, "sweep_gt": str,
+    "sweep_modes": str, "threshold": _finite_float, "max_j": int,
     "atoms": int, "formulas": str, "p": int, "n_cut": int, "means": str,
     "channel": str, "input": str,
 }
@@ -70,7 +86,7 @@ def _read_config_file(path: str) -> dict:
             caster = _TYPES[key]
             try:
                 values[key] = caster(value.strip())
-            except ValueError as exc:
+            except _CAST_ERRORS as exc:
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
     return values
 
@@ -87,8 +103,8 @@ def _merge(defaults: dict, args: argparse.Namespace) -> dict:
 
 def _float_list(text: str, what: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
+        return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except _CAST_ERRORS as exc:
         raise ConfigurationError(f"bad {what} list {text!r}: {exc}") from exc
 
 
@@ -398,17 +414,18 @@ def _add_common_field_flags(sub):
     sub.add_argument("--modes", type=int, default=argparse.SUPPRESS)
     sub.add_argument("--field", choices=["coherent", "fock", "custom"],
                      default=argparse.SUPPRESS)
-    sub.add_argument("--mean", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--mean", type=_finite_float, default=argparse.SUPPRESS)
     sub.add_argument("--n0", type=int, default=argparse.SUPPRESS)
     sub.add_argument("--custom-file", dest="custom_file", default=argparse.SUPPRESS)
-    sub.add_argument("--sigma-width", dest="sigma_width", type=float,
+    sub.add_argument("--sigma-width", dest="sigma_width", type=_finite_float,
                      default=argparse.SUPPRESS)
-    sub.add_argument("--coverage-epsilon", dest="coverage_epsilon", type=float,
-                     default=argparse.SUPPRESS)
+    sub.add_argument("--coverage-epsilon", dest="coverage_epsilon",
+                     type=_finite_float, default=argparse.SUPPRESS)
 
 
 def _add_grid_flags(sub):
-    sub.add_argument("--gt-max", dest="gt_max", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--gt-max", dest="gt_max", type=_finite_float,
+                     default=argparse.SUPPRESS)
     sub.add_argument("--gt-steps", dest="gt_steps", type=int,
                      default=argparse.SUPPRESS)
 
@@ -444,15 +461,15 @@ def build_parser() -> _Parser:
 
     sub = new_sub("sweep-modes", _cmd_sweep_modes,
                   "entanglement vs mode count table")
-    sub.add_argument("--mean", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--mean", type=_finite_float, default=argparse.SUPPRESS)
     sub.add_argument("--sweep-gt", dest="sweep_gt", default=argparse.SUPPRESS)
     sub.add_argument("--sweep-modes", dest="sweep_modes", default=argparse.SUPPRESS)
     sub.add_argument("--convention", choices=[LITERAL, CONSISTENT],
                      default=argparse.SUPPRESS)
-    sub.add_argument("--sigma-width", dest="sigma_width", type=float,
+    sub.add_argument("--sigma-width", dest="sigma_width", type=_finite_float,
                      default=argparse.SUPPRESS)
-    sub.add_argument("--coverage-epsilon", dest="coverage_epsilon", type=float,
-                     default=argparse.SUPPRESS)
+    sub.add_argument("--coverage-epsilon", dest="coverage_epsilon",
+                     type=_finite_float, default=argparse.SUPPRESS)
 
     sub = new_sub("compare-oracle", _cmd_compare_oracle,
                   "closed form vs exact evolution CSV and summary")
@@ -476,9 +493,9 @@ def build_parser() -> _Parser:
     sub.add_argument("--in", dest="input", default=argparse.SUPPRESS)
     sub.add_argument("--channel", choices=["W", "W_envelope", "concurrence"],
                      default=argparse.SUPPRESS)
-    sub.add_argument("--mean", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--mean", type=_finite_float, default=argparse.SUPPRESS)
     sub.add_argument("--max-j", dest="max_j", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--threshold", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--threshold", type=_finite_float, default=argparse.SUPPRESS)
     return parser
 
 

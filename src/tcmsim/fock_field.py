@@ -10,11 +10,11 @@ configurations are plain tuples of per-mode occupation numbers.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError
 
@@ -50,10 +50,48 @@ class TruncationWindow:
         return self.n_min <= n <= self.n_max
 
 
+# log(n!) for n = 0..11: the values Cephes' lgam (scipy.special.gammaln)
+# returns for x = n + 1 < 13
+_LOG_FACTORIAL_TABLE = (
+    0.0, 0.0, 0.6931471805599453, 1.791759469228055, 3.1780538303479458,
+    4.787491742782046, 6.579251212010101, 8.525161361065415,
+    10.60460290274525, 12.801827480081469, 15.104412573075516,
+    17.502307845873887,
+)
+# Cephes lgam's Stirling-series coefficients in 1/x**2 (highest power first)
+_STIRLING_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+               7.93650340457716943945e-4, -2.77777777730099687205e-3,
+               8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+
+
+def log_factorial(ns) -> np.ndarray:
+    """log(n!) for nonnegative integers n, bit for bit what
+    ``scipy.special.gammaln(n + 1)`` returns: a port of Cephes' lgam.
+
+    The logarithm is libm's, taken per value with ``math.log``; numpy's
+    vectorized ``np.log`` rounds a few arguments differently.
+    """
+    ns = np.asarray(ns)
+    x = ns + 1.0
+    log_x = np.array([math.log(v) for v in x.ravel()]).reshape(x.shape)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    poly = np.full_like(p, _STIRLING_A[0])
+    for a in _STIRLING_A[1:]:
+        poly = poly * p + a
+    short = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+             + 0.0833333333333333333333)
+    out = np.where(x > 1.0e8, q, q + np.where(x >= 1000.0, short, poly) / x)
+    small = ns < len(_LOG_FACTORIAL_TABLE)
+    out[small] = np.take(_LOG_FACTORIAL_TABLE, ns[small])
+    return out
+
+
 def _poisson_pmf(mean: float, ns: np.ndarray) -> np.ndarray:
     if mean == 0.0:
         return np.where(ns == 0, 1.0, 0.0)
-    log_p = -mean + ns * np.log(mean) - gammaln(ns + 1.0)
+    log_p = -mean + ns * np.log(mean) - log_factorial(ns)
     return np.exp(log_p)
 
 
@@ -62,12 +100,13 @@ def coherent_amplitudes(mean: float, window: TruncationWindow) -> np.ndarray:
 
     Real phase convention: all values are real and nonnegative.
     """
-    if mean < 0:
-        raise ConfigurationError(f"coherent mean must be nonnegative, got {mean}")
+    if not 0 <= mean < np.inf:
+        raise ConfigurationError(
+            f"coherent mean must be finite and nonnegative, got {mean}")
     ns = window.values()
     if mean == 0.0:
         return np.where(ns == 0, 1.0, 0.0).astype(complex)
-    log_c = -mean / 2.0 + 0.5 * ns * np.log(mean) - 0.5 * gammaln(ns + 1.0)
+    log_c = -mean / 2.0 + 0.5 * ns * np.log(mean) - 0.5 * log_factorial(ns)
     return np.exp(log_c).astype(complex)
 
 
@@ -76,10 +115,12 @@ def default_window(mean: float,
                    coverage_epsilon: float = DEFAULT_COVERAGE_EPSILON) -> TruncationWindow:
     """Window mean +- sigma_width*sqrt(mean), widened until the Poisson
     probability captured is at least 1 - coverage_epsilon."""
-    if mean < 0:
-        raise ConfigurationError(f"mean must be nonnegative, got {mean}")
-    if sigma_width <= 0 or coverage_epsilon <= 0:
-        raise ConfigurationError("sigma_width and coverage_epsilon must be positive")
+    if not 0 <= mean < np.inf:
+        raise ConfigurationError(f"mean must be finite and nonnegative, got {mean}")
+    if not (0 < sigma_width < np.inf and 0 < coverage_epsilon < np.inf):
+        raise ConfigurationError(
+            "sigma_width and coverage_epsilon must be finite and positive, got "
+            f"{sigma_width} and {coverage_epsilon}")
     spread = sigma_width * np.sqrt(mean)
     lo = max(0, int(np.floor(mean - spread)))
     hi = max(lo, int(np.ceil(mean + spread)))
@@ -91,6 +132,12 @@ def default_window(mean: float,
         # widen toward the heavier tail first
         p_lo = _poisson_pmf(mean, np.array([lo - 1]))[0] if lo > 0 else -1.0
         p_hi = _poisson_pmf(mean, np.array([hi + 1]))[0]
+        # the pmf falls away from the mean: once neither side adds
+        # probability, no wider window does either
+        if p_hi == 0.0 and p_lo <= 0.0:
+            raise ConfigurationError(
+                f"coverage 1 - {coverage_epsilon:g} is out of reach in double "
+                f"precision for mean {mean:g}; relax coverage_epsilon")
         if p_lo > p_hi:
             lo -= 1
         else:
@@ -178,6 +225,8 @@ def custom_field(amplitudes) -> FieldDistribution:
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 1 or amps.size == 0:
         raise ConfigurationError("custom amplitudes must be a nonempty 1-D vector")
+    if not np.isfinite(amps).all():
+        raise ConfigurationError("custom amplitudes must be finite")
     norm = np.sqrt(np.sum(np.abs(amps) ** 2))
     if norm == 0.0:
         raise ConfigurationError("custom amplitudes have zero norm")
@@ -212,6 +261,9 @@ def load_custom_field(path) -> FieldDistribution:
                 im = float(parts[1]) if len(parts) == 2 else 0.0
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ConfigurationError(
+                    f"{path}:{lineno}: amplitude must be finite, got {line!r}")
             values.append(complex(re, im))
     if not values:
         raise ConfigurationError(f"{path}: no amplitudes found")

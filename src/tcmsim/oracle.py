@@ -56,7 +56,7 @@ class HamiltonianBlock:
 def _configs_by_total(windows: list[TruncationWindow]) -> dict[int, np.ndarray]:
     arr = config_array(windows)
     totals = arr.sum(axis=1)
-    return {int(t): arr[totals == t] for t in np.unique(totals)}
+    return {t: arr[totals == t] for t in sorted(set(totals.tolist()))}
 
 
 def build_sector_basis(excitation: int, mode_count: int,
@@ -224,8 +224,8 @@ class ExactEvolver:
         init_totals = init_cfgs.sum(axis=1)
 
         self.sectors: list[_Sector] = []
-        for total in np.unique(init_totals):
-            excitation = int(total) + 2
+        for total in sorted(set(init_totals.tolist())):
+            excitation = total + 2
             basis = _sector_basis(excitation, groups)
             if basis.dim > max_sector_dim:
                 raise ConfigurationError(

@@ -64,7 +64,7 @@ def _per_value_features(field: FieldDistribution) -> tuple[np.ndarray, np.ndarra
     ])
     ns = np.arange(lo, field.window.n_max + 1)
     weights = np.stack([field.amplitudes_at(ns + shift) for shift in range(3)])
-    if np.allclose(weights.imag, 0.0):
+    if not weights.imag.any():
         weights = weights.real.copy()
     return feats, weights
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcmsim import (LITERAL, ConfigurationError, TimeSeries, coherent_field,
                     collapse_windows, detect_revival_peaks, deviation_report,
                     mode_sweep, oscillation_rate)
-from tcmsim.analysis import SweepRow, moving_average
+from tcmsim.analysis import SweepRow, find_peaks, moving_average
 from tcmsim.pipeline import closed_form_series
 
 
@@ -29,6 +31,18 @@ def test_series_validation():
 
 def test_moving_average_constant():
     assert np.allclose(moving_average(np.ones(20), 3), np.ones(20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.integers(0, 6), max_size=60),
+       distance=st.integers(1, 12), height=st.integers(0, 6))
+def test_find_peaks_matches_scipy(values, distance, height):
+    # few distinct values, so plateaus and equal-height peaks are common
+    from scipy.signal import find_peaks as scipy_find_peaks
+
+    x = np.asarray(values, dtype=float) / 4.0
+    expected, _ = scipy_find_peaks(x, distance=distance, height=height / 4.0)
+    assert np.array_equal(find_peaks(x, distance, height / 4.0), expected)
 
 
 def test_detect_triangular_bump():

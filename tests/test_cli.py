@@ -67,14 +67,84 @@ def test_literal_overflow_exits_as_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # only revival-peak detection needs scipy.signal; the CLI loads it lazily
-    code = ("import sys, tcmsim.cli; "
-            "sys.exit('scipy.signal' in sys.modules)")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
+def run_cli(args, cwd):
+    """``python -m tcmsim ARGS`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "tcmsim", *args], cwd=cwd,
+                          env=CHILD_ENV, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_loads_no_scipy_module(tmp_path):
+    # numpy is the only runtime dependency: no subcommand may import scipy
+    code = """
+import sys
+from tcmsim.cli import main
+grid = ["--gt-max", "2", "--gt-steps", "5"]
+for argv in (
+        ["run", "--modes", "2", "--mean", "2", "--convention", "literal", "--oracle",
+         *grid, "--out", "run.csv"],
+        ["inversion", "--atoms", "1", "--mean", "2", "--gt-max", "30",
+         "--gt-steps", "600", "--out", "inv.csv"],
+        ["sweep-modes", "--mean", "2", "--sweep-gt", "1", "--sweep-modes", "1,2,3",
+         "--out", "sweep.csv"],
+        ["compare-oracle", "--modes", "2", "--mean", "2", *grid, "--out", "cmp.csv"],
+        ["diagnose", "--means", "2", *grid, "--out", "diag.txt"],
+        ["analyze", "--in", "inv.csv", "--mean", "2", "--max-j", "2",
+         "--out", "peaks.txt"]):
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.exit(", ".join(loaded) or 0)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "found 2" in (tmp_path / "peaks.txt").read_text()
+
+
+def test_readme_revival_report(tmp_path):
+    # the README's inversion + analyze example, as the scipy find_peaks
+    # implementation reported it
+    assert run_cli(["inversion", "--atoms", "1", "--mean", "50", "--gt-max", "110",
+                    "--gt-steps", "5500", "--out", "inv.csv"], tmp_path).returncode == 0
+    proc = run_cli(["analyze", "--in", "inv.csv", "--channel", "W", "--mean", "50",
+                    "--max-j", "2"], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "revival peaks on channel W (mean=50, requested 2, found 2)\n"
+        "  j=1: detected gt=44.9082  predicted 44.4288  rel. error +1.079%\n"
+        "  j=2: detected gt=89.5763  predicted 88.8577  rel. error +0.809%\n")
+
+
+@pytest.mark.parametrize("args", [
+    # coverage targets a double cannot reach: widening used to run forever
+    ["run", "--coverage-epsilon", "1e-16"],
+    ["run", "--coverage-epsilon", "1e-17"],
+    ["run", "--coverage-epsilon", "1e-300"],
+    ["run", "--coverage-epsilon", "nan"],
+    ["run", "--mean", "nan"],
+    ["run", "--mean", "inf"],
+    ["run", "--sigma-width", "nan"],
+    ["run", "--gt-max", "nan"],
+    ["run", "--gt-max", "inf"],
+    ["sweep-modes", "--sweep-gt", "nan"],
+    ["run", "--field", "custom", "--custom-file", "nan_field.txt"],
+    ["run", "--config", "nan.cfg"],
+])
+def test_bad_numeric_input_exits_with_one_message(tmp_path, args):
+    (tmp_path / "nan_field.txt").write_text("0.8\nnan\n")
+    (tmp_path / "nan.cfg").write_text("mean = nan\n")
+    if args[0] == "run":
+        args = [*args, "--modes", "1", "--gt-steps", "5"]
+    proc = run_cli([*args, "--out", "x.csv"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("configuration error: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_determinism(tmp_path):

@@ -9,7 +9,7 @@ from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, EvolutionParams,
                     multimode_literal, single_mode_consistent,
                     single_mode_literal)
 from tcmsim.closed_form import ConsistentBlocks
-from tcmsim.fock_field import enumerate_configs
+from tcmsim.fock_field import custom_field, enumerate_configs
 
 
 def block_oracle(n, gt):
@@ -237,6 +237,20 @@ def test_symmetric_evaluator_matches_direct_assembly(m):
         rho_dir = partial_trace(amp)
         assert np.max(np.abs(rho_sym.matrix - rho_dir.matrix)) <= 1e-13
         assert rho_sym.norm_deficit == pytest.approx(rho_dir.norm_deficit, abs=1e-12)
+
+
+def test_symmetric_evaluator_keeps_small_imaginary_parts():
+    # imaginary parts far below np.allclose's atol must still count
+    from tcmsim.reduced_density import TwoAtomDensity, partial_trace
+    from tcmsim.symmetric import SymmetricLiteralEvaluator
+
+    field = custom_field(0.5 + 1e-9 * np.array([1, -2, 3, 1]) * 1j)
+    gt = 1.3
+    raw = SymmetricLiteralEvaluator(field, 2).raw_densities(np.array([gt]))[0]
+    rho_sym = TwoAtomDensity.from_unnormalized(raw)
+    rho_dir = partial_trace(assemble(EvolutionParams(gt=gt, mode_count=2),
+                                     [field] * 2, LITERAL))
+    assert np.max(np.abs(rho_sym.matrix - rho_dir.matrix)) <= 1e-13
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -9,7 +9,7 @@ from tcmsim import (ConfigurationError, TruncationWindow, coherent_amplitudes,
                     coherent_field, custom_field, default_window,
                     enumerate_configs, fock_field, joint_weight,
                     load_custom_field)
-from tcmsim.fock_field import config_array, same_fields
+from tcmsim.fock_field import config_array, log_factorial, same_fields
 
 
 def test_window_validation():
@@ -55,6 +55,45 @@ def test_default_window_examples():
     w50 = default_window(50.0, coverage_epsilon=1e-12)
     f = coherent_field(50.0, window=w50)
     assert f.norm_squared() >= 1 - 1e-12
+
+
+def test_log_factorial_is_scipy_gammaln_bit_for_bit():
+    from scipy.special import gammaln
+
+    ns = np.arange(2_000_001)
+    assert np.array_equal(log_factorial(ns).view(np.uint64),
+                          gammaln(ns + 1.0).view(np.uint64))
+    # the x >= 1e3 and x > 1e8 branches and a 2-D argument
+    ns = np.array([[999, 1000, 10**8 - 1], [10**8, 10**8 + 7, 10**15]])
+    assert np.array_equal(log_factorial(ns).view(np.uint64),
+                          gammaln(ns + 1.0).view(np.uint64))
+
+
+@pytest.mark.parametrize("eps", [1e-16, 1e-17, 1e-300])
+def test_default_window_rejects_unreachable_coverage(eps):
+    with pytest.raises(ConfigurationError, match="out of reach"):
+        default_window(5.0, coverage_epsilon=eps)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mean": math.nan}, {"mean": math.inf}, {"mean": 5.0, "sigma_width": math.nan},
+    {"mean": 5.0, "sigma_width": math.inf}, {"mean": 5.0, "coverage_epsilon": math.nan},
+    {"mean": 5.0, "coverage_epsilon": math.inf},
+])
+def test_default_window_rejects_non_finite_input(kwargs):
+    with pytest.raises(ConfigurationError, match="finite"):
+        default_window(**kwargs)
+
+
+def test_non_finite_amplitudes_rejected(tmp_path):
+    with pytest.raises(ConfigurationError, match="finite"):
+        coherent_amplitudes(math.nan, TruncationWindow(0, 3))
+    with pytest.raises(ConfigurationError, match="finite"):
+        custom_field([0.5, math.inf])
+    path = tmp_path / "amps.txt"
+    path.write_text("0.5\n0.5 nan\n")
+    with pytest.raises(ConfigurationError, match=r"amps.txt:2: .*finite"):
+        load_custom_field(path)
 
 
 @settings(max_examples=30, deadline=None)
