@@ -174,7 +174,7 @@ def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
                coverage_epsilon: float | None = None) -> list[SweepRow]:
     """Entanglement per (mode count, gt) cell for identical coherent fields
     of the given per-mode mean.  Single-mode cells use the single-mode
-    amplitudes."""
+    amplitudes; every gt must be finite and nonnegative."""
     if not m_range:
         raise ConfigurationError("empty mode list")
     if len(set(m_range)) != len(m_range):
@@ -183,8 +183,7 @@ def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
         raise ConfigurationError("mode counts must be >= 1")
     if not gt_values:
         raise ConfigurationError("empty gt list")
-    if any(gt < 0 for gt in gt_values):
-        raise ConfigurationError("gt values must be nonnegative")
+    pipeline.check_grid(gt_values)
 
     kwargs = {}
     if sigma_width is not None:

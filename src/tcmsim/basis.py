@@ -6,5 +6,4 @@ refers to atom 1.
 """
 
 BRANCHES = ("aa", "ab", "ba", "bb")
-BRANCH_INDEX = {b: i for i, b in enumerate(BRANCHES)}
 EXCITED_COUNT = {"aa": 2, "ab": 1, "ba": 1, "bb": 0}

@@ -56,8 +56,7 @@ _TYPES = {
     "convention": str, "oracle": _parse_bool, "sigma_width": _finite_float,
     "coverage_epsilon": _finite_float, "out": str, "sweep_gt": str,
     "sweep_modes": str, "threshold": _finite_float, "max_j": int,
-    "atoms": int, "formulas": str, "p": int, "n_cut": int, "means": str,
-    "channel": str, "input": str,
+    "p": int, "n_cut": int, "means": str, "channel": str, "input": str,
 }
 
 
@@ -142,19 +141,6 @@ def _check_convention(cfg: dict) -> str:
     return convention
 
 
-def _check_formulas(cfg: dict) -> None:
-    formulas = cfg.get("formulas", "auto")
-    if formulas not in ("auto", "single-mode", "multimode"):
-        raise ConfigurationError(f"unknown formulas choice {formulas!r}")
-    if formulas == "multimode" and cfg["modes"] == 1:
-        raise ConfigurationError(
-            "the multimode amplitude formulas are undefined for a single mode "
-            "(every pairwise frequency sum is empty); drop --formulas multimode "
-            "or use modes >= 2")
-    if formulas == "single-mode" and cfg["modes"] > 1:
-        raise ConfigurationError("single-mode formulas require modes=1")
-
-
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
@@ -202,7 +188,7 @@ def _maybe_cost_warning(cfg: dict, oracle: bool) -> None:
 
 _RUN_DEFAULTS = {
     "modes": 1, "field": "coherent", "mean": 5.0, "n0": 0, "custom_file": None,
-    "gt_max": 15.0, "gt_steps": 600, "convention": CONSISTENT, "formulas": "auto",
+    "gt_max": 15.0, "gt_steps": 600, "convention": CONSISTENT,
     "oracle": False, "sigma_width": 6.0, "coverage_epsilon": 1e-12,
     "out": "timeseries.csv",
 }
@@ -211,7 +197,6 @@ _RUN_DEFAULTS = {
 def _cmd_run(args) -> int:
     cfg = _merge(_RUN_DEFAULTS, args)
     convention = _check_convention(cfg)
-    _check_formulas(cfg)
     fields = _build_fields(cfg)
     gts = pipeline.uniform_grid(cfg["gt_max"], cfg["gt_steps"])
     _maybe_cost_warning(cfg, cfg["oracle"])
@@ -229,28 +214,20 @@ def _cmd_run(args) -> int:
 
 
 _INVERSION_DEFAULTS = {
-    "atoms": 1, "modes": 1, "field": "coherent", "mean": 25.0, "n0": 0,
+    "modes": 1, "field": "coherent", "mean": 25.0, "n0": 0,
     "custom_file": None, "gt_max": 50.0, "gt_steps": 2500,
-    "convention": CONSISTENT, "sigma_width": 6.0, "coverage_epsilon": 1e-12,
-    "out": "inversion.csv",
+    "sigma_width": 6.0, "coverage_epsilon": 1e-12, "out": "inversion.csv",
 }
 
 
 def _cmd_inversion(args) -> int:
+    """The one-atom inversion; the two-atom W is run's W column."""
     cfg = _merge(_INVERSION_DEFAULTS, args)
-    if cfg["atoms"] not in (1, 2):
-        raise ConfigurationError(f"atoms must be 1 or 2, got {cfg['atoms']}")
     gts = pipeline.uniform_grid(cfg["gt_max"], cfg["gt_steps"])
-    if cfg["atoms"] == 1:
-        if cfg["modes"] != 1:
-            raise ConfigurationError("the one-atom comparator is single-mode only")
-        field = _build_fields(cfg)[0]
-        w = single_atom_jcm_series(field, gts)
-    else:
-        convention = _check_convention(cfg)
-        fields = _build_fields(cfg)
-        w = pipeline.compute_observables(fields, gts, convention)["w"]
-    _write_csv(cfg["out"], ["gt", "W"], [gts, w])
+    if cfg["modes"] != 1:
+        raise ConfigurationError("the one-atom comparator is single-mode only")
+    field = _build_fields(cfg)[0]
+    _write_csv(cfg["out"], ["gt", "W"], [gts, single_atom_jcm_series(field, gts)])
     return 0
 
 
@@ -448,16 +425,11 @@ def build_parser() -> _Parser:
     _add_grid_flags(sub)
     sub.add_argument("--convention", choices=[LITERAL, CONSISTENT],
                      default=argparse.SUPPRESS)
-    sub.add_argument("--formulas", choices=["auto", "single-mode", "multimode"],
-                     default=argparse.SUPPRESS)
     sub.add_argument("--oracle", action="store_true", default=argparse.SUPPRESS)
 
-    sub = new_sub("inversion", _cmd_inversion, "atomic inversion W(gt) CSV")
+    sub = new_sub("inversion", _cmd_inversion, "one-atom inversion W(gt) CSV")
     _add_common_field_flags(sub)
     _add_grid_flags(sub)
-    sub.add_argument("--atoms", type=int, choices=[1, 2], default=argparse.SUPPRESS)
-    sub.add_argument("--convention", choices=[LITERAL, CONSISTENT],
-                     default=argparse.SUPPRESS)
 
     sub = new_sub("sweep-modes", _cmd_sweep_modes,
                   "entanglement vs mode count table")

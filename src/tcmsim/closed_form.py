@@ -6,7 +6,7 @@ Two conventions are implemented side by side:
     The closed-form branch amplitudes in their published algebraic form,
     including their index placement.  In this form the t=0 limit puts the
     surviving amplitude on the |bb> branch instead of the initial |aa>,
-    and the amplitude set is not norm-preserving; the deficit is recorded
+    and the amplitudes are not norm-preserving; the deficit is recorded
     rather than enforced.
 
 ``consistent``
@@ -18,19 +18,22 @@ Two conventions are implemented side by side:
     block {|aa,n>, |s,n+e_k>, |bb,n+e_k+e_l>}, the direct multimode
     generalization of the single-mode block.
 
-Every gt is the dimensionless product of the coupling g and time t.
+Every route is an object whose raw_densities(gts) gives the (G, 4, 4)
+unnormalized two-atom density matrices of a whole gt grid (see
+AnchoredRoute); the permutation-symmetric literal route lives in
+symmetric.py.  Every gt is the dimensionless product of the coupling g and
+time t.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BRANCHES
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, TruncationWindow, config_array
+from .reduced_density import raw_density
 
 LITERAL = "literal"
 CONSISTENT = "consistent"
@@ -39,145 +42,8 @@ CONVENTIONS = (LITERAL, CONSISTENT)
 # resource guards for multimode enumeration (overridable per call)
 MAX_LITERAL_CONFIGS = 5_000_000
 MAX_BLOCK_ENTRIES = 10_000_000
-
-
-@dataclass(frozen=True)
-class BranchAmplitudes:
-    """The four atomic-branch amplitudes produced by one initial (or, in
-    literal mode, one summation) Fock configuration.  Phases are included:
-    a_ab and a_ba already carry the -i of the one-excitation branches."""
-
-    a_aa: complex
-    a_ab: complex
-    a_ba: complex
-    a_bb: complex
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.a_aa, self.a_ab, self.a_ba, self.a_bb])
-
-    def probability_sum(self) -> float:
-        return float(np.sum(np.abs(self.as_vector()) ** 2))
-
-
-@dataclass(frozen=True)
-class EvolutionParams:
-    """Dimensionless interaction time and mode count."""
-
-    gt: float
-    mode_count: int
-
-    def __post_init__(self):
-        if self.gt < 0:
-            raise ConfigurationError(f"gt must be nonnegative, got {self.gt}")
-        if self.mode_count < 1:
-            raise ConfigurationError(f"mode_count must be >= 1, got {self.mode_count}")
-
-
-class AmplitudeSet:
-    """Map (atomic branch, final Fock configuration) -> complex amplitude.
-
-    Amplitudes are stored as one dense complex vector per branch over the
-    product of per-mode extended windows (initial window widened by two on
-    both reachable sides).  Configurations outside the extended windows
-    carry amplitude zero.
-
-    Besides the final-configuration attachment, every amplitude keeps an
-    *anchor*: the summation configuration it belongs to (the shared final
-    configuration in literal mode, the initial configuration in consistent
-    mode).  The reduced density matrix pairs amplitudes by anchor, which
-    reproduces the published sixteen-term bilinear structure; see
-    reduced_density.partial_trace.
-
-    Norms: single-mode consistent sets conserve the initial norm exactly
-    (per-branch final configurations never collide).  For m >= 2,
-    amplitudes from different initial configurations land on shared final
-    keys and add coherently, so the assembled norm may drift from 1 even
-    though each block evolves unitarily; the deviation is reported by
-    norm_deficit, never silently renormalized here.
-    """
-
-    def __init__(self, mode_count: int, gt: float, convention: str,
-                 windows: list[TruncationWindow]):
-        if convention not in CONVENTIONS:
-            raise ConfigurationError(f"unknown convention {convention!r}")
-        if len(windows) != mode_count:
-            raise ConfigurationError("one extended window per mode required")
-        self.mode_count = mode_count
-        self.gt = gt
-        self.convention = convention
-        self.windows = list(windows)
-        self._shape = tuple(w.size for w in self.windows)
-        size = int(np.prod(self._shape))
-        self._arrays = {b: np.zeros(size, dtype=complex) for b in BRANCHES}
-        self._anchored = {b: np.zeros(size, dtype=complex) for b in BRANCHES}
-
-    # -- construction ------------------------------------------------
-
-    def _flat_index(self, configs: np.ndarray) -> np.ndarray:
-        idx = configs - np.array([w.n_min for w in self.windows])
-        return np.ravel_multi_index(tuple(idx.T), self._shape)
-
-    def add(self, branch: str, configs: np.ndarray, amps: np.ndarray,
-            anchors: np.ndarray | None = None) -> None:
-        """Coherently accumulate amplitudes on (branch, config) keys; anchors
-        default to the final configurations themselves."""
-        amps = np.atleast_1d(amps)
-        self.add_final(branch, configs, amps)
-        anchors = configs if anchors is None else anchors
-        np.add.at(self._anchored[branch], self._flat_index(np.atleast_2d(anchors)),
-                  amps)
-
-    def add_final(self, branch: str, configs: np.ndarray, amps: np.ndarray) -> None:
-        """Accumulate amplitudes on (branch, final config) keys only."""
-        np.add.at(self._arrays[branch], self._flat_index(np.atleast_2d(configs)),
-                  np.atleast_1d(amps))
-
-    def add_anchored(self, branch: str, vector: np.ndarray) -> None:
-        """Accumulate a dense anchored vector laid out like anchored_array."""
-        self._anchored[branch] += vector
-
-    # -- access ------------------------------------------------------
-
-    def branch_array(self, branch: str) -> np.ndarray:
-        return self._arrays[branch]
-
-    def anchored_array(self, branch: str) -> np.ndarray:
-        return self._anchored[branch]
-
-    def amplitude(self, branch: str, config: tuple[int, ...]) -> complex:
-        if branch not in self._arrays:
-            raise KeyError(f"unknown branch {branch!r}")
-        if len(config) != self.mode_count:
-            raise ConfigurationError(
-                f"configuration has {len(config)} modes, expected {self.mode_count}")
-        for n, w in zip(config, self.windows):
-            if not w.contains(n):
-                return 0.0
-        return complex(self._arrays[branch][self._flat_index(np.array([config]))[0]])
-
-    def entries(self):
-        """Yield ((branch, config), amplitude) for every nonzero amplitude."""
-        lows = [w.n_min for w in self.windows]
-        for branch, arr in self._arrays.items():
-            nz = np.nonzero(arr)[0]
-            for flat in nz:
-                idx = np.unravel_index(flat, self._shape)
-                config = tuple(int(i + lo) for i, lo in zip(idx, lows))
-                yield (branch, config), complex(arr[flat])
-
-    def total_norm(self) -> float:
-        return float(sum(np.sum(np.abs(a) ** 2) for a in self._arrays.values()))
-
-    def norm_deficit(self) -> float:
-        return 1.0 - self.total_norm()
-
-    def with_global_phase(self, theta: float) -> "AmplitudeSet":
-        out = AmplitudeSet(self.mode_count, self.gt, self.convention, self.windows)
-        phase = np.exp(1j * theta)
-        for b in BRANCHES:
-            out._arrays[b] = self._arrays[b] * phase
-            out._anchored[b] = self._anchored[b] * phase
-        return out
+# anchored-vector entries held at once: gts per chunk x 4 branches x layout size
+CHUNK_ELEMENTS = 1 << 17
 
 
 def extended_window(window: TruncationWindow) -> TruncationWindow:
@@ -186,74 +52,115 @@ def extended_window(window: TruncationWindow) -> TruncationWindow:
     return TruncationWindow(max(0, window.n_min - 2), window.n_max + 2)
 
 
+class AnchoredRoute:
+    """A closed-form route: subclasses give branch_amplitudes(gts) ->
+    (G, 4, n_anchors), branches (aa, ab, ba, bb), on fixed anchors: the
+    summation configuration in literal mode, the initial one in consistent
+    mode.  The density pairs amplitudes by anchor, which reproduces the
+    published sixteen-term bilinear structure and keeps each block's
+    interbranch coherences.
+
+    This class alone knows the anchored layout: zero vectors over the
+    product of the per-mode extended windows, C order.  A layout padded
+    differently could regroup the contraction's sums."""
+
+    def __init__(self, fields: list[FieldDistribution], anchors: np.ndarray):
+        windows = [extended_window(f.window) for f in fields]
+        shape = tuple(w.size for w in windows)
+        self.vector_size = math.prod(shape)
+        self.anchor_flat = np.ravel_multi_index(
+            tuple((anchors - [w.n_min for w in windows]).T), shape)
+
+    def anchored_vectors(self, gts) -> np.ndarray:
+        """(G, 4, vector_size) branch amplitudes keyed by anchor."""
+        gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        amps = self.branch_amplitudes(gts)
+        vectors = np.zeros((gts.size, 4, self.vector_size), dtype=complex)
+        vectors[..., self.anchor_flat] += amps
+        return vectors
+
+    def raw_densities(self, gts) -> np.ndarray:
+        """(G, 4, 4) unnormalized densities, CHUNK_ELEMENTS anchored-vector
+        entries at a time; each is its own contraction, whatever the grid.
+        Overflows are left to the density's non-finite check."""
+        gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        raw = np.empty((gts.size, 4, 4), dtype=complex)
+        step = max(1, CHUNK_ELEMENTS // (4 * self.vector_size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, gts.size, step):
+                chunk = slice(start, start + step)
+                raw[chunk] = raw_density(self.anchored_vectors(gts[chunk]))
+        return raw
+
+
+def _branches(x1, x2, x3) -> np.ndarray:
+    """(G, 4, n) literal branch amplitudes: x1 on aa, x3 with phase -i on
+    ab and ba, x2 on bb."""
+    ab = -1j * x3
+    return np.stack([x1, ab, ab, x2], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # single mode
 # ---------------------------------------------------------------------------
 
-def _single_mode_literal_xs(ns: np.ndarray, gt: float, c: FieldDistribution):
-    """Published single-mode branch amplitudes x1, x2, x3 for an array of
-    summation indices n."""
-    ns = np.asarray(ns)
-    c0 = c.amplitudes_at(ns)
-    c1 = c.amplitudes_at(ns + 1)
-    c2 = c.amplitudes_at(ns + 2)
+class SingleModeLiteral(AnchoredRoute):
+    """Published single-mode amplitudes over the summation indices n of the
+    initial window widened two below: x1 on (aa, n), x2 on (bb, n), and
+    x3 = x4 with phase -i on (ab, n) and (ba, n).  c-indices shifted outside
+    the window contribute zero."""
 
-    x1 = c2 * np.sqrt((ns + 1.0) * (ns + 2.0)) / (2 * ns + 3.0) \
-        * (np.cos(gt * np.sqrt(4 * ns + 6.0)) - 1.0)
+    def __init__(self, field: FieldDistribution):
+        self.field = field
+        self.ns = np.arange(max(0, field.window.n_min - 2), field.window.n_max + 1)
+        super().__init__([field], self.ns[:, None])
 
-    # the n=0 term of x2 has a vanishing cosine coefficient; its direct
-    # evaluation is the constant c_0
-    x2 = np.where(ns == 0, c0, 0.0).astype(complex)
-    pos = ns >= 1
-    if np.any(pos):
+    def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
+        ns, c, t = self.ns, self.field, gts[:, None]
+        c0 = c.amplitudes_at(ns)
+        c1 = c.amplitudes_at(ns + 1)
+        c2 = c.amplitudes_at(ns + 2)
+
+        x1 = c2 * np.sqrt((ns + 1.0) * (ns + 2.0)) / (2 * ns + 3.0) \
+            * (np.cos(t * np.sqrt(4 * ns + 6.0)) - 1.0)
+
+        # the n=0 term of x2 has a vanishing cosine coefficient; its direct
+        # evaluation is the constant c_0
+        x2 = np.empty((gts.size, ns.size), dtype=complex)
+        x2[:] = np.where(ns == 0, c0, 0.0)
+        pos = ns >= 1
         n = ns[pos].astype(float)
-        x2[pos] = c0[pos] * (n * np.cos(gt * np.sqrt(4 * n - 2.0)) + n - 1.0) \
+        x2[:, pos] = c0[pos] * (n * np.cos(t * np.sqrt(4 * n - 2.0)) + n - 1.0) \
             / (2 * n - 1.0)
 
-    x3 = c1 * np.sqrt((ns + 1.0) / (4 * ns + 2.0)) * np.sin(gt * np.sqrt(4 * ns + 2.0))
-    return x1, x2, x3
+        x3 = c1 * np.sqrt((ns + 1.0) / (4 * ns + 2.0)) * np.sin(t * np.sqrt(4 * ns + 2.0))
+        return _branches(x1, x2, x3)
 
 
-def single_mode_literal(n: int, gt: float, c: FieldDistribution) -> BranchAmplitudes:
-    """Published single-mode amplitudes at summation index n.
-
-    x1 attaches to (aa, n), x2 to (bb, n), and x3 = x4 attach with phase -i
-    to (ba, n) and (ab, n).  c-indices shifted outside the window contribute
-    zero.
-    """
-    if n < 0:
-        raise ConfigurationError(f"photon number must be nonnegative, got {n}")
-    x1, x2, x3 = _single_mode_literal_xs(np.array([n]), gt, c)
-    return BranchAmplitudes(a_aa=complex(x1[0]), a_ab=-1j * complex(x3[0]),
-                            a_ba=-1j * complex(x3[0]), a_bb=complex(x2[0]))
-
-
-def _single_mode_consistent_block(ns: np.ndarray, gt: float):
-    """Exact 3-state block amplitudes (A_aa, A_ab, A_bb) for initial photon
-    numbers ns; A_ab = A_ba includes the -i phase and attaches to n+1,
-    A_bb attaches to n+2."""
-    ns = np.asarray(ns, dtype=float)
-    om_sq = 4 * ns + 6.0
-    om = np.sqrt(om_sq)
-    cos = np.cos(om * gt)
-    a_aa = (2 * (ns + 2.0) + 2 * (ns + 1.0) * cos) / om_sq
-    a_ab = -1j * np.sqrt(ns + 1.0) * np.sin(om * gt) / om
-    a_bb = 2 * np.sqrt((ns + 1.0) * (ns + 2.0)) * (cos - 1.0) / om_sq
-    return a_aa.astype(complex), a_ab, a_bb.astype(complex)
-
-
-def single_mode_consistent(n_init: int, gt: float) -> BranchAmplitudes:
-    """Exact single-mode block amplitudes for initial state |aa, n_init>.
+class SingleModeConsistent(AnchoredRoute):
+    """Exact single-mode block amplitudes, weighted by the initial c_n and
+    anchored at the initial photon number n.
 
     The three coupled states are |aa,n>, |s,n+1>, |bb,n+2> with couplings
     g*sqrt(2(n+1)) and g*sqrt(2(n+2)); the antisymmetric atomic combination
-    decouples.  Unitary: |A_aa|^2 + 2|A_ab|^2 + |A_bb|^2 = 1.
+    decouples.  Unitary: |A_aa|^2 + 2|A_ab|^2 + |A_bb|^2 = 1, A_ab = A_ba
+    carrying the -i phase.
     """
-    if n_init < 0:
-        raise ConfigurationError(f"photon number must be nonnegative, got {n_init}")
-    a_aa, a_ab, a_bb = _single_mode_consistent_block(np.array([n_init]), gt)
-    return BranchAmplitudes(a_aa=complex(a_aa[0]), a_ab=complex(a_ab[0]),
-                            a_ba=complex(a_ab[0]), a_bb=complex(a_bb[0]))
+
+    def __init__(self, field: FieldDistribution):
+        self.field = field
+        self.ns = field.window.values()
+        super().__init__([field], self.ns[:, None])
+
+    def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
+        ns, c, t = self.ns.astype(float), self.field.amplitudes, gts[:, None]
+        om_sq = 4 * ns + 6.0
+        om = np.sqrt(om_sq)
+        cos = np.cos(om * t)
+        a_aa = (2 * (ns + 2.0) + 2 * (ns + 1.0) * cos) / om_sq
+        a_ab = c * (-1j * np.sqrt(ns + 1.0) * np.sin(om * t) / om)
+        a_bb = 2 * np.sqrt((ns + 1.0) * (ns + 2.0)) * (cos - 1.0) / om_sq
+        return np.stack([c * a_aa, a_ab, a_ab, c * a_bb], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,44 +274,46 @@ class LiteralTerms:
         return x1, x2, x3
 
 
-def literal_xs_from_stats(gt: float, mode_count: int, stats: dict):
-    """Multimode literal amplitudes x1, x2, x3 at one gt from configuration
-    statistics; see LiteralTerms."""
-    x1, x2, x3 = LiteralTerms(mode_count, stats).at([gt])
-    return x1[0], x2[0], x3[0]
 
+class ProductLiteral(AnchoredRoute):
+    """Published multimode amplitudes over the full product of summation
+    windows (each initial window widened two below), for fields that are
+    not all identical; all four branches of a configuration share it as
+    their anchor.  The gt-independent terms are built once (LiteralTerms).
 
-def multimode_literal(config: tuple[int, ...], gt: float,
-                      fields: list[FieldDistribution]) -> BranchAmplitudes:
-    """Published multimode amplitudes at one summation configuration.
-
-    All four branches attach to the same final configuration.  Requires
-    m >= 2: for a single mode every pairwise i<j frequency sum is empty and
-    the denominators vanish; use the single-mode operations instead.
+    Requires m >= 2: for a single mode every pairwise i<j frequency sum is
+    empty and the denominators vanish; use SingleModeLiteral instead.
     """
-    m = len(fields)
-    if m < 2:
-        raise ConfigurationError(
-            "multimode amplitudes need at least two modes; "
-            "use single_mode_literal / single_mode_consistent for m=1")
-    if len(config) != m:
-        raise ConfigurationError(
-            f"configuration has {len(config)} modes but {m} fields given")
-    if any(n < 0 for n in config):
-        raise ConfigurationError("photon numbers must be nonnegative")
-    configs = np.array([config], dtype=int)
-    x1, x2, x3 = literal_xs_from_stats(gt, m, literal_stats(configs, fields))
-    return BranchAmplitudes(a_aa=complex(x1[0]), a_ab=-1j * complex(x3[0]),
-                            a_ba=-1j * complex(x3[0]), a_bb=complex(x2[0]))
+
+    def __init__(self, fields: list[FieldDistribution]):
+        m = len(fields)
+        if m < 2:
+            raise ConfigurationError(
+                "multimode amplitudes need at least two modes; "
+                "use SingleModeLiteral for m=1")
+        ranges = [TruncationWindow(max(0, f.window.n_min - 2), f.window.n_max)
+                  for f in fields]
+        count = math.prod(w.size for w in ranges)
+        if count > MAX_LITERAL_CONFIGS:
+            raise ConfigurationError(
+                f"the literal multimode product would enumerate {count} configurations "
+                f"(budget {MAX_LITERAL_CONFIGS}); reduce windows or mode count")
+        self.configs = config_array(ranges)
+        self.terms = LiteralTerms(m, literal_stats(self.configs, fields))
+        super().__init__(fields, self.configs)
+
+    def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
+        return _branches(*self.terms.at(gts))
 
 
 # ---------------------------------------------------------------------------
 # multimode consistent: truncated cascade blocks
 # ---------------------------------------------------------------------------
 
-class ConsistentBlocks:
+class ConsistentBlocks(AnchoredRoute):
     """Per-initial-configuration unitary evolution inside the truncated
-    cascade block {|aa,n>, |s,n+e_k>, |bb,n+e_k+e_l>} for m >= 2.
+    cascade block {|aa,n>, |s,n+e_k>, |bb,n+e_k+e_l>} for m >= 2, anchored
+    at the initial configuration.
 
     The block couplings are the exact matrix elements along the emission
     cascade; couplings that leave the block (photon exchange between the
@@ -421,7 +330,6 @@ class ConsistentBlocks:
         if m < 2:
             raise ConfigurationError("ConsistentBlocks requires m >= 2")
         self.mode_count = m
-        self.fields = fields
         self.pairs = [(k, l) for k in range(m) for l in range(k, m)]
         self.dim = 1 + m + len(self.pairs)
 
@@ -436,13 +344,7 @@ class ConsistentBlocks:
         for k, f in enumerate(fields):
             weights *= f.amplitudes_at(configs[:, k])
         self.weights = weights
-        # the anchors' (initial configurations') flat indices over the
-        # extended windows, the layout of AmplitudeSet.anchored_array
-        windows = [extended_window(f.window) for f in fields]
-        shape = tuple(w.size for w in windows)
-        self.vector_size = int(np.prod(shape))
-        self._anchor_flat = np.ravel_multi_index(
-            tuple((configs - [w.n_min for w in windows]).T), shape)
+        super().__init__(fields, configs)
 
         n = configs.astype(float)
         h = np.zeros((len(configs), self.dim, self.dim))
@@ -467,108 +369,20 @@ class ConsistentBlocks:
         phase = np.exp(self._rates * gt) * self._p0
         return np.einsum("ndm,nm->nd", self._eigvecs_c, phase)
 
-    def _terms(self, amps: np.ndarray):
-        """Yield (branch index, modes that gained a photon, amplitudes) for
-        every block state of the weighted block amplitudes, in cascade
-        order."""
+    def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
+        """The weighted block amplitudes summed per branch in cascade order:
+        aa; ab and ba, each the one-photon state over sqrt(2), per mode; bb
+        per mode pair."""
         m = self.mode_count
-        yield 0, (), amps[:, 0]
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        for k in range(m):
-            half = amps[:, 1 + k] * inv_sqrt2
-            yield 1, (k,), half
-            yield 2, (k,), half
-        for pi, pair in enumerate(self.pairs):
-            yield 3, pair, amps[:, 1 + m + pi]
-
-    def _anchored(self, amps: np.ndarray) -> np.ndarray:
-        block = np.zeros((4, len(self.configs)), dtype=complex)
-        for b, _, a in self._terms(amps):
-            block[b] += a
-        vectors = np.zeros((4, self.vector_size), dtype=complex)
-        vectors[:, self._anchor_flat] = block
-        return vectors
-
-    def anchored_vectors(self, gt: float) -> np.ndarray:
-        """(4, vector_size) branch amplitudes at gt keyed by initial
-        configuration, laid out like AmplitudeSet.anchored_array: what the
-        density contraction reads."""
-        return self._anchored(self.amplitudes_at(gt) * self.weights[:, None])
-
-    def fill(self, amp_set: AmplitudeSet, gt: float) -> None:
-        """Add the amplitudes at gt to amp_set, anchored at the initial
-        configuration and keyed by the final one."""
-        amps = self.amplitudes_at(gt) * self.weights[:, None]
-        for branch, vector in zip(BRANCHES, self._anchored(amps)):
-            amp_set.add_anchored(branch, vector)
-        for b, modes, a in self._terms(amps):
-            shifted = self.configs.copy()
-            for k in modes:
-                shifted[:, k] += 1
-            amp_set.add_final(BRANCHES[b], shifted, a)
-
-
-# ---------------------------------------------------------------------------
-# assembly
-# ---------------------------------------------------------------------------
-
-def assemble(params: EvolutionParams, fields: list[FieldDistribution],
-             convention: str = CONSISTENT,
-             blocks: ConsistentBlocks | None = None) -> AmplitudeSet:
-    """Build the full amplitude set at time params.gt.
-
-    For repeated times with m >= 2 and the consistent convention, pass a
-    prebuilt ConsistentBlocks to reuse its eigendecompositions.
-    """
-    if convention not in CONVENTIONS:
-        raise ConfigurationError(f"unknown convention {convention!r}")
-    m = params.mode_count
-    if len(fields) != m:
-        raise ConfigurationError(
-            f"{len(fields)} fields given for mode_count {m}")
-    gt = params.gt
-    windows_ext = [extended_window(f.window) for f in fields]
-    out = AmplitudeSet(m, gt, convention, windows_ext)
-
-    if m == 1:
-        f = fields[0]
-        if convention == LITERAL:
-            ns = np.arange(max(0, f.window.n_min - 2), f.window.n_max + 1)
-            x1, x2, x3 = _single_mode_literal_xs(ns, gt, f)
-            cfgs = ns[:, None]
-            out.add("aa", cfgs, x1)
-            out.add("ab", cfgs, -1j * x3)
-            out.add("ba", cfgs, -1j * x3)
-            out.add("bb", cfgs, x2)
-        else:
-            ns = f.window.values()
-            c = f.amplitudes
-            a_aa, a_ab, a_bb = _single_mode_consistent_block(ns, gt)
-            out.add("aa", ns[:, None], c * a_aa)
-            out.add("ab", ns[:, None] + 1, c * a_ab, anchors=ns[:, None])
-            out.add("ba", ns[:, None] + 1, c * a_ab, anchors=ns[:, None])
-            out.add("bb", ns[:, None] + 2, c * a_bb, anchors=ns[:, None])
+        out = np.zeros((gts.size, 4, len(self.configs)), dtype=complex)
+        for block, gt in zip(out, gts):
+            amps = self.amplitudes_at(gt) * self.weights[:, None]
+            block[0] += amps[:, 0]
+            for k in range(m):
+                half = amps[:, 1 + k] * inv_sqrt2
+                block[1] += half
+                block[2] += half
+            for pi in range(len(self.pairs)):
+                block[3] += amps[:, 1 + m + pi]
         return out
-
-    if convention == LITERAL:
-        ranges = [TruncationWindow(max(0, f.window.n_min - 2), f.window.n_max)
-                  for f in fields]
-        count = int(np.prod([w.size for w in ranges]))
-        if count > MAX_LITERAL_CONFIGS:
-            raise ConfigurationError(
-                f"literal multimode assembly would enumerate {count} configurations "
-                f"(budget {MAX_LITERAL_CONFIGS}); reduce windows or mode count")
-        configs = config_array(ranges)
-        x1, x2, x3 = literal_xs_from_stats(gt, m, literal_stats(configs, fields))
-        out.add("aa", configs, x1)
-        out.add("ab", configs, -1j * x3)
-        out.add("ba", configs, -1j * x3)
-        out.add("bb", configs, x2)
-        return out
-
-    if blocks is None:
-        blocks = ConsistentBlocks(fields)
-    elif blocks.mode_count != m:
-        raise ConfigurationError("prebuilt blocks do not match the mode count")
-    blocks.fill(out, gt)
-    return out

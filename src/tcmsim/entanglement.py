@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalFailureError
-from .reduced_density import TwoAtomDensity
+from .reduced_density import FirstFailure, TwoAtomDensity
 
 EIG_IMAG_TOL = 1e-10
 EIG_NEG_TOL = 1e-10
@@ -38,75 +36,63 @@ class ConcurrenceResult(NamedTuple):
     lambdas: np.ndarray  # eigenvalues of rho * rho_tilde, descending
 
 
-def concurrence(rho) -> ConcurrenceResult:
-    """C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
-    eigenvalues of rho * rho_tilde in descending order.
+def concurrences(rho: np.ndarray, first: FirstFailure) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrences and their descending lambdas of a (G, 4, 4) stack of
+    density matrices, for the gts before the first failure.
 
-    The product matrix is not Hermitian, so a general eigensolver is used;
-    physically the spectrum is real and nonnegative, and violations beyond
-    tolerance raise NumericalFailureError.
+    C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
+    eigenvalues of rho * rho_tilde in descending order.  The product matrix
+    is not Hermitian, so a general eigensolver is used; physically the
+    spectrum is real and nonnegative, and violations beyond tolerance are
+    failures.
     """
-    m = _as_matrix(rho)
-    try:
-        eigs = np.linalg.eigvals(m @ spin_flip(m))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"concurrence eigenvalues: {exc}") from exc
-    max_imag = float(np.max(np.abs(eigs.imag)))
-    if max_imag > EIG_IMAG_TOL:
-        raise NumericalFailureError(
-            f"concurrence eigenvalues have imaginary part {max_imag:.3e}")
+    m = rho[:first.stop]
+    eigs = first.stacked(np.linalg.eigvals, m @ spin_flip(m), "concurrence eigenvalues")
+    max_imag = np.abs(eigs.imag).max(axis=-1, initial=0.0)
+    first.check(max_imag > EIG_IMAG_TOL, lambda i: (
+        f"concurrence eigenvalues have imaginary part {max_imag[i]:.3e}"))
     lam = eigs.real
-    if float(lam.min()) < -EIG_NEG_TOL:
-        raise NumericalFailureError(
-            f"concurrence eigenvalue {lam.min():.3e} negative beyond tolerance")
-    lam = np.sort(np.clip(lam, 0.0, None))[::-1]
+    lo = lam.min(axis=-1, initial=np.inf)
+    first.check(lo < -EIG_NEG_TOL, lambda i: (
+        f"concurrence eigenvalue {lo[i]:.3e} negative beyond tolerance"))
+    lam = np.sort(np.clip(lam[:first.stop], 0.0, None), axis=-1)[..., ::-1]
     # eigenvalues at relative machine-noise level snap to zero: the square
     # root would otherwise amplify O(1e-16) junk into O(1e-8) concurrence
     # errors on pure states
-    if lam[0] > 0.0:
-        lam[lam < 1e-13 * lam[0]] = 0.0
+    lam[lam < 1e-13 * lam[..., :1]] = 0.0
     roots = np.sqrt(lam)
-    value = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
-    return ConcurrenceResult(min(value, 1.0), lam)
+    value = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
+    value = np.where(value > 0.0, value, 0.0)
+    return np.where(value > 1.0, 1.0, value), lam
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x) with h(0) = h(1) = 0."""
-    if x < -1e-12 or x > 1.0 + 1e-12:
+def concurrence(rho) -> ConcurrenceResult:
+    """The concurrence of one density matrix: concurrences on a stack of
+    one."""
+    first = FirstFailure(1)
+    values, lambdas = concurrences(_as_matrix(rho)[None], first)
+    first.raise_if_failed()
+    return ConcurrenceResult(float(values[0]), lambdas[0])
+
+
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2 (1-x) with h(0) = h(1) = 0,
+    elementwise; a float for a scalar x."""
+    x = np.asarray(x, dtype=float)
+    if np.any((x < -1e-12) | (x > 1.0 + 1e-12)):
         raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    out = 0.0
-    if x > 0.0:
-        out -= x * np.log2(x)
-    if x < 1.0:
-        out -= (1.0 - x) * np.log2(1.0 - x)
-    return float(out)
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 0.0 - np.where(x > 0.0, x * np.log2(x), 0.0)
+        out = out - np.where(x < 1.0, (1.0 - x) * np.log2(1.0 - x), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def eof(c: float) -> float:
-    """Entanglement of formation E_F = h((1 + sqrt(1 - C^2))/2)."""
-    if c < -1e-12 or c > 1.0 + 1e-12:
+def eof(c):
+    """Entanglement of formation E_F = h((1 + sqrt(1 - C^2))/2),
+    elementwise; a float for a scalar C."""
+    c = np.asarray(c, dtype=float)
+    if np.any((c < -1e-12) | (c > 1.0 + 1e-12)):
         raise ValueError(f"concurrence {c} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
+    c = np.minimum(np.maximum(c, 0.0), 1.0)
     return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
-
-
-@dataclass(frozen=True)
-class EntanglementPoint:
-    """Entanglement measures of one time sample."""
-
-    gt: float
-    concurrence: float
-    eof: float
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.shape != (4,) or np.any(np.diff(lam) > 0):
-            raise NumericalFailureError("lambda diagnostics must be 4 descending values")
-        object.__setattr__(self, "lambdas", lam)
-
-
-def entanglement_point(gt: float, rho) -> EntanglementPoint:
-    c, lam = concurrence(rho)
-    return EntanglementPoint(gt=gt, concurrence=c, eof=eof(c), lambdas=lam)

@@ -4,12 +4,11 @@ A mode's initial state is a vector of complex amplitudes c_n over a
 contiguous truncation window of photon numbers.  Coherent states use the
 real-phase Poissonian convention c_n = exp(-mean/2) mean^(n/2) / sqrt(n!);
 Fock and custom distributions are normalized exactly.  Multimode
-configurations are plain tuples of per-mode occupation numbers.
+configurations are rows of per-mode occupation numbers (config_array).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +22,10 @@ DEFAULT_COVERAGE_EPSILON = 1e-12
 
 # custom distributions are renormalized; deviations beyond this warn
 NORM_WARN_TOLERANCE = 1e-6
+
+# the widest window default_window builds; its photon numbers must also
+# stay below 2**53, above which doubles no longer hold every integer
+MAX_WINDOW_SIZE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,11 @@ def default_window(mean: float,
     hi = max(lo, int(np.ceil(mean + spread)))
     target = 1.0 - coverage_epsilon
     while True:
+        if hi - lo + 1 > MAX_WINDOW_SIZE or hi >= 2 ** 53:
+            raise ConfigurationError(
+                f"the window [{lo:.6g}, {hi:.6g}] for mean {mean:g} exceeds the budget of "
+                f"{MAX_WINDOW_SIZE} photon numbers below 2**53; reduce the mean, "
+                "sigma_width or coverage")
         ns = np.arange(lo, hi + 1)
         if _poisson_pmf(mean, ns).sum() >= target:
             return TruncationWindow(lo, hi)
@@ -183,9 +191,6 @@ class FieldDistribution:
             raise IndexError(f"photon number {n} outside window "
                              f"[{self.window.n_min}, {self.window.n_max}]")
         return complex(self.amplitudes[n - self.window.n_min])
-
-    def amplitude_or_zero(self, n: int) -> complex:
-        return self.amplitude(n) if self.window.contains(n) else 0.0
 
     def amplitudes_at(self, ns: np.ndarray) -> np.ndarray:
         """Vectorized c_n lookup with zero fill outside the window."""
@@ -270,32 +275,14 @@ def load_custom_field(path) -> FieldDistribution:
     return custom_field(values)
 
 
-def enumerate_configs(windows: list[TruncationWindow]) -> list[tuple[int, ...]]:
-    """Lexicographic Cartesian product of the per-mode windows."""
-    if not windows:
-        raise ConfigurationError("at least one mode window is required")
-    ranges = [range(w.n_min, w.n_max + 1) for w in windows]
-    return list(itertools.product(*ranges))
-
-
 def config_array(windows: list[TruncationWindow]) -> np.ndarray:
-    """enumerate_configs as an (N, m) integer array, same ordering."""
+    """The Cartesian product of the per-mode windows as an (N, m) integer
+    array, in lexicographic order."""
     if not windows:
         raise ConfigurationError("at least one mode window is required")
     axes = [w.values() for w in windows]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
-
-
-def joint_weight(config: tuple[int, ...], fields: list[FieldDistribution]) -> complex:
-    """Product of the per-mode amplitudes c_{n_k}(0) for one configuration."""
-    if len(config) != len(fields):
-        raise ConfigurationError(
-            f"configuration has {len(config)} modes but {len(fields)} fields given")
-    out = 1.0 + 0.0j
-    for n, f in zip(config, fields):
-        out *= f.amplitude(n)
-    return out
 
 
 def same_fields(fields: list[FieldDistribution]) -> bool:

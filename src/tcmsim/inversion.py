@@ -1,36 +1,11 @@
-"""Atomic population inversion W(t)."""
+"""One-atom population inversion: the collapse-and-revival comparator.
+The two-atom inversion W is the W column of every observables series."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NumericalFailureError
 from .fock_field import FieldDistribution
-
-
-@dataclass(frozen=True)
-class InversionPoint:
-    gt: float
-    w: float
-
-    def __post_init__(self):
-        if abs(self.w) > 1.0 + 1e-12:
-            raise NumericalFailureError(f"inversion {self.w} outside [-1, 1]")
-
-
-def two_atom_inversion(amp_set) -> InversionPoint:
-    """W = P(both excited) - P(both ground), normalized by the set's total
-    norm so that literal-convention sets stay comparable with the
-    unit-trace density matrix.  The ab/ba branches contribute to neither
-    term."""
-    p_aa = float(np.sum(np.abs(amp_set.branch_array("aa")) ** 2))
-    p_bb = float(np.sum(np.abs(amp_set.branch_array("bb")) ** 2))
-    total = amp_set.total_norm()
-    if total <= 0.0:
-        raise NumericalFailureError("amplitude set has zero total norm")
-    return InversionPoint(gt=amp_set.gt, w=(p_aa - p_bb) / total)
 
 
 def single_atom_jcm_series(field: FieldDistribution, gts: np.ndarray) -> np.ndarray:
@@ -41,7 +16,3 @@ def single_atom_jcm_series(field: FieldDistribution, gts: np.ndarray) -> np.ndar
     p = p / p.sum()
     rabi = 2.0 * np.sqrt(field.window.values() + 1.0)
     return np.cos(np.outer(gts, rabi)) @ p
-
-
-def single_atom_jcm_inversion(field: FieldDistribution, gt: float) -> InversionPoint:
-    return InversionPoint(gt=gt, w=float(single_atom_jcm_series(field, np.array([gt]))[0]))

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BRANCHES, EXCITED_COUNT
-from .closed_form import CONSISTENT, AmplitudeSet
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError
 from .fock_field import FieldDistribution, TruncationWindow, config_array
-from .reduced_density import TwoAtomDensity, raw_density
+from .reduced_density import FirstFailure, TwoAtomDensity, raw_density
 
 NORM_DRIFT_TOL = 1e-8
 # gts propagated at once: bounds the (CHUNK_GTS, 4, N) branch vectors
@@ -116,7 +115,6 @@ class _Sector:
         self.branch_of = np.array([BRANCHES.index(b) for b, _ in self.basis.states])
         cfgs = np.array([c for _, c in self.basis.states], dtype=int)
         self.flat = np.ravel_multi_index(tuple((cfgs - lows).T), shape)
-        self.configs = cfgs
         # where rho_atom_exact's (4, N) branch vectors take each coefficient;
         # for a single mode each branch is shifted back by the photons it
         # emitted, and states shifted below the window drop out
@@ -178,25 +176,6 @@ class OracleState:
                 out[branch][sector.flat[mask]] = c[mask]
         return out
 
-    def as_amplitude_set(self) -> AmplitudeSet:
-        """Amplitudes keyed by (branch, final configuration); for a single
-        mode the anchors are the per-branch initial photon numbers so that
-        partial_trace matches rho_atom_exact."""
-        single = len(self.evolver.windows) == 1
-        amp_set = AmplitudeSet(len(self.evolver.windows), self.gt, CONSISTENT,
-                               self.evolver.windows)
-        for sector, c in zip(self.evolver.sectors, self.coeffs):
-            for bi, branch in enumerate(BRANCHES):
-                mask = sector.branch_of == bi
-                if np.any(mask):
-                    cfgs = sector.configs[mask]
-                    anchors = None
-                    if single:
-                        anchors = np.maximum(cfgs - _EMITTED[branch],
-                                             self.evolver.windows[0].n_min)
-                    amp_set.add(branch, cfgs, c[mask], anchors=anchors)
-        return amp_set
-
 
 class ExactEvolver:
     """Diagonalizes every sector holding initial weight and evolves the
@@ -210,7 +189,6 @@ class ExactEvolver:
                  max_sector_dim: int = MAX_SECTOR_DIM):
         if not fields:
             raise ConfigurationError("at least one field is required")
-        self.fields = fields
         self.windows = [TruncationWindow(f.window.n_min, f.window.n_max + extension)
                         for f in fields]
         self.shape = tuple(w.size for w in self.windows)
@@ -240,14 +218,14 @@ class ExactEvolver:
         self._norm0 = float(sum(np.sum(np.abs(s.c0) ** 2) for s in self.sectors))
         self._vector_size = int(np.prod(self.shape))
 
-    def _check_drift(self, norm: float) -> None:
-        drift = abs(norm - self._norm0)
-        if drift > NORM_DRIFT_TOL:
-            raise NumericalFailureError(
-                f"norm drift {drift:.3e} beyond {NORM_DRIFT_TOL:g}; "
-                "the truncation window is too small")
+    def check_drift(self, norms: np.ndarray, first: FirstFailure) -> None:
+        """Flag the gts whose total norm drifted from the initial one."""
+        drift = np.abs(np.asarray(norms) - self._norm0)
+        first.check(drift > NORM_DRIFT_TOL, lambda i: (
+            f"norm drift {drift[i]:.3e} beyond {NORM_DRIFT_TOL:g}; "
+            "the truncation window is too small"))
 
-    def raw_densities(self, coeffs: list) -> np.ndarray:
+    def _contract(self, coeffs: list) -> np.ndarray:
         """(G, 4, 4) unnormalized densities of per-sector (G, dim)
         coefficient arrays."""
         g = coeffs[0].shape[0]
@@ -259,20 +237,23 @@ class ExactEvolver:
     def state_at(self, gt: float) -> OracleState:
         coeffs = [s.evolve(np.array([gt], dtype=float))[0] for s in self.sectors]
         state = OracleState(gt=gt, evolver=self, coeffs=coeffs)
-        self._check_drift(state.norm)
+        first = FirstFailure(1)
+        self.check_drift([state.norm], first)
+        first.raise_if_failed()
         return state
 
-    def densities(self, gts: np.ndarray):
-        """Yield (unnormalized density, total norm) for each gt in turn,
-        propagating CHUNK_GTS gts at once.  Raises NumericalFailureError at
-        the first gt whose norm drifts, as state_at does."""
+    def densities(self, gts) -> tuple[np.ndarray, np.ndarray]:
+        """(G, 4, 4) unnormalized densities and (G,) total norms,
+        propagating CHUNK_GTS gts at once; check_drift checks the norms."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        raws = np.empty((gts.size, 4, 4), dtype=complex)
+        norms = np.empty(gts.size)
         for start in range(0, gts.size, CHUNK_GTS):
-            coeffs = [s.evolve(gts[start:start + CHUNK_GTS]) for s in self.sectors]
-            norms = _sector_norms(coeffs).sum(axis=-1)
-            for raw, norm in zip(self.raw_densities(coeffs), norms):
-                self._check_drift(float(norm))
-                yield raw, float(norm)
+            chunk = slice(start, start + CHUNK_GTS)
+            coeffs = [s.evolve(gts[chunk]) for s in self.sectors]
+            norms[chunk] = _sector_norms(coeffs).sum(axis=-1)
+            raws[chunk] = self._contract(coeffs)
+        return raws, norms
 
     def evolve_from(self, state: OracleState, dgt: float) -> OracleState:
         coeffs = [s.propagate(c, dgt) for s, c in zip(self.sectors, state.coeffs)]
@@ -295,7 +276,7 @@ def rho_atom_exact(state: OracleState) -> TwoAtomDensity:
     evolution, so amplitudes are paired by final configuration: the
     standard partial trace over field states.
     """
-    raw = state.evolver.raw_densities([c[None, :] for c in state.coeffs])
+    raw = state.evolver._contract([c[None, :] for c in state.coeffs])
     return TwoAtomDensity.from_unnormalized(raw[0])
 
 

@@ -1,12 +1,17 @@
-"""Two-atom reduced density matrix obtained by tracing out the field."""
+"""Two-atom reduced density matrices obtained by tracing out the field.
+
+Densities are normalized and validated as (G, 4, 4) stacks, one matrix per
+gt; a single matrix is a stack of one.  A stack fails where a loop over its
+matrices, stopping at the first exception, would fail (FirstFailure).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .basis import BRANCHES
 from .errors import NumericalFailureError
 
 HERMITICITY_TOL = 1e-12
@@ -14,12 +19,90 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
+class FirstFailure:
+    """The first failing gt of a stack checked one stage at a time, and
+    its error.
+
+    Each check sees only the gts before the first failure found so far
+    (stop), so the error kept is the one a per-gt loop running every check
+    on one gt before moving to the next would raise first."""
+
+    def __init__(self, size: int):
+        self.stop = size
+        self.error: NumericalFailureError | None = None
+
+    def check(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """bad flags the failing gts (at least the first stop of them);
+        message(i) is the error text of gt i."""
+        hits = np.flatnonzero(bad[:self.stop])
+        if hits.size:
+            self.stop = int(hits[0])
+            self.error = NumericalFailureError(message(self.stop))
+
+    def stacked(self, fn, stack: np.ndarray, what: str) -> np.ndarray:
+        """fn over the stack's first stop matrices.  numpy raises
+        LinAlgError for a whole stack if one matrix fails, so then the
+        matrices are retried one at a time to find the first."""
+        stack = stack[:self.stop]
+        try:
+            return fn(stack)
+        except np.linalg.LinAlgError:
+            for i, matrix in enumerate(stack):
+                try:
+                    fn(matrix)
+                except np.linalg.LinAlgError as exc:
+                    self.check(np.arange(stack.shape[0]) == i, lambda _: f"{what}: {exc}")
+                    return fn(stack[:i])
+            raise
+
+    def raise_if_failed(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def normalize(raws: np.ndarray, first: FirstFailure) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-trace matrices and norm deficits (1 minus the trace before
+    normalization) of a (G, 4, 4) unnormalized stack, Hermitian-symmetrized;
+    the gts from the first failure on are cut off."""
+    raws = np.asarray(raws, dtype=complex)
+    first.check(~np.isfinite(raws).all(axis=(-2, -1)), lambda i: (
+        "unnormalized density matrix has non-finite entries: the amplitude "
+        "sums overflowed"))
+    raw = raws[:first.stop]
+    raw = 0.5 * (raw + _adjoint(raw))
+    trace = np.trace(raw, axis1=-2, axis2=-1).real
+    first.check(trace <= 0.0, lambda i: "amplitude set has zero total norm")
+    n = first.stop
+    return raw[:n] / trace[:n, None, None], 1.0 - trace[:n]
+
+
+def validate(rho: np.ndarray, first: FirstFailure) -> None:
+    """Check a (G, 4, 4) stack of density matrices: finite, Hermitian, unit
+    trace and positive semidefinite, each within its tolerance."""
+    first.check(~np.isfinite(rho).all(axis=(-2, -1)),
+                lambda i: "density matrix has non-finite entries")
+    m = rho[:first.stop]
+    skew = np.abs(m - _adjoint(m)).max(axis=(-2, -1), initial=0.0)
+    first.check(skew > HERMITICITY_TOL, lambda i: "density matrix is not Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    first.check((np.abs(tr.real - 1.0) > TRACE_TOL) | (np.abs(tr.imag) > TRACE_TOL),
+                lambda i: f"density matrix trace {tr[i]} != 1")
+    lo = first.stacked(np.linalg.eigvalsh, m, "density matrix eigenvalues").min(
+        axis=-1, initial=np.inf)
+    first.check(lo < -PSD_TOL, lambda i: (
+        f"density matrix has negative eigenvalue {lo[i]:.3e} beyond tolerance"))
+
+
 @dataclass
 class TwoAtomDensity:
     """4x4 density matrix in the basis (|aa>, |ab>, |ba>, |bb>).
 
     norm_deficit is 1 minus the trace the matrix had before normalization
-    (nonzero for truncated or literal-convention amplitude sets).
+    (nonzero for truncated or literal-convention amplitudes).
     """
 
     matrix: np.ndarray
@@ -29,39 +112,20 @@ class TwoAtomDensity:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise NumericalFailureError(f"density matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NumericalFailureError("density matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise NumericalFailureError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise NumericalFailureError(f"density matrix trace {np.trace(m)} != 1")
-        try:
-            lo = float(np.linalg.eigvalsh(m).min())
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"density matrix eigenvalues: {exc}") from exc
-        if lo < -PSD_TOL:
-            raise NumericalFailureError(
-                f"density matrix has negative eigenvalue {lo:.3e} beyond tolerance")
+        first = FirstFailure(1)
+        validate(m[None], first)
+        first.raise_if_failed()
         self.matrix = m
 
     @classmethod
     def from_unnormalized(cls, raw: np.ndarray) -> "TwoAtomDensity":
-        raw = np.asarray(raw, dtype=complex)
-        if not np.all(np.isfinite(raw)):
-            raise NumericalFailureError(
-                "unnormalized density matrix has non-finite entries: the "
-                "amplitude sums overflowed")
-        raw = 0.5 * (raw + raw.conj().T)
-        trace = float(np.trace(raw).real)
-        if trace <= 0.0:
-            raise NumericalFailureError("amplitude set has zero total norm")
-        return cls(raw / trace, norm_deficit=1.0 - trace)
+        first = FirstFailure(1)
+        rho, deficit = normalize(np.asarray(raw, dtype=complex)[None], first)
+        first.raise_if_failed()
+        return cls(rho[0], norm_deficit=float(deficit[0]))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-    def entry(self, bra: str, ket: str) -> complex:
-        return complex(self.matrix[BRANCHES.index(bra), BRANCHES.index(ket)])
 
 
 def raw_density(vectors: np.ndarray) -> np.ndarray:
@@ -69,25 +133,3 @@ def raw_density(vectors: np.ndarray) -> np.ndarray:
     of (..., 4, N) branch vectors over a shared configuration indexing; a
     stack of gts gives the same matrices as one gt at a time."""
     return vectors @ np.swapaxes(vectors.conj(), -1, -2)
-
-
-def density_from_branch_vectors(vectors: dict[str, np.ndarray]) -> TwoAtomDensity:
-    """rho[b, b'] = sum_f amp(b, f) conj(amp(b', f)) over a shared final-
-    configuration indexing, then normalized to unit trace."""
-    stacked = np.stack([np.ravel(vectors[b]) for b in BRANCHES])
-    return TwoAtomDensity.from_unnormalized(raw_density(stacked))
-
-
-def partial_trace(amp_set) -> TwoAtomDensity:
-    """Trace the field out of an AmplitudeSet.
-
-    Branch amplitudes are paired by their anchor (summation) configuration:
-    rho[b, b'] = sum_n amp(b, n) conj(amp(b', n)), which reproduces the
-    published sixteen-term bilinear structure verbatim, the +-i phases
-    riding along in the stored amplitudes.  In literal mode the anchor is
-    the final configuration all four branches share; in consistent mode it
-    is the initial configuration of the evolution block, so each block's
-    interbranch coherences are retained.
-    """
-    return density_from_branch_vectors(
-        {b: amp_set.anchored_array(b) for b in BRANCHES})

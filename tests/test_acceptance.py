@@ -13,13 +13,19 @@ import math
 import numpy as np
 import pytest
 
-from tcmsim import (CONSISTENT, LITERAL, EvolutionParams, ExactEvolver,
-                    TimeSeries, assemble, coherent_field, collapse_windows,
+from tcmsim import (CONSISTENT, LITERAL, ExactEvolver, TimeSeries,
+                    TwoAtomDensity, coherent_field, collapse_windows,
                     concurrence, custom_field, detect_revival_peaks, eof,
-                    evolve, fock_field, oscillation_rate, partial_trace,
-                    rho_atom_exact, single_atom_jcm_series, spin_flip)
+                    evolve, fock_field, oscillation_rate, rho_atom_exact,
+                    single_atom_jcm_series, spin_flip)
 from tcmsim.cli import main
-from tcmsim.pipeline import closed_form_series, oracle_series
+from tcmsim.pipeline import closed_form_route, closed_form_series, oracle_series
+
+
+def consistent_density(fields, gt):
+    """The consistent closed-form density of the fields at one gt."""
+    raw = closed_form_route(fields, CONSISTENT).raw_densities([gt])[0]
+    return TwoAtomDensity.from_unnormalized(raw)
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> bool:
@@ -95,9 +101,7 @@ def test_criterion_4_initial_condition():
     ]
     worst = 0.0
     for fields in cases:
-        amp = assemble(EvolutionParams(gt=0.0, mode_count=len(fields)), fields,
-                       CONSISTENT)
-        rho = partial_trace(amp)
+        rho = consistent_density(fields, 0.0)
         w = float(rho.matrix[0, 0].real - rho.matrix[3, 3].real)
         c = concurrence(rho).value
         worst = max(worst,
@@ -181,8 +185,7 @@ def test_criterion_8_vacuum_analytic_point():
     gt = math.pi / math.sqrt(6)
     targets = {"W": -7.0 / 9.0, "C": 4.0 * math.sqrt(2.0) / 9.0}
 
-    amp = assemble(EvolutionParams(gt=gt, mode_count=1), [fock_field(0)], CONSISTENT)
-    rho_c = partial_trace(amp)
+    rho_c = consistent_density([fock_field(0)], gt)
     rho_o = rho_atom_exact(evolve([fock_field(0)], gt))
     worst = 0.0
     for rho in (rho_c, rho_o):
@@ -233,7 +236,7 @@ def test_criterion_10_determinism(tmp_path):
         path = tmp_path / name
         assert main(args + ["--out", str(path)]) == 0
         outs.append(path.read_bytes())
-    inv_args = ["inversion", "--atoms", "1", "--mean", "4", "--gt-max", "5",
+    inv_args = ["inversion", "--mean", "4", "--gt-max", "5",
                 "--gt-steps", "50"]
     for name in ("c.csv", "d.csv"):
         path = tmp_path / name

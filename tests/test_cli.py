@@ -39,13 +39,6 @@ def test_run_with_oracle_columns(tmp_path):
     assert data[:, 7].max() <= 1e-8
 
 
-def test_run_rejects_multimode_formulas_for_single_mode(tmp_path, capsys):
-    code = main(["run", "--modes", "1", "--convention", "literal",
-                 "--formulas", "multimode", "--out", str(tmp_path / "x.csv")])
-    assert code == 1
-    assert "multimode" in capsys.readouterr().err
-
-
 def test_exit_code_on_bad_flag_value(tmp_path):
     assert main(["run", "--gt-steps", "1", "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["run", "--field", "custom", "--out", str(tmp_path / "x.csv")]) == 1
@@ -87,7 +80,7 @@ grid = ["--gt-max", "2", "--gt-steps", "5"]
 for argv in (
         ["run", "--modes", "2", "--mean", "2", "--convention", "literal", "--oracle",
          *grid, "--out", "run.csv"],
-        ["inversion", "--atoms", "1", "--mean", "2", "--gt-max", "30",
+        ["inversion", "--mean", "2", "--gt-max", "30",
          "--gt-steps", "600", "--out", "inv.csv"],
         ["sweep-modes", "--mean", "2", "--sweep-gt", "1", "--sweep-modes", "1,2,3",
          "--out", "sweep.csv"],
@@ -108,7 +101,7 @@ sys.exit(", ".join(loaded) or 0)
 def test_readme_revival_report(tmp_path):
     # the README's inversion + analyze example, as the scipy find_peaks
     # implementation reported it
-    assert run_cli(["inversion", "--atoms", "1", "--mean", "50", "--gt-max", "110",
+    assert run_cli(["inversion", "--mean", "50", "--gt-max", "110",
                     "--gt-steps", "5500", "--out", "inv.csv"], tmp_path).returncode == 0
     proc = run_cli(["analyze", "--in", "inv.csv", "--channel", "W", "--mean", "50",
                     "--max-j", "2"], tmp_path)
@@ -130,6 +123,7 @@ def test_readme_revival_report(tmp_path):
     ["run", "--sigma-width", "nan"],
     ["run", "--gt-max", "nan"],
     ["run", "--gt-max", "inf"],
+    ["run", "--mean", "1e300"],
     ["sweep-modes", "--sweep-gt", "nan"],
     ["run", "--field", "custom", "--custom-file", "nan_field.txt"],
     ["run", "--config", "nan.cfg"],
@@ -157,7 +151,7 @@ def test_determinism(tmp_path):
 
 def test_inversion_single_atom_fock(tmp_path):
     out = tmp_path / "inv.csv"
-    code = main(["inversion", "--atoms", "1", "--field", "fock", "--n0", "0",
+    code = main(["inversion", "--field", "fock", "--n0", "0",
                  "--gt-max", "6", "--gt-steps", "120", "--out", str(out)])
     assert code == 0
     header, data = read_csv(out)
@@ -165,9 +159,9 @@ def test_inversion_single_atom_fock(tmp_path):
     assert np.allclose(data[:, 1], np.cos(2 * data[:, 0]), atol=1e-12)
 
 
-def test_inversion_two_atom_starts_at_one(tmp_path):
+def test_run_two_atom_inversion_starts_at_one(tmp_path):
     out = tmp_path / "inv2.csv"
-    code = main(["inversion", "--atoms", "2", "--mean", "3", "--gt-max", "2",
+    code = main(["run", "--modes", "1", "--mean", "3", "--gt-max", "2",
                  "--gt-steps", "20", "--out", str(out)])
     assert code == 0
     _, data = read_csv(out)
@@ -205,7 +199,7 @@ def test_compare_oracle(tmp_path, capsys):
 
 def test_analyze_peaks_and_collapse(tmp_path):
     inv = tmp_path / "inv.csv"
-    assert main(["inversion", "--atoms", "1", "--mean", "25", "--gt-max", "80",
+    assert main(["inversion", "--mean", "25", "--gt-max", "80",
                  "--gt-steps", "4000", "--out", str(inv)]) == 0
     report = tmp_path / "report.txt"
     code = main(["analyze", "--in", str(inv), "--channel", "W", "--mean", "25",
@@ -277,3 +271,14 @@ def test_diagnose_small(tmp_path):
     assert "operator-power expansion" in text
     assert "closed form vs oracle" in text
     assert "index conventions" in text
+
+
+def test_removed_options_are_rejected(tmp_path):
+    # --formulas, inversion --atoms and inversion --convention are gone
+    for args in (["run", "--formulas", "auto"], ["inversion", "--atoms", "2"],
+                 ["inversion", "--convention", "literal"]):
+        assert main([*args, "--out", str(tmp_path / "x.csv")]) == 1
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("formulas = auto\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "y.csv")]) == 1
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "y.csv").exists()

@@ -4,12 +4,37 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, EvolutionParams,
-                    assemble, coherent_field, fock_field, joint_weight,
-                    multimode_literal, single_mode_consistent,
-                    single_mode_literal)
-from tcmsim.closed_form import ConsistentBlocks
-from tcmsim.fock_field import custom_field, enumerate_configs
+from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, coherent_field,
+                    fock_field)
+from tcmsim.closed_form import (ConsistentBlocks, ProductLiteral,
+                                SingleModeConsistent, SingleModeLiteral)
+from tcmsim.fock_field import custom_field
+from tcmsim.pipeline import closed_form_route, compute_observables
+from tcmsim.reduced_density import TwoAtomDensity
+
+
+def single_mode_literal(n, gt, field):
+    """(aa, ab, ba, bb) published single-mode amplitudes at summation index n."""
+    route = SingleModeLiteral(field)
+    return route.branch_amplitudes(np.array([gt]))[0][:, n - route.ns[0]]
+
+
+def single_mode_consistent(n, gt):
+    """(aa, ab, ba, bb) block amplitudes of the initial state |aa, n>."""
+    return SingleModeConsistent(fock_field(n)).branch_amplitudes(np.array([gt]))[0][:, 0]
+
+
+def multimode_literal(config, gt, fields):
+    """(aa, ab, ba, bb) published multimode amplitudes at one summation
+    configuration."""
+    route = ProductLiteral(fields)
+    col = np.flatnonzero((route.configs == config).all(axis=1))[0]
+    return route.branch_amplitudes(np.array([gt]))[0][:, col]
+
+
+def weights(fields, configs):
+    """Joint initial weights prod_k c_{n_k} of configurations."""
+    return np.prod([f.amplitudes_at(configs[:, k]) for k, f in enumerate(fields)], axis=0)
 
 
 def block_oracle(n, gt):
@@ -24,105 +49,105 @@ def block_oracle(n, gt):
 def test_literal_gt0_survival_on_bb():
     f = coherent_field(2.0)
     for n in range(f.window.n_min, f.window.n_max + 1):
-        ba = single_mode_literal(n, 0.0, f)
-        assert ba.a_aa == 0.0
-        assert ba.a_ab == 0.0 and ba.a_ba == 0.0
-        assert ba.a_bb == pytest.approx(f.amplitude(n), abs=1e-14)
+        aa, ab, ba, bb = single_mode_literal(n, 0.0, f)
+        assert aa == 0.0
+        assert ab == 0.0 and ba == 0.0
+        assert bb == pytest.approx(f.amplitude(n), abs=1e-14)
 
 
 def test_literal_example_n1():
     f = coherent_field(2.0)
     gt = math.pi / math.sqrt(6)
-    ba = single_mode_literal(1, gt, f)
+    aa = single_mode_literal(1, gt, f)[0]
     expected = f.amplitude(3) * (math.sqrt(6) / 5) * (math.cos(gt * math.sqrt(10)) - 1)
-    assert ba.a_aa == pytest.approx(expected, abs=1e-14)
+    assert aa == pytest.approx(expected, abs=1e-14)
 
 
 def test_literal_example_n0_x3():
     f = coherent_field(2.0)
-    ba = single_mode_literal(0, 1.0, f)
+    _, ab, ba, _ = single_mode_literal(0, 1.0, f)
     x3 = f.amplitude(1) * math.sqrt(0.5) * math.sin(math.sqrt(2))
-    assert ba.a_ba == pytest.approx(-1j * x3, abs=1e-14)
-    assert ba.a_ab == ba.a_ba
+    assert ba == pytest.approx(-1j * x3, abs=1e-14)
+    assert ab == ba
 
 
 def test_literal_n0_x2_constant():
     # the n=0 survival term has a vanishing cosine coefficient
     f = coherent_field(0.5)
     for gt in (0.0, 0.7, 3.0):
-        assert single_mode_literal(0, gt, f).a_bb == pytest.approx(
+        assert single_mode_literal(0, gt, f)[3] == pytest.approx(
             f.amplitude(0), abs=1e-14)
 
 
 def test_literal_out_of_window_shifts_are_zero():
     f = fock_field(2)
-    ba = single_mode_literal(2, 1.3, f)  # c_3, c_4 are outside the window
-    assert ba.a_aa == 0.0
-    assert ba.a_ab == 0.0
+    aa, ab, _, _ = single_mode_literal(2, 1.3, f)  # c_3, c_4 are outside the window
+    assert aa == 0.0
+    assert ab == 0.0
 
 
 # -- single-mode consistent -------------------------------------------------
 
 def test_consistent_identity_at_gt0():
     for n in (0, 3, 17):
-        ba = single_mode_consistent(n, 0.0)
-        assert ba.a_aa == 1.0
-        assert ba.a_ab == 0.0 and ba.a_ba == 0.0 and ba.a_bb == 0.0
+        aa, ab, ba, bb = single_mode_consistent(n, 0.0)
+        assert aa == 1.0
+        assert ab == 0.0 and ba == 0.0 and bb == 0.0
 
 
 def test_consistent_vacuum_point():
     gt = math.pi / math.sqrt(6)
-    ba = single_mode_consistent(0, gt)
-    assert ba.a_aa == pytest.approx(1 / 3, abs=1e-12)
-    assert ba.a_ab == pytest.approx(0.0, abs=1e-12)
-    assert ba.a_bb == pytest.approx(-2 * math.sqrt(2) / 3, abs=1e-12)
+    aa, ab, _, bb = single_mode_consistent(0, gt)
+    assert aa == pytest.approx(1 / 3, abs=1e-12)
+    assert ab == pytest.approx(0.0, abs=1e-12)
+    assert bb == pytest.approx(-2 * math.sqrt(2) / 3, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 12])
 @pytest.mark.parametrize("gt", [0.2, 1.0, math.pi / (2 * math.sqrt(6)), 5.5])
 def test_consistent_matches_expm_oracle(n, gt):
-    ba = single_mode_consistent(n, gt)
+    amps = single_mode_consistent(n, gt)
     col = block_oracle(n, gt)
-    assert ba.a_aa == pytest.approx(col[0], abs=1e-12)
-    assert ba.a_ab == pytest.approx(col[1] / math.sqrt(2), abs=1e-12)
-    assert ba.a_bb == pytest.approx(col[2], abs=1e-12)
-    assert ba.probability_sum() == pytest.approx(1.0, abs=1e-12)
+    assert amps[0] == pytest.approx(col[0], abs=1e-12)
+    assert amps[1] == pytest.approx(col[1] / math.sqrt(2), abs=1e-12)
+    assert amps[3] == pytest.approx(col[2], abs=1e-12)
+    assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- multimode literal ------------------------------------------------------
 
 def test_multimode_rejects_single_mode():
     with pytest.raises(ConfigurationError):
-        multimode_literal((1,), 0.5, [coherent_field(2.0)])
+        ProductLiteral([coherent_field(2.0)])
 
 
 def test_multimode_zero_config_example():
     fields = [coherent_field(1.0)] * 2
     gt = 0.9
-    ba = multimode_literal((0, 0), gt, fields)
+    aa, _, _, bb = multimode_literal((0, 0), gt, fields)
     c2 = fields[0].amplitude(2)
     x1 = c2 * c2 * (12 * math.sqrt(2) - 16) * (math.cos((2 + math.sqrt(2)) * gt) - 1)
-    assert ba.a_aa == pytest.approx(x1, abs=1e-13)
+    assert aa == pytest.approx(x1, abs=1e-13)
     # all-zero configuration: the survival equals the joint weight
     c0 = fields[0].amplitude(0)
-    assert ba.a_bb == pytest.approx(c0 * c0, abs=1e-13)
+    assert bb == pytest.approx(c0 * c0, abs=1e-13)
 
 
 def test_multimode_gt0():
     fields = [coherent_field(3.0)] * 3
-    ba = multimode_literal((2, 3, 4), 0.0, fields)
-    assert ba.a_aa == 0.0
-    assert ba.a_ab == 0.0 and ba.a_ba == 0.0
-    assert abs(ba.a_bb) > 0
+    aa, ab, ba, bb = multimode_literal((2, 3, 4), 0.0, fields)
+    assert aa == 0.0
+    assert ab == 0.0 and ba == 0.0
+    assert abs(bb) > 0
 
 
 def test_multimode_permutation_symmetry():
     fields = [coherent_field(2.5)] * 3
     for cfg in [(0, 2, 5), (1, 1, 4)]:
-        base = multimode_literal(cfg, 1.7, fields).as_vector()
+        base = multimode_literal(cfg, 1.7, fields)
         for perm in [(2, 0, 1), (1, 0, 2)]:
             permuted = tuple(cfg[i] for i in perm)
-            got = multimode_literal(permuted, 1.7, fields).as_vector()
+            got = multimode_literal(permuted, 1.7, fields)
             assert np.allclose(got, base, atol=1e-14)
 
 
@@ -137,54 +162,62 @@ def test_multimode_brute_force_pairwise_sums():
         n = np.array([n1, n2], dtype=float)
         d1 = (sq(n[0] + 2) + sq(n[1] + 1)) ** 2 + (sq(n[0] + 1) + sq(n[1] + 2)) ** 2
         s1p, s2p = np.sqrt(n + 1).sum(), np.sqrt(n + 2).sum()
-        c2 = np.prod([fields[k].amplitude_or_zero(int(n[k]) + 2) for k in range(2)])
+        c2 = np.prod([fields[k].amplitudes_at(np.array([int(n[k]) + 2]))[0]
+                      for k in range(2)])
         x1 = c2 * 2 * s1p * s2p / d1 * (np.cos(gt * sq(d1)) - 1)
-        ba = multimode_literal((n1, n2), gt, fields)
-        assert ba.a_aa == pytest.approx(complex(x1), abs=1e-12)
+        aa = multimode_literal((n1, n2), gt, fields)[0]
+        assert aa == pytest.approx(complex(x1), abs=1e-12)
 
 
-# -- assembly ---------------------------------------------------------------
+# -- anchored vectors -------------------------------------------------------
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 def test_assemble_gt0_consistent_equals_initial_state():
     fields = [coherent_field(2.0), coherent_field(1.0)]
-    amp = assemble(EvolutionParams(gt=0.0, mode_count=2), fields, CONSISTENT)
-    for cfg in enumerate_configs([f.window for f in fields]):
-        assert amp.amplitude("aa", cfg) == pytest.approx(joint_weight(cfg, fields),
-                                                         abs=1e-13)
-    for branch in ("ab", "ba", "bb"):
-        assert np.abs(amp.branch_array(branch)).max() <= 1e-14
-    assert amp.total_norm() == pytest.approx(1.0, abs=1e-10)
+    blocks = ConsistentBlocks(fields)
+    vectors = blocks.anchored_vectors([0.0])[0]
+    assert np.abs(vectors[0, blocks.anchor_flat]
+                  - weights(fields, blocks.configs)).max() <= 1e-13
+    for b in (1, 2, 3):
+        assert np.abs(vectors[b]).max() <= 1e-14
+    assert np.sum(np.abs(vectors) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_assemble_literal_gt0_on_bb():
-    fields = [coherent_field(5.0)]
-    amp = assemble(EvolutionParams(gt=0.0, mode_count=1), fields, LITERAL)
-    for n in range(fields[0].window.n_min, fields[0].window.n_max + 1):
-        assert amp.amplitude("bb", (n,)) == pytest.approx(fields[0].amplitude(n),
-                                                          abs=1e-14)
-    assert np.abs(amp.branch_array("aa")).max() == 0.0
+    field = coherent_field(5.0)
+    route = SingleModeLiteral(field)
+    vectors = route.anchored_vectors([0.0])[0]
+    window = field.window.values()
+    assert np.abs(vectors[3, route.anchor_flat[window - route.ns[0]]]
+                  - field.amplitudes).max() <= 1e-14
+    assert np.abs(vectors[0]).max() == 0.0
 
 
 def test_assemble_consistent_norm_over_grid():
-    fields = [coherent_field(5.0)]
-    eps = fields[0].coverage_epsilon
-    for gt in np.linspace(0.0, 12.0, 25):
-        amp = assemble(EvolutionParams(gt=float(gt), mode_count=1), fields, CONSISTENT)
-        assert 1 - eps * 3 - 1e-12 <= amp.total_norm() <= 1 + 1e-12
+    field = coherent_field(5.0)
+    eps = field.coverage_epsilon
+    vectors = SingleModeConsistent(field).anchored_vectors(np.linspace(0.0, 12.0, 25))
+    for norm in np.sum(np.abs(vectors) ** 2, axis=(1, 2)):
+        assert 1 - eps * 3 - 1e-12 <= norm <= 1 + 1e-12
 
 
 def test_assemble_consistent_multimode_norm():
-    # per-block evolution is unitary, so the norm is exact at gt=0; at
-    # later times cross-block interference on shared final keys moves the
-    # total, and the deviation is recorded as the deficit rather than hidden
+    # per-block evolution is unitary, so the anchored norm is exact at gt=0;
+    # the density records 1 minus the raw trace as its norm deficit
     fields = [coherent_field(2.0)] * 2
-    amp0 = assemble(EvolutionParams(gt=0.0, mode_count=2), fields, CONSISTENT)
-    assert amp0.total_norm() == pytest.approx(1.0, abs=1e-10)
-    for gt in (0.8, 2.5):
-        amp = assemble(EvolutionParams(gt=gt, mode_count=2), fields, CONSISTENT)
-        norm = amp.total_norm()
+    blocks = ConsistentBlocks(fields)
+    assert np.sum(np.abs(blocks.anchored_vectors([0.0])) ** 2) == pytest.approx(
+        1.0, abs=1e-10)
+    raws = blocks.raw_densities([0.8, 2.5])
+    obs = compute_observables(fields, [0.8, 2.5], CONSISTENT)
+    for raw, deficit in zip(raws, obs["norm_deficit"]):
+        norm = float(np.trace(raw).real)
         assert np.isfinite(norm) and norm > 0
-        assert amp.norm_deficit() == pytest.approx(1.0 - norm, abs=1e-12)
+        assert deficit == pytest.approx(1.0 - norm, abs=1e-12)
 
 
 def test_assemble_branch_unitarity_per_block():
@@ -194,62 +227,31 @@ def test_assemble_branch_unitarity_per_block():
     assert blocks.amplitudes_at(0.0)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_consistent_multimode_reduces_to_single_mode_structure():
-    # one Fock initial config: block amplitudes attach to shifted finals
-    fields = [fock_field(2), fock_field(0)]
-    amp = assemble(EvolutionParams(gt=0.9, mode_count=2), fields, CONSISTENT)
-    total = sum(abs(amp.amplitude("aa", (2, 0))) ** 2 for _ in (1,))
-    total += sum(abs(amp.amplitude(b, c)) ** 2 for b in ("ab", "ba")
-                 for c in ((3, 0), (2, 1)))
-    total += sum(abs(amp.amplitude("bb", c)) ** 2
-                 for c in ((4, 0), (3, 1), (2, 2)))
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_amplitude_bound_by_contributing_weights():
-    fields = [coherent_field(1.0, coverage_epsilon=1e-9)] * 2
-    amp = assemble(EvolutionParams(gt=1.1, mode_count=2), fields, CONSISTENT)
-    windows = [f.window for f in fields]
-    initials = enumerate_configs(windows)
-    for (branch, cfg), value in amp.entries():
-        reach = {
-            "aa": [cfg],
-            "ab": [tuple(np.subtract(cfg, e)) for e in np.eye(2, dtype=int)],
-            "ba": [tuple(np.subtract(cfg, e)) for e in np.eye(2, dtype=int)],
-            "bb": [tuple(np.array(cfg) - d) for d in
-                   [(2, 0), (1, 1), (0, 2)]],
-        }[branch]
-        bound = sum(abs(joint_weight(c, fields)) for c in reach if c in initials)
-        assert abs(value) <= bound + 1e-12
-
-
 @pytest.mark.parametrize("m", [2, 3])
 def test_symmetric_evaluator_matches_direct_assembly(m):
-    from tcmsim.reduced_density import TwoAtomDensity, partial_trace
     from tcmsim.symmetric import SymmetricLiteralEvaluator
 
     field = coherent_field(1.5, sigma_width=4.0, coverage_epsilon=1e-8)
     evaluator = SymmetricLiteralEvaluator(field, m)
+    product = ProductLiteral([field] * m)
     for gt in (0.6, 2.1):
         raw = evaluator.raw_densities(np.array([gt]))[0]
         rho_sym = TwoAtomDensity.from_unnormalized(raw)
-        amp = assemble(EvolutionParams(gt=gt, mode_count=m), [field] * m, LITERAL)
-        rho_dir = partial_trace(amp)
+        rho_dir = TwoAtomDensity.from_unnormalized(product.raw_densities([gt])[0])
         assert np.max(np.abs(rho_sym.matrix - rho_dir.matrix)) <= 1e-13
         assert rho_sym.norm_deficit == pytest.approx(rho_dir.norm_deficit, abs=1e-12)
 
 
 def test_symmetric_evaluator_keeps_small_imaginary_parts():
     # imaginary parts far below np.allclose's atol must still count
-    from tcmsim.reduced_density import TwoAtomDensity, partial_trace
     from tcmsim.symmetric import SymmetricLiteralEvaluator
 
     field = custom_field(0.5 + 1e-9 * np.array([1, -2, 3, 1]) * 1j)
     gt = 1.3
     raw = SymmetricLiteralEvaluator(field, 2).raw_densities(np.array([gt]))[0]
     rho_sym = TwoAtomDensity.from_unnormalized(raw)
-    rho_dir = partial_trace(assemble(EvolutionParams(gt=gt, mode_count=2),
-                                     [field] * 2, LITERAL))
+    rho_dir = TwoAtomDensity.from_unnormalized(
+        ProductLiteral([field] * 2).raw_densities([gt])[0])
     assert np.max(np.abs(rho_sym.matrix - rho_dir.matrix)) <= 1e-13
 
 
@@ -267,13 +269,39 @@ def test_symmetric_evaluator_is_exact_across_chunks(m, chunk_elements, monkeypat
     gts = np.linspace(0.0, 8.0, 701)
     # the largest block (every penultimate multiset) spans several chunks
     assert gts.size > symmetric.CHUNK_ELEMENTS // ev.block_sizes[-1]
-    assert np.array_equal(ev.raw_densities(gts),
-                          np.stack([ev.raw_densities([g])[0] for g in gts]))
+    assert _same_bits(ev.raw_densities(gts),
+                      np.stack([ev.raw_densities([g])[0] for g in gts]))
+
+
+@pytest.mark.parametrize("route", ["literal-1", "consistent-1", "literal-product",
+                                   "consistent-blocks"])
+def test_grid_call_equals_single_gt_calls(route, monkeypatch):
+    from tcmsim import closed_form
+
+    # windows reaching n = 0 (the literal x2 special cases and complex
+    # frequencies), and a custom field with complex weights
+    amps = np.array([0.3, -0.5j, 0.4 + 0.2j, -0.6])
+    custom = custom_field(amps / np.linalg.norm(amps))
+    fields, convention, kind = {
+        "literal-1": ([coherent_field(3.0)], LITERAL, SingleModeLiteral),
+        "consistent-1": ([custom], CONSISTENT, SingleModeConsistent),
+        "literal-product": ([coherent_field(1.0), custom], LITERAL, ProductLiteral),
+        "consistent-blocks": ([coherent_field(1.0), coherent_field(0.5)], CONSISTENT,
+                              ConsistentBlocks),
+    }[route]
+    built = closed_form_route(fields, convention)
+    assert type(built) is kind
+    gts = np.linspace(0.0, 8.0, 97)
+    whole = built.raw_densities(gts)
+    single = np.stack([built.raw_densities([g])[0] for g in gts])
+    monkeypatch.setattr(closed_form, "CHUNK_ELEMENTS", 4 * built.vector_size * 5)
+    chunked = built.raw_densities(gts)
+    assert _same_bits(whole, single)
+    assert _same_bits(chunked, single)
 
 
 def test_symmetric_evaluator_is_exact_across_tiles(monkeypatch):
     from tcmsim import symmetric
-    from tcmsim.reduced_density import TwoAtomDensity, partial_trace
 
     m = 4
     # a window reaching n = 0, small enough for 301 single-gt calls
@@ -289,13 +317,14 @@ def test_symmetric_evaluator_is_exact_across_tiles(monkeypatch):
     # every block but the all-zero multiset's spans several tiles
     assert blocks[0] == 1 and np.all(blocks[1:] > symmetric.CHUNK_ELEMENTS)
     tiled = ev.raw_densities(gts)
-    assert np.array_equal(tiled, np.stack([ev.raw_densities([g])[0] for g in gts]))
+    assert _same_bits(tiled, np.stack([ev.raw_densities([g])[0] for g in gts]))
     scale = np.max(np.abs(untiled), axis=(1, 2))[:, None, None]
     assert np.max(np.abs(tiled - untiled) / scale) <= 1e-14
+    product = ProductLiteral([field] * m)
     for gt in (0.6, 2.1):
         rho_sym = TwoAtomDensity.from_unnormalized(ev.raw_densities([gt])[0])
-        amp = assemble(EvolutionParams(gt=gt, mode_count=m), [field] * m, LITERAL)
-        assert np.max(np.abs(rho_sym.matrix - partial_trace(amp).matrix)) <= 1e-13
+        rho_dir = TwoAtomDensity.from_unnormalized(product.raw_densities([gt])[0])
+        assert np.max(np.abs(rho_sym.matrix - rho_dir.matrix)) <= 1e-13
 
 
 def test_symmetric_evaluator_memory_is_one_tile():
@@ -375,41 +404,17 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, monkeypatch):
 def test_assemble_validation():
     fields = [coherent_field(1.0)]
     with pytest.raises(ConfigurationError):
-        assemble(EvolutionParams(gt=1.0, mode_count=2), fields, CONSISTENT)
+        compute_observables(fields, [1.0], "bogus")
     with pytest.raises(ConfigurationError):
-        assemble(EvolutionParams(gt=1.0, mode_count=1), fields, "bogus")
-    with pytest.raises(ConfigurationError):
-        EvolutionParams(gt=-1.0, mode_count=1)
-    with pytest.raises(ConfigurationError):
-        EvolutionParams(gt=1.0, mode_count=0)
-
-
-def test_amplitude_set_accessors():
-    fields = [coherent_field(1.0)]
-    amp = assemble(EvolutionParams(gt=0.7, mode_count=1), fields, CONSISTENT)
-    assert amp.amplitude("aa", (999,)) == 0.0
-    with pytest.raises(KeyError):
-        amp.amplitude("xx", (0,))
-    with pytest.raises(ConfigurationError):
-        amp.amplitude("aa", (0, 0))
-    entries = dict(amp.entries())
-    assert all(v != 0 for v in entries.values())
-    norm_from_entries = sum(abs(v) ** 2 for v in entries.values())
-    assert norm_from_entries == pytest.approx(amp.total_norm(), abs=1e-12)
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        compute_observables(fields, [-1.0], CONSISTENT)
 
 
 @pytest.mark.parametrize("fields", [[coherent_field(2.0)] * 2,
                                     [coherent_field(1.5), coherent_field(4.0)],
                                     [coherent_field(1.0)] * 3])
 def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
-    from tcmsim.basis import BRANCHES
     from tcmsim.closed_form import extended_window
-    from tcmsim.reduced_density import TwoAtomDensity, partial_trace, raw_density
+    from tcmsim.reduced_density import raw_density
 
     blocks = ConsistentBlocks(fields)
     m = len(fields)
@@ -418,8 +423,8 @@ def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
     flat = np.ravel_multi_index(
         tuple((blocks.configs - [w.n_min for w in windows]).T), shape)
     for gt in (0.0, 0.45, 2.7):
-        # the anchored arrays as AmplitudeSet.add built them: np.add.at on
-        # zeros, in cascade order (aa; ab and ba per mode; bb per pair)
+        # the anchored arrays as np.add.at on zeros builds them, in cascade
+        # order (aa; ab and ba per mode; bb per pair)
         amps = blocks.amplitudes_at(gt) * blocks.weights[:, None]
         ref = np.zeros((4, int(np.prod(shape))), dtype=complex)
         np.add.at(ref[0], flat, amps[:, 0])
@@ -429,31 +434,27 @@ def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
             np.add.at(ref[2], flat, half)
         for pi in range(len(blocks.pairs)):
             np.add.at(ref[3], flat, amps[:, 1 + m + pi])
-        vectors = blocks.anchored_vectors(gt)
+        vectors = blocks.anchored_vectors([gt])[0]
         assert _same_bits(vectors, ref)
 
-        params = EvolutionParams(gt=gt, mode_count=m)
-        amp_set = assemble(params, fields, CONSISTENT, blocks=blocks)
-        for b, branch in enumerate(BRANCHES):
-            assert _same_bits(amp_set.anchored_array(branch), ref[b])
-        rho = TwoAtomDensity.from_unnormalized(raw_density(vectors))
-        rho_set = partial_trace(amp_set)
-        assert _same_bits(rho.matrix, rho_set.matrix)
-        assert rho.norm_deficit == rho_set.norm_deficit
+        rho = TwoAtomDensity.from_unnormalized(blocks.raw_densities([gt])[0])
+        rho_ref = TwoAtomDensity.from_unnormalized(raw_density(ref))
+        assert _same_bits(rho.matrix, rho_ref.matrix)
+        assert rho.norm_deficit == rho_ref.norm_deficit
 
 
 def test_consistent_observables_match_assembled_densities():
-    from tcmsim.pipeline import compute_observables, observables_from_density
-    from tcmsim.reduced_density import partial_trace
+    from tcmsim import concurrence, eof
 
     fields = [coherent_field(1.5), coherent_field(3.0)]
     gts = np.linspace(0.0, 5.0, 41)
     obs = compute_observables(fields, gts, CONSISTENT)
+    blocks = ConsistentBlocks(fields)
     for i, gt in enumerate(gts):
-        rho = partial_trace(assemble(EvolutionParams(gt=float(gt), mode_count=2),
-                                     fields, CONSISTENT))
-        w, c, e = observables_from_density(rho)
-        assert (obs["w"][i], obs["concurrence"][i], obs["eof"][i]) == (w, c, e)
+        rho = TwoAtomDensity.from_unnormalized(blocks.raw_densities([gt])[0])
+        w = float(rho.matrix[0, 0].real - rho.matrix[3, 3].real)
+        c = concurrence(rho).value
+        assert (obs["w"][i], obs["concurrence"][i], obs["eof"][i]) == (w, c, eof(c))
         assert obs["norm_deficit"][i] == rho.norm_deficit
 
 

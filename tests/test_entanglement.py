@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcmsim import (NumericalFailureError, binary_entropy, concurrence,
-                    entanglement_point, eof, spin_flip)
+from tcmsim import (NumericalFailureError, binary_entropy, concurrence, eof,
+                    spin_flip)
+from tcmsim.pipeline import observables
 
 
 def dm(vec):
@@ -110,8 +111,14 @@ def test_pure_family_c_equals_2ab(alpha):
 
 
 def test_entanglement_point():
-    p = entanglement_point(1.5, BELL)
-    assert p.gt == 1.5
-    assert p.concurrence == pytest.approx(1.0, abs=1e-12)
-    assert p.eof == pytest.approx(1.0, abs=1e-12)
-    assert (p.eof == 0.0) == (p.concurrence == 0.0)
+    obs = observables(np.stack([BELL, dm([1, 0, 0, 0])]))
+    assert obs["concurrence"][0] == pytest.approx(1.0, abs=1e-12)
+    assert obs["eof"][0] == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(obs["eof"] == 0.0, obs["concurrence"] == 0.0)
+
+
+def test_eof_of_an_array_is_eof_of_each_value():
+    cs = np.concatenate([np.linspace(0.0, 1.0, 2001), [0.96, 0.25, 1e-9]])
+    values = eof(cs)
+    assert values.tobytes() == np.array([eof(float(c)) for c in cs]).tobytes()
+    assert isinstance(eof(0.5), float)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcmsim import (ConfigurationError, TruncationWindow, coherent_amplitudes,
-                    coherent_field, custom_field, default_window,
-                    enumerate_configs, fock_field, joint_weight,
+                    coherent_field, custom_field, default_window, fock_field,
                     load_custom_field)
 from tcmsim.fock_field import config_array, log_factorial, same_fields
 
@@ -85,6 +85,17 @@ def test_default_window_rejects_non_finite_input(kwargs):
         default_window(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    # bounds beyond int64 (an object-dtype arange), a window wider than the
+    # budget, and photon numbers doubles cannot all hold
+    {"mean": 1e300}, {"mean": 1.0, "sigma_width": 1e7},
+    {"mean": 1e17, "sigma_width": 1e-9},
+])
+def test_default_window_rejects_windows_beyond_the_budget(kwargs):
+    with pytest.raises(ConfigurationError, match="budget"):
+        default_window(**kwargs)
+
+
 def test_non_finite_amplitudes_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="finite"):
         coherent_amplitudes(math.nan, TruncationWindow(0, 3))
@@ -112,7 +123,7 @@ def test_fock_field():
     f = fock_field(3)
     assert f.window == TruncationWindow(3, 3)
     assert f.amplitude(3) == 1.0
-    assert f.amplitude_or_zero(2) == 0.0
+    assert f.amplitudes_at(np.array([2]))[0] == 0.0
     with pytest.raises(IndexError):
         f.amplitude(4)
     with pytest.raises(ConfigurationError):
@@ -145,6 +156,11 @@ def test_load_custom_field(tmp_path):
         load_custom_field(empty)
 
 
+def enumerate_configs(windows):
+    """config_array as a list of tuples, in lexicographic order."""
+    return [tuple(int(n) for n in row) for row in config_array(windows)]
+
+
 def test_enumerate_configs_examples():
     cfgs = enumerate_configs([TruncationWindow(0, 2), TruncationWindow(0, 1)])
     assert len(cfgs) == 6
@@ -159,24 +175,14 @@ def test_enumerate_configs_examples():
 def test_config_array_matches_enumeration():
     windows = [TruncationWindow(1, 3), TruncationWindow(0, 2)]
     arr = config_array(windows)
-    assert [tuple(r) for r in arr] == enumerate_configs(windows)
-
-
-def test_joint_weight_examples():
-    fields = [fock_field(2), fock_field(5)]
-    assert joint_weight((2, 5), fields) == 1.0
-    coh = [coherent_field(1.0)] * 2
-    assert joint_weight((0, 1), coh) == pytest.approx(0.36787944117144233, abs=1e-12)
-    with pytest.raises(IndexError):
-        joint_weight((0, 99), coh)
-    with pytest.raises(ConfigurationError):
-        joint_weight((0,), coh)
+    assert [tuple(r) for r in arr] == list(itertools.product(range(1, 4), range(0, 3)))
 
 
 def test_total_weight_over_configs():
+    from tcmsim.closed_form import ConsistentBlocks
+
     fields = [coherent_field(2.0)] * 2
-    total = sum(abs(joint_weight(c, fields)) ** 2
-                for c in enumerate_configs([f.window for f in fields]))
+    total = np.sum(np.abs(ConsistentBlocks(fields).weights) ** 2)
     assert (1 - 1e-12) ** 2 <= total <= 1.0 + 1e-12
 
 

@@ -3,12 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from tcmsim import (CONSISTENT, ConfigurationError, EvolutionParams,
-                    ExactEvolver, NumericalFailureError, TruncationWindow,
-                    TwoAtomDensity, assemble, build_hamiltonian,
-                    build_sector_basis, coherent_field, concurrence, evolve,
-                    expansion_diagnostic, fock_field, partial_trace,
+from tcmsim import (BRANCHES, ConfigurationError, ExactEvolver,
+                    NumericalFailureError, TruncationWindow, TwoAtomDensity,
+                    build_hamiltonian, build_sector_basis, coherent_field,
+                    concurrence, eof, evolve, expansion_diagnostic, fock_field,
                     rho_atom_exact)
+from tcmsim.closed_form import SingleModeConsistent
+from tcmsim.reduced_density import FirstFailure, raw_density
+
+
+def amplitude(state, branch, config):
+    """The evolved amplitude on (branch, final configuration) of one mode."""
+    window = state.evolver.windows[0]
+    return state.branch_vectors()[branch][config[0] - window.n_min]
+
+
+def density_from_branch_vectors(vectors):
+    """The standard partial trace: branch amplitudes paired by final
+    configuration."""
+    return TwoAtomDensity.from_unnormalized(
+        raw_density(np.stack([vectors[b] for b in BRANCHES])))
 
 
 def test_sector_basis_m1_n2():
@@ -55,17 +69,16 @@ def test_hamiltonian_eigenvalues_m1_n1():
 
 def test_evolve_gt0_is_initial_state():
     state = evolve([fock_field(1)], 0.0)
-    amp = state.as_amplitude_set()
-    assert amp.amplitude("aa", (1,)) == pytest.approx(1.0, abs=1e-14)
+    assert amplitude(state, "aa", (1,)) == pytest.approx(1.0, abs=1e-14)
     assert state.total_norm() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_evolve_vacuum_coefficients():
     state = evolve([fock_field(0)], math.pi / math.sqrt(6))
-    amp = state.as_amplitude_set()
-    assert amp.amplitude("aa", (0,)) == pytest.approx(1 / 3, abs=1e-12)
-    assert amp.amplitude("ab", (1,)) == pytest.approx(0.0, abs=1e-12)
-    assert amp.amplitude("bb", (2,)) == pytest.approx(-2 * math.sqrt(2) / 3, abs=1e-12)
+    assert amplitude(state, "aa", (0,)) == pytest.approx(1 / 3, abs=1e-12)
+    assert amplitude(state, "ab", (1,)) == pytest.approx(0.0, abs=1e-12)
+    assert amplitude(state, "bb", (2,)) == pytest.approx(-2 * math.sqrt(2) / 3,
+                                                         abs=1e-12)
 
 
 def test_norm_preserved_over_grid():
@@ -110,14 +123,18 @@ def test_rho_exact_vacuum_concurrence():
 
 
 def test_oracle_matches_consistent_closed_form_entrywise():
+    # the closed form keys each branch by the initial photon number 2; its
+    # final configuration adds the photons the branch emitted
     fields = [fock_field(2)]
+    emitted = {"aa": 0, "ab": 1, "ba": 1, "bb": 2}
     for gt in (0.6, 1.9):
-        oracle_amp = evolve(fields, gt).as_amplitude_set()
-        closed_amp = assemble(EvolutionParams(gt=gt, mode_count=1), fields, CONSISTENT)
+        state = evolve(fields, gt)
+        closed = SingleModeConsistent(fields[0]).branch_amplitudes(np.array([gt]))[0][:, 0]
         for cfg in [(2,), (3,), (4,)]:
-            for branch in ("aa", "ab", "ba", "bb"):
-                assert oracle_amp.amplitude(branch, cfg) == pytest.approx(
-                    closed_amp.amplitude(branch, cfg), abs=1e-10)
+            for b, branch in enumerate(BRANCHES):
+                closed_amp = closed[b] if cfg[0] == 2 + emitted[branch] else 0.0
+                assert amplitude(state, branch, cfg) == pytest.approx(closed_amp,
+                                                                      abs=1e-10)
 
 
 def test_oracle_matches_consistent_density_coherent():
@@ -125,8 +142,8 @@ def test_oracle_matches_consistent_density_coherent():
     evolver = ExactEvolver(fields)
     for gt in (0.5, 3.7, 9.2):
         rho_o = rho_atom_exact(evolver.state_at(gt))
-        rho_c = partial_trace(assemble(EvolutionParams(gt=gt, mode_count=1),
-                                       fields, CONSISTENT))
+        rho_c = TwoAtomDensity.from_unnormalized(
+            SingleModeConsistent(fields[0]).raw_densities([gt])[0])
         assert np.max(np.abs(rho_o.matrix - rho_c.matrix)) <= 1e-8
 
 
@@ -166,8 +183,6 @@ def _same_bits(a, b):
 def _reference_density(state):
     """rho_atom_exact as a per-branch roll: for one mode, each branch's
     final-configuration vector is shifted back by the photons it emitted."""
-    from tcmsim.reduced_density import density_from_branch_vectors
-
     vectors = state.branch_vectors()
     if len(state.evolver.windows) == 1:
         for branch, shift in (("ab", 1), ("ba", 1), ("bb", 2)):
@@ -181,7 +196,7 @@ def _reference_density(state):
                                     [coherent_field(2.0), coherent_field(1.0)]])
 def test_oracle_series_equals_per_gt_views(fields, monkeypatch):
     from tcmsim import oracle
-    from tcmsim.pipeline import observables_from_density, oracle_series
+    from tcmsim.pipeline import oracle_series
 
     monkeypatch.setattr(oracle, "CHUNK_GTS", 7)
     evolver = ExactEvolver(fields)
@@ -189,17 +204,21 @@ def test_oracle_series_equals_per_gt_views(fields, monkeypatch):
     assert gts.size > 5 * oracle.CHUNK_GTS
     series = oracle_series(fields, gts, evolver=evolver)
     norm0 = evolver.state_at(0.0).norm
-    batched = list(evolver.densities(gts))
-    assert len(batched) == gts.size
+    raws, norms = evolver.densities(gts)
+    assert len(raws) == len(norms) == gts.size
+    single = [evolver.densities([g]) for g in gts]
+    assert _same_bits(raws, np.concatenate([r for r, _ in single]))
+    assert _same_bits(norms, np.concatenate([n for _, n in single]))
     for i, gt in enumerate(gts):
         state = evolver.state_at(float(gt))
         rho = rho_atom_exact(state)
         assert _same_bits(rho.matrix, _reference_density(state).matrix)
-        raw, norm = batched[i]
+        raw, norm = raws[i], norms[i]
         assert _same_bits(TwoAtomDensity.from_unnormalized(raw).matrix, rho.matrix)
         assert norm == state.norm
-        w, c, e = observables_from_density(rho)
-        assert (series.w[i], series.concurrence[i], series.eof[i]) == (w, c, e)
+        w = float(rho.matrix[0, 0].real - rho.matrix[3, 3].real)
+        c = concurrence(rho).value
+        assert (series.w[i], series.concurrence[i], series.eof[i]) == (w, c, eof(c))
         assert _same_bits(series.extras["norm_drift"][i], abs(state.norm - norm0))
 
 
@@ -223,15 +242,15 @@ def test_batched_oracle_raises_on_norm_drift():
         evolver.state_at(0.5)
     with pytest.raises(NumericalFailureError, match="norm drift"):
         oracle_series(fields, np.linspace(0.0, 2.0, 5), evolver=evolver)
+    first = FirstFailure(1)
+    evolver.check_drift(evolver.densities([0.5])[1], first)
     with pytest.raises(NumericalFailureError, match="norm drift"):
-        next(evolver.densities([0.5]))
+        first.raise_if_failed()
 
 
 def test_branch_vectors_pair_like_the_multimode_density():
     # for m >= 2 rho_atom_exact pairs amplitudes by final configuration,
     # which is the standard partial trace over branch_vectors
-    from tcmsim.reduced_density import density_from_branch_vectors
-
     evolver = ExactEvolver([coherent_field(2.0), coherent_field(1.0)])
     for gt in (0.0, 1.7):
         state = evolver.state_at(gt)

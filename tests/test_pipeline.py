@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, TwoAtomDensity,
-                    coherent_field, concurrence, eof, fock_field,
-                    multimode_literal)
-from tcmsim.fock_field import enumerate_configs
+                    coherent_field, concurrence, eof, fock_field, mode_sweep)
+from tcmsim.closed_form import ProductLiteral
 from tcmsim.pipeline import (closed_form_series, compute_observables,
                              oracle_series, uniform_grid)
 
@@ -18,6 +17,19 @@ def test_uniform_grid():
         uniform_grid(-1.0, 10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+def test_every_route_rejects_a_bad_gt(bad):
+    field = coherent_field(2.0)
+    with pytest.raises(ConfigurationError):
+        uniform_grid(bad, 5)
+    for call in (lambda: closed_form_series([field], [0.0, bad], LITERAL),
+                 lambda: closed_form_series([field] * 2, [bad], CONSISTENT),
+                 lambda: oracle_series([field], [bad]),
+                 lambda: mode_sweep([1.0, bad], 2.0, [1], LITERAL)):
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            call()
+
+
 def test_literal_nonidentical_fields_matches_manual_sum():
     # mixed per-mode fields skip the symmetric path; check against a direct
     # per-configuration accumulation of the published bilinear structure
@@ -26,13 +38,10 @@ def test_literal_nonidentical_fields_matches_manual_sum():
     gt = 1.4
     obs = compute_observables(fields, np.array([gt]), LITERAL)
 
-    ranges = [range(max(0, f.window.n_min - 2), f.window.n_max + 1)
-              for f in fields]
+    amps = ProductLiteral(fields).branch_amplitudes(np.array([gt]))[0]
     raw = np.zeros((4, 4), dtype=complex)
-    for n1 in ranges[0]:
-        for n2 in ranges[1]:
-            vec = multimode_literal((n1, n2), gt, fields).as_vector()
-            raw += np.outer(vec, vec.conj())
+    for vec in amps.T:
+        raw += np.outer(vec, vec.conj())
     rho = TwoAtomDensity.from_unnormalized(raw)
     c = concurrence(rho).value
     assert obs["w"][0] == pytest.approx(
