@@ -17,26 +17,24 @@ from .fock_field import (FieldDistribution, TruncationWindow,
                          coherent_amplitudes, coherent_field, custom_field,
                          default_window, fock_field, load_custom_field)
 from .inversion import single_atom_jcm_series
-from .oracle import (ExactEvolver, ExpansionReport, HamiltonianBlock,
-                     OracleState, SectorBasis, build_hamiltonian,
-                     build_sector_basis, evolve, expansion_diagnostic,
-                     rho_atom_exact)
+from .oracle import (ExactEvolver, ExpansionReport, SectorBasis,
+                     build_hamiltonian, build_sector_basis,
+                     expansion_diagnostic)
 from .pipeline import closed_form_series, compute_observables, oracle_series
 from .reduced_density import TwoAtomDensity
 from .series import TimeSeries
 
 __all__ = [
     "BRANCHES", "CONSISTENT", "ConfigurationError", "ExactEvolver",
-    "ExpansionReport", "FieldDistribution", "HamiltonianBlock", "LITERAL",
-    "NumericalFailureError", "OracleState", "RevivalReport", "SectorBasis",
-    "TcmError", "TimeSeries", "TruncationWindow", "TwoAtomDensity",
-    "binary_entropy", "build_hamiltonian", "build_sector_basis",
-    "closed_form_series", "coherent_amplitudes", "coherent_field",
-    "collapse_windows", "compute_observables", "concurrence", "custom_field",
-    "default_window", "detect_revival_peaks", "deviation_report", "eof",
-    "evolve", "expansion_diagnostic", "fock_field", "load_custom_field",
-    "mode_sweep", "oracle_series", "oscillation_rate", "rho_atom_exact",
-    "single_atom_jcm_series", "spin_flip",
+    "ExpansionReport", "FieldDistribution", "LITERAL",
+    "NumericalFailureError", "RevivalReport", "SectorBasis", "TcmError",
+    "TimeSeries", "TruncationWindow", "TwoAtomDensity", "binary_entropy",
+    "build_hamiltonian", "build_sector_basis", "closed_form_series",
+    "coherent_amplitudes", "coherent_field", "collapse_windows",
+    "compute_observables", "concurrence", "custom_field", "default_window",
+    "detect_revival_peaks", "deviation_report", "eof", "expansion_diagnostic",
+    "fock_field", "load_custom_field", "mode_sweep", "oracle_series",
+    "oscillation_rate", "single_atom_jcm_series", "spin_flip",
 ]
 
 __version__ = "0.1.0"

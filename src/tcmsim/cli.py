@@ -115,10 +115,14 @@ def _int_list(text: str, what: str) -> list[int]:
 
 
 def _build_fields(cfg: dict) -> list:
-    kind = cfg["field"]
     m = cfg["modes"]
     if m < 1:
         raise ConfigurationError(f"modes must be >= 1, got {m}")
+    return [_build_field(cfg)] * m
+
+
+def _build_field(cfg: dict):
+    kind = cfg["field"]
     if kind == "coherent":
         f = coherent_field(cfg["mean"], sigma_width=cfg["sigma_width"],
                            coverage_epsilon=cfg["coverage_epsilon"])
@@ -130,7 +134,7 @@ def _build_fields(cfg: dict) -> list:
         f = load_custom_field(cfg["custom_file"])
     else:
         raise ConfigurationError(f"unknown field kind {kind!r}")
-    return [f] * m
+    return f
 
 
 def _check_convention(cfg: dict) -> str:
@@ -214,7 +218,7 @@ def _cmd_run(args) -> int:
 
 
 _INVERSION_DEFAULTS = {
-    "modes": 1, "field": "coherent", "mean": 25.0, "n0": 0,
+    "field": "coherent", "mean": 25.0, "n0": 0,
     "custom_file": None, "gt_max": 50.0, "gt_steps": 2500,
     "sigma_width": 6.0, "coverage_epsilon": 1e-12, "out": "inversion.csv",
 }
@@ -224,9 +228,7 @@ def _cmd_inversion(args) -> int:
     """The one-atom inversion; the two-atom W is run's W column."""
     cfg = _merge(_INVERSION_DEFAULTS, args)
     gts = pipeline.uniform_grid(cfg["gt_max"], cfg["gt_steps"])
-    if cfg["modes"] != 1:
-        raise ConfigurationError("the one-atom comparator is single-mode only")
-    field = _build_fields(cfg)[0]
+    field = _build_field(cfg)
     _write_csv(cfg["out"], ["gt", "W"], [gts, single_atom_jcm_series(field, gts)])
     return 0
 
@@ -246,7 +248,6 @@ def _cmd_sweep_modes(args) -> int:
     rows = analysis.mode_sweep(gt_values, cfg["mean"], m_range, convention,
                                sigma_width=cfg["sigma_width"],
                                coverage_epsilon=cfg["coverage_epsilon"])
-    rows.sort(key=lambda r: (r.mode_count, r.gt))
     _write_csv(cfg["out"], ["m", "gt", "concurrence", "eof"],
                [np.array([r.mode_count for r in rows], dtype=float),
                 np.array([r.gt for r in rows]),
@@ -362,14 +363,12 @@ def _cmd_analyze(args) -> int:
                      else np.zeros(gt.size)),
         eof=col("eof") if col("eof") is not None else np.zeros(gt.size))
 
-    channel = cfg["channel"]
-    if channel == "W_envelope":
-        channel = "W"
     sections = []
     if cfg["max_j"] > 0:
         if cfg["mean"] <= 0:
             raise ConfigurationError("peak detection requires --mean > 0")
-        rep = analysis.detect_revival_peaks(series, channel, cfg["max_j"], cfg["mean"])
+        rep = analysis.detect_revival_peaks(series, cfg["channel"], cfg["max_j"],
+                                             cfg["mean"])
         sections.append(rep.render())
     if cfg["threshold"] > 0:
         intervals = analysis.collapse_windows(series, cfg["threshold"])
@@ -388,7 +387,6 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common_field_flags(sub):
-    sub.add_argument("--modes", type=int, default=argparse.SUPPRESS)
     sub.add_argument("--field", choices=["coherent", "fock", "custom"],
                      default=argparse.SUPPRESS)
     sub.add_argument("--mean", type=_finite_float, default=argparse.SUPPRESS)
@@ -421,6 +419,7 @@ def build_parser() -> _Parser:
         return sub
 
     sub = new_sub("run", _cmd_run, "two-atom observable time series CSV")
+    sub.add_argument("--modes", type=int, default=argparse.SUPPRESS)
     _add_common_field_flags(sub)
     _add_grid_flags(sub)
     sub.add_argument("--convention", choices=[LITERAL, CONSISTENT],
@@ -445,6 +444,7 @@ def build_parser() -> _Parser:
 
     sub = new_sub("compare-oracle", _cmd_compare_oracle,
                   "closed form vs exact evolution CSV and summary")
+    sub.add_argument("--modes", type=int, default=argparse.SUPPRESS)
     _add_common_field_flags(sub)
     _add_grid_flags(sub)
     sub.add_argument("--convention", choices=[LITERAL, CONSISTENT],
@@ -452,6 +452,7 @@ def build_parser() -> _Parser:
 
     sub = new_sub("diagnose", _cmd_diagnose,
                   "text report: expansions, deviations, norm deficits")
+    sub.add_argument("--modes", type=int, default=argparse.SUPPRESS)
     _add_common_field_flags(sub)
     _add_grid_flags(sub)
     sub.add_argument("--means", default=argparse.SUPPRESS)
@@ -463,7 +464,7 @@ def build_parser() -> _Parser:
     sub = new_sub("analyze", _cmd_analyze,
                   "peak/collapse detection on an existing CSV")
     sub.add_argument("--in", dest="input", default=argparse.SUPPRESS)
-    sub.add_argument("--channel", choices=["W", "W_envelope", "concurrence"],
+    sub.add_argument("--channel", choices=["W", "concurrence"],
                      default=argparse.SUPPRESS)
     sub.add_argument("--mean", type=_finite_float, default=argparse.SUPPRESS)
     sub.add_argument("--max-j", dest="max_j", type=int, default=argparse.SUPPRESS)

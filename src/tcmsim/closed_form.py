@@ -39,7 +39,7 @@ LITERAL = "literal"
 CONSISTENT = "consistent"
 CONVENTIONS = (LITERAL, CONSISTENT)
 
-# resource guards for multimode enumeration (overridable per call)
+# resource guards for multimode enumeration
 MAX_LITERAL_CONFIGS = 5_000_000
 MAX_BLOCK_ENTRIES = 10_000_000
 # anchored-vector entries held at once: gts per chunk x 4 branches x layout size
@@ -324,8 +324,7 @@ class ConsistentBlocks(AnchoredRoute):
     every requested gt.
     """
 
-    def __init__(self, fields: list[FieldDistribution],
-                 max_entries: int = MAX_BLOCK_ENTRIES):
+    def __init__(self, fields: list[FieldDistribution]):
         m = len(fields)
         if m < 2:
             raise ConfigurationError("ConsistentBlocks requires m >= 2")
@@ -334,10 +333,10 @@ class ConsistentBlocks(AnchoredRoute):
         self.dim = 1 + m + len(self.pairs)
 
         configs = config_array([f.window for f in fields])
-        if configs.shape[0] * self.dim > max_entries:
+        if configs.shape[0] * self.dim > MAX_BLOCK_ENTRIES:
             raise ConfigurationError(
                 f"consistent multimode blocks need {configs.shape[0]} x {self.dim} "
-                f"entries, above the budget of {max_entries}; reduce the mode count "
+                f"entries, above the budget of {MAX_BLOCK_ENTRIES}; reduce the mode count "
                 "or window coverage, or use the literal convention")
         self.configs = configs
         weights = np.ones(len(configs), dtype=complex)

@@ -14,14 +14,14 @@ enough to absorb the at most two photons the atoms can emit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BRANCHES, EXCITED_COUNT
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, TruncationWindow, config_array
-from .reduced_density import FirstFailure, TwoAtomDensity, raw_density
+from .reduced_density import FirstFailure, raw_density
 
 NORM_DRIFT_TOL = 1e-8
 # gts propagated at once: bounds the (CHUNK_GTS, 4, N) branch vectors
@@ -29,33 +29,33 @@ CHUNK_GTS = 32
 MAX_SECTOR_DIM = 4000
 ORACLE_WINDOW_EXTENSION = 2
 
+# (branch, target branch) index pairs of S- a_k^+, which lowers one atom
+# and adds a photon to mode k: aa -> ab, ba and ab, ba -> bb
+_LOWERING = ((0, 1), (0, 2), (1, 3), (2, 3))
 
-@dataclass(frozen=True)
+# photons emitted along each branch relative to the initial |aa> state
+_EMITTED = np.array([0, 1, 1, 2])
+
+
+@dataclass(frozen=True, eq=False)
 class SectorBasis:
-    """Ordered basis of one conserved-excitation sector: states (branch,
-    config) with sum(config) + excited_atoms(branch) == excitation, branch
-    order (aa, ab, ba, bb), configs lexicographic within a branch."""
+    """Ordered basis of one conserved-excitation sector: state i is branch
+    BRANCHES[branch_of[i]] with field configuration configs[i], and
+    sum(configs[i]) + excited atoms == excitation; branch order (aa, ab,
+    ba, bb), configs lexicographic within a branch."""
 
     excitation: int
-    states: tuple
+    branch_of: np.ndarray
+    configs: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.branch_of)
 
 
-@dataclass(frozen=True)
-class HamiltonianBlock:
-    """Interaction matrix of one sector, in units of hbar*g."""
-
-    sector: SectorBasis
-    matrix: np.ndarray
-
-
-def _configs_by_total(windows: list[TruncationWindow]) -> dict[int, np.ndarray]:
-    arr = config_array(windows)
-    totals = arr.sum(axis=1)
-    return {t: arr[totals == t] for t in sorted(set(totals.tolist()))}
+def _flat(configs: np.ndarray, lows, shape: tuple) -> np.ndarray:
+    """Row-major indices of configurations in the box shape starting at lows."""
+    return np.ravel_multi_index(tuple((configs - lows).T), shape)
 
 
 def build_sector_basis(excitation: int, mode_count: int,
@@ -64,74 +64,78 @@ def build_sector_basis(excitation: int, mode_count: int,
         raise ConfigurationError(f"excitation must be nonnegative, got {excitation}")
     if len(windows) != mode_count:
         raise ConfigurationError("one window per mode required")
-    return _sector_basis(excitation, _configs_by_total(windows))
+    configs = config_array(windows)
+    return _sector_basis(excitation, configs, configs.sum(axis=1))
 
 
-def _sector_basis(excitation: int, groups: dict[int, np.ndarray]) -> SectorBasis:
-    """The sector's basis from the configurations grouped by photon total."""
-    states = []
-    for branch in BRANCHES:
-        for cfg in groups.get(excitation - EXCITED_COUNT[branch], ()):
-            states.append((branch, tuple(int(n) for n in cfg)))
-    return SectorBasis(excitation=excitation, states=tuple(states))
+def _sector_basis(excitation: int, configs: np.ndarray,
+                  totals: np.ndarray) -> SectorBasis:
+    """The sector's basis from the lexicographic configurations and their
+    photon totals."""
+    parts = [configs[totals == excitation - EXCITED_COUNT[b]] for b in BRANCHES]
+    return SectorBasis(
+        excitation=excitation,
+        branch_of=np.repeat(np.arange(len(BRANCHES)), [len(p) for p in parts]),
+        configs=np.concatenate(parts))
 
 
-# transitions that raise the photon number by one in mode k: S- a_k^+
-_LOWERING = {"aa": ("ab", "ba"), "ab": ("bb",), "ba": ("bb",)}
+def build_hamiltonian(basis: SectorBasis) -> np.ndarray:
+    """The sector's interaction matrix in units of hbar*g: elements
+    <branch', f+e_k| V |branch, f> = sqrt(f_k + 1), summed over modes and
+    both atoms, symmetrized.
 
-# photons emitted along each branch relative to the initial |aa> state
-_EMITTED = {"aa": 0, "ab": 1, "ba": 1, "bb": 2}
-
-
-def build_hamiltonian(sector: SectorBasis) -> HamiltonianBlock:
-    """Matrix elements <branch', f+e_k| V |branch, f> = sqrt(f_k + 1),
-    summed over modes and both atoms, symmetrized."""
-    index = {state: i for i, state in enumerate(sector.states)}
-    dim = sector.dim
+    Each state is keyed by its branch and the row-major index of its
+    configuration in a box one photon wider than the sector's; the keys
+    ascend in state order, so a neighbour's key is found by searchsorted."""
+    dim = basis.dim
     h = np.zeros((dim, dim))
-    for i, (branch, cfg) in enumerate(sector.states):
-        for target_branch in _LOWERING.get(branch, ()):
-            for k, n_k in enumerate(cfg):
-                cfg_up = cfg[:k] + (n_k + 1,) + cfg[k + 1:]
-                j = index.get((target_branch, cfg_up))
-                if j is not None:
-                    h[i, j] = h[j, i] = np.sqrt(n_k + 1.0)
-    return HamiltonianBlock(sector=sector, matrix=h)
+    if dim == 0:
+        return h
+    cfgs = basis.configs
+    lows = cfgs.min(axis=0)
+    shape = tuple(cfgs.max(axis=0) - lows + 2)
+    size = int(np.prod(shape))
+    keys = basis.branch_of * size + _flat(cfgs, lows, shape)
+    # the key steps of one more photon in each mode
+    strides = _flat(np.eye(len(shape), dtype=int), 0, shape)
+    for branch, target in _LOWERING:
+        i = np.flatnonzero(basis.branch_of == branch)
+        up = keys[i, None] + (target - branch) * size + strides
+        j = np.minimum(np.searchsorted(keys, up), dim - 1)
+        hit = keys[j] == up
+        rows, cols = np.broadcast_to(i[:, None], up.shape)[hit], j[hit]
+        h[rows, cols] = h[cols, rows] = np.sqrt(cfgs[i][hit] + 1.0)
+    return h
 
 
 class _Sector:
-    """One diagonalized block plus the bookkeeping to scatter its
-    coefficients back into the product-space branch vectors.
+    """One diagonalized block, its initial coefficients, and where its
+    coefficients land in the flattened (4, N) branch vectors.
 
     The initial coefficients' eigenbasis projection and a C-ordered complex
     copy of the eigenvectors are kept, so that propagating many gts repeats
     neither; the complex copy is the operand numpy's mixed real-complex
     matmul would build, which keeps every coefficient bit for bit."""
 
-    def __init__(self, block: HamiltonianBlock, shape: tuple, lows: np.ndarray,
-                 c0: np.ndarray):
-        self.basis = block.sector
-        self.eigvals, self.eigvecs = np.linalg.eigh(block.matrix)
-        self.branch_of = np.array([BRANCHES.index(b) for b, _ in self.basis.states])
-        cfgs = np.array([c for _, c in self.basis.states], dtype=int)
-        self.flat = np.ravel_multi_index(tuple((cfgs - lows).T), shape)
-        # where rho_atom_exact's (4, N) branch vectors take each coefficient;
-        # for a single mode each branch is shifted back by the photons it
-        # emitted, and states shifted below the window drop out
-        flat = self.flat
+    def __init__(self, basis: SectorBasis, shape: tuple, lows: np.ndarray,
+                 initial: np.ndarray):
+        self.basis = basis
+        self.eigvals, self.eigvecs = np.linalg.eigh(build_hamiltonian(basis))
+        size = int(np.prod(shape))
+        flat = _flat(basis.configs, lows, shape)
+        # the initial state |aa> x fields: only aa states carry weight
+        self.c0 = np.where(basis.branch_of == 0, initial[flat], 0)
+        # branch_vectors' layout: every coefficient at its final configuration
+        self.final = basis.branch_of * size + flat
+        # densities' layout: for a single mode each branch is shifted back by
+        # the photons it emitted, and states shifted below the window drop out
         if len(shape) == 1:
-            flat = flat - np.array([_EMITTED[b] for b in BRANCHES])[self.branch_of]
+            flat = flat - _EMITTED[basis.branch_of]
         self.positions = np.flatnonzero(flat >= 0)
-        self.targets = (self.branch_of[self.positions] * int(np.prod(shape))
-                        + flat[self.positions])
-        self.c0 = c0
+        self.targets = basis.branch_of[self.positions] * size + flat[self.positions]
         self._rates = -1j * self.eigvals
         self._eigvecs_c = np.ascontiguousarray(self.eigvecs, dtype=complex)
-        self._proj = self.eigvecs.T @ c0
-
-    def propagate(self, coeffs: np.ndarray, gt: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigvals * gt)
-        return self.eigvecs @ (phases * (self.eigvecs.T @ coeffs))
+        self._proj = self.eigvecs.T @ self.c0
 
     def evolve(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), dim) coefficients of the initial state: one stacked
@@ -140,83 +144,38 @@ class _Sector:
         return (self._eigvecs_c @ (phases * self._proj)[:, :, None])[:, :, 0]
 
 
-def _sector_norms(coeffs: list) -> np.ndarray:
-    """(..., sectors) squared norms of per-sector coefficient arrays of
-    shape (..., dim)."""
-    return np.stack([np.sum(np.abs(c) ** 2, axis=-1) for c in coeffs], axis=-1)
-
-
-@dataclass
-class OracleState:
-    """Per-sector coefficient vectors of the exactly evolved state; norm is
-    its total norm, computed once on construction."""
-
-    gt: float
-    evolver: "ExactEvolver"
-    coeffs: list
-    norm: float = field(init=False)
-
-    def __post_init__(self):
-        self.norm = self.total_norm()
-
-    def sector_norms(self) -> np.ndarray:
-        return _sector_norms(self.coeffs)
-
-    def total_norm(self) -> float:
-        return float(self.sector_norms().sum())
-
-    def branch_vectors(self) -> dict[str, np.ndarray]:
-        """Amplitudes per branch over the final configurations, unshifted:
-        what the standard partial trace over field states pairs."""
-        size = int(np.prod(self.evolver.shape))
-        out = {b: np.zeros(size, dtype=complex) for b in BRANCHES}
-        for sector, c in zip(self.evolver.sectors, self.coeffs):
-            for bi, branch in enumerate(BRANCHES):
-                mask = sector.branch_of == bi
-                out[branch][sector.flat[mask]] = c[mask]
-        return out
-
-
 class ExactEvolver:
     """Diagonalizes every sector holding initial weight and evolves the
-    initial state |a1, a2> x prod_k |field_k> to arbitrary times.
+    initial state |a1, a2> x prod_k |field_k> over gt grids."""
 
-    Many gts are evaluated CHUNK_GTS at a time (densities); state_at and
-    rho_atom_exact are the one-gt views of the same code."""
-
-    def __init__(self, fields: list[FieldDistribution],
-                 extension: int = ORACLE_WINDOW_EXTENSION,
-                 max_sector_dim: int = MAX_SECTOR_DIM):
+    def __init__(self, fields: list[FieldDistribution]):
         if not fields:
             raise ConfigurationError("at least one field is required")
-        self.windows = [TruncationWindow(f.window.n_min, f.window.n_max + extension)
+        self.windows = [TruncationWindow(f.window.n_min,
+                                         f.window.n_max + ORACLE_WINDOW_EXTENSION)
                         for f in fields]
         self.shape = tuple(w.size for w in self.windows)
+        self._vector_size = int(np.prod(self.shape))
         lows = np.array([w.n_min for w in self.windows])
 
-        groups = _configs_by_total(self.windows)
         init_cfgs = config_array([f.window for f in fields])
         init_weights = np.ones(len(init_cfgs), dtype=complex)
         for k, f in enumerate(fields):
             init_weights *= f.amplitudes_at(init_cfgs[:, k])
-        init_totals = init_cfgs.sum(axis=1)
+        initial = np.zeros(self._vector_size, dtype=complex)
+        initial[_flat(init_cfgs, lows, self.shape)] = init_weights
 
+        configs = config_array(self.windows)
+        totals = configs.sum(axis=1)
         self.sectors: list[_Sector] = []
-        for total in sorted(set(init_totals.tolist())):
-            excitation = total + 2
-            basis = _sector_basis(excitation, groups)
-            if basis.dim > max_sector_dim:
+        for total in sorted(set(init_cfgs.sum(axis=1).tolist())):
+            basis = _sector_basis(total + 2, configs, totals)
+            if basis.dim > MAX_SECTOR_DIM:
                 raise ConfigurationError(
-                    f"sector {excitation} has dimension {basis.dim} "
-                    f"(budget {max_sector_dim}); reduce modes, mean, or coverage")
-            c0 = np.zeros(basis.dim, dtype=complex)
-            sel = init_totals == total
-            idx = {s: i for i, s in enumerate(basis.states)}
-            for cfg, w in zip(init_cfgs[sel], init_weights[sel]):
-                c0[idx[("aa", tuple(int(n) for n in cfg))]] = w
-            self.sectors.append(_Sector(build_hamiltonian(basis), self.shape, lows, c0))
+                    f"sector {basis.excitation} has dimension {basis.dim} "
+                    f"(budget {MAX_SECTOR_DIM}); reduce modes, mean, or coverage")
+            self.sectors.append(_Sector(basis, self.shape, lows, initial))
         self._norm0 = float(sum(np.sum(np.abs(s.c0) ** 2) for s in self.sectors))
-        self._vector_size = int(np.prod(self.shape))
 
     def check_drift(self, norms: np.ndarray, first: FirstFailure) -> None:
         """Flag the gts whose total norm drifted from the initial one."""
@@ -225,59 +184,46 @@ class ExactEvolver:
             f"norm drift {drift[i]:.3e} beyond {NORM_DRIFT_TOL:g}; "
             "the truncation window is too small"))
 
-    def _contract(self, coeffs: list) -> np.ndarray:
-        """(G, 4, 4) unnormalized densities of per-sector (G, dim)
-        coefficient arrays."""
+    def _scatter(self, coeffs: list, paired: bool) -> np.ndarray:
+        """(G, 4, N) branch vectors of per-sector (G, dim) coefficient
+        arrays, in the densities' layout (paired) or by final
+        configuration."""
         g = coeffs[0].shape[0]
         vectors = np.zeros((g, 4 * self._vector_size), dtype=complex)
         for sector, c in zip(self.sectors, coeffs):
-            vectors[:, sector.targets] = c[:, sector.positions]
-        return raw_density(vectors.reshape(g, 4, self._vector_size))
-
-    def state_at(self, gt: float) -> OracleState:
-        coeffs = [s.evolve(np.array([gt], dtype=float))[0] for s in self.sectors]
-        state = OracleState(gt=gt, evolver=self, coeffs=coeffs)
-        first = FirstFailure(1)
-        self.check_drift([state.norm], first)
-        first.raise_if_failed()
-        return state
+            if paired:
+                vectors[:, sector.targets] = c[:, sector.positions]
+            else:
+                vectors[:, sector.final] = c
+        return vectors.reshape(g, 4, self._vector_size)
 
     def densities(self, gts) -> tuple[np.ndarray, np.ndarray]:
-        """(G, 4, 4) unnormalized densities and (G,) total norms,
-        propagating CHUNK_GTS gts at once; check_drift checks the norms."""
+        """(G, 4, 4) unnormalized two-atom densities and (G,) total norms,
+        propagating CHUNK_GTS gts at once; check_drift checks the norms.
+
+        For a single mode the branch amplitudes are paired by initial photon
+        number (the branch's final occupation minus the photons it emitted),
+        matching the published bilinear pairing and the consistent closed
+        form.  For m >= 2 no per-mode emission bookkeeping survives the
+        exact evolution, so amplitudes are paired by final configuration:
+        the standard partial trace over field states."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
         raws = np.empty((gts.size, 4, 4), dtype=complex)
         norms = np.empty(gts.size)
         for start in range(0, gts.size, CHUNK_GTS):
             chunk = slice(start, start + CHUNK_GTS)
             coeffs = [s.evolve(gts[chunk]) for s in self.sectors]
-            norms[chunk] = _sector_norms(coeffs).sum(axis=-1)
-            raws[chunk] = self._contract(coeffs)
+            norms[chunk] = np.stack([np.sum(np.abs(c) ** 2, axis=-1) for c in coeffs],
+                                    axis=-1).sum(axis=-1)
+            raws[chunk] = raw_density(self._scatter(coeffs, paired=True))
         return raws, norms
 
-    def evolve_from(self, state: OracleState, dgt: float) -> OracleState:
-        coeffs = [s.propagate(c, dgt) for s, c in zip(self.sectors, state.coeffs)]
-        return OracleState(gt=state.gt + dgt, evolver=self, coeffs=coeffs)
-
-
-def evolve(fields: list[FieldDistribution], gt: float) -> OracleState:
-    """One-shot exact evolution; build an ExactEvolver directly when many
-    times are needed."""
-    return ExactEvolver(fields).state_at(gt)
-
-
-def rho_atom_exact(state: OracleState) -> TwoAtomDensity:
-    """Two-atom reduced density matrix of an evolved state.
-
-    For a single mode the branch amplitudes are paired by initial photon
-    number (the branch's final occupation minus the photons it emitted),
-    matching the published bilinear pairing and the consistent closed form.
-    For m >= 2 no per-mode emission bookkeeping survives the exact
-    evolution, so amplitudes are paired by final configuration: the
-    standard partial trace over field states.
-    """
-    raw = state.evolver._contract([c[None, :] for c in state.coeffs])
-    return TwoAtomDensity.from_unnormalized(raw[0])
+    def branch_vectors(self, gts) -> np.ndarray:
+        """(G, 4, N) amplitudes per branch over the final configurations,
+        row-major over the oracle windows and unshifted: what the standard
+        partial trace over field states pairs."""
+        gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        return self._scatter([s.evolve(gts) for s in self.sectors], paired=False)
 
 
 # ---------------------------------------------------------------------------

@@ -77,16 +77,20 @@ def closed_form_series(fields: list[FieldDistribution], gts: np.ndarray,
 
 def oracle_series(fields: list[FieldDistribution], gts: np.ndarray,
                   evolver: ExactEvolver | None = None) -> TimeSeries:
-    """Exact-evolution observables on the grid, with per-point norm drift."""
+    """Exact-evolution observables on the grid, with per-point norm drift
+    from the gt = 0 norm (itself checked for drift first)."""
     gts = check_grid(gts)
     if evolver is None:
         evolver = ExactEvolver(fields)
-    norm0 = evolver.state_at(0.0).norm
+    _, norm0 = evolver.densities([0.0])
+    first = FirstFailure(1)
+    evolver.check_drift(norm0, first)
+    first.raise_if_failed()
     raws, norms = evolver.densities(gts)
     first = FirstFailure(gts.size)
     evolver.check_drift(norms, first)
     obs = observables(raws, first)
-    drift = np.abs(norms - norm0)
+    drift = np.abs(norms - norm0[0])
     return TimeSeries(gt=gts, w=obs["w"], concurrence=obs["concurrence"],
                       eof=obs["eof"], extras={"norm_drift": drift})
 

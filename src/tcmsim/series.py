@@ -39,7 +39,7 @@ class TimeSeries:
                 raise ConfigurationError(f"{name} outside [0, 1]")
 
     def channel(self, name: str) -> np.ndarray:
-        key = {"W": "w", "w": "w", "W_envelope": "w",
+        key = {"W": "w", "w": "w",
                "C": "concurrence", "concurrence": "concurrence",
                "eof": "eof", "E_F": "eof"}.get(name)
         if key is None:

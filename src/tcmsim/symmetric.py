@@ -134,8 +134,7 @@ class SymmetricLiteralEvaluator:
     """Unnormalized reduced density matrices (and their traces) of the
     literal multimode amplitude sums, for identical per-mode fields."""
 
-    def __init__(self, field: FieldDistribution, mode_count: int,
-                 max_multisets: int = MAX_MULTISETS):
+    def __init__(self, field: FieldDistribution, mode_count: int):
         if mode_count < 2:
             raise ConfigurationError("the symmetric evaluator requires m >= 2")
         self.field = field
@@ -143,9 +142,9 @@ class SymmetricLiteralEvaluator:
         self.feats, self.wfeats = _per_value_features(field)
         self.n_values = self.feats.shape[1]
         total = math.comb(self.n_values + mode_count - 1, mode_count)
-        if total > max_multisets:
+        if total > MAX_MULTISETS:
             raise ConfigurationError(
-                f"{total} occupation multisets exceed the budget {max_multisets}; "
+                f"{total} occupation multisets exceed the budget {MAX_MULTISETS}; "
                 "reduce windows, coverage, or mode count")
         level = _level_zero(self.wfeats)
         for _ in range(mode_count - 2):

@@ -16,8 +16,8 @@ import pytest
 from tcmsim import (CONSISTENT, LITERAL, ExactEvolver, TimeSeries,
                     TwoAtomDensity, coherent_field, collapse_windows,
                     concurrence, custom_field, detect_revival_peaks, eof,
-                    evolve, fock_field, oscillation_rate, rho_atom_exact,
-                    single_atom_jcm_series, spin_flip)
+                    fock_field, oscillation_rate, single_atom_jcm_series,
+                    spin_flip)
 from tcmsim.cli import main
 from tcmsim.pipeline import closed_form_route, closed_form_series, oracle_series
 
@@ -154,14 +154,16 @@ def test_criterion_6_entanglement_unit_suite():
 def test_criterion_7_oracle_invariant_suite():
     fields = [coherent_field(5.0)]
     evolver = ExactEvolver(fields)
-    norm0 = evolver.state_at(0.0).total_norm()
-    pops0 = evolver.state_at(0.0).sector_norms()
+    gts = np.linspace(0.0, 30.0, 41)
+    raws, norms = evolver.densities(gts)
+    vectors = evolver.branch_vectors(gts).reshape(gts.size, -1)
+    pops = np.stack([np.sum(np.abs(vectors[:, s.final]) ** 2, axis=-1)
+                     for s in evolver.sectors], axis=-1)
     drift = pop_dev = rho_dev = 0.0
-    for gt in np.linspace(0.0, 30.0, 41):
-        state = evolver.state_at(float(gt))
-        drift = max(drift, abs(state.total_norm() - norm0))
-        pop_dev = max(pop_dev, float(np.abs(state.sector_norms() - pops0).max()))
-        rho = rho_atom_exact(state)
+    for raw, norm, pop in zip(raws, norms, pops):
+        drift = max(drift, abs(norm - norms[0]))
+        pop_dev = max(pop_dev, float(np.abs(pop - pops[0]).max()))
+        rho = TwoAtomDensity.from_unnormalized(raw)
         rho_dev = max(rho_dev,
                       float(np.max(np.abs(rho.matrix - rho.matrix.conj().T))),
                       abs(float(np.trace(rho.matrix).real) - 1.0),
@@ -169,10 +171,12 @@ def test_criterion_7_oracle_invariant_suite():
 
     pair = ExactEvolver([fock_field(3), fock_field(1)])
     group_dev = 0.0
-    s1 = pair.state_at(1.3)
-    s12 = pair.evolve_from(s1, 0.9)
-    for a, b in zip(s12.coeffs, pair.state_at(2.2).coeffs):
-        group_dev = max(group_dev, float(np.abs(a - b).max()))
+    s1, s2 = pair.branch_vectors([1.3, 2.2]).reshape(2, -1)
+    for sector in pair.sectors:
+        # one-gt product eigvecs @ (exp(-i lambda gt) * (eigvecs^T @ c))
+        s12 = sector.eigvecs @ (np.exp(-1j * sector.eigvals * 0.9)
+                                * (sector.eigvecs.T @ s1[sector.final]))
+        group_dev = max(group_dev, float(np.abs(s12 - s2[sector.final]).max()))
 
     ok = (drift <= 1e-10 and pop_dev <= 1e-12 and rho_dev <= 1e-12
           and group_dev <= 1e-10)
@@ -186,7 +190,8 @@ def test_criterion_8_vacuum_analytic_point():
     targets = {"W": -7.0 / 9.0, "C": 4.0 * math.sqrt(2.0) / 9.0}
 
     rho_c = consistent_density([fock_field(0)], gt)
-    rho_o = rho_atom_exact(evolve([fock_field(0)], gt))
+    rho_o = TwoAtomDensity.from_unnormalized(
+        ExactEvolver([fock_field(0)]).densities([gt])[0][0])
     worst = 0.0
     for rho in (rho_c, rho_o):
         w = float(rho.matrix[0, 0].real - rho.matrix[3, 3].real)

@@ -274,9 +274,14 @@ def test_diagnose_small(tmp_path):
 
 
 def test_removed_options_are_rejected(tmp_path):
-    # --formulas, inversion --atoms and inversion --convention are gone
+    # --formulas, inversion --atoms, --convention and --modes, and analyze
+    # --channel W_envelope are gone
+    series = tmp_path / "series.csv"
+    series.write_text("gt,W,concurrence,eof\n0,1,0,0\n1,0.5,0.2,0.1\n")
     for args in (["run", "--formulas", "auto"], ["inversion", "--atoms", "2"],
-                 ["inversion", "--convention", "literal"]):
+                 ["inversion", "--convention", "literal"], ["inversion", "--modes", "1"],
+                 ["analyze", "--in", str(series), "--channel", "W_envelope",
+                  "--threshold", "0.05"]):
         assert main([*args, "--out", str(tmp_path / "x.csv")]) == 1
     cfg = tmp_path / "old.cfg"
     cfg.write_text("formulas = auto\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,40 +7,64 @@ import pytest
 from tcmsim import (BRANCHES, ConfigurationError, ExactEvolver,
                     NumericalFailureError, TruncationWindow, TwoAtomDensity,
                     build_hamiltonian, build_sector_basis, coherent_field,
-                    concurrence, eof, evolve, expansion_diagnostic, fock_field,
-                    rho_atom_exact)
+                    concurrence, eof, expansion_diagnostic, fock_field, oracle)
+from tcmsim.basis import EXCITED_COUNT
 from tcmsim.closed_form import SingleModeConsistent
 from tcmsim.reduced_density import FirstFailure, raw_density
 
 
-def amplitude(state, branch, config):
+def amplitude(evolver, gt, branch, config):
     """The evolved amplitude on (branch, final configuration) of one mode."""
-    window = state.evolver.windows[0]
-    return state.branch_vectors()[branch][config[0] - window.n_min]
+    window = evolver.windows[0]
+    return evolver.branch_vectors([gt])[0, BRANCHES.index(branch),
+                                        config[0] - window.n_min]
 
 
 def density_from_branch_vectors(vectors):
-    """The standard partial trace: branch amplitudes paired by final
+    """The standard partial trace: (4, N) branch amplitudes paired by final
     configuration."""
-    return TwoAtomDensity.from_unnormalized(
-        raw_density(np.stack([vectors[b] for b in BRANCHES])))
+    return TwoAtomDensity.from_unnormalized(raw_density(vectors))
+
+
+def exact_density(fields, gt):
+    return TwoAtomDensity.from_unnormalized(ExactEvolver(fields).densities([gt])[0][0])
+
+
+def propagate(sector, c, gt):
+    """The one-gt product eigvecs @ (exp(-i lambda gt) * (eigvecs^T @ c))."""
+    return sector.eigvecs @ (np.exp(-1j * sector.eigvals * gt) * (sector.eigvecs.T @ c))
+
+
+def states(basis):
+    """The basis as (branch, config tuple) pairs, in order."""
+    return [(BRANCHES[b], tuple(c))
+            for b, c in zip(basis.branch_of.tolist(), basis.configs.tolist())]
 
 
 def test_sector_basis_m1_n2():
     basis = build_sector_basis(2, 1, [TruncationWindow(0, 10)])
-    assert basis.states == (("aa", (0,)), ("ab", (1,)), ("ba", (1,)), ("bb", (2,)))
+    assert states(basis) == [("aa", (0,)), ("ab", (1,)), ("ba", (1,)), ("bb", (2,))]
 
 
 def test_sector_basis_m2_n1():
     basis = build_sector_basis(1, 2, [TruncationWindow(0, 1)] * 2)
-    assert set(basis.states) == {("ab", (0, 0)), ("ba", (0, 0)),
-                                 ("bb", (1, 0)), ("bb", (0, 1))}
+    assert set(states(basis)) == {("ab", (0, 0)), ("ba", (0, 0)),
+                                  ("bb", (1, 0)), ("bb", (0, 1))}
     assert basis.dim == 4
 
 
 def test_sector_basis_empty_beyond_capacity():
     basis = build_sector_basis(6, 1, [TruncationWindow(0, 3)])
     assert basis.dim == 0
+
+
+def test_sector_basis_is_the_brute_force_enumeration():
+    windows = [TruncationWindow(1, 3), TruncationWindow(2, 4), TruncationWindow(1, 2)]
+    configs = list(itertools.product(*(range(w.n_min, w.n_max + 1) for w in windows)))
+    for excitation in range(15):
+        want = [(b, cfg) for b in BRANCHES for cfg in configs
+                if sum(cfg) + EXCITED_COUNT[b] == excitation]
+        assert states(build_sector_basis(excitation, 3, windows)) == want
 
 
 @pytest.mark.parametrize("fields", [
@@ -50,75 +75,93 @@ def test_evolver_sectors_use_the_sector_basis(fields):
     ev = ExactEvolver(fields)
     assert ev.sectors
     for sector in ev.sectors:
-        assert sector.basis == build_sector_basis(
-            sector.basis.excitation, len(fields), ev.windows)
+        assert states(sector.basis) == states(build_sector_basis(
+            sector.basis.excitation, len(fields), ev.windows))
+
+
+@pytest.mark.parametrize("m, n_cut", [(1, 6), (2, 3), (3, 2)])
+def test_sector_hamiltonians_restrict_the_dense_interaction(m, n_cut):
+    # V = S+ (x) sum_k a_k + S- (x) sum_k a_k^+ on the product space cut at
+    # n_cut photons per mode, built by kron as expansion_diagnostic does
+    local = n_cut + 1
+    a_local = np.diag(np.sqrt(np.arange(1, local)), k=1)
+    a_sum = np.zeros((local ** m,) * 2)
+    for k in range(m):
+        op = np.eye(1)
+        for j in range(m):
+            op = np.kron(op, a_local if j == k else np.eye(local))
+        a_sum += op
+    s_plus, _ = oracle._atomic_ops()
+    v = np.kron(s_plus, a_sum) + np.kron(s_plus.T, a_sum.T)
+    windows = [TruncationWindow(0, n_cut)] * m
+    covered = 0
+    for excitation in range(m * n_cut + 3):
+        basis = build_sector_basis(excitation, m, windows)
+        index = (basis.branch_of * local ** m
+                 + np.ravel_multi_index(tuple(basis.configs.T), (local,) * m))
+        assert np.array_equal(build_hamiltonian(basis), v[np.ix_(index, index)])
+        covered += basis.dim
+    assert covered == v.shape[0]
 
 
 def test_hamiltonian_eigenvalues_m1_n2():
-    block = build_hamiltonian(build_sector_basis(2, 1, [TruncationWindow(0, 10)]))
-    assert np.max(np.abs(block.matrix - block.matrix.T)) == 0.0
-    eigs = np.sort(np.linalg.eigvalsh(block.matrix))
+    h = build_hamiltonian(build_sector_basis(2, 1, [TruncationWindow(0, 10)]))
+    assert np.max(np.abs(h - h.T)) == 0.0
+    eigs = np.sort(np.linalg.eigvalsh(h))
     assert np.allclose(eigs, [-math.sqrt(6), 0.0, 0.0, math.sqrt(6)], atol=1e-12)
 
 
 def test_hamiltonian_eigenvalues_m1_n1():
-    block = build_hamiltonian(build_sector_basis(1, 1, [TruncationWindow(0, 10)]))
-    eigs = np.sort(np.linalg.eigvalsh(block.matrix))
+    h = build_hamiltonian(build_sector_basis(1, 1, [TruncationWindow(0, 10)]))
+    eigs = np.sort(np.linalg.eigvalsh(h))
     assert np.allclose(eigs, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-12)
 
 
 def test_evolve_gt0_is_initial_state():
-    state = evolve([fock_field(1)], 0.0)
-    assert amplitude(state, "aa", (1,)) == pytest.approx(1.0, abs=1e-14)
-    assert state.total_norm() == pytest.approx(1.0, abs=1e-14)
+    evolver = ExactEvolver([fock_field(1)])
+    assert amplitude(evolver, 0.0, "aa", (1,)) == pytest.approx(1.0, abs=1e-14)
+    assert evolver.densities([0.0])[1][0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_evolve_vacuum_coefficients():
-    state = evolve([fock_field(0)], math.pi / math.sqrt(6))
-    assert amplitude(state, "aa", (0,)) == pytest.approx(1 / 3, abs=1e-12)
-    assert amplitude(state, "ab", (1,)) == pytest.approx(0.0, abs=1e-12)
-    assert amplitude(state, "bb", (2,)) == pytest.approx(-2 * math.sqrt(2) / 3,
-                                                         abs=1e-12)
+    evolver, gt = ExactEvolver([fock_field(0)]), math.pi / math.sqrt(6)
+    assert amplitude(evolver, gt, "aa", (0,)) == pytest.approx(1 / 3, abs=1e-12)
+    assert amplitude(evolver, gt, "ab", (1,)) == pytest.approx(0.0, abs=1e-12)
+    assert amplitude(evolver, gt, "bb", (2,)) == pytest.approx(-2 * math.sqrt(2) / 3,
+                                                               abs=1e-12)
 
 
 def test_norm_preserved_over_grid():
     evolver = ExactEvolver([coherent_field(5.0)])
-    norm0 = evolver.state_at(0.0).total_norm()
-    for gt in np.linspace(0, 30, 31):
-        assert abs(evolver.state_at(float(gt)).total_norm() - norm0) <= 1e-10
-
-
-def test_state_carries_its_norm():
-    evolver = ExactEvolver([coherent_field(2.0), coherent_field(1.0)])
-    state = evolver.state_at(1.3)
-    assert state.norm == state.total_norm()
-    later = evolver.evolve_from(state, 0.4)
-    assert later.norm == later.total_norm()
+    norm0 = evolver.densities([0.0])[1][0]
+    for norm in evolver.densities(np.linspace(0, 30, 31))[1]:
+        assert abs(norm - norm0) <= 1e-10
 
 
 def test_sector_populations_constant():
     evolver = ExactEvolver([coherent_field(3.0)])
-    ref = evolver.state_at(0.0).sector_norms()
-    for gt in (0.7, 2.9, 11.0):
-        assert np.allclose(evolver.state_at(gt).sector_norms(), ref, atol=1e-12)
+    vectors = evolver.branch_vectors([0.0, 0.7, 2.9, 11.0]).reshape(4, -1)
+    pops = np.stack([np.sum(np.abs(vectors[:, s.final]) ** 2, axis=-1)
+                     for s in evolver.sectors], axis=-1)
+    for row in pops[1:]:
+        assert np.allclose(row, pops[0], atol=1e-12)
 
 
 def test_group_property():
     evolver = ExactEvolver([fock_field(3), fock_field(1)])
-    s1 = evolver.state_at(1.1)
-    s12 = evolver.evolve_from(s1, 0.9)
-    direct = evolver.state_at(2.0)
-    for a, b in zip(s12.coeffs, direct.coeffs):
-        assert np.allclose(a, b, atol=1e-10)
+    s1, direct = evolver.branch_vectors([1.1, 2.0]).reshape(2, -1)
+    for sector in evolver.sectors:
+        s12 = propagate(sector, s1[sector.final], 0.9)
+        assert np.allclose(s12, direct[sector.final], atol=1e-10)
 
 
 def test_rho_exact_gt0():
-    rho = rho_atom_exact(evolve([coherent_field(2.0)], 0.0))
+    rho = exact_density([coherent_field(2.0)], 0.0)
     assert np.allclose(rho.matrix, np.diag([1.0, 0, 0, 0]), atol=1e-13)
 
 
 def test_rho_exact_vacuum_concurrence():
-    rho = rho_atom_exact(evolve([fock_field(0)], math.pi / math.sqrt(6)))
+    rho = exact_density([fock_field(0)], math.pi / math.sqrt(6))
     assert concurrence(rho).value == pytest.approx(4 * math.sqrt(2) / 9, abs=1e-10)
 
 
@@ -127,29 +170,30 @@ def test_oracle_matches_consistent_closed_form_entrywise():
     # final configuration adds the photons the branch emitted
     fields = [fock_field(2)]
     emitted = {"aa": 0, "ab": 1, "ba": 1, "bb": 2}
+    evolver = ExactEvolver(fields)
     for gt in (0.6, 1.9):
-        state = evolve(fields, gt)
         closed = SingleModeConsistent(fields[0]).branch_amplitudes(np.array([gt]))[0][:, 0]
         for cfg in [(2,), (3,), (4,)]:
             for b, branch in enumerate(BRANCHES):
                 closed_amp = closed[b] if cfg[0] == 2 + emitted[branch] else 0.0
-                assert amplitude(state, branch, cfg) == pytest.approx(closed_amp,
-                                                                      abs=1e-10)
+                assert amplitude(evolver, gt, branch, cfg) == pytest.approx(
+                    closed_amp, abs=1e-10)
 
 
 def test_oracle_matches_consistent_density_coherent():
     fields = [coherent_field(5.0)]
     evolver = ExactEvolver(fields)
     for gt in (0.5, 3.7, 9.2):
-        rho_o = rho_atom_exact(evolver.state_at(gt))
+        rho_o = TwoAtomDensity.from_unnormalized(evolver.densities([gt])[0][0])
         rho_c = TwoAtomDensity.from_unnormalized(
             SingleModeConsistent(fields[0]).raw_densities([gt])[0])
         assert np.max(np.abs(rho_o.matrix - rho_c.matrix)) <= 1e-8
 
 
-def test_sector_dim_budget():
+def test_sector_dim_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_SECTOR_DIM", 10)
     with pytest.raises(ConfigurationError):
-        ExactEvolver([coherent_field(20.0)] * 2, max_sector_dim=10)
+        ExactEvolver([coherent_field(20.0)] * 2)
 
 
 def test_expansion_diagnostic_contract():
@@ -180,22 +224,22 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _reference_density(state):
-    """rho_atom_exact as a per-branch roll: for one mode, each branch's
-    final-configuration vector is shifted back by the photons it emitted."""
-    vectors = state.branch_vectors()
-    if len(state.evolver.windows) == 1:
-        for branch, shift in (("ab", 1), ("ba", 1), ("bb", 2)):
-            rolled = np.zeros_like(vectors[branch])
-            rolled[:-shift] = vectors[branch][shift:]
-            vectors[branch] = rolled
+def _reference_density(evolver, gt):
+    """The densities' pairing as a per-branch roll: for one mode, each
+    branch's final-configuration vector is shifted back by the photons it
+    emitted."""
+    vectors = evolver.branch_vectors([gt])[0]
+    if len(evolver.windows) == 1:
+        for b, shift in ((1, 1), (2, 1), (3, 2)):
+            rolled = np.zeros_like(vectors[b])
+            rolled[:-shift] = vectors[b][shift:]
+            vectors[b] = rolled
     return density_from_branch_vectors(vectors)
 
 
 @pytest.mark.parametrize("fields", [[coherent_field(3.0)],
                                     [coherent_field(2.0), coherent_field(1.0)]])
 def test_oracle_series_equals_per_gt_views(fields, monkeypatch):
-    from tcmsim import oracle
     from tcmsim.pipeline import oracle_series
 
     monkeypatch.setattr(oracle, "CHUNK_GTS", 7)
@@ -203,33 +247,29 @@ def test_oracle_series_equals_per_gt_views(fields, monkeypatch):
     gts = np.linspace(0.0, 9.0, 40)
     assert gts.size > 5 * oracle.CHUNK_GTS
     series = oracle_series(fields, gts, evolver=evolver)
-    norm0 = evolver.state_at(0.0).norm
+    norm0 = evolver.densities([0.0])[1][0]
     raws, norms = evolver.densities(gts)
     assert len(raws) == len(norms) == gts.size
     single = [evolver.densities([g]) for g in gts]
     assert _same_bits(raws, np.concatenate([r for r, _ in single]))
     assert _same_bits(norms, np.concatenate([n for _, n in single]))
     for i, gt in enumerate(gts):
-        state = evolver.state_at(float(gt))
-        rho = rho_atom_exact(state)
-        assert _same_bits(rho.matrix, _reference_density(state).matrix)
-        raw, norm = raws[i], norms[i]
-        assert _same_bits(TwoAtomDensity.from_unnormalized(raw).matrix, rho.matrix)
-        assert norm == state.norm
+        rho = TwoAtomDensity.from_unnormalized(raws[i])
+        assert _same_bits(rho.matrix, _reference_density(evolver, float(gt)).matrix)
         w = float(rho.matrix[0, 0].real - rho.matrix[3, 3].real)
         c = concurrence(rho).value
         assert (series.w[i], series.concurrence[i], series.eof[i]) == (w, c, eof(c))
-        assert _same_bits(series.extras["norm_drift"][i], abs(state.norm - norm0))
+        assert _same_bits(series.extras["norm_drift"][i], abs(norms[i] - norm0))
 
 
 def test_state_coefficients_equal_direct_propagation():
     # the batched sector propagation gives the bits of the one-gt product
     # eigvecs @ (exp(-i lambda gt) * (eigvecs^T @ c0))
     evolver = ExactEvolver([coherent_field(2.0), coherent_field(1.0)])
-    for gt in (0.0, 0.8, 6.3):
-        state = evolver.state_at(gt)
-        for sector, c in zip(evolver.sectors, state.coeffs):
-            assert _same_bits(c, sector.propagate(sector.c0, gt))
+    gts = (0.0, 0.8, 6.3)
+    for gt, vectors in zip(gts, evolver.branch_vectors(gts).reshape(len(gts), -1)):
+        for sector in evolver.sectors:
+            assert _same_bits(vectors[sector.final], propagate(sector, sector.c0, gt))
 
 
 def test_batched_oracle_raises_on_norm_drift():
@@ -239,8 +279,6 @@ def test_batched_oracle_raises_on_norm_drift():
     evolver = ExactEvolver(fields)
     evolver._norm0 += 1e-6
     with pytest.raises(NumericalFailureError, match="norm drift"):
-        evolver.state_at(0.5)
-    with pytest.raises(NumericalFailureError, match="norm drift"):
         oracle_series(fields, np.linspace(0.0, 2.0, 5), evolver=evolver)
     first = FirstFailure(1)
     evolver.check_drift(evolver.densities([0.5])[1], first)
@@ -249,10 +287,10 @@ def test_batched_oracle_raises_on_norm_drift():
 
 
 def test_branch_vectors_pair_like_the_multimode_density():
-    # for m >= 2 rho_atom_exact pairs amplitudes by final configuration,
-    # which is the standard partial trace over branch_vectors
+    # for m >= 2 densities pairs amplitudes by final configuration, which
+    # is the standard partial trace over branch_vectors
     evolver = ExactEvolver([coherent_field(2.0), coherent_field(1.0)])
-    for gt in (0.0, 1.7):
-        state = evolver.state_at(gt)
-        assert _same_bits(density_from_branch_vectors(state.branch_vectors()).matrix,
-                          rho_atom_exact(state).matrix)
+    gts = (0.0, 1.7)
+    for vectors, raw in zip(evolver.branch_vectors(gts), evolver.densities(gts)[0]):
+        assert _same_bits(density_from_branch_vectors(vectors).matrix,
+                          TwoAtomDensity.from_unnormalized(raw).matrix)

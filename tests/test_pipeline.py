@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tcmsim
 from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, TwoAtomDensity,
                     coherent_field, concurrence, eof, fock_field, mode_sweep)
 from tcmsim.closed_form import ProductLiteral
@@ -68,3 +69,8 @@ def test_series_extras_norm_deficit():
                                 LITERAL)
     assert "norm_deficit" in series.extras
     assert np.all(np.isfinite(series.extras["norm_deficit"]))
+
+
+def test_every_export_resolves():
+    for name in tcmsim.__all__:
+        assert getattr(tcmsim, name, None) is not None, name
