@@ -9,7 +9,7 @@ import numpy as np
 
 from . import pipeline
 from .errors import ConfigurationError
-from .fock_field import coherent_field
+from .fock_field import DEFAULT_COVERAGE_EPSILON, DEFAULT_SIGMA_WIDTH, coherent_field
 from .series import TimeSeries
 
 ENVELOPE_WINDOW_GT = 1.0
@@ -170,8 +170,8 @@ class SweepRow:
 
 
 def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
-               convention: str, sigma_width: float | None = None,
-               coverage_epsilon: float | None = None) -> list[SweepRow]:
+               convention: str, sigma_width: float = DEFAULT_SIGMA_WIDTH,
+               coverage_epsilon: float = DEFAULT_COVERAGE_EPSILON) -> list[SweepRow]:
     """Entanglement per (mode count, gt) cell for identical coherent fields
     of the given per-mode mean.  Single-mode cells use the single-mode
     amplitudes; every gt must be finite and nonnegative."""
@@ -185,18 +185,13 @@ def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
         raise ConfigurationError("empty gt list")
     pipeline.check_grid(gt_values)
 
-    kwargs = {}
-    if sigma_width is not None:
-        kwargs["sigma_width"] = sigma_width
-    if coverage_epsilon is not None:
-        kwargs["coverage_epsilon"] = coverage_epsilon
+    field = coherent_field(mean, sigma_width, coverage_epsilon)
     gts = np.asarray(sorted(set(gt_values)), dtype=float)
+    by_gt = {float(g): i for i, g in enumerate(gts)}
 
     rows = []
     for m in sorted(m_range):
-        fields = [coherent_field(mean, **kwargs) for _ in range(m)]
-        obs = pipeline.compute_observables(fields, gts, convention)
-        by_gt = {float(g): i for i, g in enumerate(gts)}
+        obs = pipeline.compute_observables([field] * m, gts, convention)
         for gt in sorted(gt_values):
             i = by_gt[float(gt)]
             rows.append(SweepRow(mode_count=m, gt=float(gt),

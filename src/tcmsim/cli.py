@@ -3,11 +3,12 @@
 Subcommands: run, inversion, sweep-modes, compare-oracle, diagnose, analyze.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 
-Flags may also be supplied through a ``key = value`` config file given with
---config; explicit flags override file values.  All output CSVs use a
-header row, '.' decimals, ',' separators, newline line endings, and 12
-significant digits, so identical configurations produce byte-identical
-files.
+Each subcommand's parser declares every flag once, with its default, type
+and choices.  A ``key = value`` config file given with --config names flags
+by their dest (``gt_max``, ``input``) and goes through the same parser, with
+explicit flags winning.  All output CSVs use a header row, '.' decimals, ','
+separators, newline line endings, and 12 significant digits, so identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,16 +16,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 
 import numpy as np
 
 from . import analysis, pipeline
 from .closed_form import CONSISTENT, LITERAL
 from .errors import ConfigurationError, NumericalFailureError, TcmError
-from .fock_field import coherent_field, fock_field, load_custom_field
+from .fock_field import (DEFAULT_COVERAGE_EPSILON, DEFAULT_SIGMA_WIDTH, coherent_field,
+                         fock_field, load_custom_field)
 from .inversion import single_atom_jcm_series
 from .oracle import expansion_diagnostic
+
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -37,7 +39,7 @@ def _parse_bool(text: str) -> bool:
 
 def _finite_float(text: str) -> float:
     """float() that rejects nan and the infinities: the caster of every
-    float flag, config key and list entry."""
+    float flag and list entry."""
     try:
         value = float(text)
     except ValueError:
@@ -47,17 +49,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# what a failed caster raises
-_CAST_ERRORS = (ValueError, argparse.ArgumentTypeError)
+def _float_list(text: str) -> list[float]:
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
 
-_TYPES = {
-    "modes": int, "field": str, "mean": _finite_float, "n0": int,
-    "custom_file": str, "gt_max": _finite_float, "gt_steps": int,
-    "convention": str, "oracle": _parse_bool, "sigma_width": _finite_float,
-    "coverage_epsilon": _finite_float, "out": str, "sweep_gt": str,
-    "sweep_modes": str, "threshold": _finite_float, "max_j": int,
-    "p": int, "n_cut": int, "means": str, "channel": str, "input": str,
-}
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,10 +67,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str) -> list[tuple[int, str, str]]:
+    """The (lineno, key, value) entries of a ``key = value`` file."""
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
-    values = {}
+    entries = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -79,70 +80,69 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _TYPES:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            caster = _TYPES[key]
-            try:
-                values[key] = caster(value.strip())
-            except _CAST_ERRORS as exc:
-                raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-    return values
+            entries.append((lineno, key.strip(), value.strip()))
+    return entries
 
 
-def _merge(defaults: dict, args: argparse.Namespace) -> dict:
-    cfg = dict(defaults)
-    ns = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-        cfg.update({k: v for k, v in file_values.items() if k in defaults})
-    cfg.update(ns)
-    return cfg
+def _keyed_actions(sub: argparse.ArgumentParser) -> dict:
+    """A subcommand's flags by dest: the keys its config files may set."""
+    return {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
 
 
-def _float_list(text: str, what: str) -> list[float]:
-    try:
-        return [_finite_float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except _CAST_ERRORS as exc:
-        raise ConfigurationError(f"bad {what} list {text!r}: {exc}") from exc
+def _config_flags(path: str, commands: dict, command: str) -> list[str]:
+    """The config file's entries for one subcommand, as flags that its
+    parser has checked one by one.  A key of another subcommand is skipped,
+    so one file can serve several; a key no subcommand has is an error."""
+    known = {key for sub in commands.values() for key in _keyed_actions(sub)}
+    sub = commands[command]
+    own = _keyed_actions(sub)
+    flags = []
+    for lineno, key, value in _read_config_file(path):
+        if key not in known:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in own:
+            continue
+        flag = own[key].option_strings[0]
+        try:
+            if own[key].nargs == 0:    # a switch such as --oracle
+                entry = [flag] if _parse_bool(value) else []
+            else:
+                entry = [f"{flag}={value}"]
+            sub.parse_args(entry)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
+        flags += entry
+    return flags
 
 
-def _int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigurationError(f"bad {what} list {text!r}: {exc}") from exc
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv; a --config file's entries are placed ahead of the
+    subcommand's own flags, so that an explicit flag overrides them."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    at = argv.index(args.command) + 1
+    flags = _config_flags(args.config, parser.commands, args.command)
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
 
-def _build_fields(cfg: dict) -> list:
-    m = cfg["modes"]
-    if m < 1:
-        raise ConfigurationError(f"modes must be >= 1, got {m}")
-    return [_build_field(cfg)] * m
+def _mode_fields(field, modes: int) -> list:
+    if modes < 1:
+        raise ConfigurationError(f"modes must be >= 1, got {modes}")
+    return [field] * modes
 
 
-def _build_field(cfg: dict):
-    kind = cfg["field"]
-    if kind == "coherent":
-        f = coherent_field(cfg["mean"], sigma_width=cfg["sigma_width"],
-                           coverage_epsilon=cfg["coverage_epsilon"])
-    elif kind == "fock":
-        f = fock_field(cfg["n0"])
-    elif kind == "custom":
-        if not cfg.get("custom_file"):
-            raise ConfigurationError("field=custom requires custom_file")
-        f = load_custom_field(cfg["custom_file"])
-    else:
-        raise ConfigurationError(f"unknown field kind {kind!r}")
-    return f
-
-
-def _check_convention(cfg: dict) -> str:
-    convention = cfg["convention"]
-    if convention not in (LITERAL, CONSISTENT):
-        raise ConfigurationError(
-            f"convention must be literal or consistent, got {convention!r}")
-    return convention
+def _build_field(args):
+    if args.field == "coherent":
+        return coherent_field(args.mean, sigma_width=args.sigma_width,
+                              coverage_epsilon=args.coverage_epsilon)
+    if args.field == "fock":
+        return fock_field(args.n0)
+    if not args.custom_file:
+        raise ConfigurationError("field=custom requires custom_file")
+    return load_custom_field(args.custom_file)
 
 
 def _fmt(x) -> str:
@@ -180,75 +180,39 @@ def _write_text(path: str | None, text: str) -> None:
     _write_file(path, text if text.endswith("\n") else text + "\n")
 
 
-def _maybe_cost_warning(cfg: dict, oracle: bool) -> None:
-    if oracle and cfg["modes"] >= 3 and cfg.get("mean", 0.0) > 10:
-        warnings.warn("oracle evolution with >= 3 modes and mean > 10 is expensive; "
-                      "consider reducing coverage or the mode count")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-_RUN_DEFAULTS = {
-    "modes": 1, "field": "coherent", "mean": 5.0, "n0": 0, "custom_file": None,
-    "gt_max": 15.0, "gt_steps": 600, "convention": CONSISTENT,
-    "oracle": False, "sigma_width": 6.0, "coverage_epsilon": 1e-12,
-    "out": "timeseries.csv",
-}
-
-
 def _cmd_run(args) -> int:
-    cfg = _merge(_RUN_DEFAULTS, args)
-    convention = _check_convention(cfg)
-    fields = _build_fields(cfg)
-    gts = pipeline.uniform_grid(cfg["gt_max"], cfg["gt_steps"])
-    _maybe_cost_warning(cfg, cfg["oracle"])
-    series = pipeline.closed_form_series(fields, gts, convention)
+    fields = _mode_fields(_build_field(args), args.modes)
+    gts = pipeline.uniform_grid(args.gt_max, args.gt_steps)
+    series = pipeline.closed_form_series(fields, gts, args.convention)
     header = ["gt", "W", "concurrence", "eof"]
     columns = [series.gt, series.w, series.concurrence, series.eof]
-    if cfg["oracle"]:
+    if args.oracle:
         exact = pipeline.oracle_series(fields, gts)
         _, combined = analysis.deviation_report(series, exact)
         header += ["W_oracle", "concurrence_oracle", "eof_oracle", "delta_C"]
         columns += [combined.extras["W_oracle"], combined.extras["concurrence_oracle"],
                     combined.extras["eof_oracle"], combined.extras["delta_C"]]
-    _write_csv(cfg["out"], header, columns)
+    _write_csv(args.out, header, columns)
     return 0
-
-
-_INVERSION_DEFAULTS = {
-    "field": "coherent", "mean": 25.0, "n0": 0,
-    "custom_file": None, "gt_max": 50.0, "gt_steps": 2500,
-    "sigma_width": 6.0, "coverage_epsilon": 1e-12, "out": "inversion.csv",
-}
 
 
 def _cmd_inversion(args) -> int:
     """The one-atom inversion; the two-atom W is run's W column."""
-    cfg = _merge(_INVERSION_DEFAULTS, args)
-    gts = pipeline.uniform_grid(cfg["gt_max"], cfg["gt_steps"])
-    field = _build_field(cfg)
-    _write_csv(cfg["out"], ["gt", "W"], [gts, single_atom_jcm_series(field, gts)])
+    gts = pipeline.uniform_grid(args.gt_max, args.gt_steps)
+    field = _build_field(args)
+    _write_csv(args.out, ["gt", "W"], [gts, single_atom_jcm_series(field, gts)])
     return 0
 
 
-_SWEEP_DEFAULTS = {
-    "mean": 15.0, "sweep_gt": "1.5,2.25,3.0", "sweep_modes": "1,2,3,4,5,6",
-    "convention": LITERAL, "sigma_width": 6.0, "coverage_epsilon": 1e-12,
-    "out": "sweep.csv",
-}
-
-
 def _cmd_sweep_modes(args) -> int:
-    cfg = _merge(_SWEEP_DEFAULTS, args)
-    convention = _check_convention(cfg)
-    gt_values = _float_list(cfg["sweep_gt"], "sweep_gt")
-    m_range = _int_list(cfg["sweep_modes"], "sweep_modes")
-    rows = analysis.mode_sweep(gt_values, cfg["mean"], m_range, convention,
-                               sigma_width=cfg["sigma_width"],
-                               coverage_epsilon=cfg["coverage_epsilon"])
-    _write_csv(cfg["out"], ["m", "gt", "concurrence", "eof"],
+    rows = analysis.mode_sweep(args.sweep_gt, args.mean, args.sweep_modes,
+                               args.convention, sigma_width=args.sigma_width,
+                               coverage_epsilon=args.coverage_epsilon)
+    _write_csv(args.out, ["m", "gt", "concurrence", "eof"],
                [np.array([r.mode_count for r in rows], dtype=float),
                 np.array([r.gt for r in rows]),
                 np.array([r.concurrence for r in rows]),
@@ -256,34 +220,21 @@ def _cmd_sweep_modes(args) -> int:
     return 0
 
 
-_COMPARE_DEFAULTS = dict(_RUN_DEFAULTS, out="compare.csv")
-
-
 def _cmd_compare_oracle(args) -> int:
-    cfg = _merge(_COMPARE_DEFAULTS, args)
-    convention = _check_convention(cfg)
-    fields = _build_fields(cfg)
-    gts = pipeline.uniform_grid(cfg["gt_max"], cfg["gt_steps"])
-    _maybe_cost_warning(cfg, True)
-    series = pipeline.closed_form_series(fields, gts, convention)
+    fields = _mode_fields(_build_field(args), args.modes)
+    gts = pipeline.uniform_grid(args.gt_max, args.gt_steps)
+    series = pipeline.closed_form_series(fields, gts, args.convention)
     exact = pipeline.oracle_series(fields, gts)
     summary, combined = analysis.deviation_report(series, exact)
     header = ["gt", "W", "concurrence", "eof", "W_oracle", "concurrence_oracle",
               "eof_oracle", "delta_W", "delta_C", "delta_EF"]
-    _write_csv(cfg["out"], header,
+    _write_csv(args.out, header,
                [combined.gt, combined.w, combined.concurrence, combined.eof,
                 combined.extras["W_oracle"], combined.extras["concurrence_oracle"],
                 combined.extras["eof_oracle"], combined.extras["delta_W"],
                 combined.extras["delta_C"], combined.extras["delta_EF"]])
     print(summary.render())
     return 0
-
-
-_DIAGNOSE_DEFAULTS = {
-    "modes": 2, "means": "5,20", "p": 1, "n_cut": 3, "gt_max": 6.0,
-    "gt_steps": 120, "convention": LITERAL, "sigma_width": 6.0,
-    "coverage_epsilon": 1e-12, "out": "diagnostics.txt",
-}
 
 
 def _survival_convention_note(gt_max: float) -> str:
@@ -307,47 +258,37 @@ def _survival_convention_note(gt_max: float) -> str:
 
 
 def _cmd_diagnose(args) -> int:
-    cfg = _merge(_DIAGNOSE_DEFAULTS, args)
-    convention = _check_convention(cfg)
-    means = _float_list(cfg["means"], "means")
-    if not means:
+    if not args.means:
         raise ConfigurationError("diagnose needs at least one mean")
-    gts = pipeline.uniform_grid(cfg["gt_max"], cfg["gt_steps"])
+    gts = pipeline.uniform_grid(args.gt_max, args.gt_steps)
 
     sections = []
-    report = expansion_diagnostic(cfg["p"], min(cfg["modes"], 3), cfg["n_cut"])
+    report = expansion_diagnostic(args.p, min(args.modes, 3), args.n_cut)
     sections.append("=== operator-power expansion ===\n" + report.render())
 
-    for mean in means:
-        run_cfg = dict(cfg, field="coherent", mean=mean, n0=0, custom_file=None)
-        fields = _build_fields(run_cfg)
-        _maybe_cost_warning(run_cfg, True)
-        closed = pipeline.closed_form_series(fields, gts, convention)
+    for mean in args.means:
+        field = coherent_field(mean, sigma_width=args.sigma_width,
+                               coverage_epsilon=args.coverage_epsilon)
+        fields = _mode_fields(field, args.modes)
+        closed = pipeline.closed_form_series(fields, gts, args.convention)
         exact = pipeline.oracle_series(fields, gts)
         summary, _ = analysis.deviation_report(closed, exact)
         sections.append(
-            f"=== {convention} closed form vs oracle "
-            f"(modes={cfg['modes']}, mean={mean:g}) ===\n" + summary.render())
+            f"=== {args.convention} closed form vs oracle "
+            f"(modes={args.modes}, mean={mean:g}) ===\n" + summary.render())
 
     sections.append("=== index conventions ===\n"
-                    + _survival_convention_note(cfg["gt_max"]))
-    _write_text(cfg["out"], "\n\n".join(sections))
+                    + _survival_convention_note(args.gt_max))
+    _write_text(args.out, "\n\n".join(sections))
     return 0
 
 
-_ANALYZE_DEFAULTS = {
-    "input": None, "channel": "W", "mean": 0.0, "max_j": 0, "threshold": 0.0,
-    "out": None,
-}
-
-
 def _cmd_analyze(args) -> int:
-    cfg = _merge(_ANALYZE_DEFAULTS, args)
-    if not cfg["input"]:
+    if not args.input:
         raise ConfigurationError("analyze requires --in CSV")
-    if not os.path.exists(cfg["input"]):
-        raise ConfigurationError(f"input file not found: {cfg['input']}")
-    data = np.genfromtxt(cfg["input"], delimiter=",", names=True)
+    if not os.path.exists(args.input):
+        raise ConfigurationError(f"input file not found: {args.input}")
+    data = np.genfromtxt(args.input, delimiter=",", names=True)
     names = data.dtype.names or ()
     if "gt" not in names:
         raise ConfigurationError("input CSV has no 'gt' column")
@@ -364,21 +305,20 @@ def _cmd_analyze(args) -> int:
         eof=col("eof") if col("eof") is not None else np.zeros(gt.size))
 
     sections = []
-    if cfg["max_j"] > 0:
-        if cfg["mean"] <= 0:
+    if args.max_j > 0:
+        if args.mean <= 0:
             raise ConfigurationError("peak detection requires --mean > 0")
-        rep = analysis.detect_revival_peaks(series, cfg["channel"], cfg["max_j"],
-                                             cfg["mean"])
+        rep = analysis.detect_revival_peaks(series, args.channel, args.max_j, args.mean)
         sections.append(rep.render())
-    if cfg["threshold"] > 0:
-        intervals = analysis.collapse_windows(series, cfg["threshold"])
-        lines = [f"collapse windows (concurrence < {cfg['threshold']:g}): "
+    if args.threshold > 0:
+        intervals = analysis.collapse_windows(series, args.threshold)
+        lines = [f"collapse windows (concurrence < {args.threshold:g}): "
                  f"{len(intervals)} found"]
         lines += [f"  gt in [{a:.4f}, {b:.4f}]" for a, b in intervals]
         sections.append("\n".join(lines))
     if not sections:
         raise ConfigurationError("nothing to analyze: give --max-j and/or --threshold")
-    _write_text(cfg["out"], "\n\n".join(sections))
+    _write_text(args.out, "\n\n".join(sections))
     return 0
 
 
@@ -386,96 +326,99 @@ def _cmd_analyze(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common_field_flags(sub):
+def _add_window_flags(sub):
+    sub.add_argument("--sigma-width", type=_finite_float, default=DEFAULT_SIGMA_WIDTH)
+    sub.add_argument("--coverage-epsilon", type=_finite_float,
+                     default=DEFAULT_COVERAGE_EPSILON)
+
+
+def _add_field_flags(sub, mean: float):
     sub.add_argument("--field", choices=["coherent", "fock", "custom"],
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--mean", type=_finite_float, default=argparse.SUPPRESS)
-    sub.add_argument("--n0", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--custom-file", dest="custom_file", default=argparse.SUPPRESS)
-    sub.add_argument("--sigma-width", dest="sigma_width", type=_finite_float,
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--coverage-epsilon", dest="coverage_epsilon",
-                     type=_finite_float, default=argparse.SUPPRESS)
+                     default="coherent")
+    sub.add_argument("--mean", type=_finite_float, default=mean)
+    sub.add_argument("--n0", type=int, default=0)
+    sub.add_argument("--custom-file")
+    _add_window_flags(sub)
 
 
-def _add_grid_flags(sub):
-    sub.add_argument("--gt-max", dest="gt_max", type=_finite_float,
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--gt-steps", dest="gt_steps", type=int,
-                     default=argparse.SUPPRESS)
+def _add_grid_flags(sub, gt_max: float, gt_steps: int):
+    sub.add_argument("--gt-max", type=_finite_float, default=gt_max)
+    sub.add_argument("--gt-steps", type=int, default=gt_steps)
+
+
+def _add_convention_flag(sub, default: str):
+    sub.add_argument("--convention", choices=[LITERAL, CONSISTENT], default=default)
+
+
+def _add_series_flags(sub):
+    """The flags run and compare-oracle share."""
+    sub.add_argument("--modes", type=int, default=1)
+    _add_field_flags(sub, mean=5.0)
+    _add_grid_flags(sub, gt_max=15.0, gt_steps=600)
+    _add_convention_flag(sub, CONSISTENT)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tcmsim",
                      description="Two-atom multimode cavity entanglement simulator")
     subs = parser.add_subparsers(dest="command", required=True)
+    # the subcommand parsers by name: their flags are the config-file keys
+    parser.commands = subs.choices
 
-    def new_sub(name, func, help_text):
-        sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--config", default=None,
-                         help="key = value file; flags override")
-        sub.add_argument("--out", default=argparse.SUPPRESS)
+    def new_sub(name, func, help_text, out):
+        # no abbreviations: diagnose --mean would silently be --means
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        sub.add_argument("--config", help="key = value file; flags override")
+        sub.add_argument("--out", default=out)
         sub.set_defaults(func=func)
         return sub
 
-    sub = new_sub("run", _cmd_run, "two-atom observable time series CSV")
-    sub.add_argument("--modes", type=int, default=argparse.SUPPRESS)
-    _add_common_field_flags(sub)
-    _add_grid_flags(sub)
-    sub.add_argument("--convention", choices=[LITERAL, CONSISTENT],
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--oracle", action="store_true", default=argparse.SUPPRESS)
+    sub = new_sub("run", _cmd_run, "two-atom observable time series CSV",
+                  "timeseries.csv")
+    _add_series_flags(sub)
+    sub.add_argument("--oracle", action="store_true")
 
-    sub = new_sub("inversion", _cmd_inversion, "one-atom inversion W(gt) CSV")
-    _add_common_field_flags(sub)
-    _add_grid_flags(sub)
+    sub = new_sub("inversion", _cmd_inversion, "one-atom inversion W(gt) CSV",
+                  "inversion.csv")
+    _add_field_flags(sub, mean=25.0)
+    _add_grid_flags(sub, gt_max=50.0, gt_steps=2500)
 
     sub = new_sub("sweep-modes", _cmd_sweep_modes,
-                  "entanglement vs mode count table")
-    sub.add_argument("--mean", type=_finite_float, default=argparse.SUPPRESS)
-    sub.add_argument("--sweep-gt", dest="sweep_gt", default=argparse.SUPPRESS)
-    sub.add_argument("--sweep-modes", dest="sweep_modes", default=argparse.SUPPRESS)
-    sub.add_argument("--convention", choices=[LITERAL, CONSISTENT],
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--sigma-width", dest="sigma_width", type=_finite_float,
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--coverage-epsilon", dest="coverage_epsilon",
-                     type=_finite_float, default=argparse.SUPPRESS)
+                  "entanglement vs mode count table", "sweep.csv")
+    sub.add_argument("--mean", type=_finite_float, default=15.0)
+    sub.add_argument("--sweep-gt", type=_float_list, default="1.5,2.25,3.0")
+    sub.add_argument("--sweep-modes", type=_int_list, default="1,2,3,4,5,6")
+    _add_convention_flag(sub, LITERAL)
+    _add_window_flags(sub)
 
     sub = new_sub("compare-oracle", _cmd_compare_oracle,
-                  "closed form vs exact evolution CSV and summary")
-    sub.add_argument("--modes", type=int, default=argparse.SUPPRESS)
-    _add_common_field_flags(sub)
-    _add_grid_flags(sub)
-    sub.add_argument("--convention", choices=[LITERAL, CONSISTENT],
-                     default=argparse.SUPPRESS)
+                  "closed form vs exact evolution CSV and summary", "compare.csv")
+    _add_series_flags(sub)
 
     sub = new_sub("diagnose", _cmd_diagnose,
-                  "text report: expansions, deviations, norm deficits")
-    sub.add_argument("--modes", type=int, default=argparse.SUPPRESS)
-    _add_common_field_flags(sub)
-    _add_grid_flags(sub)
-    sub.add_argument("--means", default=argparse.SUPPRESS)
-    sub.add_argument("--p", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--n-cut", dest="n_cut", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--convention", choices=[LITERAL, CONSISTENT],
-                     default=argparse.SUPPRESS)
+                  "text report: expansions, deviations, norm deficits",
+                  "diagnostics.txt")
+    sub.add_argument("--modes", type=int, default=2)
+    sub.add_argument("--means", type=_float_list, default="5,20")
+    sub.add_argument("--p", type=int, default=1)
+    sub.add_argument("--n-cut", type=int, default=3)
+    _add_grid_flags(sub, gt_max=6.0, gt_steps=120)
+    _add_convention_flag(sub, LITERAL)
+    _add_window_flags(sub)
 
     sub = new_sub("analyze", _cmd_analyze,
-                  "peak/collapse detection on an existing CSV")
-    sub.add_argument("--in", dest="input", default=argparse.SUPPRESS)
-    sub.add_argument("--channel", choices=["W", "concurrence"],
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--mean", type=_finite_float, default=argparse.SUPPRESS)
-    sub.add_argument("--max-j", dest="max_j", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--threshold", type=_finite_float, default=argparse.SUPPRESS)
+                  "peak/collapse detection on an existing CSV", None)
+    sub.add_argument("--in", dest="input")
+    sub.add_argument("--channel", choices=["W", "concurrence"], default="W")
+    sub.add_argument("--mean", type=_finite_float, default=0.0)
+    sub.add_argument("--max-j", type=int, default=0)
+    sub.add_argument("--threshold", type=_finite_float, default=0.0)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -49,9 +49,6 @@ class TruncationWindow:
     def values(self) -> np.ndarray:
         return np.arange(self.n_min, self.n_max + 1)
 
-    def contains(self, n: int) -> bool:
-        return self.n_min <= n <= self.n_max
-
 
 # log(n!) for n = 0..11: the values Cephes' lgam (scipy.special.gammaln)
 # returns for x = n + 1 < 13
@@ -128,28 +125,33 @@ def default_window(mean: float,
     lo = max(0, int(np.floor(mean - spread)))
     hi = max(lo, int(np.ceil(mean + spread)))
     target = 1.0 - coverage_epsilon
+    pmf = None
     while True:
         if hi - lo + 1 > MAX_WINDOW_SIZE or hi >= 2 ** 53:
             raise ConfigurationError(
                 f"the window [{lo:.6g}, {hi:.6g}] for mean {mean:g} exceeds the budget of "
                 f"{MAX_WINDOW_SIZE} photon numbers below 2**53; reduce the mean, "
                 "sigma_width or coverage")
-        ns = np.arange(lo, hi + 1)
-        if _poisson_pmf(mean, ns).sum() >= target:
+        if pmf is None:
+            pmf = _poisson_pmf(mean, np.arange(lo, hi + 1))
+        # the pmf of the whole window, summed in the order of its photon numbers
+        if pmf.sum() >= target:
             return TruncationWindow(lo, hi)
         # widen toward the heavier tail first
-        p_lo = _poisson_pmf(mean, np.array([lo - 1]))[0] if lo > 0 else -1.0
-        p_hi = _poisson_pmf(mean, np.array([hi + 1]))[0]
+        p_lo = _poisson_pmf(mean, np.array([lo - 1])) if lo > 0 else np.array([-1.0])
+        p_hi = _poisson_pmf(mean, np.array([hi + 1]))
         # the pmf falls away from the mean: once neither side adds
         # probability, no wider window does either
-        if p_hi == 0.0 and p_lo <= 0.0:
+        if p_hi[0] == 0.0 and p_lo[0] <= 0.0:
             raise ConfigurationError(
                 f"coverage 1 - {coverage_epsilon:g} is out of reach in double "
                 f"precision for mean {mean:g}; relax coverage_epsilon")
-        if p_lo > p_hi:
+        if p_lo[0] > p_hi[0]:
             lo -= 1
+            pmf = np.concatenate((p_lo, pmf))
         else:
             hi += 1
+            pmf = np.concatenate((pmf, p_hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +186,6 @@ class FieldDistribution:
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def amplitude(self, n: int) -> complex:
-        """c_n for n inside the window; IndexError outside."""
-        if not self.window.contains(n):
-            raise IndexError(f"photon number {n} outside window "
-                             f"[{self.window.n_min}, {self.window.n_max}]")
-        return complex(self.amplitudes[n - self.window.n_min])
 
     def amplitudes_at(self, ns: np.ndarray) -> np.ndarray:
         """Vectorized c_n lookup with zero fill outside the window."""

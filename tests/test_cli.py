@@ -243,23 +243,45 @@ def test_bad_convention_flag(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 1
 
 
-def test_oracle_cost_warning():
-    import warnings as w
-
-    from tcmsim.cli import _maybe_cost_warning
-    with w.catch_warnings(record=True) as caught:
-        w.simplefilter("always")
-        _maybe_cost_warning({"modes": 3, "mean": 12.0}, oracle=True)
-        _maybe_cost_warning({"modes": 2, "mean": 50.0}, oracle=True)
-        _maybe_cost_warning({"modes": 3, "mean": 12.0}, oracle=False)
-    assert len(caught) == 1
-
-
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense_key = 1\n")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
+
+
+@pytest.mark.parametrize("args, text", [
+    (["analyze", "--in", "series.csv", "--threshold", "0.05"], "channel = bogus\n"),
+    (["run"], "convention = bogus\n"),
+    (["run"], "field = bogus\n"),
+    (["run"], "gt_steps = 5\noracle = maybe\n"),
+    (["sweep-modes"], "sweep_modes = 1,x\n"),
+])
+def test_config_values_are_checked_as_flags(tmp_path, monkeypatch, capsys, args, text):
+    # a config entry passes the subcommand's own type and choices checks
+    (tmp_path / "series.csv").write_text("gt,W,concurrence,eof\n0,1,0,0\n1,0.5,0.2,0.1\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--config", str(cfg), "--out", "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg}:") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_file_switch_and_shared_keys(tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("modes = 1\nmean = 2\ngt_max = 3\ngt_steps = 30\noracle = true\n")
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    header, data = read_csv(out)
+    assert header[4:] == ["W_oracle", "concurrence_oracle", "eof_oracle", "delta_C"]
+    assert data.shape == (30, 8)
+    # modes and oracle are run's keys: an inversion reads the same file
+    inv = tmp_path / "inv.csv"
+    assert main(["inversion", "--config", str(cfg), "--out", str(inv)]) == 0
+    header, data = read_csv(inv)
+    assert header == ["gt", "W"] and data.shape == (30, 2)
 
 
 def test_diagnose_small(tmp_path):
@@ -273,16 +295,20 @@ def test_diagnose_small(tmp_path):
     assert "index conventions" in text
 
 
-def test_removed_options_are_rejected(tmp_path):
-    # --formulas, inversion --atoms, --convention and --modes, and analyze
-    # --channel W_envelope are gone
+def test_removed_options_are_rejected(tmp_path, capsys):
+    # --formulas, inversion --atoms, --convention and --modes, analyze
+    # --channel W_envelope, and diagnose's field flags are gone
     series = tmp_path / "series.csv"
     series.write_text("gt,W,concurrence,eof\n0,1,0,0\n1,0.5,0.2,0.1\n")
     for args in (["run", "--formulas", "auto"], ["inversion", "--atoms", "2"],
                  ["inversion", "--convention", "literal"], ["inversion", "--modes", "1"],
                  ["analyze", "--in", str(series), "--channel", "W_envelope",
-                  "--threshold", "0.05"]):
+                  "--threshold", "0.05"],
+                 ["diagnose", "--field", "fock"], ["diagnose", "--mean", "9"],
+                 ["diagnose", "--n0", "3"], ["diagnose", "--custom-file", "x"]):
         assert main([*args, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
     cfg = tmp_path / "old.cfg"
     cfg.write_text("formulas = auto\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "y.csv")]) == 1

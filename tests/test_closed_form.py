@@ -52,21 +52,21 @@ def test_literal_gt0_survival_on_bb():
         aa, ab, ba, bb = single_mode_literal(n, 0.0, f)
         assert aa == 0.0
         assert ab == 0.0 and ba == 0.0
-        assert bb == pytest.approx(f.amplitude(n), abs=1e-14)
+        assert bb == pytest.approx(f.amplitudes_at(n), abs=1e-14)
 
 
 def test_literal_example_n1():
     f = coherent_field(2.0)
     gt = math.pi / math.sqrt(6)
     aa = single_mode_literal(1, gt, f)[0]
-    expected = f.amplitude(3) * (math.sqrt(6) / 5) * (math.cos(gt * math.sqrt(10)) - 1)
+    expected = f.amplitudes_at(3) * (math.sqrt(6) / 5) * (math.cos(gt * math.sqrt(10)) - 1)
     assert aa == pytest.approx(expected, abs=1e-14)
 
 
 def test_literal_example_n0_x3():
     f = coherent_field(2.0)
     _, ab, ba, _ = single_mode_literal(0, 1.0, f)
-    x3 = f.amplitude(1) * math.sqrt(0.5) * math.sin(math.sqrt(2))
+    x3 = f.amplitudes_at(1) * math.sqrt(0.5) * math.sin(math.sqrt(2))
     assert ba == pytest.approx(-1j * x3, abs=1e-14)
     assert ab == ba
 
@@ -76,7 +76,7 @@ def test_literal_n0_x2_constant():
     f = coherent_field(0.5)
     for gt in (0.0, 0.7, 3.0):
         assert single_mode_literal(0, gt, f)[3] == pytest.approx(
-            f.amplitude(0), abs=1e-14)
+            f.amplitudes_at(0), abs=1e-14)
 
 
 def test_literal_out_of_window_shifts_are_zero():
@@ -125,11 +125,11 @@ def test_multimode_zero_config_example():
     fields = [coherent_field(1.0)] * 2
     gt = 0.9
     aa, _, _, bb = multimode_literal((0, 0), gt, fields)
-    c2 = fields[0].amplitude(2)
+    c2 = fields[0].amplitudes_at(2)
     x1 = c2 * c2 * (12 * math.sqrt(2) - 16) * (math.cos((2 + math.sqrt(2)) * gt) - 1)
     assert aa == pytest.approx(x1, abs=1e-13)
     # all-zero configuration: the survival equals the joint weight
-    c0 = fields[0].amplitude(0)
+    c0 = fields[0].amplitudes_at(0)
     assert bb == pytest.approx(c0 * c0, abs=1e-13)
 
 

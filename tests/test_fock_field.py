@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from tcmsim import (ConfigurationError, TruncationWindow, coherent_amplitudes,
                     coherent_field, custom_field, default_window, fock_field,
                     load_custom_field)
-from tcmsim.fock_field import config_array, log_factorial, same_fields
+from tcmsim.fock_field import (MAX_WINDOW_SIZE, _poisson_pmf, config_array, log_factorial,
+                               same_fields)
 
 
 def test_window_validation():
@@ -55,6 +56,57 @@ def test_default_window_examples():
     w50 = default_window(50.0, coverage_epsilon=1e-12)
     f = coherent_field(50.0, window=w50)
     assert f.norm_squared() >= 1 - 1e-12
+
+
+def _one_pass_window(mean, sigma_width, coverage_epsilon):
+    """default_window as first written: the pmf of the whole window is
+    recomputed after every one-step widening."""
+    spread = sigma_width * np.sqrt(mean)
+    lo = max(0, int(np.floor(mean - spread)))
+    hi = max(lo, int(np.ceil(mean + spread)))
+    while True:
+        if hi - lo + 1 > MAX_WINDOW_SIZE or hi >= 2 ** 53:
+            raise ConfigurationError(
+                f"the window [{lo:.6g}, {hi:.6g}] for mean {mean:g} exceeds the budget of "
+                f"{MAX_WINDOW_SIZE} photon numbers below 2**53; reduce the mean, "
+                "sigma_width or coverage")
+        if _poisson_pmf(mean, np.arange(lo, hi + 1)).sum() >= 1.0 - coverage_epsilon:
+            return TruncationWindow(lo, hi)
+        p_lo = _poisson_pmf(mean, np.array([lo - 1]))[0] if lo > 0 else -1.0
+        p_hi = _poisson_pmf(mean, np.array([hi + 1]))[0]
+        if p_hi == 0.0 and p_lo <= 0.0:
+            raise ConfigurationError(
+                f"coverage 1 - {coverage_epsilon:g} is out of reach in double "
+                f"precision for mean {mean:g}; relax coverage_epsilon")
+        if p_lo > p_hi:
+            lo -= 1
+        else:
+            hi += 1
+
+
+def _outcome(window_of, *args):
+    try:
+        return window_of(*args)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+def test_default_window_matches_one_pass_reference():
+    # the incremental pmf sums the same values in the same order
+    # (sigma_width, coverage_epsilon) = (2, 1e-14) is out of reach for some
+    # means, and the reference pays a long widening for each of those
+    wide = np.linspace(0.0, 400.0, 21)
+    narrow = np.random.default_rng(3).uniform(0.0, 60.0, 30)
+    cases = [(mean, sigma_width, eps) for mean in np.concatenate((wide, narrow))
+             for sigma_width, eps in ((6.0, 1e-12), (4.0, 1e-6), (1.0, 1e-3))]
+    cases += [(mean, 2.0, 1e-14) for mean in narrow]
+    outcomes = set()
+    for mean, sigma_width, eps in cases:
+        args = (float(mean), sigma_width, eps)
+        got = _outcome(default_window, *args)
+        assert got == _outcome(_one_pass_window, *args), args
+        outcomes.add(type(got))
+    assert outcomes == {TruncationWindow, str}
 
 
 def test_log_factorial_is_scipy_gammaln_bit_for_bit():
@@ -122,10 +174,8 @@ def test_explicit_window_coverage_enforced():
 def test_fock_field():
     f = fock_field(3)
     assert f.window == TruncationWindow(3, 3)
-    assert f.amplitude(3) == 1.0
+    assert f.amplitudes_at(3) == 1.0
     assert f.amplitudes_at(np.array([2]))[0] == 0.0
-    with pytest.raises(IndexError):
-        f.amplitude(4)
     with pytest.raises(ConfigurationError):
         fock_field(-1)
 
@@ -136,15 +186,15 @@ def test_custom_field_normalizes_and_warns():
     with pytest.warns(UserWarning):
         g = custom_field([1.0, 1.0])
     assert g.norm_squared() == pytest.approx(1.0, abs=1e-15)
-    assert g.amplitude(0) == pytest.approx(1 / math.sqrt(2))
+    assert g.amplitudes_at(0) == pytest.approx(1 / math.sqrt(2))
 
 
 def test_load_custom_field(tmp_path):
     path = tmp_path / "field.txt"
     path.write_text("0.6\n0.0 0.8\n")
     f = load_custom_field(path)
-    assert f.amplitude(0) == pytest.approx(0.6)
-    assert f.amplitude(1) == pytest.approx(0.8j)
+    assert f.amplitudes_at(0) == pytest.approx(0.6)
+    assert f.amplitudes_at(1) == pytest.approx(0.8j)
 
     bad = tmp_path / "bad.txt"
     bad.write_text("1.0 2.0 3.0\n")
