@@ -201,8 +201,8 @@ def literal_stats(configs: np.ndarray, fields: list[FieldDistribution]) -> dict:
 class LiteralTerms:
     """The multimode literal amplitudes x1, x2, x3 of a set of summation
     configurations, split into a gt-independent part, built once here from
-    configuration statistics (see literal_stats), and a per-gt part, `at`,
-    which only evaluates cosines and sines:
+    configuration statistics (see literal_stats), and a per-gt part,
+    `branches`, which only evaluates cosines and sines:
 
         x1 = coef1 * (cos(gt w1) - 1)
         x2 = c0 * (ratio2 * (cos(gt w2) - 1) + 1)
@@ -212,10 +212,15 @@ class LiteralTerms:
     complex square roots; configurations containing zero photons therefore
     produce a complex frequency, exactly as the expressions read.  The
     all-zero configuration, whose cosine coefficient vanishes, is
-    short-circuited to avoid 0*cosh overflow.  Configurations whose x2
-    frequency is real take real cosines, which give the same bits as the
-    real part of the complex evaluation; only the others pay for complex
-    arithmetic.  Real weights stay real.
+    short-circuited to w2 = 1 and ratio2 = 0 to avoid 0*cosh overflow.
+
+    Configurations whose x2 frequency is real take real arithmetic
+    throughout, with the same bits as the real parts of the complex
+    evaluation: numpy divides by d + 0j as a * (1 / d), so ratio2 is
+    computed that way.  x2 is evaluated in one pass over every
+    configuration, with frequency 0 and ratio 0 where the frequency is
+    complex, and only those positions are then overwritten by the complex
+    evaluation.  Real weights stay real.
     """
 
     def __init__(self, mode_count: int, stats: dict):
@@ -232,47 +237,51 @@ class LiteralTerms:
         self.w3 = np.sqrt(d3)
         self.coef3 = stats["prod_c1"] * (s1p / self.w3)
 
-        sm = stats["Sm_re"] + 1j * stats["n_zeros"]
-        d2 = (m - 1) * (2 * sn - m) + 2 * (s0 * sm - stats["Tm0"])
+        # the real part of the x2 denominator; each zero photon number adds
+        # 2j * s0 to it
+        d2 = (m - 1) * (2 * sn - m) + 2 * (s0 * stats["Sm_re"] - stats["Tm0"])
         zero = s0 == 0.0
-        d2_eff = np.where(zero, 1.0, d2)
-        ratio2 = np.where(zero, 0.0, 2 * s0 ** 2 / d2_eff)
-        w2 = np.sqrt(d2_eff)
-        c0 = stats["prod_c0"]
-        real = w2.imag == 0.0
-        self.real2 = np.flatnonzero(real)
+        real = zero | ((stats["n_zeros"] == 0.0) & (d2 >= 0.0))
+        d2_eff = np.where(real & ~zero, d2, 1.0)
+        self.w2 = np.where(real, np.sqrt(d2_eff), 0.0)
+        self.ratio2 = np.where(real, (2 * s0 ** 2) * (1.0 / d2_eff), 0.0)
+        self.c0 = stats["prod_c0"]
+
         self.complex2 = np.flatnonzero(~real)
-        self.w2_re, self.ratio2_re = w2.real[real], ratio2.real[real]
-        self.c0_re = c0[real]
-        self.w2_c, self.ratio2_c = w2[~real], ratio2[~real]
-        self.c0_c = c0[~real]
+        c = self.complex2
+        sm = stats["Sm_re"][c] + 1j * stats["n_zeros"][c]
+        d2_c = (m - 1) * (2 * sn[c] - m) + 2 * (s0[c] * sm - stats["Tm0"][c])
+        self.w2_c, self.ratio2_c = np.sqrt(d2_c), 2 * s0[c] ** 2 / d2_c
+        self.c0_c = self.c0[c]
+        self._tiled = {}
 
-    def at(self, gts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x1, x2, x3 as (len(gts), size) arrays.  The complex x2 terms grow
-        like cosh and may overflow; that is left to the density's
-        non-finite check to report, without numpy warnings."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._at(gts)
-
-    def _at(self, gts):
+    def branches(self, gts, out: np.ndarray) -> np.ndarray:
+        """Write the branch amplitudes (x1, -i x3, -i x3, x2) of gts into
+        out, a (len(gts), 4, size) complex array, and return it.  The
+        complex x2 terms grow like cosh and may overflow; that is left to
+        the density's non-finite check to report, without numpy warnings."""
         t = np.atleast_1d(np.asarray(gts, dtype=float))[:, None]
-        x1 = self.coef1 * (np.cos(t * self.w1) - 1.0)
-        x3 = self.coef3 * np.sin(t * self.w3)
-        x2_re = self.c0_re * (self.ratio2_re * (np.cos(t * self.w2_re) - 1.0) + 1.0)
-        if not self.complex2.size:
-            return x1, x2_re, x3
-        # flat, contiguous operands: numpy can round a complex product on
-        # broadcast 2-D operands differently (seen for a 1 x 1 result), and
-        # x2 must not depend on how the gts are chunked
-        g = t.shape[0]
-        x2_c = np.tile(self.c0_c, g) * (np.tile(self.ratio2_c, g) * (
-            np.cos(np.repeat(t[:, 0], self.complex2.size) * np.tile(self.w2_c, g))
-            - 1.0) + 1.0)
-        x2 = np.empty((g, self.size), dtype=complex)
-        x2[:, self.real2] = x2_re
-        x2[:, self.complex2] = x2_c.reshape(g, self.complex2.size)
-        return x1, x2, x3
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(self.coef1, np.cos(t * self.w1) - 1.0, out=out[:, 0])
+            np.multiply(-1j, self.coef3 * np.sin(t * self.w3), out=out[:, 1])
+            out[:, 2] = out[:, 1]
+            x2 = out[:, 3]
+            np.multiply(self.c0, self.ratio2 * (np.cos(t * self.w2) - 1.0) + 1.0, out=x2)
+            if self.complex2.size:
+                x2[:, self.complex2] = self._x2_complex(t[:, 0])
+        return out
 
+    def _x2_complex(self, t: np.ndarray) -> np.ndarray:
+        """(len(t), n) x2 at the n complex-frequency positions, from flat,
+        contiguous operands: numpy can round a complex product on broadcast
+        2-D operands differently (seen for a 1 x 1 result), and x2 must not
+        depend on how the gts are chunked.  The constants are tiled once
+        per chunk length."""
+        g, n = t.size, self.complex2.size
+        if g not in self._tiled:
+            self._tiled[g] = tuple(np.tile(a, g) for a in (self.c0_c, self.ratio2_c, self.w2_c))
+        c0, ratio2, w2 = self._tiled[g]
+        return (c0 * (ratio2 * (np.cos(np.repeat(t, n) * w2) - 1.0) + 1.0)).reshape(g, n)
 
 
 class ProductLiteral(AnchoredRoute):
@@ -293,17 +302,14 @@ class ProductLiteral(AnchoredRoute):
                 "use SingleModeLiteral for m=1")
         ranges = [TruncationWindow(max(0, f.window.n_min - 2), f.window.n_max)
                   for f in fields]
-        count = math.prod(w.size for w in ranges)
-        if count > MAX_LITERAL_CONFIGS:
-            raise ConfigurationError(
-                f"the literal multimode product would enumerate {count} configurations "
-                f"(budget {MAX_LITERAL_CONFIGS}); reduce windows or mode count")
-        self.configs = config_array(ranges)
+        self.configs = config_array(ranges, MAX_LITERAL_CONFIGS,
+                                    "literal multimode configurations")
         self.terms = LiteralTerms(m, literal_stats(self.configs, fields))
         super().__init__(fields, self.configs)
 
     def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
-        return _branches(*self.terms.at(gts))
+        out = np.empty((gts.size, 4, self.terms.size), dtype=complex)
+        return self.terms.branches(gts, out)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +338,9 @@ class ConsistentBlocks(AnchoredRoute):
         self.pairs = [(k, l) for k in range(m) for l in range(k, m)]
         self.dim = 1 + m + len(self.pairs)
 
-        configs = config_array([f.window for f in fields])
-        if configs.shape[0] * self.dim > MAX_BLOCK_ENTRIES:
-            raise ConfigurationError(
-                f"consistent multimode blocks need {configs.shape[0]} x {self.dim} "
-                f"entries, above the budget of {MAX_BLOCK_ENTRIES}; reduce the mode count "
-                "or window coverage, or use the literal convention")
+        # MAX_BLOCK_ENTRIES counts block entries, dim per configuration
+        configs = config_array([f.window for f in fields], MAX_BLOCK_ENTRIES // self.dim,
+                               f"consistent cascade blocks of {self.dim} entries")
         self.configs = configs
         weights = np.ones(len(configs), dtype=complex)
         for k, f in enumerate(fields):

@@ -26,6 +26,10 @@ NORM_WARN_TOLERANCE = 1e-6
 # the widest window default_window builds; its photon numbers must also
 # stay below 2**53, above which doubles no longer hold every integer
 MAX_WINDOW_SIZE = 1_000_000
+# how far two summations of pmf values adding up to about 1 can round
+# apart: numpy's pairwise sum of n values errs by at most about
+# 26 + log2(n / 128) unit roundoffs, under 4.5e-15 for n <= MAX_WINDOW_SIZE
+_SUM_SLACK = 1e-14
 
 
 @dataclass(frozen=True)
@@ -135,14 +139,21 @@ def default_window(mean: float,
         if pmf is None:
             pmf = _poisson_pmf(mean, np.arange(lo, hi + 1))
         # the pmf of the whole window, summed in the order of its photon numbers
-        if pmf.sum() >= target:
+        covered = pmf.sum()
+        if covered >= target:
             return TruncationWindow(lo, hi)
         # widen toward the heavier tail first
         p_lo = _poisson_pmf(mean, np.array([lo - 1])) if lo > 0 else np.array([-1.0])
         p_hi = _poisson_pmf(mean, np.array([hi + 1]))
-        # the pmf falls away from the mean: once neither side adds
-        # probability, no wider window does either
-        if p_hi[0] == 0.0 and p_lo[0] <= 0.0:
+        # the pmf falls away from the mean, by the ratio mean/(n + 1) above
+        # it and n/mean below: past the window the tails hold at most the
+        # geometric sums from p_hi and p_lo.  Doubled, and with slack for
+        # the rounding of a longer sum, they bound what a wider window can
+        # add; once neither side adds probability, no wider window does
+        upper = p_hi[0] / (1.0 - mean / (hi + 2))
+        lower = p_lo[0] / (1.0 - (lo - 1) / mean) if lo > 0 else 0.0
+        if (covered + 2.0 * (upper + lower) + _SUM_SLACK < target
+                or p_hi[0] == 0.0 and p_lo[0] <= 0.0):
             raise ConfigurationError(
                 f"coverage 1 - {coverage_epsilon:g} is out of reach in double "
                 f"precision for mean {mean:g}; relax coverage_epsilon")
@@ -270,11 +281,19 @@ def load_custom_field(path) -> FieldDistribution:
     return custom_field(values)
 
 
-def config_array(windows: list[TruncationWindow]) -> np.ndarray:
+def config_array(windows: list[TruncationWindow], budget: int | None = None,
+                 what: str = "configurations") -> np.ndarray:
     """The Cartesian product of the per-mode windows as an (N, m) integer
-    array, in lexicographic order."""
+    array, in lexicographic order.  Given a budget, more than budget rows
+    are a ConfigurationError naming what they enumerate, raised from the
+    window sizes before anything is allocated."""
     if not windows:
         raise ConfigurationError("at least one mode window is required")
+    count = math.prod(w.size for w in windows)
+    if budget is not None and count > budget:
+        raise ConfigurationError(
+            f"{count} {what} exceed the budget of {budget}; "
+            "reduce the windows or the mode count")
     axes = [w.values() for w in windows]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)

@@ -12,13 +12,18 @@ extends every partial tuple by all values not below its last entry, and all
 the statistics, weight products, and multiplicity denominators are carried
 along as stacked numpy arrays, so no per-configuration Python loop runs.
 
-Only the (m - 2)-level is stored; the last two levels are built one tile at
-a time.  A tile is at most CHUNK_ELEMENTS of the multisets that share their
+Only the (m - 3)-level is stored, with the first CHUNK_ELEMENTS rows of the
+(m - 2)-level (the prefix); the last three levels are built one tile at a
+time.  A tile is at most CHUNK_ELEMENTS of the multisets that share their
 largest value (a block), and each of its multisets extends a penultimate
-tuple, which in turn extends a stored one: the tile's penultimate rows are
-written slice by slice from the stored level, then extended by the block's
-value.  The sums run in the same order as if the penultimate level were
-stored, so every bit is the same.  Each tile's gt-independent terms
+tuple, which in turn extends an (m - 2)-tuple.  Every penultimate block
+starts with the (m - 2)-level's first rows, so the tile's penultimate rows
+are read from the prefix where it reaches; the rest of their (m - 2)-rows
+are first written into a tile-sized buffer from the stored level, block by
+block.  Block offsets are binomial coefficients, so no larger level is
+ever held.  Each row is extended by the same operations as if every level
+were stored, and the sums run in the same order, so every bit is the
+same.  Each tile's gt-independent terms
 (frequencies and coefficients, closed_form.LiteralTerms) are built once per
 call, and only the cosines, sines and the density contraction run per gt,
 over chunks of at most CHUNK_ELEMENTS amplitudes, so the working set stays
@@ -130,6 +135,26 @@ def _next_level(level: _Level, n_values: int, feats, weights) -> _Level:
     return out
 
 
+def _block_ends(n_values: int, k: int) -> np.ndarray:
+    """The row after each block of the k-level (k >= 1): block v, the
+    tuples whose largest value index is v, follows the comb(v + k - 1, k)
+    tuples over smaller values and extends the (k - 1)-level's first
+    comb(v + k - 1, k - 1) rows."""
+    return np.array([math.comb(v + k, k) for v in range(n_values)], dtype=np.int64)
+
+
+def _blocks(ends: np.ndarray, start: int, hi: int):
+    """Yield (v, first, start, stop) for each block v that rows start:hi of
+    a level with block ends `ends` meet: rows start:stop of the range lie in
+    block v, whose first row is first."""
+    v = int(np.searchsorted(ends, start, side="right"))
+    while start < hi:
+        first = int(ends[v - 1]) if v else 0
+        stop = min(int(ends[v]), hi)
+        yield v, first, start, stop
+        start, v = stop, v + 1
+
+
 class SymmetricLiteralEvaluator:
     """Unnormalized reduced density matrices (and their traces) of the
     literal multimode amplitude sums, for identical per-mode fields."""
@@ -147,14 +172,22 @@ class SymmetricLiteralEvaluator:
                 f"{total} occupation multisets exceed the budget {MAX_MULTISETS}; "
                 "reduce windows, coverage, or mode count")
         level = _level_zero(self.wfeats)
-        for _ in range(mode_count - 2):
+        for _ in range(max(mode_count - 3, 0)):
             level = _next_level(level, self.n_values, self.feats, self.wfeats)
+        # the stored (m - 3)-level, and the first CHUNK_ELEMENTS rows of the
+        # (m - 2)-level, with which every penultimate block starts; at m = 2
+        # both are the empty tuple
         self._level = level
-        # penultimate block jv is the stored level's first counts[jv] rows
-        # (those with last <= jv) extended by jv, and the multisets whose
-        # largest value is iv extend the penultimate blocks 0..iv by iv
-        self._counts = np.searchsorted(level.last, np.arange(self.n_values), side="right")
-        self.block_sizes = np.cumsum(self._counts)
+        if mode_count == 2:
+            self._prefix = level
+        else:
+            self._base_ends = _block_ends(self.n_values, mode_count - 2)
+            size = min(CHUNK_ELEMENTS, int(self._base_ends[-1]))
+            self._prefix = _Level.empty(size, self.wfeats.dtype)
+            self._write_base(self._prefix, 0, size)
+        # final block iv extends the penultimate rows up to the end of
+        # penultimate block iv, so these ends are also the final block sizes
+        self.block_sizes = _block_ends(self.n_values, mode_count - 1)
 
     def raw_densities(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), 4, 4) unnormalized density matrices: for every gt the
@@ -163,11 +196,11 @@ class SymmetricLiteralEvaluator:
 
         Multisets are taken in blocks that share their largest value, and
         each block in tiles of at most CHUNK_ELEMENTS multisets, generated
-        from the stored (m - 2)-level (see _tiles).  Each tile's
-        gt-independent terms are built once; its amplitudes are then
-        evaluated a chunk of gts at a time and contracted one gt at a time,
-        and every raw[g] sums the tiles in the same order, so every matrix
-        is the same whatever the grid or chunking."""
+        from the stored levels (see _tiles).  Each tile's gt-independent
+        terms are built once; its amplitudes are then evaluated a chunk of
+        gts at a time and contracted one gt at a time, and every raw[g]
+        sums the tiles in the same order, so every matrix is the same
+        whatever the grid or chunking."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
         raw = np.zeros((gts.size, 4, 4), dtype=complex)
         # the chunk's amplitude stacks, allocated once per call: freeing and
@@ -183,33 +216,46 @@ class SymmetricLiteralEvaluator:
         multisets that extend penultimate rows lo:hi by value index iv,
         their largest value.
 
-        The penultimate rows are written into one buffer first.  A tile
-        starting at the same row as the one before reuses the rows already
-        there, and only the rest are written: at m = 3 a block of a window
-        of up to 127 values is one tile, so each block adds one penultimate
-        block."""
+        The penultimate rows are written into one buffer first, and the
+        (m - 2)-rows they extend from beyond the prefix into another.  A
+        tile starting at the same row as the one before reuses the rows
+        already there, and only the rest are written: at m = 3 a block of a
+        window of up to 127 values is one tile, so each block adds one
+        penultimate block."""
         rows = _Level.empty(CHUNK_ELEMENTS, self.wfeats.dtype)
+        base = _Level.empty(CHUNK_ELEMENTS, self.wfeats.dtype)
         held_lo = held_hi = 0     # rows holds penultimate rows held_lo:held_hi
-        for iv, size in enumerate(self.block_sizes):
+        for iv, size in enumerate(self.block_sizes.tolist()):
             for lo in range(0, size, CHUNK_ELEMENTS):
                 hi = min(lo + CHUNK_ELEMENTS, size)
-                self._write_penultimate(rows, lo, held_hi if lo == held_lo else lo, hi)
+                self._write_penultimate(rows, base, lo, held_hi if lo == held_lo else lo, hi)
                 held_lo, held_hi = lo, hi
                 yield lo, hi, iv, _extend_rows(rows, 0, hi - lo, iv, self.feats, self.wfeats)
 
-    def _write_penultimate(self, rows: _Level, lo: int, start: int, hi: int) -> None:
+    def _write_penultimate(self, rows: _Level, base: _Level, lo: int, start: int,
+                           hi: int) -> None:
         """Write penultimate rows start:hi into rows from row start - lo.
-        Penultimate block jv is the stored level's first counts[jv] rows
-        extended by jv, so the range is one slice of the stored level per
-        block it meets."""
-        jv = int(np.searchsorted(self.block_sizes, start, side="right"))
-        while start < hi:
-            first = self.block_sizes[jv] - self._counts[jv]
-            stop = min(self.block_sizes[jv], hi)
-            _extend_rows(self._level, start - first, stop - first, jv,
-                         self.feats, self.wfeats, rows, start - lo)
-            start = stop
-            jv += 1
+        Penultimate block jv is the (m - 2)-level's first rows extended by
+        jv: rows in the stored prefix are read from it, and the rest are
+        first written into base from the stored (m - 3)-level."""
+        cut = self._prefix.size
+        for jv, first, begin, stop in _blocks(self.block_sizes, start, hi):
+            a, b = begin - first, stop - first
+            if a < cut:
+                _extend_rows(self._prefix, a, min(b, cut), jv, self.feats, self.wfeats,
+                             rows, begin - lo)
+            if b > cut:
+                a = max(a, cut)
+                self._write_base(base, a, b)
+                _extend_rows(base, 0, b - a, jv, self.feats, self.wfeats,
+                             rows, first + a - lo)
+
+    def _write_base(self, out: _Level, start: int, hi: int) -> None:
+        """Write (m - 2)-level rows start:hi into out from row 0, one slice
+        of the stored (m - 3)-level per block they meet."""
+        for v, first, lo, stop in _blocks(self._base_ends, start, hi):
+            _extend_rows(self._level, lo - first, stop - first, v, self.feats, self.wfeats,
+                         out, lo - start)
 
     def _add_tile(self, raw: np.ndarray, gts: np.ndarray, tile: _Level,
                   work: np.ndarray) -> None:
@@ -220,15 +266,10 @@ class SymmetricLiteralEvaluator:
                                  **dict(zip(_WEIGHT_KEYS, tile.weights))})
         step = CHUNK_ELEMENTS // terms.size
         for start in range(0, gts.size, step):
-            x1, x2, x3 = terms.at(gts[start:start + step])
-            shape = (x1.shape[0], 4, terms.size)
+            chunk = gts[start:start + step]
+            shape = (chunk.size, 4, terms.size)
             size = math.prod(shape)
-            amp = work[0, :size].reshape(shape)
-            amp[:, 0] = x1
-            np.multiply(-1j, x3, out=amp[:, 1])
-            amp[:, 2] = amp[:, 1]
-            amp[:, 3] = x2
-            del x1, x2, x3
+            amp = terms.branches(chunk, work[0, :size].reshape(shape))
             # one (4, size) @ (size, 4) product per gt; an overflow is
             # reported by the density's non-finite check
             with np.errstate(over="ignore", invalid="ignore"):

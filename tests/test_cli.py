@@ -71,6 +71,31 @@ def run_cli(args, cwd):
                           env=CHILD_ENV, capture_output=True, text=True, timeout=60)
 
 
+def test_block_budget_is_checked_before_allocating(tmp_path):
+    # five modes at mean 25 hold 69**5 configurations (11.7 GiB as int64):
+    # the consistent blocks must refuse them from the window sizes.  Only
+    # the child runs under an address-space cap, so an allocation ahead of
+    # the check ends in a MemoryError instead of taking the host's memory.
+    import resource
+
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "tcmsim", "run", "--modes", "5", "--mean", "25",
+         "--gt-steps", "2", "--out", "x.csv"],
+        cwd=tmp_path, env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1"), preexec_fn=limit,
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+    assert "budget" in lines[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_loads_no_scipy_module(tmp_path):
     # numpy is the only runtime dependency: no subcommand may import scipy
     code = """

@@ -121,6 +121,18 @@ def test_multimode_rejects_single_mode():
         ProductLiteral([coherent_field(2.0)])
 
 
+def test_product_literal_checks_its_budget_before_enumerating(monkeypatch):
+    from tcmsim import closed_form
+
+    fields = [coherent_field(2.0), fock_field(1)]
+    count = math.prod(f.window.n_max - max(0, f.window.n_min - 2) + 1 for f in fields)
+    monkeypatch.setattr(closed_form, "MAX_LITERAL_CONFIGS", count - 1)
+    with pytest.raises(ConfigurationError, match=f"^{count} literal .* budget of {count - 1};"):
+        ProductLiteral(fields)
+    monkeypatch.setattr(closed_form, "MAX_LITERAL_CONFIGS", count)
+    assert ProductLiteral(fields).configs.shape == (count, 2)
+
+
 def test_multimode_zero_config_example():
     fields = [coherent_field(1.0)] * 2
     gt = 0.9
@@ -350,8 +362,9 @@ def test_symmetric_evaluator_constructor_memory():
 
     from tcmsim.symmetric import SymmetricLiteralEvaluator
 
-    # the sweep-modes field at m = 6: the stored (m - 2)-level holds
-    # 101,270 rows (~12 MB); the penultimate level would hold 850,668
+    # the sweep-modes field at m = 6: the stored (m - 3)-level holds 9,880
+    # rows and the prefix 8,192 (~2 MB together); the (m - 2)-level would
+    # hold 101,270 (~12 MB) and the penultimate level 850,668
     field = coherent_field(15.0, sigma_width=4, coverage_epsilon=1e-6)
     tracemalloc.start()
     try:
@@ -359,25 +372,72 @@ def test_symmetric_evaluator_constructor_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+    assert peak < 5e6
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_symmetric_tiles_equal_extended_penultimate_level(m, monkeypatch):
+def test_symmetric_evaluator_memory_at_six_modes():
+    import tracemalloc
+
+    from tcmsim.symmetric import SymmetricLiteralEvaluator
+
+    # the sweep-modes field at m = 6: the stored levels, one tile's
+    # buffers and its working set
+    field = coherent_field(15.0, sigma_width=4, coverage_epsilon=1e-6)
+    ev = SymmetricLiteralEvaluator(field, 6)
+    tracemalloc.start()
+    try:
+        ev.raw_densities([1.5, 2.25, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
+def _penultimate_level(ev):
+    """The evaluator's penultimate level, built level by level from the
+    empty tuple, whatever depth the evaluator stores."""
+    from tcmsim import symmetric
+
+    level = symmetric._level_zero(ev.wfeats)
+    for _ in range(ev.mode_count - 1):
+        level = symmetric._next_level(level, ev.n_values, ev.feats, ev.wfeats)
+    return level
+
+
+def _base_ranges(penultimate, lo, hi):
+    """(a, b) for each penultimate block that rows lo:hi meet: its rows
+    there extend rows a:b of the (m - 2)-level."""
+    for jv in np.unique(penultimate.last[lo:hi]):
+        first = int(np.searchsorted(penultimate.last, jv))
+        end = int(np.searchsorted(penultimate.last, jv, side="right"))
+        yield max(lo, first) - first, min(hi, end) - first
+
+
+@pytest.mark.parametrize("m, chunk_elements", [
+    pytest.param(2, 7, id="2"), pytest.param(3, 7, id="3"), pytest.param(4, 7, id="4"),
+    pytest.param(5, 7, id="5"), (6, 7), (6, 40), (7, 7), (7, 40)])
+def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, monkeypatch):
     from tcmsim import symmetric
     from tcmsim.fock_field import custom_field
 
-    monkeypatch.setattr(symmetric, "CHUNK_ELEMENTS", 7)
+    monkeypatch.setattr(symmetric, "CHUNK_ELEMENTS", chunk_elements)
     amps = np.array([0.3, -0.5j, 0.4 + 0.2j, -0.6, 0.1j, 0.25 - 0.35j])
+    # the window reaches n = 0: real weights, complex x2 frequencies; six
+    # or seven modes take a narrower coherent window and a longer custom
+    # one, whose penultimate block 8 is the first that starts off the
+    # 7-row tile grid at m = 7
+    width, epsilon = (4.0, 1e-8) if m < 6 else (1.0, 0.05)
+    if m >= 6:
+        amps = np.concatenate((amps, [0.2, -0.15j, 0.1 + 0.05j]))
     fields = [
-        # the window reaches n = 0: real weights, complex x2 frequencies
-        coherent_field(1.5, sigma_width=4.0, coverage_epsilon=1e-8),
+        coherent_field(1.5, sigma_width=width, coverage_epsilon=epsilon),
         custom_field(amps / np.linalg.norm(amps)),
     ]
+    crossed = False
     for field, dtype in zip(fields, (float, complex)):
         ev = symmetric.SymmetricLiteralEvaluator(field, m)
         assert ev.wfeats.dtype == dtype
-        penultimate = symmetric._next_level(ev._level, ev.n_values, ev.feats, ev.wfeats)
+        penultimate = _penultimate_level(ev)
         tiles = list(ev._tiles())
         # the tiles cover every block in order, some start inside a
         # penultimate block and some span several
@@ -388,6 +448,11 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, monkeypatch):
             assert any(penultimate.last[lo - 1] == penultimate.last[lo]
                        for lo, _, _, _ in tiles if lo > 0)
         assert any(np.unique(penultimate.last[lo:hi]).size > 1 for lo, hi, _, _ in tiles)
+        # does a tile read (m - 2)-rows from the stored prefix and write
+        # the rest of the same block's rows from the stored level?
+        cut = ev._prefix.size
+        crossed |= any(a < cut < b for lo, hi, _, _ in tiles
+                       for a, b in _base_ranges(penultimate, lo, hi))
         for lo, hi, iv, tile in tiles:
             ref = symmetric._extend_rows(penultimate, lo, hi, iv, ev.feats, ev.wfeats)
             assert tile.stats.dtype == ref.stats.dtype
@@ -399,6 +464,7 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, monkeypatch):
         gts = np.linspace(0.0, 6.0, 13)
         assert np.array_equal(ev.raw_densities(gts),
                               np.stack([ev.raw_densities([g])[0] for g in gts]))
+    assert crossed or m < 6
 
 
 def test_assemble_validation():
@@ -465,9 +531,10 @@ def test_penultimate_level_equals_concatenated_blocks(m):
     field = coherent_field(2.0, sigma_width=4.0, coverage_epsilon=1e-8)
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
     # reference: each level as the concatenation of its extended blocks
-    level = symmetric._next_level(symmetric._level_zero(ev.wfeats), ev.n_values,
-                                  ev.feats, ev.wfeats)
+    levels = [symmetric._level_zero(ev.wfeats)]
+    level = symmetric._next_level(levels[0], ev.n_values, ev.feats, ev.wfeats)
     for _ in range(m - 2):
+        levels.append(level)
         counts = np.searchsorted(level.last, np.arange(ev.n_values), side="right")
         blocks = [symmetric._extend_rows(level, 0, int(counts[iv]), iv, ev.feats, ev.wfeats)
                   for iv in range(ev.n_values) if counts[iv] > 0]
@@ -477,9 +544,7 @@ def test_penultimate_level_equals_concatenated_blocks(m):
             last=np.concatenate([b.last for b in blocks]),
             run=np.concatenate([b.run for b in blocks]),
             denom=np.concatenate([b.denom for b in blocks]))
-    # the evaluator stores the (m - 2)-level; the penultimate level is one
-    # more level on top of it
-    built = symmetric._next_level(ev._level, ev.n_values, ev.feats, ev.wfeats)
+    built = _penultimate_level(ev)
     assert built.size == level.size == math.comb(ev.n_values + m - 2, m - 1)
     for i, k in enumerate(symmetric._STAT_KEYS):
         assert np.array_equal(built.stats[i], level.stats[i]), k
@@ -490,3 +555,11 @@ def test_penultimate_level_equals_concatenated_blocks(m):
     for name in ("last", "run", "denom"):
         assert getattr(built, name).dtype == getattr(level, name).dtype
         assert np.array_equal(getattr(built, name), getattr(level, name))
+    # the evaluator stores the (m - 3)-level and the (m - 2)-level's first
+    # CHUNK_ELEMENTS rows
+    prefix = min(symmetric.CHUNK_ELEMENTS, levels[m - 2].size)
+    for stored, ref in ((ev._level, levels[m - 3]), (ev._prefix, levels[m - 2])):
+        assert stored.size == min(ref.size, prefix if stored is ev._prefix else ref.size)
+        for name in ("stats", "weights", "last", "run", "denom"):
+            got, want = getattr(stored, name), getattr(ref, name)[..., :stored.size]
+            assert got.dtype == want.dtype and np.array_equal(got, want), name

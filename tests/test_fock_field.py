@@ -228,6 +228,15 @@ def test_config_array_matches_enumeration():
     assert [tuple(r) for r in arr] == list(itertools.product(range(1, 4), range(0, 3)))
 
 
+def test_config_array_checks_its_budget_from_the_window_sizes():
+    # 1e24 rows: only a check made before meshgrid can answer at once
+    windows = [TruncationWindow(0, 10 ** 6 - 1)] * 4
+    with pytest.raises(ConfigurationError,
+                       match=r"^1000000000000000000000000 test rows exceed the budget of 5;"):
+        config_array(windows, 5, "test rows")
+    assert len(config_array([TruncationWindow(0, 1)] * 2, 4)) == 4
+
+
 def test_total_weight_over_configs():
     from tcmsim.closed_form import ConsistentBlocks
 
