@@ -11,7 +11,7 @@ from .analysis import (RevivalReport, collapse_windows, detect_revival_peaks,
                        deviation_report, mode_sweep, oscillation_rate)
 from .basis import BRANCHES
 from .closed_form import CONSISTENT, LITERAL
-from .entanglement import binary_entropy, concurrence, eof, spin_flip
+from .entanglement import binary_entropy, eof, spin_flip
 from .errors import ConfigurationError, NumericalFailureError, TcmError
 from .fock_field import (FieldDistribution, TruncationWindow,
                          coherent_amplitudes, coherent_field, custom_field,
@@ -20,18 +20,16 @@ from .inversion import single_atom_jcm_series
 from .oracle import (ExactEvolver, ExpansionReport, SectorBasis,
                      build_hamiltonian, build_sector_basis,
                      expansion_diagnostic)
-from .pipeline import closed_form_series, compute_observables, oracle_series
-from .reduced_density import TwoAtomDensity
+from .pipeline import closed_form_series, oracle_series
 from .series import TimeSeries
 
 __all__ = [
     "BRANCHES", "CONSISTENT", "ConfigurationError", "ExactEvolver",
     "ExpansionReport", "FieldDistribution", "LITERAL",
     "NumericalFailureError", "RevivalReport", "SectorBasis", "TcmError",
-    "TimeSeries", "TruncationWindow", "TwoAtomDensity", "binary_entropy",
-    "build_hamiltonian", "build_sector_basis", "closed_form_series",
-    "coherent_amplitudes", "coherent_field", "collapse_windows",
-    "compute_observables", "concurrence", "custom_field", "default_window",
+    "TimeSeries", "TruncationWindow", "binary_entropy", "build_hamiltonian",
+    "build_sector_basis", "closed_form_series", "coherent_amplitudes",
+    "coherent_field", "collapse_windows", "custom_field", "default_window",
     "detect_revival_peaks", "deviation_report", "eof", "expansion_diagnostic",
     "fock_field", "load_custom_field", "mode_sweep", "oracle_series",
     "oscillation_rate", "single_atom_jcm_series", "spin_flip",

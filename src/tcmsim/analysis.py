@@ -96,6 +96,8 @@ def detect_revival_peaks(series: TimeSeries, channel: str, max_j: int,
         raise ConfigurationError(f"max_j must be >= 1, got {max_j}")
     if mean <= 0:
         raise ConfigurationError("revival prediction needs a positive mean")
+    if series.gt.size < 2:
+        raise ConfigurationError("peak detection needs at least two gt samples")
     values = np.abs(series.channel(channel))
     needed = 2 * max_j * np.pi * np.sqrt(mean) * 1.2
     if series.gt[-1] < needed:
@@ -161,20 +163,14 @@ def oscillation_rate(series: TimeSeries, channel: str,
     return crossings / (hi - lo)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    mode_count: int
-    gt: float
-    concurrence: float
-    eof: float
-
-
 def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
                convention: str, sigma_width: float = DEFAULT_SIGMA_WIDTH,
-               coverage_epsilon: float = DEFAULT_COVERAGE_EPSILON) -> list[SweepRow]:
+               coverage_epsilon: float = DEFAULT_COVERAGE_EPSILON) -> dict[str, np.ndarray]:
     """Entanglement per (mode count, gt) cell for identical coherent fields
-    of the given per-mode mean.  Single-mode cells use the single-mode
-    amplitudes; every gt must be finite and nonnegative."""
+    of the given per-mode mean, as the columns m, gt, concurrence and eof
+    with one row per cell, by ascending m and then gt.  Single-mode cells
+    use the single-mode amplitudes; every gt must be finite and
+    nonnegative."""
     if not m_range:
         raise ConfigurationError("empty mode list")
     if len(set(m_range)) != len(m_range):
@@ -186,18 +182,14 @@ def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
     pipeline.check_grid(gt_values)
 
     field = coherent_field(mean, sigma_width, coverage_epsilon)
+    cells = np.asarray(sorted(gt_values), dtype=float)
     gts = np.asarray(sorted(set(gt_values)), dtype=float)
-    by_gt = {float(g): i for i, g in enumerate(gts)}
-
-    rows = []
-    for m in sorted(m_range):
-        obs = pipeline.compute_observables([field] * m, gts, convention)
-        for gt in sorted(gt_values):
-            i = by_gt[float(gt)]
-            rows.append(SweepRow(mode_count=m, gt=float(gt),
-                                 concurrence=float(obs["concurrence"][i]),
-                                 eof=float(obs["eof"][i])))
-    return rows
+    at = np.searchsorted(gts, cells)
+    ms = sorted(m_range)
+    series = [pipeline.closed_form_series([field] * m, gts, convention) for m in ms]
+    return {"m": np.repeat(ms, cells.size), "gt": np.tile(cells, len(ms)),
+            "concurrence": np.concatenate([s.concurrence[at] for s in series]),
+            "eof": np.concatenate([s.eof[at] for s in series])}
 
 
 @dataclass
@@ -229,9 +221,8 @@ class DeviationSummary:
 
 
 def deviation_report(closed: TimeSeries,
-                     exact: TimeSeries) -> tuple[DeviationSummary, TimeSeries]:
-    """Summary plus a copy of the closed series with the oracle columns and
-    per-point deltas appended as extras."""
+                     exact: TimeSeries) -> tuple[DeviationSummary, dict[str, np.ndarray]]:
+    """Summary plus the per-point deltas delta_W, delta_C and delta_EF."""
     if closed.gt.shape != exact.gt.shape or not np.array_equal(closed.gt, exact.gt):
         raise ConfigurationError("deviation report requires identical gt grids")
     dw = np.abs(closed.w - exact.w)
@@ -245,10 +236,4 @@ def deviation_report(closed: TimeSeries,
         max_def=float(de.max()), mean_def=float(de.mean()),
         max_norm_deficit=None if deficit is None else float(np.abs(deficit).max()),
         max_norm_drift=None if drift is None else float(np.abs(drift).max()))
-    extras = dict(closed.extras)
-    extras.update({"W_oracle": exact.w, "concurrence_oracle": exact.concurrence,
-                   "eof_oracle": exact.eof, "delta_W": dw, "delta_C": dc,
-                   "delta_EF": de})
-    combined = TimeSeries(gt=closed.gt, w=closed.w, concurrence=closed.concurrence,
-                          eof=closed.eof, extras=extras)
-    return summary, combined
+    return summary, {"delta_W": dw, "delta_C": dc, "delta_EF": de}

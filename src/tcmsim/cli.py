@@ -165,11 +165,11 @@ def _write_file(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    n = len(columns[0])
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
+def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
+    """One CSV column per entry, headed by its key, in the dict's order."""
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append(",".join(_fmt(x) for x in row))
     _write_file(path, "\n".join(lines) + "\n")
 
 
@@ -184,19 +184,27 @@ def _write_text(path: str | None, text: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _series_columns(series) -> dict[str, np.ndarray]:
+    return {"gt": series.gt, "W": series.w, "concurrence": series.concurrence,
+            "eof": series.eof}
+
+
+def _oracle_columns(exact) -> dict[str, np.ndarray]:
+    return {"W_oracle": exact.w, "concurrence_oracle": exact.concurrence,
+            "eof_oracle": exact.eof}
+
+
 def _cmd_run(args) -> int:
     fields = _mode_fields(_build_field(args), args.modes)
     gts = pipeline.uniform_grid(args.gt_max, args.gt_steps)
     series = pipeline.closed_form_series(fields, gts, args.convention)
-    header = ["gt", "W", "concurrence", "eof"]
-    columns = [series.gt, series.w, series.concurrence, series.eof]
+    columns = _series_columns(series)
     if args.oracle:
         exact = pipeline.oracle_series(fields, gts)
-        _, combined = analysis.deviation_report(series, exact)
-        header += ["W_oracle", "concurrence_oracle", "eof_oracle", "delta_C"]
-        columns += [combined.extras["W_oracle"], combined.extras["concurrence_oracle"],
-                    combined.extras["eof_oracle"], combined.extras["delta_C"]]
-    _write_csv(args.out, header, columns)
+        _, deltas = analysis.deviation_report(series, exact)
+        columns |= _oracle_columns(exact)
+        columns["delta_C"] = deltas["delta_C"]
+    _write_csv(args.out, columns)
     return 0
 
 
@@ -204,19 +212,14 @@ def _cmd_inversion(args) -> int:
     """The one-atom inversion; the two-atom W is run's W column."""
     gts = pipeline.uniform_grid(args.gt_max, args.gt_steps)
     field = _build_field(args)
-    _write_csv(args.out, ["gt", "W"], [gts, single_atom_jcm_series(field, gts)])
+    _write_csv(args.out, {"gt": gts, "W": single_atom_jcm_series(field, gts)})
     return 0
 
 
 def _cmd_sweep_modes(args) -> int:
-    rows = analysis.mode_sweep(args.sweep_gt, args.mean, args.sweep_modes,
-                               args.convention, sigma_width=args.sigma_width,
-                               coverage_epsilon=args.coverage_epsilon)
-    _write_csv(args.out, ["m", "gt", "concurrence", "eof"],
-               [np.array([r.mode_count for r in rows], dtype=float),
-                np.array([r.gt for r in rows]),
-                np.array([r.concurrence for r in rows]),
-                np.array([r.eof for r in rows])])
+    _write_csv(args.out, analysis.mode_sweep(
+        args.sweep_gt, args.mean, args.sweep_modes, args.convention,
+        sigma_width=args.sigma_width, coverage_epsilon=args.coverage_epsilon))
     return 0
 
 
@@ -225,14 +228,8 @@ def _cmd_compare_oracle(args) -> int:
     gts = pipeline.uniform_grid(args.gt_max, args.gt_steps)
     series = pipeline.closed_form_series(fields, gts, args.convention)
     exact = pipeline.oracle_series(fields, gts)
-    summary, combined = analysis.deviation_report(series, exact)
-    header = ["gt", "W", "concurrence", "eof", "W_oracle", "concurrence_oracle",
-              "eof_oracle", "delta_W", "delta_C", "delta_EF"]
-    _write_csv(args.out, header,
-               [combined.gt, combined.w, combined.concurrence, combined.eof,
-                combined.extras["W_oracle"], combined.extras["concurrence_oracle"],
-                combined.extras["eof_oracle"], combined.extras["delta_W"],
-                combined.extras["delta_C"], combined.extras["delta_EF"]])
+    summary, deltas = analysis.deviation_report(series, exact)
+    _write_csv(args.out, _series_columns(series) | _oracle_columns(exact) | deltas)
     print(summary.render())
     return 0
 
@@ -283,26 +280,44 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
+def _read_csv(path: str) -> dict[str, np.ndarray]:
+    """The columns of a CSV with a header row, by name; a table without
+    rows, a ragged row and a cell that is not a finite number are
+    configuration errors."""
+    if not os.path.exists(path):
+        raise ConfigurationError(f"input file not found: {path}")
+    with open(path) as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        raise ConfigurationError(f"input CSV {path} has no rows")
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigurationError(f"input CSV {path} has a row without {len(header)} cells")
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise ConfigurationError(f"input CSV {path}: {exc}") from exc
+    if not np.isfinite(table).all():
+        raise ConfigurationError(f"input CSV {path} has a non-finite cell")
+    return dict(zip(header, table.T))
+
+
 def _cmd_analyze(args) -> int:
     if not args.input:
         raise ConfigurationError("analyze requires --in CSV")
-    if not os.path.exists(args.input):
-        raise ConfigurationError(f"input file not found: {args.input}")
-    data = np.genfromtxt(args.input, delimiter=",", names=True)
-    names = data.dtype.names or ()
-    if "gt" not in names:
-        raise ConfigurationError("input CSV has no 'gt' column")
-
-    def col(name):
-        return np.atleast_1d(data[name]) if name in names else None
-
-    gt = np.atleast_1d(data["gt"])
+    if args.max_j <= 0 and args.threshold <= 0:
+        raise ConfigurationError("nothing to analyze: give --max-j and/or --threshold")
+    columns = _read_csv(args.input)
+    # the columns the requested analyses read must be present
+    needed = ["gt"] + [args.channel] * (args.max_j > 0)
+    needed += ["concurrence"] * (args.threshold > 0)
+    for name in needed:
+        if name not in columns:
+            raise ConfigurationError(f"input CSV {args.input} has no {name!r} column")
+    zeros = np.zeros(columns["gt"].size)
     series = analysis.TimeSeries(
-        gt=gt,
-        w=col("W") if col("W") is not None else np.zeros(gt.size),
-        concurrence=(col("concurrence") if col("concurrence") is not None
-                     else np.zeros(gt.size)),
-        eof=col("eof") if col("eof") is not None else np.zeros(gt.size))
+        gt=columns["gt"], w=columns.get("W", zeros),
+        concurrence=columns.get("concurrence", zeros), eof=columns.get("eof", zeros))
 
     sections = []
     if args.max_j > 0:
@@ -316,8 +331,6 @@ def _cmd_analyze(args) -> int:
                  f"{len(intervals)} found"]
         lines += [f"  gt in [{a:.4f}, {b:.4f}]" for a, b in intervals]
         sections.append("\n".join(lines))
-    if not sections:
-        raise ConfigurationError("nothing to analyze: give --max-j and/or --threshold")
     _write_text(args.out, "\n\n".join(sections))
     return 0
 

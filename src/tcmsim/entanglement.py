@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .reduced_density import FirstFailure, TwoAtomDensity
+from .reduced_density import FirstFailure
 
 EIG_IMAG_TOL = 1e-10
 EIG_NEG_TOL = 1e-10
@@ -19,21 +17,10 @@ _SPIN_FLIP[2, 1] = 1.0
 _SPIN_FLIP[3, 0] = -1.0
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, TwoAtomDensity):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
-
-
-def spin_flip(rho) -> np.ndarray:
-    """rho_tilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
-    m = _as_matrix(rho)
-    return _SPIN_FLIP @ m.conj() @ _SPIN_FLIP
-
-
-class ConcurrenceResult(NamedTuple):
-    value: float
-    lambdas: np.ndarray  # eigenvalues of rho * rho_tilde, descending
+def spin_flip(rho: np.ndarray) -> np.ndarray:
+    """rho_tilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y), for
+    one matrix or a stack."""
+    return _SPIN_FLIP @ np.conj(rho) @ _SPIN_FLIP
 
 
 def concurrences(rho: np.ndarray, first: FirstFailure) -> tuple[np.ndarray, np.ndarray]:
@@ -64,15 +51,6 @@ def concurrences(rho: np.ndarray, first: FirstFailure) -> tuple[np.ndarray, np.n
     value = roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3]
     value = np.where(value > 0.0, value, 0.0)
     return np.where(value > 1.0, 1.0, value), lam
-
-
-def concurrence(rho) -> ConcurrenceResult:
-    """The concurrence of one density matrix: concurrences on a stack of
-    one."""
-    first = FirstFailure(1)
-    values, lambdas = concurrences(_as_matrix(rho)[None], first)
-    first.raise_if_failed()
-    return ConcurrenceResult(float(values[0]), lambdas[0])
 
 
 def binary_entropy(x):

@@ -117,8 +117,14 @@ def coherent_amplitudes(mean: float, window: TruncationWindow) -> np.ndarray:
 def default_window(mean: float,
                    sigma_width: float = DEFAULT_SIGMA_WIDTH,
                    coverage_epsilon: float = DEFAULT_COVERAGE_EPSILON) -> TruncationWindow:
-    """Window mean +- sigma_width*sqrt(mean), widened until the Poisson
-    probability captured is at least 1 - coverage_epsilon."""
+    """Window mean +- sigma_width*sqrt(mean), widened one photon number at
+    a time, toward the heavier side, until the Poisson probability captured
+    is at least 1 - coverage_epsilon.
+
+    The window's pmf, summed pairwise in the order of its photon numbers,
+    decides when to stop.  A compensated running sum tracks it to well
+    within _SUM_SLACK, so the pairwise sum is taken only where the running
+    sum lies that close to the target or to the out-of-reach bound."""
     if not 0 <= mean < np.inf:
         raise ConfigurationError(f"mean must be finite and nonnegative, got {mean}")
     if not (0 < sigma_width < np.inf and 0 < coverage_epsilon < np.inf):
@@ -129,7 +135,18 @@ def default_window(mean: float,
     lo = max(0, int(np.floor(mean - spread)))
     hi = max(lo, int(np.ceil(mean + spread)))
     target = 1.0 - coverage_epsilon
+    # the pmf beyond the first window, nearest photon number first, computed
+    # a doubling batch at a time; the window holds the first `left` values
+    # below it and the first `right` above it
+    below = above = np.empty(0)
+    left = right = 0
     pmf = None
+
+    def covered_exactly():
+        """The pmf of the whole window, summed in the order of its photon
+        numbers."""
+        return np.concatenate((below[:left][::-1], pmf, above[:right])).sum()
+
     while True:
         if hi - lo + 1 > MAX_WINDOW_SIZE or hi >= 2 ** 53:
             raise ConfigurationError(
@@ -138,31 +155,43 @@ def default_window(mean: float,
                 "sigma_width or coverage")
         if pmf is None:
             pmf = _poisson_pmf(mean, np.arange(lo, hi + 1))
-        # the pmf of the whole window, summed in the order of its photon numbers
-        covered = pmf.sum()
+            total, carry = math.fsum(pmf.tolist()), 0.0
+        running = total + carry
+        exact = abs(running - target) <= 2.0 * _SUM_SLACK
+        covered = covered_exactly() if exact else running
         if covered >= target:
             return TruncationWindow(lo, hi)
-        # widen toward the heavier tail first
-        p_lo = _poisson_pmf(mean, np.array([lo - 1])) if lo > 0 else np.array([-1.0])
-        p_hi = _poisson_pmf(mean, np.array([hi + 1]))
+        if left == below.size and lo > 0:
+            ns = np.arange(lo - 1, max(lo - 1 - max(below.size, 256), -1), -1)
+            below = np.concatenate((below, _poisson_pmf(mean, ns)))
+        if right == above.size:
+            ns = np.arange(hi + 1, hi + 1 + max(above.size, 256))
+            above = np.concatenate((above, _poisson_pmf(mean, ns)))
+        p_lo = below[left] if lo > 0 else np.float64(-1.0)
+        p_hi = above[right]
         # the pmf falls away from the mean, by the ratio mean/(n + 1) above
         # it and n/mean below: past the window the tails hold at most the
         # geometric sums from p_hi and p_lo.  Doubled, and with slack for
         # the rounding of a longer sum, they bound what a wider window can
         # add; once neither side adds probability, no wider window does
-        upper = p_hi[0] / (1.0 - mean / (hi + 2))
-        lower = p_lo[0] / (1.0 - (lo - 1) / mean) if lo > 0 else 0.0
-        if (covered + 2.0 * (upper + lower) + _SUM_SLACK < target
-                or p_hi[0] == 0.0 and p_lo[0] <= 0.0):
+        upper = p_hi / (1.0 - mean / (hi + 2))
+        lower = p_lo / (1.0 - (lo - 1) / mean) if lo > 0 else 0.0
+        bound = 2.0 * (upper + lower)
+        if not exact and abs(running + bound + _SUM_SLACK - target) <= 2.0 * _SUM_SLACK:
+            covered = covered_exactly()
+        if covered + bound + _SUM_SLACK < target or p_hi == 0.0 and p_lo <= 0.0:
             raise ConfigurationError(
                 f"coverage 1 - {coverage_epsilon:g} is out of reach in double "
                 f"precision for mean {mean:g}; relax coverage_epsilon")
-        if p_lo[0] > p_hi[0]:
-            lo -= 1
-            pmf = np.concatenate((p_lo, pmf))
+        # widen toward the heavier tail first
+        if p_lo > p_hi:
+            lo, left, p = lo - 1, left + 1, p_lo
         else:
-            hi += 1
-            pmf = np.concatenate((pmf, p_hi))
+            hi, right, p = hi + 1, right + 1, p_hi
+        # Neumaier's compensated sum
+        step = total + p
+        carry += (total - step) + p if total >= p else (p - step) + total
+        total = step
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,12 @@ NORM_DRIFT_TOL = 1e-8
 # gts propagated at once: bounds the (CHUNK_GTS, 4, N) branch vectors
 CHUNK_GTS = 32
 MAX_SECTOR_DIM = 4000
+# configurations of the oracle's product space, enumerated once: above the
+# widest single-mode window; with two or more modes the sector budgets bind
+MAX_ORACLE_CONFIGS = 2_000_000
+# the sum of every sector's dim**2: each sector keeps a real and a complex
+# copy of its eigenvectors, 24 bytes an entry, 8.4 GB at the budget
+MAX_SECTOR_ENTRIES = 350_000_000
 ORACLE_WINDOW_EXTENSION = 2
 
 # (branch, target branch) index pairs of S- a_k^+, which lowers one atom
@@ -157,24 +163,38 @@ class ExactEvolver:
         self.shape = tuple(w.size for w in self.windows)
         self._vector_size = int(np.prod(self.shape))
         lows = np.array([w.n_min for w in self.windows])
+        configs = config_array(self.windows, MAX_ORACLE_CONFIGS, "oracle configurations")
+        totals = configs.sum(axis=1)
+        low = int(totals[0]) + 2
 
-        init_cfgs = config_array([f.window for f in fields])
+        # one sector per initial photon total t, of excitation N = t + 2: it
+        # holds the configurations with N - k photons for each branch with k
+        # excited atoms, c(N - 2) + 2 c(N - 1) + c(N) states, with c the
+        # configuration count by photon total.  Both sector budgets are
+        # checked before the first sector is built or diagonalized.
+        counts = np.bincount(totals - totals[0])
+        n = sum(f.window.size - 1 for f in fields) + 1
+        dims = counts[:n] + 2 * counts[1:n + 1] + counts[2:n + 2]
+        over = np.flatnonzero(dims > MAX_SECTOR_DIM)
+        if over.size:
+            raise ConfigurationError(
+                f"sector {low + over[0]} has dimension {dims[over[0]]} "
+                f"(budget {MAX_SECTOR_DIM}); reduce modes, mean, or coverage")
+        entries = int(np.sum(dims ** 2))
+        if entries > MAX_SECTOR_ENTRIES:
+            raise ConfigurationError(
+                f"the {n} sectors hold {entries} matrix entries (budget "
+                f"{MAX_SECTOR_ENTRIES}); reduce modes, mean, or coverage")
+
+        init_cfgs = config_array([f.window for f in fields], MAX_ORACLE_CONFIGS,
+                                 "initial configurations")
         init_weights = np.ones(len(init_cfgs), dtype=complex)
         for k, f in enumerate(fields):
             init_weights *= f.amplitudes_at(init_cfgs[:, k])
         initial = np.zeros(self._vector_size, dtype=complex)
         initial[_flat(init_cfgs, lows, self.shape)] = init_weights
-
-        configs = config_array(self.windows)
-        totals = configs.sum(axis=1)
-        self.sectors: list[_Sector] = []
-        for total in sorted(set(init_cfgs.sum(axis=1).tolist())):
-            basis = _sector_basis(total + 2, configs, totals)
-            if basis.dim > MAX_SECTOR_DIM:
-                raise ConfigurationError(
-                    f"sector {basis.excitation} has dimension {basis.dim} "
-                    f"(budget {MAX_SECTOR_DIM}); reduce modes, mean, or coverage")
-            self.sectors.append(_Sector(basis, self.shape, lows, initial))
+        self.sectors = [_Sector(_sector_basis(low + i, configs, totals), self.shape,
+                                lows, initial) for i in range(n)]
         self._norm0 = float(sum(np.sum(np.abs(s.c0) ** 2) for s in self.sectors))
 
     def check_drift(self, norms: np.ndarray, first: FirstFailure) -> None:

@@ -48,9 +48,10 @@ def closed_form_route(fields: list[FieldDistribution], convention: str):
 
 def observables(raws: np.ndarray, first: FirstFailure | None = None) -> dict[str, np.ndarray]:
     """W, concurrence, eof and norm_deficit arrays of a (G, 4, 4) stack of
-    unnormalized densities, all gts at once, by the code TwoAtomDensity and
-    concurrence run on stacks of one.  NumericalFailureError reports the
-    first failing gt, counting failures already flagged in first."""
+    unnormalized densities, all gts at once: normalize, validate and the
+    Wootters concurrence each run on the whole stack.  NumericalFailureError
+    reports the first failing gt, counting failures already flagged in
+    first."""
     first = FirstFailure(len(raws)) if first is None else first
     rho, deficit = normalize(raws, first)
     validate(rho, first)
@@ -60,19 +61,14 @@ def observables(raws: np.ndarray, first: FirstFailure | None = None) -> dict[str
             "eof": eof(c), "norm_deficit": deficit}
 
 
-def compute_observables(fields: list[FieldDistribution], gts: np.ndarray,
-                        convention: str = CONSISTENT) -> dict[str, np.ndarray]:
-    """W, concurrence, eof, and norm_deficit arrays over the gt grid."""
-    gts = check_grid(gts)
-    return observables(closed_form_route(fields, convention).raw_densities(gts))
-
-
 def closed_form_series(fields: list[FieldDistribution], gts: np.ndarray,
                        convention: str = CONSISTENT) -> TimeSeries:
-    obs = compute_observables(fields, gts, convention)
-    return TimeSeries(gt=np.asarray(gts, dtype=float), w=obs["w"],
-                      concurrence=obs["concurrence"], eof=obs["eof"],
-                      extras={"norm_deficit": obs["norm_deficit"]})
+    """Closed-form observables on the grid, with the per-point norm deficit
+    as an extra column."""
+    gts = check_grid(gts)
+    obs = observables(closed_form_route(fields, convention).raw_densities(gts))
+    return TimeSeries(gt=gts, w=obs["w"], concurrence=obs["concurrence"],
+                      eof=obs["eof"], extras={"norm_deficit": obs["norm_deficit"]})
 
 
 def oracle_series(fields: list[FieldDistribution], gts: np.ndarray,

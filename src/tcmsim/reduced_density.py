@@ -7,7 +7,6 @@ matrices, stopping at the first exception, would fail (FirstFailure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -95,37 +94,6 @@ def validate(rho: np.ndarray, first: FirstFailure) -> None:
         axis=-1, initial=np.inf)
     first.check(lo < -PSD_TOL, lambda i: (
         f"density matrix has negative eigenvalue {lo[i]:.3e} beyond tolerance"))
-
-
-@dataclass
-class TwoAtomDensity:
-    """4x4 density matrix in the basis (|aa>, |ab>, |ba>, |bb>).
-
-    norm_deficit is 1 minus the trace the matrix had before normalization
-    (nonzero for truncated or literal-convention amplitudes).
-    """
-
-    matrix: np.ndarray
-    norm_deficit: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise NumericalFailureError(f"density matrix must be 4x4, got {m.shape}")
-        first = FirstFailure(1)
-        validate(m[None], first)
-        first.raise_if_failed()
-        self.matrix = m
-
-    @classmethod
-    def from_unnormalized(cls, raw: np.ndarray) -> "TwoAtomDensity":
-        first = FirstFailure(1)
-        rho, deficit = normalize(np.asarray(raw, dtype=complex)[None], first)
-        first.raise_if_failed()
-        return cls(rho[0], norm_deficit=float(deficit[0]))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def raw_density(vectors: np.ndarray) -> np.ndarray:

@@ -14,18 +14,33 @@ import numpy as np
 import pytest
 
 from tcmsim import (CONSISTENT, LITERAL, ExactEvolver, TimeSeries,
-                    TwoAtomDensity, coherent_field, collapse_windows,
-                    concurrence, custom_field, detect_revival_peaks, eof,
-                    fock_field, oscillation_rate, single_atom_jcm_series,
-                    spin_flip)
+                    coherent_field, collapse_windows, custom_field,
+                    detect_revival_peaks, eof, fock_field, oscillation_rate,
+                    single_atom_jcm_series)
 from tcmsim.cli import main
-from tcmsim.pipeline import closed_form_route, closed_form_series, oracle_series
+from tcmsim.entanglement import concurrences
+from tcmsim.pipeline import (closed_form_route, closed_form_series, observables,
+                             oracle_series)
+from tcmsim.reduced_density import FirstFailure, normalize, validate
 
 
-def consistent_density(fields, gt):
-    """The consistent closed-form density of the fields at one gt."""
-    raw = closed_form_route(fields, CONSISTENT).raw_densities([gt])[0]
-    return TwoAtomDensity.from_unnormalized(raw)
+def densities(raws):
+    """The normalized, validated density matrices of a (G, 4, 4) stack of
+    unnormalized ones."""
+    first = FirstFailure(len(raws))
+    rho, _ = normalize(raws, first)
+    validate(rho, first)
+    first.raise_if_failed()
+    return rho
+
+
+def concurrence(rho):
+    """The concurrence of one density matrix: concurrences on a stack of
+    one."""
+    first = FirstFailure(1)
+    values, _ = concurrences(np.asarray(rho, dtype=complex)[None], first)
+    first.raise_if_failed()
+    return float(values[0])
 
 
 def report(num: int, desc: str, ok: bool, detail: str = "") -> bool:
@@ -101,11 +116,11 @@ def test_criterion_4_initial_condition():
     ]
     worst = 0.0
     for fields in cases:
-        rho = consistent_density(fields, 0.0)
-        w = float(rho.matrix[0, 0].real - rho.matrix[3, 3].real)
-        c = concurrence(rho).value
+        raws = closed_form_route(fields, CONSISTENT).raw_densities([0.0])
+        obs = observables(raws)
+        w, c = float(obs["w"][0]), float(obs["concurrence"][0])
         worst = max(worst,
-                    float(np.abs(rho.matrix - np.diag([1.0, 0, 0, 0])).max()),
+                    float(np.abs(densities(raws)[0] - np.diag([1.0, 0, 0, 0])).max()),
                     abs(w - 1.0), c, eof(c))
     ok = worst <= 1e-12
     assert report(4, "gt=0 yields rho=diag(1,0,0,0), W=1, C=EF=0", ok,
@@ -139,11 +154,11 @@ def test_criterion_6_entanglement_unit_suite():
 
     bell = dm([1, 0, 0, 1])
     checks = [
-        ("bell C", concurrence(bell).value, 1.0),
-        ("bell EF", eof(concurrence(bell).value), 1.0),
-        ("product C", concurrence(dm([1, 0, 0, 0])).value, 0.0),
-        ("werner C", concurrence(0.5 * bell + 0.5 * np.eye(4) / 4).value, 0.25),
-        ("pure C", concurrence(dm([0.6, 0, 0, 0.8])).value, 0.96),
+        ("bell C", concurrence(bell), 1.0),
+        ("bell EF", eof(concurrence(bell)), 1.0),
+        ("product C", concurrence(dm([1, 0, 0, 0])), 0.0),
+        ("werner C", concurrence(0.5 * bell + 0.5 * np.eye(4) / 4), 0.25),
+        ("pure C", concurrence(dm([0.6, 0, 0, 0.8])), 0.96),
         ("eof(0.6)", eof(0.6), 0.468995593589281),
     ]
     worst = max(abs(got - want) for _, got, want in checks)
@@ -160,14 +175,13 @@ def test_criterion_7_oracle_invariant_suite():
     pops = np.stack([np.sum(np.abs(vectors[:, s.final]) ** 2, axis=-1)
                      for s in evolver.sectors], axis=-1)
     drift = pop_dev = rho_dev = 0.0
-    for raw, norm, pop in zip(raws, norms, pops):
+    for rho, norm, pop in zip(densities(raws), norms, pops):
         drift = max(drift, abs(norm - norms[0]))
         pop_dev = max(pop_dev, float(np.abs(pop - pops[0]).max()))
-        rho = TwoAtomDensity.from_unnormalized(raw)
         rho_dev = max(rho_dev,
-                      float(np.max(np.abs(rho.matrix - rho.matrix.conj().T))),
-                      abs(float(np.trace(rho.matrix).real) - 1.0),
-                      max(0.0, -float(rho.eigenvalues().min()) - 1e-10))
+                      float(np.max(np.abs(rho - rho.conj().T))),
+                      abs(float(np.trace(rho).real) - 1.0),
+                      max(0.0, -float(np.linalg.eigvalsh(rho).min()) - 1e-10))
 
     pair = ExactEvolver([fock_field(3), fock_field(1)])
     group_dev = 0.0
@@ -189,14 +203,11 @@ def test_criterion_8_vacuum_analytic_point():
     gt = math.pi / math.sqrt(6)
     targets = {"W": -7.0 / 9.0, "C": 4.0 * math.sqrt(2.0) / 9.0}
 
-    rho_c = consistent_density([fock_field(0)], gt)
-    rho_o = TwoAtomDensity.from_unnormalized(
-        ExactEvolver([fock_field(0)]).densities([gt])[0][0])
-    worst = 0.0
-    for rho in (rho_c, rho_o):
-        w = float(rho.matrix[0, 0].real - rho.matrix[3, 3].real)
-        worst = max(worst, abs(w - targets["W"]),
-                    abs(concurrence(rho).value - targets["C"]))
+    raw_c = closed_form_route([fock_field(0)], CONSISTENT).raw_densities([gt])
+    raw_o, _ = ExactEvolver([fock_field(0)]).densities([gt])
+    obs = observables(np.concatenate([raw_c, raw_o]))
+    worst = max(float(np.abs(obs["w"] - targets["W"]).max()),
+                float(np.abs(obs["concurrence"] - targets["C"]).max()))
     ok = worst <= 1e-10
     assert report(8, "vacuum point W=-7/9, C=4*sqrt(2)/9 from both routes", ok,
                   f"worst {worst:.1e}")

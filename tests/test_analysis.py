@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tcmsim import (LITERAL, ConfigurationError, TimeSeries, coherent_field,
                     collapse_windows, detect_revival_peaks, deviation_report,
                     mode_sweep, oscillation_rate)
-from tcmsim.analysis import SweepRow, find_peaks, moving_average
+from tcmsim.analysis import find_peaks, moving_average
 from tcmsim.pipeline import closed_form_series
 
 
@@ -60,6 +60,9 @@ def test_detect_requires_long_enough_series():
     series = flat_series(gts)
     with pytest.raises(ConfigurationError):
         detect_revival_peaks(series, "W", 2, 25.0)
+    # one sample has no grid step to smooth over
+    with pytest.raises(ConfigurationError, match="two gt samples"):
+        detect_revival_peaks(flat_series(np.array([1000.0])), "W", 1, 1.0)
 
 
 def test_detect_scale_invariance():
@@ -130,13 +133,14 @@ def test_oscillation_rate_window_validation():
 
 
 def test_mode_sweep_wellformed():
-    rows = mode_sweep([0.0, 1.0], 2.0, [1, 2], LITERAL,
-                      sigma_width=4.0, coverage_epsilon=1e-8)
-    assert len(rows) == 4
-    assert all(isinstance(r, SweepRow) for r in rows)
-    assert all(0.0 <= r.eof <= 1.0 for r in rows)
-    at_zero = [r for r in rows if r.gt == 0.0]
-    assert all(r.eof == 0.0 for r in at_zero)
+    columns = mode_sweep([0.0, 1.0], 2.0, [1, 2], LITERAL,
+                         sigma_width=4.0, coverage_epsilon=1e-8)
+    assert list(columns) == ["m", "gt", "concurrence", "eof"]
+    assert all(col.shape == (4,) for col in columns.values())
+    assert list(zip(columns["m"], columns["gt"])) == [(1, 0.0), (1, 1.0),
+                                                      (2, 0.0), (2, 1.0)]
+    assert np.all((0.0 <= columns["eof"]) & (columns["eof"] <= 1.0))
+    assert np.all(columns["eof"][columns["gt"] == 0.0] == 0.0)
 
 
 def test_mode_sweep_errors():
@@ -151,9 +155,9 @@ def test_mode_sweep_errors():
 def test_deviation_report_identical_and_mismatch():
     gts = np.linspace(0, 3, 50)
     series = closed_form_series([coherent_field(2.0)], gts)
-    summary, combined = deviation_report(series, series)
+    summary, deltas = deviation_report(series, series)
     assert summary.max_dw == 0.0 and summary.max_dc == 0.0 and summary.max_def == 0.0
-    assert np.all(combined.extras["delta_C"] == 0.0)
+    assert np.all(deltas["delta_C"] == 0.0)
     other = closed_form_series([coherent_field(2.0)], np.linspace(0, 3, 49))
     with pytest.raises(ConfigurationError):
         deviation_report(series, other)

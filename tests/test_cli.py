@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -71,11 +72,10 @@ def run_cli(args, cwd):
                           env=CHILD_ENV, capture_output=True, text=True, timeout=60)
 
 
-def test_block_budget_is_checked_before_allocating(tmp_path):
-    # five modes at mean 25 hold 69**5 configurations (11.7 GiB as int64):
-    # the consistent blocks must refuse them from the window sizes.  Only
-    # the child runs under an address-space cap, so an allocation ahead of
-    # the check ends in a MemoryError instead of taking the host's memory.
+def run_capped(args, cwd):
+    """``python ARGS`` in a fresh interpreter under a 1 GiB address-space
+    cap: an allocation ahead of a budget check ends in a MemoryError
+    instead of taking the host's memory."""
     import resource
 
     cap = 1 << 30
@@ -83,16 +83,58 @@ def test_block_budget_is_checked_before_allocating(tmp_path):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "tcmsim", "run", "--modes", "5", "--mean", "25",
-         "--gt-steps", "2", "--out", "x.csv"],
-        cwd=tmp_path, env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1"), preexec_fn=limit,
-        capture_output=True, text=True, timeout=60)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=limit, capture_output=True, text=True, timeout=60)
+
+
+def assert_one_configuration_error(proc):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error: ")
     assert "budget" in lines[0]
+
+
+def test_block_budget_is_checked_before_allocating(tmp_path):
+    # five modes at mean 25 hold 69**5 configurations (11.7 GiB as int64):
+    # the consistent blocks must refuse them from the window sizes
+    proc = run_capped(["-m", "tcmsim", "run", "--modes", "5", "--mean", "25",
+                       "--gt-steps", "2", "--out", "x.csv"], tmp_path)
+    assert_one_configuration_error(proc)
+    assert not (tmp_path / "x.csv").exists()
+
+
+BUILD_FIVE_MODE_ORACLE = """
+import sys
+from tcmsim import ConfigurationError, ExactEvolver, coherent_field
+try:
+    ExactEvolver([coherent_field(25.0)] * 5)
+except ConfigurationError as exc:
+    sys.exit(f"configuration error: {exc}")
+"""
+
+
+@pytest.mark.parametrize("args", [
+    # 205 sectors, the largest of dimension 15,122: the sector budget
+    ["-m", "tcmsim", "run", "--modes", "3", "--mean", "25", "--convention", "literal",
+     "--oracle", "--gt-steps", "2", "--out", "x.csv"],
+    # every sector within budget, 1.0e9 matrix entries in all
+    ["-m", "tcmsim", "run", "--modes", "2", "--mean", "1000", "--convention", "literal",
+     "--oracle", "--gt-steps", "2", "--out", "x.csv"],
+    # 71**5 oracle configurations
+    ["-c", BUILD_FIVE_MODE_ORACLE],
+    # refused by the literal multiset budget: the control
+    ["-m", "tcmsim", "run", "--modes", "6", "--mean", "100", "--convention", "literal",
+     "--gt-steps", "2", "--out", "x.csv"],
+])
+def test_oracle_budgets_are_checked_before_allocating(tmp_path, args):
+    # every budget is checked from the window sizes before its sectors are
+    # built or diagonalized, within a few seconds
+    start = time.perf_counter()
+    proc = run_capped(args, tmp_path)
+    assert time.perf_counter() - start < 10
+    assert_one_configuration_error(proc)
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -235,6 +277,34 @@ def test_analyze_peaks_and_collapse(tmp_path):
     assert main(["analyze", "--in", str(inv)]) == 1
     assert main(["analyze", "--in", str(tmp_path / "nope.csv"),
                  "--max-j", "1", "--mean", "25"]) == 1
+
+
+def _set_w_cell(lines, text):
+    """The inversion CSV lines with one W cell replaced by text."""
+    gt, _ = lines[50].split(",")
+    return [*lines[:50], f"{gt},{text}", *lines[51:]]
+
+
+@pytest.mark.parametrize("edit, flags", [
+    # the collapse windows read the concurrence, which inversion has not
+    pytest.param(lambda lines: lines, ["--threshold", "0.05"], id="no-concurrence"),
+    pytest.param(lambda lines: _set_w_cell(lines, "abc"), ["--mean", "5", "--max-j", "1"],
+                 id="unparsable-cell"),
+    pytest.param(lambda lines: _set_w_cell(lines, "nan"), ["--mean", "5", "--max-j", "1"],
+                 id="nan-cell"),
+    pytest.param(lambda lines: lines[:1], ["--threshold", "0.05"], id="header-only"),
+])
+def test_analyze_refuses_what_it_cannot_read(tmp_path, capsys, edit, flags):
+    inv = tmp_path / "inv.csv"
+    assert main(["inversion", "--mean", "5", "--gt-max", "20", "--gt-steps", "400",
+                 "--out", str(inv)]) == 0
+    inv.write_text("\n".join(edit(inv.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(inv), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_config_file_with_flag_override(tmp_path):

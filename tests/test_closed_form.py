@@ -9,8 +9,18 @@ from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, coherent_field,
 from tcmsim.closed_form import (ConsistentBlocks, ProductLiteral,
                                 SingleModeConsistent, SingleModeLiteral)
 from tcmsim.fock_field import custom_field
-from tcmsim.pipeline import closed_form_route, compute_observables
-from tcmsim.reduced_density import TwoAtomDensity
+from tcmsim.pipeline import closed_form_route, closed_form_series
+from tcmsim.reduced_density import FirstFailure, normalize, validate
+
+
+def densities(raws):
+    """The normalized, validated density matrices of a (G, 4, 4) stack of
+    unnormalized ones, and their norm deficits."""
+    first = FirstFailure(len(raws))
+    rho, deficit = normalize(raws, first)
+    validate(rho, first)
+    first.raise_if_failed()
+    return rho, deficit
 
 
 def single_mode_literal(n, gt, field):
@@ -225,8 +235,8 @@ def test_assemble_consistent_multimode_norm():
     assert np.sum(np.abs(blocks.anchored_vectors([0.0])) ** 2) == pytest.approx(
         1.0, abs=1e-10)
     raws = blocks.raw_densities([0.8, 2.5])
-    obs = compute_observables(fields, [0.8, 2.5], CONSISTENT)
-    for raw, deficit in zip(raws, obs["norm_deficit"]):
+    series = closed_form_series(fields, [0.8, 2.5], CONSISTENT)
+    for raw, deficit in zip(raws, series.extras["norm_deficit"]):
         norm = float(np.trace(raw).real)
         assert np.isfinite(norm) and norm > 0
         assert deficit == pytest.approx(1.0 - norm, abs=1e-12)
@@ -246,12 +256,11 @@ def test_symmetric_evaluator_matches_direct_assembly(m):
     field = coherent_field(1.5, sigma_width=4.0, coverage_epsilon=1e-8)
     evaluator = SymmetricLiteralEvaluator(field, m)
     product = ProductLiteral([field] * m)
-    for gt in (0.6, 2.1):
-        raw = evaluator.raw_densities(np.array([gt]))[0]
-        rho_sym = TwoAtomDensity.from_unnormalized(raw)
-        rho_dir = TwoAtomDensity.from_unnormalized(product.raw_densities([gt])[0])
-        assert np.max(np.abs(rho_sym.matrix - rho_dir.matrix)) <= 1e-13
-        assert rho_sym.norm_deficit == pytest.approx(rho_dir.norm_deficit, abs=1e-12)
+    gts = np.array([0.6, 2.1])
+    rho_sym, deficit_sym = densities(evaluator.raw_densities(gts))
+    rho_dir, deficit_dir = densities(product.raw_densities(gts))
+    assert np.max(np.abs(rho_sym - rho_dir)) <= 1e-13
+    assert deficit_sym == pytest.approx(deficit_dir, abs=1e-12)
 
 
 def test_symmetric_evaluator_keeps_small_imaginary_parts():
@@ -260,11 +269,9 @@ def test_symmetric_evaluator_keeps_small_imaginary_parts():
 
     field = custom_field(0.5 + 1e-9 * np.array([1, -2, 3, 1]) * 1j)
     gt = 1.3
-    raw = SymmetricLiteralEvaluator(field, 2).raw_densities(np.array([gt]))[0]
-    rho_sym = TwoAtomDensity.from_unnormalized(raw)
-    rho_dir = TwoAtomDensity.from_unnormalized(
-        ProductLiteral([field] * 2).raw_densities([gt])[0])
-    assert np.max(np.abs(rho_sym.matrix - rho_dir.matrix)) <= 1e-13
+    rho_sym, _ = densities(SymmetricLiteralEvaluator(field, 2).raw_densities([gt]))
+    rho_dir, _ = densities(ProductLiteral([field] * 2).raw_densities([gt]))
+    assert np.max(np.abs(rho_sym - rho_dir)) <= 1e-13
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -333,10 +340,9 @@ def test_symmetric_evaluator_is_exact_across_tiles(monkeypatch):
     scale = np.max(np.abs(untiled), axis=(1, 2))[:, None, None]
     assert np.max(np.abs(tiled - untiled) / scale) <= 1e-14
     product = ProductLiteral([field] * m)
-    for gt in (0.6, 2.1):
-        rho_sym = TwoAtomDensity.from_unnormalized(ev.raw_densities([gt])[0])
-        rho_dir = TwoAtomDensity.from_unnormalized(product.raw_densities([gt])[0])
-        assert np.max(np.abs(rho_sym.matrix - rho_dir.matrix)) <= 1e-13
+    rho_sym, _ = densities(ev.raw_densities([0.6, 2.1]))
+    rho_dir, _ = densities(product.raw_densities([0.6, 2.1]))
+    assert np.max(np.abs(rho_sym - rho_dir)) <= 1e-13
 
 
 def test_symmetric_evaluator_memory_is_one_tile():
@@ -470,9 +476,9 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, mon
 def test_assemble_validation():
     fields = [coherent_field(1.0)]
     with pytest.raises(ConfigurationError):
-        compute_observables(fields, [1.0], "bogus")
+        closed_form_series(fields, [1.0], "bogus")
     with pytest.raises(ConfigurationError):
-        compute_observables(fields, [-1.0], CONSISTENT)
+        closed_form_series(fields, [-1.0], CONSISTENT)
 
 
 @pytest.mark.parametrize("fields", [[coherent_field(2.0)] * 2,
@@ -503,25 +509,26 @@ def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
         vectors = blocks.anchored_vectors([gt])[0]
         assert _same_bits(vectors, ref)
 
-        rho = TwoAtomDensity.from_unnormalized(blocks.raw_densities([gt])[0])
-        rho_ref = TwoAtomDensity.from_unnormalized(raw_density(ref))
-        assert _same_bits(rho.matrix, rho_ref.matrix)
-        assert rho.norm_deficit == rho_ref.norm_deficit
+        rho, deficit = densities(blocks.raw_densities([gt]))
+        rho_ref, deficit_ref = densities(raw_density(ref)[None])
+        assert _same_bits(rho, rho_ref)
+        assert deficit == deficit_ref
 
 
 def test_consistent_observables_match_assembled_densities():
-    from tcmsim import concurrence, eof
+    from tcmsim import eof
+    from tcmsim.pipeline import observables
 
     fields = [coherent_field(1.5), coherent_field(3.0)]
     gts = np.linspace(0.0, 5.0, 41)
-    obs = compute_observables(fields, gts, CONSISTENT)
+    series = closed_form_series(fields, gts, CONSISTENT)
     blocks = ConsistentBlocks(fields)
     for i, gt in enumerate(gts):
-        rho = TwoAtomDensity.from_unnormalized(blocks.raw_densities([gt])[0])
-        w = float(rho.matrix[0, 0].real - rho.matrix[3, 3].real)
-        c = concurrence(rho).value
-        assert (obs["w"][i], obs["concurrence"][i], obs["eof"][i]) == (w, c, eof(c))
-        assert obs["norm_deficit"][i] == rho.norm_deficit
+        # the grid's observables equal those of the one-gt density
+        one = observables(blocks.raw_densities([gt]))
+        w, c = float(one["w"][0]), float(one["concurrence"][0])
+        assert (series.w[i], series.concurrence[i], series.eof[i]) == (w, c, eof(c))
+        assert series.extras["norm_deficit"][i] == one["norm_deficit"][0]
 
 
 @pytest.mark.parametrize("m", [3, 4])

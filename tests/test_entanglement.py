@@ -5,15 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcmsim import (NumericalFailureError, binary_entropy, concurrence, eof,
-                    spin_flip)
+from tcmsim import NumericalFailureError, binary_entropy, eof, spin_flip
+from tcmsim.entanglement import concurrences
 from tcmsim.pipeline import observables
+from tcmsim.reduced_density import FirstFailure
 
 
 def dm(vec):
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+def concurrence(rho):
+    """The concurrence of one density matrix and its descending lambdas:
+    concurrences on a stack of one."""
+    first = FirstFailure(1)
+    values, lambdas = concurrences(np.asarray(rho, dtype=complex)[None], first)
+    first.raise_if_failed()
+    return values[0], lambdas[0]
 
 
 BELL = dm([1, 0, 0, 1])
@@ -26,27 +36,27 @@ def test_spin_flip_examples():
 
 
 def test_concurrence_bell():
-    assert concurrence(BELL).value == pytest.approx(1.0, abs=1e-12)
+    assert concurrence(BELL)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concurrence_product():
-    assert concurrence(np.diag([1.0, 0, 0, 0])).value == 0.0
+    assert concurrence(np.diag([1.0, 0, 0, 0]))[0] == 0.0
 
 
 def test_concurrence_werner():
     rho = 0.5 * BELL + 0.5 * np.eye(4) / 4
-    assert concurrence(rho).value == pytest.approx(0.25, abs=1e-12)
+    assert concurrence(rho)[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_concurrence_pure_06_08():
-    assert concurrence(dm([0.6, 0, 0, 0.8])).value == pytest.approx(0.96, abs=1e-12)
+    assert concurrence(dm([0.6, 0, 0, 0.8]))[0] == pytest.approx(0.96, abs=1e-12)
 
 
 def test_lambda_diagnostics():
     rho = 0.5 * BELL + 0.5 * np.eye(4) / 4
-    res = concurrence(rho)
-    assert np.all(np.diff(res.lambdas) <= 0)
-    assert res.lambdas.sum() == pytest.approx(
+    _, lambdas = concurrence(rho)
+    assert np.all(np.diff(lambdas) <= 0)
+    assert lambdas.sum() == pytest.approx(
         np.trace(rho @ spin_flip(rho)).real, abs=1e-10)
 
 
@@ -98,8 +108,8 @@ def test_local_unitary_invariance(seed):
     rho = dm(random_pure(rng))
     u = random_local_unitary(rng)
     rotated = u @ rho @ u.conj().T
-    assert concurrence(rotated).value == pytest.approx(
-        concurrence(rho).value, abs=1e-9)
+    assert concurrence(rotated)[0] == pytest.approx(
+        concurrence(rho)[0], abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,7 +117,7 @@ def test_local_unitary_invariance(seed):
 def test_pure_family_c_equals_2ab(alpha):
     beta = math.sqrt(1.0 - alpha * alpha)
     rho = dm([alpha, 0, 0, beta])
-    assert concurrence(rho).value == pytest.approx(2 * alpha * beta, abs=1e-10)
+    assert concurrence(rho)[0] == pytest.approx(2 * alpha * beta, abs=1e-10)
 
 
 def test_entanglement_point():

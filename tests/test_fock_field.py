@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +108,15 @@ def test_default_window_matches_one_pass_reference():
         assert got == _outcome(_one_pass_window, *args), args
         outcomes.add(type(got))
     assert outcomes == {TruncationWindow, str}
+
+
+def test_default_window_widens_a_long_way_quickly():
+    # ~61k one-value widenings from a window of three photon numbers: each
+    # one used to re-sum the whole window (11 s)
+    start = time.perf_counter()
+    window = default_window(4.13e7, 3.56e-6, 1.73e-6)
+    assert time.perf_counter() - start < 1.0
+    assert window == TruncationWindow(41269272, 41330734)
 
 
 def test_log_factorial_is_scipy_gammaln_bit_for_bit():

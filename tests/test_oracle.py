@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from tcmsim import (BRANCHES, ConfigurationError, ExactEvolver,
-                    NumericalFailureError, TruncationWindow, TwoAtomDensity,
-                    build_hamiltonian, build_sector_basis, coherent_field,
-                    concurrence, eof, expansion_diagnostic, fock_field, oracle)
+                    NumericalFailureError, TruncationWindow, build_hamiltonian,
+                    build_sector_basis, coherent_field, eof, expansion_diagnostic,
+                    fock_field, oracle)
 from tcmsim.basis import EXCITED_COUNT
 from tcmsim.closed_form import SingleModeConsistent
-from tcmsim.reduced_density import FirstFailure, raw_density
+from tcmsim.pipeline import observables
+from tcmsim.reduced_density import FirstFailure, normalize, raw_density, validate
 
 
 def amplitude(evolver, gt, branch, config):
@@ -20,14 +21,24 @@ def amplitude(evolver, gt, branch, config):
                                         config[0] - window.n_min]
 
 
+def densities(raws):
+    """The normalized, validated density matrices of a (G, 4, 4) stack of
+    unnormalized ones."""
+    first = FirstFailure(len(raws))
+    rho, _ = normalize(raws, first)
+    validate(rho, first)
+    first.raise_if_failed()
+    return rho
+
+
 def density_from_branch_vectors(vectors):
     """The standard partial trace: (4, N) branch amplitudes paired by final
     configuration."""
-    return TwoAtomDensity.from_unnormalized(raw_density(vectors))
+    return densities(raw_density(vectors)[None])[0]
 
 
 def exact_density(fields, gt):
-    return TwoAtomDensity.from_unnormalized(ExactEvolver(fields).densities([gt])[0][0])
+    return densities(ExactEvolver(fields).densities([gt])[0])[0]
 
 
 def propagate(sector, c, gt):
@@ -157,12 +168,13 @@ def test_group_property():
 
 def test_rho_exact_gt0():
     rho = exact_density([coherent_field(2.0)], 0.0)
-    assert np.allclose(rho.matrix, np.diag([1.0, 0, 0, 0]), atol=1e-13)
+    assert np.allclose(rho, np.diag([1.0, 0, 0, 0]), atol=1e-13)
 
 
 def test_rho_exact_vacuum_concurrence():
-    rho = exact_density([fock_field(0)], math.pi / math.sqrt(6))
-    assert concurrence(rho).value == pytest.approx(4 * math.sqrt(2) / 9, abs=1e-10)
+    raws, _ = ExactEvolver([fock_field(0)]).densities([math.pi / math.sqrt(6)])
+    assert observables(raws)["concurrence"][0] == pytest.approx(
+        4 * math.sqrt(2) / 9, abs=1e-10)
 
 
 def test_oracle_matches_consistent_closed_form_entrywise():
@@ -182,18 +194,35 @@ def test_oracle_matches_consistent_closed_form_entrywise():
 
 def test_oracle_matches_consistent_density_coherent():
     fields = [coherent_field(5.0)]
-    evolver = ExactEvolver(fields)
-    for gt in (0.5, 3.7, 9.2):
-        rho_o = TwoAtomDensity.from_unnormalized(evolver.densities([gt])[0][0])
-        rho_c = TwoAtomDensity.from_unnormalized(
-            SingleModeConsistent(fields[0]).raw_densities([gt])[0])
-        assert np.max(np.abs(rho_o.matrix - rho_c.matrix)) <= 1e-8
+    gts = (0.5, 3.7, 9.2)
+    rho_o = densities(ExactEvolver(fields).densities(gts)[0])
+    rho_c = densities(SingleModeConsistent(fields[0]).raw_densities(gts))
+    assert np.max(np.abs(rho_o - rho_c)) <= 1e-8
 
 
 def test_sector_dim_budget(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_SECTOR_DIM", 10)
     with pytest.raises(ConfigurationError):
         ExactEvolver([coherent_field(20.0)] * 2)
+
+
+@pytest.mark.parametrize("fields", [[coherent_field(5.0)] * 2,
+                                    [fock_field(3), fock_field(1)],
+                                    [coherent_field(1.0)] * 3, [coherent_field(3.0)]])
+def test_sector_budgets_count_the_built_sectors(fields, monkeypatch):
+    # both budgets are checked from configuration counts before any sector
+    # is built: they admit exactly the sectors that are then built
+    dims = [s.basis.dim for s in ExactEvolver(fields).sectors]
+    entries = sum(d * d for d in dims)
+    monkeypatch.setattr(oracle, "MAX_SECTOR_DIM", max(dims))
+    monkeypatch.setattr(oracle, "MAX_SECTOR_ENTRIES", entries)
+    assert [s.basis.dim for s in ExactEvolver(fields).sectors] == dims
+    monkeypatch.setattr(oracle, "MAX_SECTOR_ENTRIES", entries - 1)
+    with pytest.raises(ConfigurationError, match=f"hold {entries} matrix entries"):
+        ExactEvolver(fields)
+    monkeypatch.setattr(oracle, "MAX_SECTOR_DIM", max(dims) - 1)
+    with pytest.raises(ConfigurationError, match=f"dimension {max(dims)} "):
+        ExactEvolver(fields)
 
 
 def test_expansion_diagnostic_contract():
@@ -253,11 +282,12 @@ def test_oracle_series_equals_per_gt_views(fields, monkeypatch):
     single = [evolver.densities([g]) for g in gts]
     assert _same_bits(raws, np.concatenate([r for r, _ in single]))
     assert _same_bits(norms, np.concatenate([n for _, n in single]))
+    rhos = densities(raws)
     for i, gt in enumerate(gts):
-        rho = TwoAtomDensity.from_unnormalized(raws[i])
-        assert _same_bits(rho.matrix, _reference_density(evolver, float(gt)).matrix)
-        w = float(rho.matrix[0, 0].real - rho.matrix[3, 3].real)
-        c = concurrence(rho).value
+        assert _same_bits(rhos[i], _reference_density(evolver, float(gt)))
+        # the stacked observables equal those of a stack of one
+        one = observables(raws[i:i + 1])
+        w, c = float(one["w"][0]), float(one["concurrence"][0])
         assert (series.w[i], series.concurrence[i], series.eof[i]) == (w, c, eof(c))
         assert _same_bits(series.extras["norm_drift"][i], abs(norms[i] - norm0))
 
@@ -292,5 +322,5 @@ def test_branch_vectors_pair_like_the_multimode_density():
     evolver = ExactEvolver([coherent_field(2.0), coherent_field(1.0)])
     gts = (0.0, 1.7)
     for vectors, raw in zip(evolver.branch_vectors(gts), evolver.densities(gts)[0]):
-        assert _same_bits(density_from_branch_vectors(vectors).matrix,
-                          TwoAtomDensity.from_unnormalized(raw).matrix)
+        assert _same_bits(density_from_branch_vectors(vectors),
+                          densities(raw[None])[0])

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import tcmsim
-from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, TwoAtomDensity,
-                    coherent_field, concurrence, eof, fock_field, mode_sweep)
+from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, coherent_field, eof,
+                    fock_field, mode_sweep)
 from tcmsim.closed_form import ProductLiteral
-from tcmsim.pipeline import (closed_form_series, compute_observables,
-                             oracle_series, uniform_grid)
+from tcmsim.entanglement import concurrences
+from tcmsim.pipeline import closed_form_series, oracle_series, uniform_grid
+from tcmsim.reduced_density import FirstFailure, normalize, validate
 
 
 def test_uniform_grid():
@@ -37,18 +38,21 @@ def test_literal_nonidentical_fields_matches_manual_sum():
     fields = [coherent_field(1.0, sigma_width=4.0, coverage_epsilon=1e-8),
               fock_field(2)]
     gt = 1.4
-    obs = compute_observables(fields, np.array([gt]), LITERAL)
+    series = closed_form_series(fields, np.array([gt]), LITERAL)
 
     amps = ProductLiteral(fields).branch_amplitudes(np.array([gt]))[0]
     raw = np.zeros((4, 4), dtype=complex)
     for vec in amps.T:
         raw += np.outer(vec, vec.conj())
-    rho = TwoAtomDensity.from_unnormalized(raw)
-    c = concurrence(rho).value
-    assert obs["w"][0] == pytest.approx(
-        float(rho.matrix[0, 0].real - rho.matrix[3, 3].real), abs=1e-12)
-    assert obs["concurrence"][0] == pytest.approx(c, abs=1e-12)
-    assert obs["eof"][0] == pytest.approx(eof(c), abs=1e-12)
+    first = FirstFailure(1)
+    rho, _ = normalize(raw[None], first)
+    validate(rho, first)
+    c = concurrences(rho, first)[0][0]
+    first.raise_if_failed()
+    assert series.w[0] == pytest.approx(
+        float(rho[0, 0, 0].real - rho[0, 3, 3].real), abs=1e-12)
+    assert series.concurrence[0] == pytest.approx(c, abs=1e-12)
+    assert series.eof[0] == pytest.approx(eof(c), abs=1e-12)
 
 
 def test_consistent_multimode_series_runs():
