@@ -442,6 +442,10 @@ def main(argv=None) -> int:
     except TcmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("configuration error: out of memory; reduce modes, mean, coverage "
+              "or gt steps", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

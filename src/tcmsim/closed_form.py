@@ -167,41 +167,42 @@ class SingleModeConsistent(AnchoredRoute):
 # multimode literal
 # ---------------------------------------------------------------------------
 
-def literal_stats(configs: np.ndarray, fields: list[FieldDistribution]) -> dict:
-    """Per-configuration additive statistics feeding the multimode literal
-    amplitudes.  All pairwise i<j frequency sums reduce to these via
+def literal_features(field: FieldDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Per-value statistics and amplitude factors of a mode over its
+    summation range (the initial window widened two below), one column per
+    photon number n.
+
+    The nine statistic rows are n, sqrt(n), sqrt(n+1), sqrt(n+2),
+    sqrt(n(n+1)), sqrt((n+1)(n+2)), sqrt((n-1)n), sqrt(n-1) (both zero for
+    n = 0) and [n = 0]; the three factor rows are c_n, c_{n+1}, c_{n+2}.
+    Summed (statistics) and multiplied (factors) over the modes of a
+    configuration, they feed the multimode literal amplitudes: all pairwise
+    i<j frequency sums reduce to them via
     sum_{i<j}[(sqrt(a_i)+sqrt(b_j))^2 + (sqrt(b_i)+sqrt(a_j))^2]
     = (m-1)(sum a + sum b) + 2[(sum sqrt a)(sum sqrt b) - sum sqrt(a b)].
     """
-    n = configs.astype(float)
-    stats = {
-        "Sn": n.sum(axis=1),
-        "S0": np.sqrt(n).sum(axis=1),
-        "S1p": np.sqrt(n + 1.0).sum(axis=1),
-        "S2p": np.sqrt(n + 2.0).sum(axis=1),
-        "T01": np.sqrt(n * (n + 1.0)).sum(axis=1),
-        "T12": np.sqrt((n + 1.0) * (n + 2.0)).sum(axis=1),
-        "Tm0": np.sqrt(np.maximum(n - 1.0, 0.0) * n).sum(axis=1),
-        "Sm_re": np.sqrt(np.maximum(n - 1.0, 0.0)).sum(axis=1),
-        "n_zeros": (configs == 0).sum(axis=1).astype(float),
-    }
-    prod_c0 = np.ones(len(configs), dtype=complex)
-    prod_c1 = np.ones(len(configs), dtype=complex)
-    prod_c2 = np.ones(len(configs), dtype=complex)
-    for k, f in enumerate(fields):
-        prod_c0 *= f.amplitudes_at(configs[:, k])
-        prod_c1 *= f.amplitudes_at(configs[:, k] + 1)
-        prod_c2 *= f.amplitudes_at(configs[:, k] + 2)
-    stats["prod_c0"] = prod_c0
-    stats["prod_c1"] = prod_c1
-    stats["prod_c2"] = prod_c2
-    return stats
+    ns = np.arange(max(0, field.window.n_min - 2), field.window.n_max + 1)
+    v = ns.astype(float)
+    stats = np.stack([
+        v,
+        np.sqrt(v),
+        np.sqrt(v + 1.0),
+        np.sqrt(v + 2.0),
+        np.sqrt(v * (v + 1.0)),
+        np.sqrt((v + 1.0) * (v + 2.0)),
+        np.sqrt(np.maximum(v - 1.0, 0.0) * v),
+        np.sqrt(np.maximum(v - 1.0, 0.0)),
+        (v == 0).astype(float),
+    ])
+    weights = np.stack([field.amplitudes_at(ns + shift) for shift in range(3)])
+    return stats, weights
 
 
 class LiteralTerms:
     """The multimode literal amplitudes x1, x2, x3 of a set of summation
     configurations, split into a gt-independent part, built once here from
-    configuration statistics (see literal_stats), and a per-gt part,
+    their summed statistics and multiplied factors (the rows of
+    literal_features), and a per-gt part,
     `branches`, which only evaluates cosines and sines:
 
         x1 = coef1 * (cos(gt w1) - 1)
@@ -223,34 +224,34 @@ class LiteralTerms:
     evaluation.  Real weights stay real.
     """
 
-    def __init__(self, mode_count: int, stats: dict):
+    def __init__(self, mode_count: int, stats: np.ndarray, weights: np.ndarray):
         m = mode_count
-        sn, s0 = stats["Sn"], stats["S0"]
-        s1p, s2p = stats["S1p"], stats["S2p"]
+        sn, s0, s1p, s2p, t01, t12, tm0, sm_re, n_zeros = stats
+        c0, c1, c2 = weights
         self.size = sn.size
 
-        d1 = (m - 1) * (2 * sn + 3 * m) + 2 * (s1p * s2p - stats["T12"])
+        d1 = (m - 1) * (2 * sn + 3 * m) + 2 * (s1p * s2p - t12)
         self.w1 = np.sqrt(d1)
-        self.coef1 = stats["prod_c2"] * (2 * s1p * s2p / d1)
+        self.coef1 = c2 * (2 * s1p * s2p / d1)
 
-        d3 = (m - 1) * (2 * sn + m) + 2 * (s0 * s1p - stats["T01"])
+        d3 = (m - 1) * (2 * sn + m) + 2 * (s0 * s1p - t01)
         self.w3 = np.sqrt(d3)
-        self.coef3 = stats["prod_c1"] * (s1p / self.w3)
+        self.coef3 = c1 * (s1p / self.w3)
 
         # the real part of the x2 denominator; each zero photon number adds
         # 2j * s0 to it
-        d2 = (m - 1) * (2 * sn - m) + 2 * (s0 * stats["Sm_re"] - stats["Tm0"])
+        d2 = (m - 1) * (2 * sn - m) + 2 * (s0 * sm_re - tm0)
         zero = s0 == 0.0
-        real = zero | ((stats["n_zeros"] == 0.0) & (d2 >= 0.0))
+        real = zero | ((n_zeros == 0.0) & (d2 >= 0.0))
         d2_eff = np.where(real & ~zero, d2, 1.0)
         self.w2 = np.where(real, np.sqrt(d2_eff), 0.0)
         self.ratio2 = np.where(real, (2 * s0 ** 2) * (1.0 / d2_eff), 0.0)
-        self.c0 = stats["prod_c0"]
+        self.c0 = c0
 
         self.complex2 = np.flatnonzero(~real)
         c = self.complex2
-        sm = stats["Sm_re"][c] + 1j * stats["n_zeros"][c]
-        d2_c = (m - 1) * (2 * sn[c] - m) + 2 * (s0[c] * sm - stats["Tm0"][c])
+        sm = sm_re[c] + 1j * n_zeros[c]
+        d2_c = (m - 1) * (2 * sn[c] - m) + 2 * (s0[c] * sm - tm0[c])
         self.w2_c, self.ratio2_c = np.sqrt(d2_c), 2 * s0[c] ** 2 / d2_c
         self.c0_c = self.c0[c]
         self._tiled = {}
@@ -304,7 +305,18 @@ class ProductLiteral(AnchoredRoute):
                   for f in fields]
         self.configs = config_array(ranges, MAX_LITERAL_CONFIGS,
                                     "literal multimode configurations")
-        self.terms = LiteralTerms(m, literal_stats(self.configs, fields))
+        # summed and multiplied over the modes in mode order, a row at a
+        # time so that no temporary outgrows one row
+        stats = np.zeros((9, len(self.configs)))
+        weights = np.ones((3, len(self.configs)), dtype=complex)
+        for k, (f, r) in enumerate(zip(fields, ranges)):
+            feats, wfeats = literal_features(f)
+            column = self.configs[:, k] - r.n_min
+            for row, values in zip(stats, feats):
+                row += values[column]
+            for row, values in zip(weights, wfeats):
+                row *= values[column]
+        self.terms = LiteralTerms(m, stats, weights)
         super().__init__(fields, self.configs)
 
     def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:

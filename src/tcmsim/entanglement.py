@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .reduced_density import FirstFailure
+from .errors import NumericalFailureError
+from .reduced_density import raise_at_first
 
 EIG_IMAG_TOL = 1e-10
 EIG_NEG_TOL = 1e-10
@@ -23,9 +24,9 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     return _SPIN_FLIP @ np.conj(rho) @ _SPIN_FLIP
 
 
-def concurrences(rho: np.ndarray, first: FirstFailure) -> tuple[np.ndarray, np.ndarray]:
+def concurrences(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concurrences and their descending lambdas of a (G, 4, 4) stack of
-    density matrices, for the gts before the first failure.
+    density matrices.
 
     C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) with l_i the
     eigenvalues of rho * rho_tilde in descending order.  The product matrix
@@ -33,16 +34,18 @@ def concurrences(rho: np.ndarray, first: FirstFailure) -> tuple[np.ndarray, np.n
     spectrum is real and nonnegative, and violations beyond tolerance are
     failures.
     """
-    m = rho[:first.stop]
-    eigs = first.stacked(np.linalg.eigvals, m @ spin_flip(m), "concurrence eigenvalues")
+    try:
+        eigs = np.linalg.eigvals(rho @ spin_flip(rho))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"concurrence eigenvalues: {exc}") from exc
     max_imag = np.abs(eigs.imag).max(axis=-1, initial=0.0)
-    first.check(max_imag > EIG_IMAG_TOL, lambda i: (
+    raise_at_first(max_imag > EIG_IMAG_TOL, lambda i: (
         f"concurrence eigenvalues have imaginary part {max_imag[i]:.3e}"))
     lam = eigs.real
     lo = lam.min(axis=-1, initial=np.inf)
-    first.check(lo < -EIG_NEG_TOL, lambda i: (
+    raise_at_first(lo < -EIG_NEG_TOL, lambda i: (
         f"concurrence eigenvalue {lo[i]:.3e} negative beyond tolerance"))
-    lam = np.sort(np.clip(lam[:first.stop], 0.0, None), axis=-1)[..., ::-1]
+    lam = np.sort(np.clip(lam, 0.0, None), axis=-1)[..., ::-1]
     # eigenvalues at relative machine-noise level snap to zero: the square
     # root would otherwise amplify O(1e-16) junk into O(1e-8) concurrence
     # errors on pure states

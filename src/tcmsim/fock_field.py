@@ -30,6 +30,12 @@ MAX_WINDOW_SIZE = 1_000_000
 # apart: numpy's pairwise sum of n values errs by at most about
 # 26 + log2(n / 128) unit roundoffs, under 4.5e-15 for n <= MAX_WINDOW_SIZE
 _SUM_SLACK = 1e-14
+# the largest coherent mean: log p = -mean + n log(mean) - log(n!) adds
+# terms of size up to mean log(mean) near n = mean, so it rounds with an
+# absolute error, and p with a relative error, of up to about
+# eps (mean + n log(mean) + log(n!)) ~ 2 eps mean log(mean); with
+# eps = 2.2e-16 that stays below 1e-6 up to a mean of about 1.2e8
+MAX_COHERENT_MEAN = 1e8
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,14 @@ def log_factorial(ns) -> np.ndarray:
     return out
 
 
+def _check_mean_budget(mean: float) -> None:
+    if mean > MAX_COHERENT_MEAN:
+        raise ConfigurationError(
+            f"coherent mean {mean:g} exceeds the budget of {MAX_COHERENT_MEAN:g}, beyond "
+            "which the Poisson pmf loses more than 1e-6 of its relative precision; "
+            "reduce the mean")
+
+
 def _poisson_pmf(mean: float, ns: np.ndarray) -> np.ndarray:
     if mean == 0.0:
         return np.where(ns == 0, 1.0, 0.0)
@@ -107,6 +121,7 @@ def coherent_amplitudes(mean: float, window: TruncationWindow) -> np.ndarray:
     if not 0 <= mean < np.inf:
         raise ConfigurationError(
             f"coherent mean must be finite and nonnegative, got {mean}")
+    _check_mean_budget(mean)
     ns = window.values()
     if mean == 0.0:
         return np.where(ns == 0, 1.0, 0.0).astype(complex)
@@ -127,6 +142,7 @@ def default_window(mean: float,
     sum lies that close to the target or to the out-of-reach bound."""
     if not 0 <= mean < np.inf:
         raise ConfigurationError(f"mean must be finite and nonnegative, got {mean}")
+    _check_mean_budget(mean)
     if not (0 < sigma_width < np.inf and 0 < coverage_epsilon < np.inf):
         raise ConfigurationError(
             "sigma_width and coverage_epsilon must be finite and positive, got "

@@ -21,7 +21,7 @@ import numpy as np
 from .basis import BRANCHES, EXCITED_COUNT
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, TruncationWindow, config_array
-from .reduced_density import FirstFailure, raw_density
+from .reduced_density import raise_at_first, raw_density
 
 NORM_DRIFT_TOL = 1e-8
 # gts propagated at once: bounds the (CHUNK_GTS, 4, N) branch vectors
@@ -197,10 +197,10 @@ class ExactEvolver:
                                 lows, initial) for i in range(n)]
         self._norm0 = float(sum(np.sum(np.abs(s.c0) ** 2) for s in self.sectors))
 
-    def check_drift(self, norms: np.ndarray, first: FirstFailure) -> None:
-        """Flag the gts whose total norm drifted from the initial one."""
+    def check_drift(self, norms: np.ndarray) -> None:
+        """Raise at the first gt whose total norm drifted from the initial one."""
         drift = np.abs(np.asarray(norms) - self._norm0)
-        first.check(drift > NORM_DRIFT_TOL, lambda i: (
+        raise_at_first(drift > NORM_DRIFT_TOL, lambda i: (
             f"norm drift {drift[i]:.3e} beyond {NORM_DRIFT_TOL:g}; "
             "the truncation window is too small"))
 

@@ -12,7 +12,7 @@ from .entanglement import concurrences, eof
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, same_fields
 from .oracle import ExactEvolver
-from .reduced_density import FirstFailure, normalize, validate
+from .reduced_density import normalize, validate
 from .series import TimeSeries
 from .symmetric import SymmetricLiteralEvaluator
 
@@ -46,17 +46,14 @@ def closed_form_route(fields: list[FieldDistribution], convention: str):
     return ProductLiteral(fields)
 
 
-def observables(raws: np.ndarray, first: FirstFailure | None = None) -> dict[str, np.ndarray]:
+def observables(raws: np.ndarray) -> dict[str, np.ndarray]:
     """W, concurrence, eof and norm_deficit arrays of a (G, 4, 4) stack of
     unnormalized densities, all gts at once: normalize, validate and the
     Wootters concurrence each run on the whole stack.  NumericalFailureError
-    reports the first failing gt, counting failures already flagged in
-    first."""
-    first = FirstFailure(len(raws)) if first is None else first
-    rho, deficit = normalize(raws, first)
-    validate(rho, first)
-    c, _ = concurrences(rho, first)
-    first.raise_if_failed()
+    reports the first check that fails, at its first failing gt."""
+    rho, deficit = normalize(raws)
+    validate(rho)
+    c, _ = concurrences(rho)
     return {"w": rho[:, 0, 0].real - rho[:, 3, 3].real, "concurrence": c,
             "eof": eof(c), "norm_deficit": deficit}
 
@@ -74,18 +71,17 @@ def closed_form_series(fields: list[FieldDistribution], gts: np.ndarray,
 def oracle_series(fields: list[FieldDistribution], gts: np.ndarray,
                   evolver: ExactEvolver | None = None) -> TimeSeries:
     """Exact-evolution observables on the grid, with per-point norm drift
-    from the gt = 0 norm (itself checked for drift first)."""
+    from the gt = 0 norm.  The gt = 0 norm and then the grid's norms are
+    checked for drift before the densities: a truncation too small is
+    reported ahead of the density failures it causes."""
     gts = check_grid(gts)
     if evolver is None:
         evolver = ExactEvolver(fields)
     _, norm0 = evolver.densities([0.0])
-    first = FirstFailure(1)
-    evolver.check_drift(norm0, first)
-    first.raise_if_failed()
+    evolver.check_drift(norm0)
     raws, norms = evolver.densities(gts)
-    first = FirstFailure(gts.size)
-    evolver.check_drift(norms, first)
-    obs = observables(raws, first)
+    evolver.check_drift(norms)
+    obs = observables(raws)
     drift = np.abs(norms - norm0[0])
     return TimeSeries(gt=gts, w=obs["w"], concurrence=obs["concurrence"],
                       eof=obs["eof"], extras={"norm_drift": drift})

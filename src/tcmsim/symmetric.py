@@ -38,40 +38,13 @@ import math
 
 import numpy as np
 
-from .closed_form import LiteralTerms
+from .closed_form import LiteralTerms, literal_features
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution
-
-_STAT_KEYS = ("Sn", "S0", "S1p", "S2p", "T01", "T12", "Tm0", "Sm_re", "n_zeros")
-_WEIGHT_KEYS = ("prod_c0", "prod_c1", "prod_c2")
 
 MAX_MULTISETS = 100_000_000
 # multisets per tile, and amplitudes evaluated at once: gts per chunk x tile size
 CHUNK_ELEMENTS = 8192
-
-
-def _per_value_features(field: FieldDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Per-value statistics, one row per _STAT_KEYS entry, and amplitude
-    factors c_n, c_{n+1}, c_{n+2}, one row per _WEIGHT_KEYS entry; the
-    factors are real when the field's amplitudes are."""
-    lo = max(0, field.window.n_min - 2)
-    v = np.arange(lo, field.window.n_max + 1, dtype=float)
-    feats = np.stack([
-        v,
-        np.sqrt(v),
-        np.sqrt(v + 1.0),
-        np.sqrt(v + 2.0),
-        np.sqrt(v * (v + 1.0)),
-        np.sqrt((v + 1.0) * (v + 2.0)),
-        np.sqrt(np.maximum(v - 1.0, 0.0) * v),
-        np.sqrt(np.maximum(v - 1.0, 0.0)),
-        (v == 0).astype(float),
-    ])
-    ns = np.arange(lo, field.window.n_max + 1)
-    weights = np.stack([field.amplitudes_at(ns + shift) for shift in range(3)])
-    if not weights.imag.any():
-        weights = weights.real.copy()
-    return feats, weights
 
 
 class _Level:
@@ -79,26 +52,27 @@ class _Level:
     ordered by their last value."""
 
     def __init__(self, stats, weights, last, run, denom):
-        self.stats = stats        # (len(_STAT_KEYS), size) float array
-        self.weights = weights    # (len(_WEIGHT_KEYS), size), real or complex
+        self.stats = stats        # (9, size) float: literal_features' statistic rows
+        self.weights = weights    # (3, size) factor rows, real or complex
         self.last = last          # index of the largest (= final) value
         self.run = run            # length of the trailing equal-value run
         self.denom = denom        # product of factorials of completed counts
         self.size = last.size
 
     @classmethod
-    def empty(cls, size: int, dtype) -> _Level:
-        return cls(stats=np.empty((len(_STAT_KEYS), size)),
-                   weights=np.empty((len(_WEIGHT_KEYS), size), dtype=dtype),
+    def empty(cls, size: int, feats, weights) -> _Level:
+        """size uninitialized rows shaped like the per-value table's."""
+        return cls(stats=np.empty((len(feats), size)),
+                   weights=np.empty((len(weights), size), dtype=weights.dtype),
                    last=np.empty(size, dtype=np.int64),
                    run=np.empty(size, dtype=np.int32),
                    denom=np.empty(size))
 
 
-def _level_zero(weights) -> _Level:
+def _level_zero(feats, weights) -> _Level:
     """The empty tuple: zero statistics, unit weights, no last value."""
-    return _Level(stats=np.zeros((len(_STAT_KEYS), 1)),
-                  weights=np.ones((len(_WEIGHT_KEYS), 1), dtype=weights.dtype),
+    return _Level(stats=np.zeros((len(feats), 1)),
+                  weights=np.ones((len(weights), 1), dtype=weights.dtype),
                   last=np.full(1, -1, dtype=np.int64),
                   run=np.zeros(1, dtype=np.int32),
                   denom=np.ones(1))
@@ -109,7 +83,7 @@ def _extend_rows(level: _Level, lo: int, hi: int, iv: int, feats, weights,
     """Extend rows lo:hi of level (all with last <= iv) by value index iv,
     writing them into out's rows from `at`, or into a new level."""
     if out is None:
-        out = _Level.empty(hi - lo, weights.dtype)
+        out = _Level.empty(hi - lo, feats, weights)
     end = at + hi - lo
     np.add(level.stats[:, lo:hi], feats[:, iv, None], out=out.stats[:, at:end])
     np.multiply(level.weights[:, lo:hi], weights[:, iv, None], out=out.weights[:, at:end])
@@ -127,7 +101,7 @@ def _next_level(level: _Level, n_values: int, feats, weights) -> _Level:
     value index iv, the rows with last <= iv extended by iv, written
     block after block into one preallocated level."""
     counts = np.searchsorted(level.last, np.arange(n_values), side="right").tolist()
-    out = _Level.empty(sum(counts), weights.dtype)
+    out = _Level.empty(sum(counts), feats, weights)
     start = 0
     for iv, prefix in enumerate(counts):
         _extend_rows(level, 0, prefix, iv, feats, weights, out, start)
@@ -164,14 +138,17 @@ class SymmetricLiteralEvaluator:
             raise ConfigurationError("the symmetric evaluator requires m >= 2")
         self.field = field
         self.mode_count = mode_count
-        self.feats, self.wfeats = _per_value_features(field)
+        # real factors stay real when the field's amplitudes are
+        self.feats, self.wfeats = literal_features(field)
+        if not self.wfeats.imag.any():
+            self.wfeats = self.wfeats.real.copy()
         self.n_values = self.feats.shape[1]
         total = math.comb(self.n_values + mode_count - 1, mode_count)
         if total > MAX_MULTISETS:
             raise ConfigurationError(
                 f"{total} occupation multisets exceed the budget {MAX_MULTISETS}; "
                 "reduce windows, coverage, or mode count")
-        level = _level_zero(self.wfeats)
+        level = _level_zero(self.feats, self.wfeats)
         for _ in range(max(mode_count - 3, 0)):
             level = _next_level(level, self.n_values, self.feats, self.wfeats)
         # the stored (m - 3)-level, and the first CHUNK_ELEMENTS rows of the
@@ -183,7 +160,7 @@ class SymmetricLiteralEvaluator:
         else:
             self._base_ends = _block_ends(self.n_values, mode_count - 2)
             size = min(CHUNK_ELEMENTS, int(self._base_ends[-1]))
-            self._prefix = _Level.empty(size, self.wfeats.dtype)
+            self._prefix = _Level.empty(size, self.feats, self.wfeats)
             self._write_base(self._prefix, 0, size)
         # final block iv extends the penultimate rows up to the end of
         # penultimate block iv, so these ends are also the final block sizes
@@ -222,8 +199,8 @@ class SymmetricLiteralEvaluator:
         already there, and only the rest are written: at m = 3 a block of a
         window of up to 127 values is one tile, so each block adds one
         penultimate block."""
-        rows = _Level.empty(CHUNK_ELEMENTS, self.wfeats.dtype)
-        base = _Level.empty(CHUNK_ELEMENTS, self.wfeats.dtype)
+        rows = _Level.empty(CHUNK_ELEMENTS, self.feats, self.wfeats)
+        base = _Level.empty(CHUNK_ELEMENTS, self.feats, self.wfeats)
         held_lo = held_hi = 0     # rows holds penultimate rows held_lo:held_hi
         for iv, size in enumerate(self.block_sizes.tolist()):
             for lo in range(0, size, CHUNK_ELEMENTS):
@@ -262,8 +239,7 @@ class SymmetricLiteralEvaluator:
         """Add one tile's multisets to raw."""
         m = self.mode_count
         mult = float(math.factorial(m)) / tile.denom
-        terms = LiteralTerms(m, {**dict(zip(_STAT_KEYS, tile.stats)),
-                                 **dict(zip(_WEIGHT_KEYS, tile.weights))})
+        terms = LiteralTerms(m, tile.stats, tile.weights)
         step = CHUNK_ELEMENTS // terms.size
         for start in range(0, gts.size, step):
             chunk = gts[start:start + step]

@@ -21,25 +21,21 @@ from tcmsim.cli import main
 from tcmsim.entanglement import concurrences
 from tcmsim.pipeline import (closed_form_route, closed_form_series, observables,
                              oracle_series)
-from tcmsim.reduced_density import FirstFailure, normalize, validate
+from tcmsim.reduced_density import normalize, validate
 
 
 def densities(raws):
     """The normalized, validated density matrices of a (G, 4, 4) stack of
     unnormalized ones."""
-    first = FirstFailure(len(raws))
-    rho, _ = normalize(raws, first)
-    validate(rho, first)
-    first.raise_if_failed()
+    rho, _ = normalize(raws)
+    validate(rho)
     return rho
 
 
 def concurrence(rho):
     """The concurrence of one density matrix: concurrences on a stack of
     one."""
-    first = FirstFailure(1)
-    values, _ = concurrences(np.asarray(rho, dtype=complex)[None], first)
-    first.raise_if_failed()
+    values, _ = concurrences(np.asarray(rho, dtype=complex)[None])
     return float(values[0])
 
 

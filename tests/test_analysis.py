@@ -166,16 +166,17 @@ def test_deviation_report_identical_and_mismatch():
 def test_mode_frequency_evidence(literal_mean25_series):
     """The closed-form oscillation frequencies grow with the mode count, and
     the inversion's pre-collapse crossing rate ranks accordingly."""
-    from tcmsim.closed_form import literal_stats
+    from tcmsim.closed_form import LiteralTerms, literal_features
+    stats, weights = literal_features(coherent_field(25.0))
+    at25 = np.flatnonzero(stats[0] == 25.0)
     freqs = []
     for m in (1, 2, 3):
         if m == 1:
             freqs.append(np.sqrt(4 * 25 + 6.0))
         else:
-            cfg = np.full((1, m), 25)
-            s = literal_stats(cfg, [coherent_field(25.0)] * m)
-            d1 = (m - 1) * (2 * s["Sn"] + 3 * m) + 2 * (s["S1p"] * s["S2p"] - s["T12"])
-            freqs.append(float(np.sqrt(d1[0])))
+            # the configuration with every mode at 25 photons
+            terms = LiteralTerms(m, m * stats[:, at25], weights[:, at25] ** m)
+            freqs.append(float(terms.w1[0]))
     assert freqs[0] < freqs[1] < freqs[2]
 
     rates = []

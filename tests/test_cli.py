@@ -61,6 +61,20 @@ def test_literal_overflow_exits_as_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eigensolver_failure_exits_as_numerical_failure(tmp_path, capsys, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    out = tmp_path / "x.csv"
+    code = main(["run", "--modes", "1", "--mean", "2", "--gt-max", "2", "--gt-steps", "5",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: concurrence eigenvalues: Eigenvalues did not converge"]
+    assert not out.exists()
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
@@ -102,6 +116,17 @@ def test_block_budget_is_checked_before_allocating(tmp_path):
     proc = run_capped(["-m", "tcmsim", "run", "--modes", "5", "--mean", "25",
                        "--gt-steps", "2", "--out", "x.csv"], tmp_path)
     assert_one_configuration_error(proc)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_out_of_memory_exits_with_one_message(tmp_path):
+    # a grid of 200 million gts asks np.linspace for 1.6 GB, beyond the cap
+    proc = run_capped(["-m", "tcmsim", "inversion", "--gt-steps", "200000000",
+                       "--out", "x.csv"], tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: out of memory")
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -10,16 +10,14 @@ from tcmsim.closed_form import (ConsistentBlocks, ProductLiteral,
                                 SingleModeConsistent, SingleModeLiteral)
 from tcmsim.fock_field import custom_field
 from tcmsim.pipeline import closed_form_route, closed_form_series
-from tcmsim.reduced_density import FirstFailure, normalize, validate
+from tcmsim.reduced_density import normalize, validate
 
 
 def densities(raws):
     """The normalized, validated density matrices of a (G, 4, 4) stack of
     unnormalized ones, and their norm deficits."""
-    first = FirstFailure(len(raws))
-    rho, deficit = normalize(raws, first)
-    validate(rho, first)
-    first.raise_if_failed()
+    rho, deficit = normalize(raws)
+    validate(rho)
     return rho, deficit
 
 
@@ -404,7 +402,7 @@ def _penultimate_level(ev):
     empty tuple, whatever depth the evaluator stores."""
     from tcmsim import symmetric
 
-    level = symmetric._level_zero(ev.wfeats)
+    level = symmetric._level_zero(ev.feats, ev.wfeats)
     for _ in range(ev.mode_count - 1):
         level = symmetric._next_level(level, ev.n_values, ev.feats, ev.wfeats)
     return level
@@ -538,7 +536,7 @@ def test_penultimate_level_equals_concatenated_blocks(m):
     field = coherent_field(2.0, sigma_width=4.0, coverage_epsilon=1e-8)
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
     # reference: each level as the concatenation of its extended blocks
-    levels = [symmetric._level_zero(ev.wfeats)]
+    levels = [symmetric._level_zero(ev.feats, ev.wfeats)]
     level = symmetric._next_level(levels[0], ev.n_values, ev.feats, ev.wfeats)
     for _ in range(m - 2):
         levels.append(level)
@@ -553,10 +551,10 @@ def test_penultimate_level_equals_concatenated_blocks(m):
             denom=np.concatenate([b.denom for b in blocks]))
     built = _penultimate_level(ev)
     assert built.size == level.size == math.comb(ev.n_values + m - 2, m - 1)
-    for i, k in enumerate(symmetric._STAT_KEYS):
-        assert np.array_equal(built.stats[i], level.stats[i]), k
+    for i in range(len(ev.feats)):
+        assert np.array_equal(built.stats[i], level.stats[i]), i
     assert built.weights.shape == level.weights.shape
-    for i in range(len(symmetric._WEIGHT_KEYS)):
+    for i in range(len(ev.wfeats)):
         assert built.weights[i].dtype == level.weights[i].dtype
         assert np.array_equal(built.weights[i], level.weights[i])
     for name in ("last", "run", "denom"):

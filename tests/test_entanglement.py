@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tcmsim import NumericalFailureError, binary_entropy, eof, spin_flip
 from tcmsim.entanglement import concurrences
 from tcmsim.pipeline import observables
-from tcmsim.reduced_density import FirstFailure
 
 
 def dm(vec):
@@ -20,9 +19,7 @@ def dm(vec):
 def concurrence(rho):
     """The concurrence of one density matrix and its descending lambdas:
     concurrences on a stack of one."""
-    first = FirstFailure(1)
-    values, lambdas = concurrences(np.asarray(rho, dtype=complex)[None], first)
-    first.raise_if_failed()
+    values, lambdas = concurrences(np.asarray(rho, dtype=complex)[None])
     return values[0], lambdas[0]
 
 

@@ -158,6 +158,18 @@ def test_default_window_rejects_windows_beyond_the_budget(kwargs):
         default_window(**kwargs)
 
 
+def test_means_beyond_the_pmf_budget_are_refused():
+    # at mean 1e14 the log-space pmf errs by about 6e-4 relative; at 8e15
+    # default_window used to return [8e15, 8e15] as covering 1 - 1e-3
+    budget = "coherent mean .* exceeds the budget"
+    with pytest.raises(ConfigurationError, match=budget):
+        coherent_amplitudes(1e14, TruncationWindow(10**14 - 5, 10**14 + 5))
+    with pytest.raises(ConfigurationError, match=budget):
+        default_window(1e14, 1e-4, 1e-3)
+    with pytest.raises(ConfigurationError, match=budget):
+        default_window(8e15, 1e-9, 1e-3)
+
+
 def test_non_finite_amplitudes_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match="finite"):
         coherent_amplitudes(math.nan, TruncationWindow(0, 3))

@@ -11,7 +11,7 @@ from tcmsim import (BRANCHES, ConfigurationError, ExactEvolver,
 from tcmsim.basis import EXCITED_COUNT
 from tcmsim.closed_form import SingleModeConsistent
 from tcmsim.pipeline import observables
-from tcmsim.reduced_density import FirstFailure, normalize, raw_density, validate
+from tcmsim.reduced_density import normalize, raw_density, validate
 
 
 def amplitude(evolver, gt, branch, config):
@@ -24,10 +24,8 @@ def amplitude(evolver, gt, branch, config):
 def densities(raws):
     """The normalized, validated density matrices of a (G, 4, 4) stack of
     unnormalized ones."""
-    first = FirstFailure(len(raws))
-    rho, _ = normalize(raws, first)
-    validate(rho, first)
-    first.raise_if_failed()
+    rho, _ = normalize(raws)
+    validate(rho)
     return rho
 
 
@@ -310,10 +308,8 @@ def test_batched_oracle_raises_on_norm_drift():
     evolver._norm0 += 1e-6
     with pytest.raises(NumericalFailureError, match="norm drift"):
         oracle_series(fields, np.linspace(0.0, 2.0, 5), evolver=evolver)
-    first = FirstFailure(1)
-    evolver.check_drift(evolver.densities([0.5])[1], first)
     with pytest.raises(NumericalFailureError, match="norm drift"):
-        first.raise_if_failed()
+        evolver.check_drift(evolver.densities([0.5])[1])
 
 
 def test_branch_vectors_pair_like_the_multimode_density():

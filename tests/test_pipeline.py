@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import tcmsim
-from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, coherent_field, eof,
-                    fock_field, mode_sweep)
+from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, NumericalFailureError,
+                    coherent_field, eof, fock_field, mode_sweep)
 from tcmsim.closed_form import ProductLiteral
 from tcmsim.entanglement import concurrences
-from tcmsim.pipeline import closed_form_series, oracle_series, uniform_grid
-from tcmsim.reduced_density import FirstFailure, normalize, validate
+from tcmsim.pipeline import (closed_form_route, closed_form_series, observables,
+                             oracle_series, uniform_grid)
+from tcmsim.reduced_density import normalize, validate
 
 
 def test_uniform_grid():
@@ -44,15 +45,32 @@ def test_literal_nonidentical_fields_matches_manual_sum():
     raw = np.zeros((4, 4), dtype=complex)
     for vec in amps.T:
         raw += np.outer(vec, vec.conj())
-    first = FirstFailure(1)
-    rho, _ = normalize(raw[None], first)
-    validate(rho, first)
-    c = concurrences(rho, first)[0][0]
-    first.raise_if_failed()
+    rho, _ = normalize(raw[None])
+    validate(rho)
+    c = concurrences(rho)[0][0]
     assert series.w[0] == pytest.approx(
         float(rho[0, 0, 0].real - rho[0, 3, 3].real), abs=1e-12)
     assert series.concurrence[0] == pytest.approx(c, abs=1e-12)
     assert series.eof[0] == pytest.approx(eof(c), abs=1e-12)
+
+
+@pytest.mark.parametrize("name, what", [("eigvals", "concurrence eigenvalues"),
+                                        ("eigvalsh", "density matrix eigenvalues")])
+def test_stacked_eigensolver_failure_is_a_numerical_failure(monkeypatch, name, what):
+    # numpy raises LinAlgError for a whole stack; the stack fails with it,
+    # without retrying its matrices one at a time
+    solver = getattr(np.linalg, name)
+
+    def fail_on_stacks(a):
+        if np.ndim(a) > 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return solver(a)
+
+    raws = closed_form_route([coherent_field(2.0)], CONSISTENT).raw_densities([0.0, 1.0])
+    monkeypatch.setattr(np.linalg, name, fail_on_stacks)
+    with pytest.raises(NumericalFailureError,
+                       match=f"^{what}: Eigenvalues did not converge$"):
+        observables(raws)
 
 
 def test_consistent_multimode_series_runs():

@@ -6,24 +6,20 @@ import pytest
 from tcmsim import NumericalFailureError, coherent_field, fock_field
 from tcmsim.closed_form import SingleModeConsistent, SingleModeLiteral
 from tcmsim.pipeline import observables
-from tcmsim.reduced_density import FirstFailure, normalize, raw_density, validate
+from tcmsim.reduced_density import normalize, raw_density, validate
 
 
 def density(raw):
     """One unnormalized matrix normalized and validated as a stack of one:
     the density matrix and its norm deficit."""
-    first = FirstFailure(1)
-    rho, deficit = normalize(np.asarray(raw)[None], first)
-    validate(rho, first)
-    first.raise_if_failed()
+    rho, deficit = normalize(np.asarray(raw)[None])
+    validate(rho)
     return rho[0], deficit[0]
 
 
 def check(rho):
     """Validate one density matrix as a stack of one."""
-    first = FirstFailure(1)
-    validate(np.asarray(rho, dtype=complex)[None], first)
-    first.raise_if_failed()
+    validate(np.asarray(rho, dtype=complex)[None])
 
 
 def consistent_density(gt, field):
@@ -103,7 +99,8 @@ def _failure(fn):
 
 def test_stack_fails_at_its_first_failing_matrix():
     # one failing matrix in a stack raises the message a stack of one
-    # raises for it; of several, the first gt's, whichever check fails
+    # raises for it; of several, the first check that fails decides, at its
+    # first failing gt, whatever the gts of the others
     good = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
     negative = np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex)
     overflowed = np.diag([np.inf, 0.0, 0.0, 1.0]).astype(complex)
@@ -111,5 +108,12 @@ def test_stack_fails_at_its_first_failing_matrix():
     for bad in (negative, overflowed, zero):
         single = _failure(lambda: density(bad))
         assert _failure(lambda: observables(bad[None])) == single
+        assert _failure(lambda: observables(np.stack([good, good, bad, good]))) == single
+        # normalize's non-finite check runs first: the overflow at gt 5
+        # is reported ahead of any failure at gt 2
         stack = np.stack([good, good, bad, good, negative, overflowed, zero])
-        assert _failure(lambda: observables(stack)) == single
+        assert _failure(lambda: observables(stack)) == _failure(lambda: density(overflowed))
+    # the zero norm (normalize) is found before the negative eigenvalue
+    # (validate) of an earlier gt
+    stack = np.stack([good, negative, good, zero])
+    assert _failure(lambda: observables(stack)) == _failure(lambda: density(zero))
