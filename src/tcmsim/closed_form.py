@@ -41,7 +41,10 @@ CONVENTIONS = (LITERAL, CONSISTENT)
 
 # resource guards for multimode enumeration
 MAX_LITERAL_CONFIGS = 5_000_000
-MAX_BLOCK_ENTRIES = 10_000_000
+# the entries of every consistent cascade block, dim**2 per configuration:
+# the eigenvectors are held as float64, 1.2 GB at the budget, beside the
+# transient block Hamiltonians of the same size
+MAX_BLOCK_ENTRIES = 150_000_000
 # anchored-vector entries held at once: gts per chunk x 4 branches x layout size
 CHUNK_ELEMENTS = 1 << 17
 
@@ -350,9 +353,9 @@ class ConsistentBlocks(AnchoredRoute):
         self.pairs = [(k, l) for k in range(m) for l in range(k, m)]
         self.dim = 1 + m + len(self.pairs)
 
-        # MAX_BLOCK_ENTRIES counts block entries, dim per configuration
-        configs = config_array([f.window for f in fields], MAX_BLOCK_ENTRIES // self.dim,
-                               f"consistent cascade blocks of {self.dim} entries")
+        configs = config_array([f.window for f in fields],
+                               MAX_BLOCK_ENTRIES // self.dim ** 2,
+                               f"consistent cascade blocks of {self.dim}x{self.dim} entries")
         self.configs = configs
         weights = np.ones(len(configs), dtype=complex)
         for k, f in enumerate(fields):
@@ -374,14 +377,13 @@ class ConsistentBlocks(AnchoredRoute):
         self.eigvals, self.eigvecs = np.linalg.eigh(h)
         # overlap of each eigenvector with the initial |aa,n> block state
         self._p0 = self.eigvecs[:, 0, :].astype(complex)
-        # the operands every gt shares, cast once
         self._rates = -1j * self.eigvals
-        self._eigvecs_c = self.eigvecs.astype(complex)
 
     def amplitudes_at(self, gt: float) -> np.ndarray:
-        """(n_configs, dim) complex block amplitudes at time gt."""
+        """(n_configs, dim) complex block amplitudes at time gt; einsum
+        casts the real eigenvectors to complex for this call alone."""
         phase = np.exp(self._rates * gt) * self._p0
-        return np.einsum("ndm,nm->nd", self._eigvecs_c, phase)
+        return np.einsum("ndm,nm->nd", self.eigvecs, phase)
 
     def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
         """The weighted block amplitudes summed per branch in cascade order:

@@ -25,13 +25,14 @@ from .reduced_density import raise_at_first, raw_density
 
 NORM_DRIFT_TOL = 1e-8
 # gts propagated at once: bounds the (CHUNK_GTS, 4, N) branch vectors
-CHUNK_GTS = 32
+CHUNK_GTS = 16
 MAX_SECTOR_DIM = 4000
 # configurations of the oracle's product space, enumerated once: above the
 # widest single-mode window; with two or more modes the sector budgets bind
 MAX_ORACLE_CONFIGS = 2_000_000
-# the sum of every sector's dim**2: each sector keeps a real and a complex
-# copy of its eigenvectors, 24 bytes an entry, 8.4 GB at the budget
+# the sum of every sector's dim**2: each sector keeps its eigenvectors once,
+# as float64, 8 bytes an entry, 2.8 GB at the budget; each evolve call adds
+# its sector's complex operand (16 bytes an entry) while it runs
 MAX_SECTOR_ENTRIES = 350_000_000
 ORACLE_WINDOW_EXTENSION = 2
 
@@ -118,10 +119,12 @@ class _Sector:
     """One diagonalized block, its initial coefficients, and where its
     coefficients land in the flattened (4, N) branch vectors.
 
-    The initial coefficients' eigenbasis projection and a C-ordered complex
-    copy of the eigenvectors are kept, so that propagating many gts repeats
-    neither; the complex copy is the operand numpy's mixed real-complex
-    matmul would build, which keeps every coefficient bit for bit."""
+    The eigenvectors are held once, as float64, with the initial
+    coefficients' eigenbasis projection, so that propagating many gts
+    repeats neither.  evolve multiplies the real eigenvectors by complex
+    operands; numpy casts them to the C-ordered complex operand for that
+    call alone, the one a held complex copy would be, so every coefficient
+    keeps its bits."""
 
     def __init__(self, basis: SectorBasis, shape: tuple, lows: np.ndarray,
                  initial: np.ndarray):
@@ -137,17 +140,19 @@ class _Sector:
         # the photons it emitted, and states shifted below the window drop out
         if len(shape) == 1:
             flat = flat - _EMITTED[basis.branch_of]
-        self.positions = np.flatnonzero(flat >= 0)
-        self.targets = basis.branch_of[self.positions] * size + flat[self.positions]
+            self.positions = np.flatnonzero(flat >= 0)
+            self.targets = basis.branch_of[self.positions] * size + flat[self.positions]
+        else:
+            # nothing is shifted: every coefficient lands where it ends
+            self.positions, self.targets = slice(None), self.final
         self._rates = -1j * self.eigvals
-        self._eigvecs_c = np.ascontiguousarray(self.eigvecs, dtype=complex)
         self._proj = self.eigvecs.T @ self.c0
 
     def evolve(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), dim) coefficients of the initial state: one stacked
         matrix-vector product per gt."""
         phases = np.exp(self._rates * gts[:, None])
-        return (self._eigvecs_c @ (phases * self._proj)[:, :, None])[:, :, 0]
+        return (self.eigvecs @ (phases * self._proj)[:, :, None])[:, :, 0]
 
 
 class ExactEvolver:
@@ -204,22 +209,13 @@ class ExactEvolver:
             f"norm drift {drift[i]:.3e} beyond {NORM_DRIFT_TOL:g}; "
             "the truncation window is too small"))
 
-    def _scatter(self, coeffs: list, paired: bool) -> np.ndarray:
-        """(G, 4, N) branch vectors of per-sector (G, dim) coefficient
-        arrays, in the densities' layout (paired) or by final
-        configuration."""
-        g = coeffs[0].shape[0]
-        vectors = np.zeros((g, 4 * self._vector_size), dtype=complex)
-        for sector, c in zip(self.sectors, coeffs):
-            if paired:
-                vectors[:, sector.targets] = c[:, sector.positions]
-            else:
-                vectors[:, sector.final] = c
-        return vectors.reshape(g, 4, self._vector_size)
-
     def densities(self, gts) -> tuple[np.ndarray, np.ndarray]:
         """(G, 4, 4) unnormalized two-atom densities and (G,) total norms,
         propagating CHUNK_GTS gts at once; check_drift checks the norms.
+        Each sector's coefficients are written into the chunk's branch
+        vectors as they are computed, and its norms into a (G, n_sectors)
+        table summed per gt, so no more than one sector's coefficients are
+        held at a time.
 
         For a single mode the branch amplitudes are paired by initial photon
         number (the branch's final occupation minus the photons it emitted),
@@ -232,10 +228,15 @@ class ExactEvolver:
         norms = np.empty(gts.size)
         for start in range(0, gts.size, CHUNK_GTS):
             chunk = slice(start, start + CHUNK_GTS)
-            coeffs = [s.evolve(gts[chunk]) for s in self.sectors]
-            norms[chunk] = np.stack([np.sum(np.abs(c) ** 2, axis=-1) for c in coeffs],
-                                    axis=-1).sum(axis=-1)
-            raws[chunk] = raw_density(self._scatter(coeffs, paired=True))
+            g = gts[chunk].size
+            vectors = np.zeros((g, 4 * self._vector_size), dtype=complex)
+            sector_norms = np.empty((g, len(self.sectors)))
+            for i, sector in enumerate(self.sectors):
+                c = sector.evolve(gts[chunk])
+                sector_norms[:, i] = np.sum(np.abs(c) ** 2, axis=-1)
+                vectors[:, sector.targets] = c[:, sector.positions]
+            norms[chunk] = sector_norms.sum(axis=-1)
+            raws[chunk] = raw_density(vectors.reshape(g, 4, self._vector_size))
         return raws, norms
 
     def branch_vectors(self, gts) -> np.ndarray:
@@ -243,7 +244,10 @@ class ExactEvolver:
         row-major over the oracle windows and unshifted: what the standard
         partial trace over field states pairs."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
-        return self._scatter([s.evolve(gts) for s in self.sectors], paired=False)
+        vectors = np.zeros((gts.size, 4 * self._vector_size), dtype=complex)
+        for sector in self.sectors:
+            vectors[:, sector.final] = sector.evolve(gts)
+        return vectors.reshape(gts.size, 4, self._vector_size)
 
 
 # ---------------------------------------------------------------------------

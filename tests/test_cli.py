@@ -119,6 +119,18 @@ def test_block_budget_is_checked_before_allocating(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_block_budget_counts_every_block_entry(tmp_path):
+    # five modes at mean 0.65 hold 13**5 = 371,293 configurations of 21x21
+    # blocks, 163.7 million entries: refused before any block is built
+    start = time.perf_counter()
+    proc = run_capped(["-m", "tcmsim", "run", "--modes", "5", "--mean", "0.65",
+                       "--gt-steps", "2", "--out", "x.csv"], tmp_path)
+    assert time.perf_counter() - start < 10
+    assert_one_configuration_error(proc)
+    assert "cascade blocks" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_out_of_memory_exits_with_one_message(tmp_path):
     # a grid of 200 million gts asks np.linspace for 1.6 GB, beyond the cap
     proc = run_capped(["-m", "tcmsim", "inversion", "--gt-steps", "200000000",

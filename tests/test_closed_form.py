@@ -247,6 +247,15 @@ def test_assemble_branch_unitarity_per_block():
     assert blocks.amplitudes_at(0.0)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
+def test_consistent_blocks_hold_each_eigenbasis_once_as_float64():
+    # 8 bytes per eigenvector entry, and a few vectors of dim per
+    # configuration: no complex copy of the eigenvectors is held
+    blocks = ConsistentBlocks([coherent_field(2.0), coherent_field(1.0)])
+    n, dim = len(blocks.configs), blocks.dim
+    arrays = {id(v): v for v in vars(blocks).values() if isinstance(v, np.ndarray)}
+    assert sum(a.nbytes for a in arrays.values()) <= 8 * n * dim ** 2 + 64 * n * dim
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_symmetric_evaluator_matches_direct_assembly(m):
     from tcmsim.symmetric import SymmetricLiteralEvaluator

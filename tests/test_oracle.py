@@ -223,6 +223,18 @@ def test_sector_budgets_count_the_built_sectors(fields, monkeypatch):
         ExactEvolver(fields)
 
 
+def test_sectors_hold_each_eigenbasis_once_as_float64():
+    # 8 bytes per eigenvector entry, and a few vectors of dim: no complex
+    # copy of the eigenbasis is held beside the real one
+    evolver = ExactEvolver([coherent_field(2.0), coherent_field(1.0)])
+    dims = np.array([s.basis.dim for s in evolver.sectors])
+    held = 0
+    for sector in evolver.sectors:
+        arrays = {id(v): v for v in vars(sector).values() if isinstance(v, np.ndarray)}
+        held += sum(a.nbytes for a in arrays.values())
+    assert held <= 8 * np.sum(dims ** 2) + 64 * np.sum(dims)
+
+
 def test_expansion_diagnostic_contract():
     report = expansion_diagnostic(1, 1, n_cut=3)
     assert np.isfinite(report.max_dev_even)
