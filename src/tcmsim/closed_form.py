@@ -32,19 +32,13 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .fock_field import FieldDistribution, TruncationWindow, config_array
+from .fock_field import FieldDistribution, TruncationWindow, config_array, joint_amplitudes
 from .reduced_density import raw_density
 
 LITERAL = "literal"
 CONSISTENT = "consistent"
 CONVENTIONS = (LITERAL, CONSISTENT)
 
-# resource guards for multimode enumeration
-MAX_LITERAL_CONFIGS = 5_000_000
-# the entries of every consistent cascade block, dim**2 per configuration:
-# the eigenvectors are held as float64, 1.2 GB at the budget, beside the
-# transient block Hamiltonians of the same size
-MAX_BLOCK_ENTRIES = 150_000_000
 # anchored-vector entries held at once: gts per chunk x 4 branches x layout size
 CHUNK_ELEMENTS = 1 << 17
 
@@ -53,6 +47,21 @@ def extended_window(window: TruncationWindow) -> TruncationWindow:
     """Final-configuration window: two photons below (literal summation
     reach) and two above (two-photon emission) the initial window."""
     return TruncationWindow(max(0, window.n_min - 2), window.n_max + 2)
+
+
+def _layout_shape(fields: list[FieldDistribution]) -> tuple:
+    return tuple(extended_window(f.window).size for f in fields)
+
+
+def chunk_bytes(fields: list[FieldDistribution]) -> int:
+    """The bytes AnchoredRoute.raw_densities holds for a chunk of gts
+    beside one gt's amplitudes per anchor: the anchored vectors and the
+    conjugate copy raw_density takes, each of at most max(CHUNK_ELEMENTS,
+    4 x layout size) complex entries, and the amplitudes of a chunk of
+    several gts, with their gathered copy, of at most CHUNK_ELEMENTS
+    complex entries each."""
+    entries = max(CHUNK_ELEMENTS, 4 * math.prod(_layout_shape(fields)))
+    return 2 * 16 * entries + 2 * 16 * CHUNK_ELEMENTS
 
 
 class AnchoredRoute:
@@ -68,11 +77,10 @@ class AnchoredRoute:
     differently could regroup the contraction's sums."""
 
     def __init__(self, fields: list[FieldDistribution], anchors: np.ndarray):
-        windows = [extended_window(f.window) for f in fields]
-        shape = tuple(w.size for w in windows)
+        shape = _layout_shape(fields)
         self.vector_size = math.prod(shape)
-        self.anchor_flat = np.ravel_multi_index(
-            tuple((anchors - [w.n_min for w in windows]).T), shape)
+        lows = [extended_window(f.window).n_min for f in fields]
+        self.anchor_flat = np.ravel_multi_index(tuple((anchors - lows).T), shape)
 
     def anchored_vectors(self, gts) -> np.ndarray:
         """(G, 4, vector_size) branch amplitudes keyed by anchor."""
@@ -288,6 +296,16 @@ class LiteralTerms:
         return (c0 * (ratio2 * (np.cos(np.repeat(t, n) * w2) - 1.0) + 1.0)).reshape(g, n)
 
 
+# the bytes ProductLiteral holds per configuration beside its int64 row:
+# three complex factor rows (48); LiteralTerms' four float64 and two
+# complex rows (64) and, where x2's frequency is complex, an int64 index
+# and three complex rows (56); the int64 anchor index (8); and the larger
+# transient of the build (nine float64 statistic rows and seven float64
+# temporaries, 128) and of a gt's evaluation (four complex amplitudes and
+# their gathered copy, 128)
+PRODUCT_LITERAL_ROW_BYTES = 48 + 64 + 56 + 8 + 128
+
+
 class ProductLiteral(AnchoredRoute):
     """Published multimode amplitudes over the full product of summation
     windows (each initial window widened two below), for fields that are
@@ -306,8 +324,11 @@ class ProductLiteral(AnchoredRoute):
                 "use SingleModeLiteral for m=1")
         ranges = [TruncationWindow(max(0, f.window.n_min - 2), f.window.n_max)
                   for f in fields]
-        self.configs = config_array(ranges, MAX_LITERAL_CONFIGS,
-                                    "literal multimode configurations")
+        chunk = chunk_bytes(fields)
+        self.configs = config_array(ranges, PRODUCT_LITERAL_ROW_BYTES,
+                                    "literal multimode configurations", chunk)
+        self.memory_bytes = (self.configs.nbytes
+                             + len(self.configs) * PRODUCT_LITERAL_ROW_BYTES + chunk)
         # summed and multiplied over the modes in mode order, a row at a
         # time so that no temporary outgrows one row
         stats = np.zeros((9, len(self.configs)))
@@ -353,14 +374,20 @@ class ConsistentBlocks(AnchoredRoute):
         self.pairs = [(k, l) for k in range(m) for l in range(k, m)]
         self.dim = 1 + m + len(self.pairs)
 
-        configs = config_array([f.window for f in fields],
-                               MAX_BLOCK_ENTRIES // self.dim ** 2,
-                               f"consistent cascade blocks of {self.dim}x{self.dim} entries")
+        # the bytes held per configuration beside its int64 row: the complex
+        # weight (16), the int64 anchor index (8), a float64 copy of the row
+        # (8 m), the float64 block Hamiltonian and its eigenvectors
+        # (2 x 8 dim**2) and three vectors of dim: the float64 eigenvalues,
+        # their complex rates and the eigenvectors' complex overlaps with
+        # |aa, n> (40 dim)
+        row_bytes = 24 + 8 * m + 16 * self.dim ** 2 + 40 * self.dim
+        chunk = chunk_bytes(fields)
+        configs = config_array([f.window for f in fields], row_bytes,
+                               f"consistent cascade blocks of {self.dim}x{self.dim} entries",
+                               chunk)
+        self.memory_bytes = configs.nbytes + len(configs) * row_bytes + chunk
         self.configs = configs
-        weights = np.ones(len(configs), dtype=complex)
-        for k, f in enumerate(fields):
-            weights *= f.amplitudes_at(configs[:, k])
-        self.weights = weights
+        self.weights = joint_amplitudes(fields, configs)
         super().__init__(fields, configs)
 
         n = configs.astype(float)

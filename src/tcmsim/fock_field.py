@@ -36,6 +36,11 @@ _SUM_SLACK = 1e-14
 # eps (mean + n log(mean) + log(n!)) ~ 2 eps mean log(mean); with
 # eps = 2.2e-16 that stays below 1e-6 up to a mean of about 1.2e8
 MAX_COHERENT_MEAN = 1e8
+# the most memory a route may hold, in bytes: a quarter of an 8 GB host.
+# Every route states the bytes it holds per configuration, multiset or
+# sector entry, from the dtypes and shapes it allocates, and check_memory
+# refuses an input from those counts before the allocation they guard
+MEMORY_BUDGET_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -326,22 +331,41 @@ def load_custom_field(path) -> FieldDistribution:
     return custom_field(values)
 
 
-def config_array(windows: list[TruncationWindow], budget: int | None = None,
-                 what: str = "configurations") -> np.ndarray:
-    """The Cartesian product of the per-mode windows as an (N, m) integer
-    array, in lexicographic order.  Given a budget, more than budget rows
-    are a ConfigurationError naming what they enumerate, raised from the
-    window sizes before anything is allocated."""
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise a ConfigurationError naming what when nbytes, the memory it
+    needs, exceed MEMORY_BUDGET_BYTES."""
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise ConfigurationError(
+            f"{what} need {nbytes} bytes, beyond the memory budget of "
+            f"{MEMORY_BUDGET_BYTES} bytes; reduce the windows, the mean or the mode count")
+
+
+def config_array(windows: list[TruncationWindow], row_bytes: int = 0,
+                 what: str = "configurations", extra_bytes: int = 0) -> np.ndarray:
+    """The Cartesian product of the per-mode windows as an (N, m) int64
+    array, in lexicographic order.  Its 8 m bytes a row, plus row_bytes a
+    row and extra_bytes in all that the caller holds beside it, are checked
+    against the memory budget from the window sizes before anything is
+    allocated."""
     if not windows:
         raise ConfigurationError("at least one mode window is required")
+    m = len(windows)
     count = math.prod(w.size for w in windows)
-    if budget is not None and count > budget:
-        raise ConfigurationError(
-            f"{count} {what} exceed the budget of {budget}; "
-            "reduce the windows or the mode count")
-    axes = [w.values() for w in windows]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
+    check_memory(count * (8 * m + row_bytes) + extra_bytes, f"{count} {what}")
+    out = np.empty((count, m), dtype=np.int64)
+    grid = out.reshape(*(w.size for w in windows), m)
+    for k, w in enumerate(windows):
+        grid[..., k] = w.values().reshape([-1 if j == k else 1 for j in range(m)])
+    return out
+
+
+def joint_amplitudes(fields: list[FieldDistribution], configs: np.ndarray) -> np.ndarray:
+    """The initial amplitude of each configuration row: the product over
+    the modes, in mode order, of c_n, starting from complex ones."""
+    weights = np.ones(len(configs), dtype=complex)
+    for k, f in enumerate(fields):
+        weights *= f.amplitudes_at(configs[:, k])
+    return weights
 
 
 def same_fields(fields: list[FieldDistribution]) -> bool:

@@ -20,20 +20,15 @@ import numpy as np
 
 from .basis import BRANCHES, EXCITED_COUNT
 from .errors import ConfigurationError
-from .fock_field import FieldDistribution, TruncationWindow, config_array
+from .fock_field import (FieldDistribution, TruncationWindow, check_memory, config_array,
+                         joint_amplitudes)
 from .reduced_density import raise_at_first, raw_density
 
 NORM_DRIFT_TOL = 1e-8
 # gts propagated at once: bounds the (CHUNK_GTS, 4, N) branch vectors
 CHUNK_GTS = 16
+# bounds each sector's eigh time
 MAX_SECTOR_DIM = 4000
-# configurations of the oracle's product space, enumerated once: above the
-# widest single-mode window; with two or more modes the sector budgets bind
-MAX_ORACLE_CONFIGS = 2_000_000
-# the sum of every sector's dim**2: each sector keeps its eigenvectors once,
-# as float64, 8 bytes an entry, 2.8 GB at the budget; each evolve call adds
-# its sector's complex operand (16 bytes an entry) while it runs
-MAX_SECTOR_ENTRIES = 350_000_000
 ORACLE_WINDOW_EXTENSION = 2
 
 # (branch, target branch) index pairs of S- a_k^+, which lowers one atom
@@ -168,15 +163,25 @@ class ExactEvolver:
         self.shape = tuple(w.size for w in self.windows)
         self._vector_size = int(np.prod(self.shape))
         lows = np.array([w.n_min for w in self.windows])
-        configs = config_array(self.windows, MAX_ORACLE_CONFIGS, "oracle configurations")
+        m = len(fields)
+        # the bytes held per configuration beside its int64 row: its int64
+        # photon total (8) and complex initial amplitude (16); the sector
+        # states it is in, at most one per branch, each an int64 branch and
+        # row (8 + 8 m), complex initial coefficient, rates and eigenbasis
+        # projection (48), float64 eigenvalue (8) and int64 scatter targets
+        # (8, and 16 more for one mode's shifted positions); and the branch
+        # vectors of CHUNK_GTS gts and the conjugate copy raw_density takes
+        # (2 x 16 x 4 CHUNK_GTS)
+        row_bytes = 24 + 4 * (88 + 8 * m) + 2 * 16 * 4 * CHUNK_GTS
+        configs = config_array(self.windows, row_bytes, "oracle configurations")
         totals = configs.sum(axis=1)
         low = int(totals[0]) + 2
 
         # one sector per initial photon total t, of excitation N = t + 2: it
         # holds the configurations with N - k photons for each branch with k
         # excited atoms, c(N - 2) + 2 c(N - 1) + c(N) states, with c the
-        # configuration count by photon total.  Both sector budgets are
-        # checked before the first sector is built or diagonalized.
+        # configuration count by photon total.  The sector dimensions and
+        # the memory are checked before the first sector is built.
         counts = np.bincount(totals - totals[0])
         n = sum(f.window.size - 1 for f in fields) + 1
         dims = counts[:n] + 2 * counts[1:n + 1] + counts[2:n + 2]
@@ -185,19 +190,29 @@ class ExactEvolver:
             raise ConfigurationError(
                 f"sector {low + over[0]} has dimension {dims[over[0]]} "
                 f"(budget {MAX_SECTOR_DIM}); reduce modes, mean, or coverage")
+        # beside the rows: every sector's float64 eigenvectors (8 an entry),
+        # and while one sector is built or propagated, its float64
+        # Hamiltonian during eigh or the complex cast of its eigenvectors
+        # in a product (16 an entry), with the phases, products and
+        # coefficients of CHUNK_GTS gts (3 x 16 CHUNK_GTS a state)
         entries = int(np.sum(dims ** 2))
-        if entries > MAX_SECTOR_ENTRIES:
-            raise ConfigurationError(
-                f"the {n} sectors hold {entries} matrix entries (budget "
-                f"{MAX_SECTOR_ENTRIES}); reduce modes, mean, or coverage")
+        largest = int(dims.max())
+        self.memory_bytes = (configs.nbytes + len(configs) * row_bytes + 8 * entries
+                             + 16 * largest ** 2 + 3 * 16 * CHUNK_GTS * largest)
+        check_memory(self.memory_bytes,
+                     f"the {n} sectors of {entries} matrix entries over {len(configs)} "
+                     "oracle configurations")
 
-        init_cfgs = config_array([f.window for f in fields], MAX_ORACLE_CONFIGS,
-                                 "initial configurations")
-        init_weights = np.ones(len(init_cfgs), dtype=complex)
-        for k, f in enumerate(fields):
-            init_weights *= f.amplitudes_at(init_cfgs[:, k])
-        initial = np.zeros(self._vector_size, dtype=complex)
-        initial[_flat(init_cfgs, lows, self.shape)] = init_weights
+        # the initial state: the rows inside the field windows, where the
+        # oracle windows start, carry the fields' joint amplitudes.  inner
+        # and weights stay alive while the sectors are built: freed before,
+        # they shift the heap so that compare-oracle --modes 2 --mean 5
+        # peaks 0.9 MB higher in densities
+        inside = np.all(configs <= [f.window.n_max for f in fields], axis=1)
+        inner = configs[inside]
+        weights = joint_amplitudes(fields, inner)
+        initial = np.zeros(len(configs), dtype=complex)
+        initial[inside] = weights
         self.sectors = [_Sector(_sector_basis(low + i, configs, totals), self.shape,
                                 lows, initial) for i in range(n)]
         self._norm0 = float(sum(np.sum(np.abs(s.c0) ** 2) for s in self.sectors))

@@ -40,11 +40,21 @@ import numpy as np
 
 from .closed_form import LiteralTerms, literal_features
 from .errors import ConfigurationError
-from .fock_field import FieldDistribution
+from .fock_field import FieldDistribution, check_memory
 
+# bounds the evaluation time
 MAX_MULTISETS = 100_000_000
 # multisets per tile, and amplitudes evaluated at once: gts per chunk x tile size
 CHUNK_ELEMENTS = 8192
+# the bytes raw_densities holds per tile element beside four level rows
+# (the prefix, a tile's penultimate rows, their base rows and the tile):
+# the three complex work stacks of four branches (3 x 4 x 16); the tile's
+# LiteralTerms, its four float64 and two complex rows (64), an int64 index
+# and three complex rows where x2's frequency is complex (56), seven
+# float64 build temporaries and two complex ones (88); its float64
+# multiplicities (8); and the chunk's float64 and complex temporaries
+# (cosines, sines and the tiled complex-frequency terms: 8 x 16)
+TILE_ELEMENT_BYTES = 3 * 4 * 16 + 64 + 56 + 88 + 8 + 8 * 16
 
 
 class _Level:
@@ -148,8 +158,21 @@ class SymmetricLiteralEvaluator:
             raise ConfigurationError(
                 f"{total} occupation multisets exceed the budget {MAX_MULTISETS}; "
                 "reduce windows, coverage, or mode count")
+        # the stored level and the one it is built from are the two largest
+        # held at once; the tiles' working set comes on top
+        top = mode_count - 3
+        levels = range(max(top - 1, 0), max(top, 0) + 1)
+        rows = sum(math.comb(self.n_values + k - 1, k) for k in levels)
+        # a level row: the float64 statistics, the factors, the int64 last
+        # value, the int32 run and the float64 denominator
+        row = 8 * len(self.feats) + self.wfeats.itemsize * len(self.wfeats) + 8 + 4 + 8
+        self.memory_bytes = (self.feats.nbytes + self.wfeats.nbytes + rows * row
+                             + CHUNK_ELEMENTS * (4 * row + TILE_ELEMENT_BYTES))
+        check_memory(self.memory_bytes,
+                     f"the multiset levels {' and '.join(map(str, levels))} of {mode_count} "
+                     f"modes over {self.n_values} values, {rows} rows,")
         level = _level_zero(self.feats, self.wfeats)
-        for _ in range(max(mode_count - 3, 0)):
+        for _ in range(max(top, 0)):
             level = _next_level(level, self.n_values, self.feats, self.wfeats)
         # the stored (m - 3)-level, and the first CHUNK_ELEMENTS rows of the
         # (m - 2)-level, with which every penultimate block starts; at m = 2

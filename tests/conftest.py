@@ -1,5 +1,7 @@
 """Fixtures shared across test modules."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -15,3 +17,10 @@ def literal_mean25_series():
     gts = np.linspace(0.0, 10.0, 1200)
     return {m: closed_form_series([coherent_field(25.0)] * m, gts, LITERAL)
             for m in (1, 2, 3)}
+
+
+@pytest.fixture
+def memory_budget(monkeypatch):
+    """A setter of fock_field.MEMORY_BUDGET_BYTES for the test's duration."""
+    module = importlib.import_module("tcmsim.fock_field")
+    return lambda nbytes: monkeypatch.setattr(module, "MEMORY_BUDGET_BYTES", nbytes)

@@ -131,6 +131,20 @@ def test_block_budget_counts_every_block_entry(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_symmetric_levels_are_budgeted_before_they_are_built(tmp_path):
+    # 150 modes over five values: the multiset levels 146 and 147 hold
+    # 41.1 million rows, 4.8 GB, refused before the first level is built
+    (tmp_path / "five.txt").write_text("0.4472135954999579\n" * 5)
+    start = time.perf_counter()
+    proc = run_capped(["-m", "tcmsim", "run", "--modes", "150", "--field", "custom",
+                       "--custom-file", "five.txt", "--convention", "literal",
+                       "--gt-steps", "2", "--out", "x.csv"], tmp_path)
+    assert time.perf_counter() - start < 10
+    assert_one_configuration_error(proc)
+    assert "multiset levels 146 and 147" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_out_of_memory_exits_with_one_message(tmp_path):
     # a grid of 200 million gts asks np.linspace for 1.6 GB, beyond the cap
     proc = run_capped(["-m", "tcmsim", "inversion", "--gt-steps", "200000000",

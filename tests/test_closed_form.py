@@ -129,15 +129,16 @@ def test_multimode_rejects_single_mode():
         ProductLiteral([coherent_field(2.0)])
 
 
-def test_product_literal_checks_its_budget_before_enumerating(monkeypatch):
-    from tcmsim import closed_form
-
+def test_product_literal_checks_its_budget_before_enumerating(memory_budget):
     fields = [coherent_field(2.0), fock_field(1)]
     count = math.prod(f.window.n_max - max(0, f.window.n_min - 2) + 1 for f in fields)
-    monkeypatch.setattr(closed_form, "MAX_LITERAL_CONFIGS", count - 1)
-    with pytest.raises(ConfigurationError, match=f"^{count} literal .* budget of {count - 1};"):
+    predicted = ProductLiteral(fields).memory_bytes
+    memory_budget(predicted - 1)
+    with pytest.raises(ConfigurationError,
+                       match=f"^{count} literal .* need {predicted} bytes, beyond the "
+                             f"memory budget of {predicted - 1} bytes;"):
         ProductLiteral(fields)
-    monkeypatch.setattr(closed_form, "MAX_LITERAL_CONFIGS", count)
+    memory_budget(predicted)
     assert ProductLiteral(fields).configs.shape == (count, 2)
 
 

@@ -207,16 +207,19 @@ def test_sector_dim_budget(monkeypatch):
 @pytest.mark.parametrize("fields", [[coherent_field(5.0)] * 2,
                                     [fock_field(3), fock_field(1)],
                                     [coherent_field(1.0)] * 3, [coherent_field(3.0)]])
-def test_sector_budgets_count_the_built_sectors(fields, monkeypatch):
+def test_sector_budgets_count_the_built_sectors(fields, monkeypatch, memory_budget):
     # both budgets are checked from configuration counts before any sector
     # is built: they admit exactly the sectors that are then built
-    dims = [s.basis.dim for s in ExactEvolver(fields).sectors]
+    evolver = ExactEvolver(fields)
+    dims = [s.basis.dim for s in evolver.sectors]
     entries = sum(d * d for d in dims)
+    predicted = evolver.memory_bytes
     monkeypatch.setattr(oracle, "MAX_SECTOR_DIM", max(dims))
-    monkeypatch.setattr(oracle, "MAX_SECTOR_ENTRIES", entries)
+    memory_budget(predicted)
     assert [s.basis.dim for s in ExactEvolver(fields).sectors] == dims
-    monkeypatch.setattr(oracle, "MAX_SECTOR_ENTRIES", entries - 1)
-    with pytest.raises(ConfigurationError, match=f"hold {entries} matrix entries"):
+    memory_budget(predicted - 1)
+    with pytest.raises(ConfigurationError,
+                       match=f"of {entries} matrix entries .* need {predicted} bytes"):
         ExactEvolver(fields)
     monkeypatch.setattr(oracle, "MAX_SECTOR_DIM", max(dims) - 1)
     with pytest.raises(ConfigurationError, match=f"dimension {max(dims)} "):
