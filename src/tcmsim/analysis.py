@@ -98,13 +98,16 @@ def detect_revival_peaks(series: TimeSeries, channel: str, max_j: int,
         raise ConfigurationError("revival prediction needs a positive mean")
     if series.gt.size < 2:
         raise ConfigurationError("peak detection needs at least two gt samples")
+    # the envelope window and the peak separation are counted in steps
+    dgt = series.step
+    if np.any(np.abs(np.diff(series.gt) - dgt) > 1e-6 * dgt):
+        raise ConfigurationError("peak detection needs a uniform gt grid")
     values = np.abs(series.channel(channel))
     needed = 2 * max_j * np.pi * np.sqrt(mean) * 1.2
     if series.gt[-1] < needed:
         raise ConfigurationError(
             f"series reaches gt={series.gt[-1]:g} but peak detection up to "
             f"j={max_j} needs gt >= {needed:g}")
-    dgt = series.step
     envelope = moving_average(values, int(round(0.5 * ENVELOPE_WINDOW_GT / dgt)))
     separation = np.pi * np.sqrt(mean)
     start = int(np.searchsorted(series.gt, separation))

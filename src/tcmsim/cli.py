@@ -281,14 +281,17 @@ def _cmd_diagnose(args) -> int:
 
 
 def _read_csv(path: str) -> dict[str, np.ndarray]:
-    """The columns of a CSV with a header row, by name; a table without
-    rows, a ragged row and a cell that is not a finite number are
-    configuration errors."""
+    """The columns of a CSV with a header row, by name; a repeated name,
+    a table without rows, a ragged row and a cell that is not a finite
+    number are configuration errors."""
     if not os.path.exists(path):
         raise ConfigurationError(f"input file not found: {path}")
     with open(path) as fh:
         header = [name.strip() for name in fh.readline().split(",")]
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ConfigurationError(f"input CSV {path} has two columns named {repeated[0]!r}")
     if not rows:
         raise ConfigurationError(f"input CSV {path} has no rows")
     if any(len(row) != len(header) for row in rows):
@@ -305,6 +308,9 @@ def _read_csv(path: str) -> dict[str, np.ndarray]:
 def _cmd_analyze(args) -> int:
     if not args.input:
         raise ConfigurationError("analyze requires --in CSV")
+    for flag, value in (("--max-j", args.max_j), ("--threshold", args.threshold)):
+        if value < 0:
+            raise ConfigurationError(f"{flag} must not be negative, got {value:g}")
     if args.max_j <= 0 and args.threshold <= 0:
         raise ConfigurationError("nothing to analyze: give --max-j and/or --threshold")
     columns = _read_csv(args.input)

@@ -7,29 +7,27 @@ Cartesian product of windows then collapse to sums over occupation
 multisets weighted by their permutation multiplicity, which is what makes
 mode counts up to six tractable.
 
-Multisets are enumerated level by level as nondecreasing tuples: each level
-extends every partial tuple by all values not below its last entry, and all
-the statistics, weight products, and multiplicity denominators are carried
-along as stacked numpy arrays, so no per-configuration Python loop runs.
-
-Only the (m - 3)-level is stored, with the first CHUNK_ELEMENTS rows of the
-(m - 2)-level (the prefix); the last three levels are built one tile at a
-time.  A tile is at most CHUNK_ELEMENTS of the multisets that share their
-largest value (a block), and each of its multisets extends a penultimate
-tuple, which in turn extends an (m - 2)-tuple.  Every penultimate block
-starts with the (m - 2)-level's first rows, so the tile's penultimate rows
-are read from the prefix where it reaches; the rest of their (m - 2)-rows
-are first written into a tile-sized buffer from the stored level, block by
-block.  Block offsets are binomial coefficients, so no larger level is
-ever held.  Each row is extended by the same operations as if every level
-were stored, and the sums run in the same order, so every bit is the
-same.  Each tile's gt-independent terms
-(frequencies and coefficients, closed_form.LiteralTerms) are built once per
-call, and only the cosines, sines and the density contraction run per gt,
-over chunks of at most CHUNK_ELEMENTS amplitudes, so the working set stays
-the same size whatever the mode count.  Tile boundaries depend only on the
-block, never on the gt grid, so a grid call and single-gt calls sum the
-same terms in the same order.
+Multisets are enumerated level by level as nondecreasing tuples in colex
+order, with the statistics, weight products and multiplicity denominators
+carried along as stacked numpy arrays, so no per-configuration Python loop
+runs.  Block v of level k (the tuples whose largest value index is v) is
+the (k - 1)-level's first rows extended by v, and block offsets are
+binomial coefficients.  One method, _write, writes any rows of any level:
+those of the level below that are held are read in place, and the rest
+are first written into that level's buffer of CHUNK_ELEMENTS rows by the
+same method.  Every level up to m - 3 is held whole (each built from the
+one below, which is then dropped), the (m - 2)-level as its first
+CHUNK_ELEMENTS rows, and the last two levels only in their buffers.  A
+tile is at most CHUNK_ELEMENTS rows of one block of the last level.  Each
+row is extended by the same operations from the same source rows as if
+every level were held, and the sums run in the same order, so every bit
+is the same.  Each tile's gt-independent terms (frequencies and
+coefficients, closed_form.LiteralTerms) are built once per call, and only
+the cosines, sines and the density contraction run per gt, over chunks of
+at most CHUNK_ELEMENTS amplitudes, so the working set stays the same size
+whatever the mode count.  Tile boundaries depend only on the block, never
+on the gt grid, so a grid call and single-gt calls sum the same terms in
+the same order.
 """
 
 from __future__ import annotations
@@ -47,19 +45,19 @@ MAX_MULTISETS = 100_000_000
 # multisets per tile, and amplitudes evaluated at once: gts per chunk x tile size
 CHUNK_ELEMENTS = 8192
 # the bytes raw_densities holds per tile element beside four level rows
-# (the prefix, a tile's penultimate rows, their base rows and the tile):
-# the three complex work stacks of four branches (3 x 4 x 16); the tile's
-# LiteralTerms, its four float64 and two complex rows (64), an int64 index
-# and three complex rows where x2's frequency is complex (56), seven
-# float64 build temporaries and two complex ones (88); its float64
+# (the (m - 2)-level's held rows, the last two levels' buffers and the
+# tile): the three complex work stacks of four branches (3 x 4 x 16);
+# the tile's LiteralTerms, its four float64 and two complex rows (64), an
+# int64 index and three complex rows where x2's frequency is complex (56),
+# seven float64 build temporaries and two complex ones (88); its float64
 # multiplicities (8); and the chunk's float64 and complex temporaries
 # (cosines, sines and the tiled complex-frequency terms: 8 x 16)
 TILE_ELEMENT_BYTES = 3 * 4 * 16 + 64 + 56 + 88 + 8 + 8 * 16
 
 
 class _Level:
-    """All nondecreasing j-tuples over the value range, as parallel arrays,
-    ordered by their last value."""
+    """Nondecreasing j-tuples over the value range (a level, or rows of
+    one), as parallel arrays, ordered by their last value."""
 
     def __init__(self, stats, weights, last, run, denom):
         self.stats = stats        # (9, size) float: literal_features' statistic rows
@@ -68,6 +66,11 @@ class _Level:
         self.run = run            # length of the trailing equal-value run
         self.denom = denom        # product of factorials of completed counts
         self.size = last.size
+
+    def __getitem__(self, rows: slice) -> _Level:
+        """A view of the given rows."""
+        return _Level(self.stats[:, rows], self.weights[:, rows], self.last[rows],
+                      self.run[rows], self.denom[rows])
 
     @classmethod
     def empty(cls, size: int, feats, weights) -> _Level:
@@ -88,35 +91,18 @@ def _level_zero(feats, weights) -> _Level:
                   denom=np.ones(1))
 
 
-def _extend_rows(level: _Level, lo: int, hi: int, iv: int, feats, weights,
-                 out: _Level | None = None, at: int = 0) -> _Level:
-    """Extend rows lo:hi of level (all with last <= iv) by value index iv,
-    writing them into out's rows from `at`, or into a new level."""
-    if out is None:
-        out = _Level.empty(hi - lo, feats, weights)
-    end = at + hi - lo
-    np.add(level.stats[:, lo:hi], feats[:, iv, None], out=out.stats[:, at:end])
-    np.multiply(level.weights[:, lo:hi], weights[:, iv, None], out=out.weights[:, at:end])
-    out.last[at:end] = iv
+def _extend_rows(level: _Level, iv: int, feats, weights, out: _Level) -> None:
+    """Extend the rows of level (all with last <= iv) by value index iv,
+    writing them into out's first rows."""
+    end = level.size
+    np.add(level.stats, feats[:, iv, None], out=out.stats[:, :end])
+    np.multiply(level.weights, weights[:, iv, None], out=out.weights[:, :end])
+    out.last[:end] = iv
     # the rows already ending in iv come last; they lengthen their run
-    tail = at + int(np.searchsorted(level.last[lo:hi], iv))
-    out.run[at:tail] = 1
-    np.add(level.run[lo + tail - at:hi], 1, out=out.run[tail:end])
-    np.multiply(level.denom[lo:hi], out.run[at:end], out=out.denom[at:end])
-    return out
-
-
-def _next_level(level: _Level, n_values: int, feats, weights) -> _Level:
-    """All nondecreasing tuples one entry longer than level's: for every
-    value index iv, the rows with last <= iv extended by iv, written
-    block after block into one preallocated level."""
-    counts = np.searchsorted(level.last, np.arange(n_values), side="right").tolist()
-    out = _Level.empty(sum(counts), feats, weights)
-    start = 0
-    for iv, prefix in enumerate(counts):
-        _extend_rows(level, 0, prefix, iv, feats, weights, out, start)
-        start += prefix
-    return out
+    tail = int(np.searchsorted(level.last, iv))
+    out.run[:tail] = 1
+    np.add(level.run[tail:], 1, out=out.run[tail:end])
+    np.multiply(level.denom, out.run[:end], out=out.denom[:end])
 
 
 def _block_ends(n_values: int, k: int) -> np.ndarray:
@@ -158,10 +144,12 @@ class SymmetricLiteralEvaluator:
             raise ConfigurationError(
                 f"{total} occupation multisets exceed the budget {MAX_MULTISETS}; "
                 "reduce windows, coverage, or mode count")
-        # the stored level and the one it is built from are the two largest
-        # held at once; the tiles' working set comes on top
-        top = mode_count - 3
-        levels = range(max(top - 1, 0), max(top, 0) + 1)
+        # the floor (m - 3)-level and the one it is built from are the two
+        # largest levels held at once; four CHUNK_ELEMENTS-row levels (the
+        # (m - 2)-level's held rows, two buffers and the tile) and the
+        # tile's working set come on top
+        floor = mode_count - 3
+        levels = range(max(floor - 1, 0), max(floor, 0) + 1)
         rows = sum(math.comb(self.n_values + k - 1, k) for k in levels)
         # a level row: the float64 statistics, the factors, the int64 last
         # value, the int32 run and the float64 denominator
@@ -171,23 +159,20 @@ class SymmetricLiteralEvaluator:
         check_memory(self.memory_bytes,
                      f"the multiset levels {' and '.join(map(str, levels))} of {mode_count} "
                      f"modes over {self.n_values} values, {rows} rows,")
-        level = _level_zero(self.feats, self.wfeats)
-        for _ in range(max(top, 0)):
-            level = _next_level(level, self.n_values, self.feats, self.wfeats)
-        # the stored (m - 3)-level, and the first CHUNK_ELEMENTS rows of the
-        # (m - 2)-level, with which every penultimate block starts; at m = 2
-        # both are the empty tuple
-        self._level = level
-        if mode_count == 2:
-            self._prefix = level
-        else:
-            self._base_ends = _block_ends(self.n_values, mode_count - 2)
-            size = min(CHUNK_ELEMENTS, int(self._base_ends[-1]))
-            self._prefix = _Level.empty(size, self.feats, self.wfeats)
-            self._write_base(self._prefix, 0, size)
-        # final block iv extends the penultimate rows up to the end of
-        # penultimate block iv, so these ends are also the final block sizes
-        self.block_sizes = _block_ends(self.n_values, mode_count - 1)
+        self._ends = [None] + [_block_ends(self.n_values, k) for k in range(1, mode_count + 1)]
+        # held: every level up to the floor (each dropped once the next is
+        # built) and the (m - 2)-level's first CHUNK_ELEMENTS rows; the last
+        # two levels write the rest into a buffer each (see _tiles)
+        empty = _Level.empty(0, self.feats, self.wfeats)
+        self._held = [_level_zero(self.feats, self.wfeats)] + [empty] * (mode_count - 1)
+        for k in range(1, mode_count - 1):
+            size = int(self._ends[k][-1])
+            whole = k <= floor
+            self._held[k] = self._write(k, 0, size if whole else min(size, CHUNK_ELEMENTS))
+            if whole:
+                self._held[k - 1] = empty
+        self._buffers = {k: _Level.empty(CHUNK_ELEMENTS, self.feats, self.wfeats)
+                         for k in (mode_count - 2, mode_count - 1)}
 
     def raw_densities(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), 4, 4) unnormalized density matrices: for every gt the
@@ -195,8 +180,8 @@ class SymmetricLiteralEvaluator:
         branch amplitude vector (x1, -i x3, -i x3, x2).
 
         Multisets are taken in blocks that share their largest value, and
-        each block in tiles of at most CHUNK_ELEMENTS multisets, generated
-        from the stored levels (see _tiles).  Each tile's gt-independent
+        each block in tiles of at most CHUNK_ELEMENTS multisets, written
+        from the held levels (see _write).  Each tile's gt-independent
         terms are built once; its amplitudes are then evaluated a chunk of
         gts at a time and contracted one gt at a time, and every raw[g]
         sums the tiles in the same order, so every matrix is the same
@@ -207,55 +192,45 @@ class SymmetricLiteralEvaluator:
         # reallocating them per chunk lets the C allocator hand the pages
         # back and fault them in again on every chunk
         work = np.empty((3, 4 * CHUNK_ELEMENTS), dtype=complex)
-        for _, _, _, tile in self._tiles():
+        for tile in self._tiles():
             self._add_tile(raw, gts, tile, work)
         return raw
 
     def _tiles(self):
-        """Yield (lo, hi, iv, tile) in summation order: tile holds the
-        multisets that extend penultimate rows lo:hi by value index iv,
-        their largest value.
+        """Yield the multisets in summation order, as tiles of the last
+        level: each block in turn, cut every CHUNK_ELEMENTS rows from its
+        first.  A tile from its block's first row holds the (m - 1)-rows
+        the tile before wrote into the level's buffer and writes only the
+        rest, so at m = 3, where a block is one tile, each adds one block."""
+        m = self.mode_count
+        rows = self._buffers[m - 1]
+        for _, first, _, end in _blocks(self._ends[m], 0, int(self._ends[m][-1])):
+            for lo in range(first, end, CHUNK_ELEMENTS):
+                hi = min(lo + CHUNK_ELEMENTS, end)
+                # hold the (m - 1)-rows 0:b, writing only those not yet held
+                b = hi - first if lo == first else 0
+                held = self._held[m - 1].size
+                self._write(m - 1, held, b, rows[held:])
+                self._held[m - 1] = rows[:b]
+                yield self._write(m, lo, hi)
 
-        The penultimate rows are written into one buffer first, and the
-        (m - 2)-rows they extend from beyond the prefix into another.  A
-        tile starting at the same row as the one before reuses the rows
-        already there, and only the rest are written: at m = 3 a block of a
-        window of up to 127 values is one tile, so each block adds one
-        penultimate block."""
-        rows = _Level.empty(CHUNK_ELEMENTS, self.feats, self.wfeats)
-        base = _Level.empty(CHUNK_ELEMENTS, self.feats, self.wfeats)
-        held_lo = held_hi = 0     # rows holds penultimate rows held_lo:held_hi
-        for iv, size in enumerate(self.block_sizes.tolist()):
-            for lo in range(0, size, CHUNK_ELEMENTS):
-                hi = min(lo + CHUNK_ELEMENTS, size)
-                self._write_penultimate(rows, base, lo, held_hi if lo == held_lo else lo, hi)
-                held_lo, held_hi = lo, hi
-                yield lo, hi, iv, _extend_rows(rows, 0, hi - lo, iv, self.feats, self.wfeats)
-
-    def _write_penultimate(self, rows: _Level, base: _Level, lo: int, start: int,
-                           hi: int) -> None:
-        """Write penultimate rows start:hi into rows from row start - lo.
-        Penultimate block jv is the (m - 2)-level's first rows extended by
-        jv: rows in the stored prefix are read from it, and the rest are
-        first written into base from the stored (m - 3)-level."""
-        cut = self._prefix.size
-        for jv, first, begin, stop in _blocks(self.block_sizes, start, hi):
-            a, b = begin - first, stop - first
+    def _write(self, k: int, start: int, hi: int, out: _Level | None = None) -> _Level:
+        """Rows start:hi of level k, written into out from row 0 (into a new
+        level if out is None).  Rows a:b of block v extend the same rows of
+        the (k - 1)-level by v: those held are read in place, and the rest
+        are first written into that level's buffer."""
+        if out is None:
+            out = _Level.empty(hi - start, self.feats, self.wfeats)
+        held = self._held[k - 1]
+        for v, first, lo, stop in _blocks(self._ends[k], start, hi):
+            a, b = lo - first, stop - first
+            cut = min(max(a, held.size), b)
             if a < cut:
-                _extend_rows(self._prefix, a, min(b, cut), jv, self.feats, self.wfeats,
-                             rows, begin - lo)
-            if b > cut:
-                a = max(a, cut)
-                self._write_base(base, a, b)
-                _extend_rows(base, 0, b - a, jv, self.feats, self.wfeats,
-                             rows, first + a - lo)
-
-    def _write_base(self, out: _Level, start: int, hi: int) -> None:
-        """Write (m - 2)-level rows start:hi into out from row 0, one slice
-        of the stored (m - 3)-level per block they meet."""
-        for v, first, lo, stop in _blocks(self._base_ends, start, hi):
-            _extend_rows(self._level, lo - first, stop - first, v, self.feats, self.wfeats,
-                         out, lo - start)
+                _extend_rows(held[a:cut], v, self.feats, self.wfeats, out[lo - start:])
+            if cut < b:
+                rows = self._write(k - 1, cut, b, self._buffers[k - 1])
+                _extend_rows(rows[:b - cut], v, self.feats, self.wfeats, out[first + cut - start:])
+        return out
 
     def _add_tile(self, raw: np.ndarray, gts: np.ndarray, tile: _Level,
                   work: np.ndarray) -> None:

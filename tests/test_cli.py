@@ -336,6 +336,11 @@ def _set_w_cell(lines, text):
     return [*lines[:50], f"{gt},{text}", *lines[51:]]
 
 
+def _add_concurrence(lines):
+    """The inversion CSV lines with a concurrence column of 0.01."""
+    return [f"{lines[0]},concurrence", *(f"{line},0.01" for line in lines[1:])]
+
+
 @pytest.mark.parametrize("edit, flags", [
     # the collapse windows read the concurrence, which inversion has not
     pytest.param(lambda lines: lines, ["--threshold", "0.05"], id="no-concurrence"),
@@ -344,6 +349,16 @@ def _set_w_cell(lines, text):
     pytest.param(lambda lines: _set_w_cell(lines, "nan"), ["--mean", "5", "--max-j", "1"],
                  id="nan-cell"),
     pytest.param(lambda lines: lines[:1], ["--threshold", "0.05"], id="header-only"),
+    # negative values that no analysis reads, beside one that runs
+    pytest.param(_add_concurrence, ["--max-j", "-3", "--threshold", "0.05"],
+                 id="negative-max-j"),
+    pytest.param(lambda lines: lines, ["--mean", "5", "--max-j", "1", "--threshold", "-1"],
+                 id="negative-threshold"),
+    pytest.param(lambda lines: [f"{line},{line.split(',')[1]}" for line in lines],
+                 ["--mean", "5", "--max-j", "1"], id="repeated-column"),
+    # the envelope and the peak separation are counted in grid steps
+    pytest.param(lambda lines: lines[:100] + lines[101:], ["--mean", "5", "--max-j", "1"],
+                 id="non-uniform-grid"),
 ])
 def test_analyze_refuses_what_it_cannot_read(tmp_path, capsys, edit, flags):
     inv = tmp_path / "inv.csv"

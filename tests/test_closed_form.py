@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -295,7 +296,7 @@ def test_symmetric_evaluator_is_exact_across_chunks(m, chunk_elements, monkeypat
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
     gts = np.linspace(0.0, 8.0, 701)
     # the largest block (every penultimate multiset) spans several chunks
-    assert gts.size > symmetric.CHUNK_ELEMENTS // ev.block_sizes[-1]
+    assert gts.size > symmetric.CHUNK_ELEMENTS // symmetric._block_ends(ev.n_values, m - 1)[-1]
     assert _same_bits(ev.raw_densities(gts),
                       np.stack([ev.raw_densities([g])[0] for g in gts]))
 
@@ -336,7 +337,7 @@ def test_symmetric_evaluator_is_exact_across_tiles(monkeypatch):
     assert (field.window.n_min, field.window.n_max) == (0, 4)
     gts = np.linspace(0.0, 8.0, 301)
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
-    blocks = ev.block_sizes
+    blocks = symmetric._block_ends(ev.n_values, m - 1)
     assert blocks.max() <= symmetric.CHUNK_ELEMENTS
     untiled = ev.raw_densities(gts)
 
@@ -407,15 +408,45 @@ def test_symmetric_evaluator_memory_at_six_modes():
     assert peak < 9e6
 
 
-def _penultimate_level(ev):
-    """The evaluator's penultimate level, built level by level from the
-    empty tuple, whatever depth the evaluator stores."""
+def _reference_level(ev, k):
+    """The evaluator's k-level by brute force: every nondecreasing k-tuple
+    of value indices, sorted by the reversed tuple (the levels' order),
+    with its statistics summed from zeros and its factors multiplied from
+    ones in tuple order, and its run and denominator taken from the
+    trailing run lengths."""
     from tcmsim import symmetric
 
-    level = symmetric._level_zero(ev.feats, ev.wfeats)
-    for _ in range(ev.mode_count - 1):
-        level = symmetric._next_level(level, ev.n_values, ev.feats, ev.wfeats)
-    return level
+    tuples = sorted(itertools.combinations_with_replacement(range(ev.n_values), k),
+                    key=lambda t: t[::-1])
+    idx = np.array(tuples, dtype=np.int64).reshape(len(tuples), k)
+    stats = np.zeros((len(ev.feats), len(tuples)))
+    weights = np.ones((len(ev.wfeats), len(tuples)), dtype=ev.wfeats.dtype)
+    run = np.zeros(len(tuples), dtype=np.int32)
+    denom = np.ones(len(tuples))
+    for i in range(k):
+        stats = stats + ev.feats[:, idx[:, i]]
+        weights = weights * ev.wfeats[:, idx[:, i]]
+        same = idx[:, i] == idx[:, i - 1] if i else np.zeros(len(tuples), dtype=bool)
+        run = np.where(same, run + 1, 1).astype(np.int32)
+        denom *= run
+    last = idx[:, -1] if k else np.full(1, -1, dtype=np.int64)
+    return symmetric._Level(stats, weights, last, run, denom)
+
+
+def _tile_ranges(ev):
+    """(lo, hi, iv, tile) for each of ev's tiles in summation order: tile
+    holds the multisets that extend penultimate rows lo:hi by value index
+    iv, their largest value."""
+    from tcmsim import symmetric
+
+    ends = symmetric._block_ends(ev.n_values, ev.mode_count)
+    at, out = 0, []
+    for tile in ev._tiles():
+        iv = int(tile.last[0])
+        lo = at - (int(ends[iv - 1]) if iv else 0)
+        out.append((lo, lo + tile.size, iv, tile))
+        at += tile.size
+    return out
 
 
 def _base_ranges(penultimate, lo, hi):
@@ -451,8 +482,10 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, mon
     for field, dtype in zip(fields, (float, complex)):
         ev = symmetric.SymmetricLiteralEvaluator(field, m)
         assert ev.wfeats.dtype == dtype
-        penultimate = _penultimate_level(ev)
-        tiles = list(ev._tiles())
+        penultimate = _reference_level(ev, m - 1)
+        final = _reference_level(ev, m)
+        ends = symmetric._block_ends(ev.n_values, m)
+        tiles = _tile_ranges(ev)
         # the tiles cover every block in order, some start inside a
         # penultimate block and some span several
         covered = [(lo, hi) for lo, hi, iv, _ in tiles if iv == ev.n_values - 1]
@@ -462,19 +495,28 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, mon
             assert any(penultimate.last[lo - 1] == penultimate.last[lo]
                        for lo, _, _, _ in tiles if lo > 0)
         assert any(np.unique(penultimate.last[lo:hi]).size > 1 for lo, hi, _, _ in tiles)
-        # does a tile read (m - 2)-rows from the stored prefix and write
-        # the rest of the same block's rows from the stored level?
-        cut = ev._prefix.size
+        # does a tile read held (m - 2)-rows and write the rest of the same
+        # block's rows from the floor level?
+        cut = ev._held[m - 2].size
         crossed |= any(a < cut < b for lo, hi, _, _ in tiles
                        for a, b in _base_ranges(penultimate, lo, hi))
         for lo, hi, iv, tile in tiles:
-            ref = symmetric._extend_rows(penultimate, lo, hi, iv, ev.feats, ev.wfeats)
-            assert tile.stats.dtype == ref.stats.dtype
-            assert np.array_equal(tile.stats, ref.stats)
-            assert tile.weights.dtype == ref.weights.dtype == dtype
-            assert np.array_equal(tile.weights, ref.weights)
-            assert tile.denom.dtype == ref.denom.dtype
-            assert np.array_equal(tile.denom, ref.denom)
+            # penultimate rows lo:hi extended by iv: the final level's rows
+            # from block iv's first row + lo
+            first = int(ends[iv - 1]) if iv else 0
+            rows = slice(first + lo, first + hi)
+            assert np.array_equal(tile.last, final.last[rows])
+            assert np.array_equal(tile.run, final.run[rows])
+            assert tile.stats.dtype == final.stats.dtype
+            assert np.array_equal(tile.stats, final.stats[:, rows])
+            assert tile.weights.dtype == final.weights.dtype == dtype
+            assert np.array_equal(tile.weights, final.weights[:, rows])
+            assert tile.denom.dtype == final.denom.dtype
+            assert np.array_equal(tile.denom, final.denom[rows])
+        # a second pass starts from the (m - 1)-rows the first left held
+        for (_, _, _, tile), (_, _, _, again) in zip(tiles, _tile_ranges(ev)):
+            for name in ("stats", "weights", "last", "run", "denom"):
+                assert np.array_equal(getattr(again, name), getattr(tile, name)), name
         gts = np.linspace(0.0, 6.0, 13)
         assert np.array_equal(ev.raw_densities(gts),
                               np.stack([ev.raw_densities([g])[0] for g in gts]))
@@ -545,21 +587,10 @@ def test_penultimate_level_equals_concatenated_blocks(m):
 
     field = coherent_field(2.0, sigma_width=4.0, coverage_epsilon=1e-8)
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
-    # reference: each level as the concatenation of its extended blocks
-    levels = [symmetric._level_zero(ev.feats, ev.wfeats)]
-    level = symmetric._next_level(levels[0], ev.n_values, ev.feats, ev.wfeats)
-    for _ in range(m - 2):
-        levels.append(level)
-        counts = np.searchsorted(level.last, np.arange(ev.n_values), side="right")
-        blocks = [symmetric._extend_rows(level, 0, int(counts[iv]), iv, ev.feats, ev.wfeats)
-                  for iv in range(ev.n_values) if counts[iv] > 0]
-        level = symmetric._Level(
-            stats=np.concatenate([b.stats for b in blocks], axis=1),
-            weights=np.concatenate([b.weights for b in blocks], axis=1),
-            last=np.concatenate([b.last for b in blocks]),
-            run=np.concatenate([b.run for b in blocks]),
-            denom=np.concatenate([b.denom for b in blocks]))
-    built = _penultimate_level(ev)
+    # reference: each level by brute force, its blocks in colex order
+    levels = [_reference_level(ev, k) for k in range(m)]
+    level = levels[m - 1]
+    built = ev._write(m - 1, 0, level.size)
     assert built.size == level.size == math.comb(ev.n_values + m - 2, m - 1)
     for i in range(len(ev.feats)):
         assert np.array_equal(built.stats[i], level.stats[i]), i
@@ -570,11 +601,13 @@ def test_penultimate_level_equals_concatenated_blocks(m):
     for name in ("last", "run", "denom"):
         assert getattr(built, name).dtype == getattr(level, name).dtype
         assert np.array_equal(getattr(built, name), getattr(level, name))
-    # the evaluator stores the (m - 3)-level and the (m - 2)-level's first
-    # CHUNK_ELEMENTS rows
+    # the evaluator holds the (m - 3)-level, the (m - 2)-level's first
+    # CHUNK_ELEMENTS rows and no row of the penultimate level
     prefix = min(symmetric.CHUNK_ELEMENTS, levels[m - 2].size)
-    for stored, ref in ((ev._level, levels[m - 3]), (ev._prefix, levels[m - 2])):
-        assert stored.size == min(ref.size, prefix if stored is ev._prefix else ref.size)
+    floor, head = ev._held[m - 3], ev._held[m - 2]
+    assert ev._held[m - 1].size == 0
+    for stored, ref in ((floor, levels[m - 3]), (head, levels[m - 2])):
+        assert stored.size == min(ref.size, prefix if stored is head else ref.size)
         for name in ("stats", "weights", "last", "run", "denom"):
             got, want = getattr(stored, name), getattr(ref, name)[..., :stored.size]
             assert got.dtype == want.dtype and np.array_equal(got, want), name
