@@ -9,6 +9,11 @@ by their dest (``gt_max``, ``input``) and goes through the same parser, with
 explicit flags winning.  All output CSVs use a header row, '.' decimals, ','
 separators, newline line endings, and 12 significant digits, so identical
 configurations produce byte-identical files.
+
+A flag given on the command line with a value other than its default
+that the run does not read (a field flag the chosen --field does not use,
+analyze --mean or --channel without --max-j) is a configuration error.
+Config-file keys are exempt, since one file may serve several runs.
 """
 
 from __future__ import annotations
@@ -115,17 +120,41 @@ def _config_flags(path: str, commands: dict, command: str) -> list[str]:
     return flags
 
 
+# the field flags each --field reads
+_FIELD_FLAGS = {"coherent": ("mean", "sigma_width", "coverage_epsilon"),
+                "fock": ("n0",), "custom": ("custom_file",)}
+
+
+def _unread(args: argparse.Namespace) -> list[str]:
+    """The dests of the flags this run does not read."""
+    if args.command == "analyze":
+        return [] if args.max_j > 0 else ["mean", "channel"]
+    if args.command in ("run", "compare-oracle", "inversion"):
+        return [dest for field, dests in _FIELD_FLAGS.items() if field != args.field
+                for dest in dests]
+    return []
+
+
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """Parse argv; a --config file's entries are placed ahead of the
-    subcommand's own flags, so that an explicit flag overrides them."""
+    subcommand's own flags, so that an explicit flag overrides them.  A
+    flag of argv set away from its default that the run does not read is
+    refused."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    at = argv.index(args.command) + 1
-    flags = _config_flags(args.config, parser.commands, args.command)
-    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
+    given = args = parser.parse_args(argv)
+    if args.config is not None:
+        at = argv.index(args.command) + 1
+        flags = _config_flags(args.config, parser.commands, args.command)
+        args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
+    defaults = parser.parse_args([args.command])
+    for dest in _unread(args):
+        if getattr(given, dest) != getattr(defaults, dest):
+            flag = _keyed_actions(parser.commands[args.command])[dest].option_strings[0]
+            reason = ("without --max-j" if args.command == "analyze"
+                      else f"with --field {args.field}")
+            raise ConfigurationError(f"{args.command} does not read {flag} {reason}")
+    return args
 
 
 def _mode_fields(field, modes: int) -> list:

@@ -32,7 +32,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .fock_field import FieldDistribution, TruncationWindow, config_array, joint_amplitudes
+from .fock_field import (FieldDistribution, TruncationWindow, check_memory, config_array,
+                         joint_amplitudes)
 from .reduced_density import raw_density
 
 LITERAL = "literal"
@@ -58,10 +59,9 @@ def chunk_bytes(fields: list[FieldDistribution]) -> int:
     beside one gt's amplitudes per anchor: the anchored vectors and the
     conjugate copy raw_density takes, each of at most max(CHUNK_ELEMENTS,
     4 x layout size) complex entries, and the amplitudes of a chunk of
-    several gts, with their gathered copy, of at most CHUNK_ELEMENTS
-    complex entries each."""
+    several gts, of at most CHUNK_ELEMENTS complex entries."""
     entries = max(CHUNK_ELEMENTS, 4 * math.prod(_layout_shape(fields)))
-    return 2 * 16 * entries + 2 * 16 * CHUNK_ELEMENTS
+    return 2 * 16 * entries + 16 * CHUNK_ELEMENTS
 
 
 class AnchoredRoute:
@@ -73,22 +73,25 @@ class AnchoredRoute:
     interbranch coherences.
 
     This class alone knows the anchored layout: zero vectors over the
-    product of the per-mode extended windows, C order.  A layout padded
-    differently could regroup the contraction's sums."""
+    product of the per-mode extended windows, C order.  The anchors are the
+    box of it spanned by the per-mode anchor windows, in C order too.  A
+    layout padded differently could regroup the contraction's sums."""
 
-    def __init__(self, fields: list[FieldDistribution], anchors: np.ndarray):
-        shape = _layout_shape(fields)
-        self.vector_size = math.prod(shape)
+    def __init__(self, fields: list[FieldDistribution], anchors: list[TruncationWindow]):
+        self.shape = _layout_shape(fields)
         lows = [extended_window(f.window).n_min for f in fields]
-        self.anchor_flat = np.ravel_multi_index(tuple((anchors - lows).T), shape)
+        self.box = tuple(slice(a.n_min - low, a.n_max + 1 - low)
+                         for a, low in zip(anchors, lows))
 
     def anchored_vectors(self, gts) -> np.ndarray:
-        """(G, 4, vector_size) branch amplitudes keyed by anchor."""
+        """(G, 4, layout size) branch amplitudes keyed by anchor.  Each is
+        written as 0.0 + x, so that a -0.0 reads +0.0 as on a zero vector."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
         amps = self.branch_amplitudes(gts)
-        vectors = np.zeros((gts.size, 4, self.vector_size), dtype=complex)
-        vectors[..., self.anchor_flat] += amps
-        return vectors
+        vectors = np.zeros((gts.size, 4, *self.shape), dtype=complex)
+        box = vectors[(..., *self.box)]
+        np.add(amps.reshape(box.shape), 0.0, out=box)
+        return vectors.reshape(gts.size, 4, math.prod(self.shape))
 
     def raw_densities(self, gts) -> np.ndarray:
         """(G, 4, 4) unnormalized densities, CHUNK_ELEMENTS anchored-vector
@@ -96,7 +99,7 @@ class AnchoredRoute:
         Overflows are left to the density's non-finite check."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
         raw = np.empty((gts.size, 4, 4), dtype=complex)
-        step = max(1, CHUNK_ELEMENTS // (4 * self.vector_size))
+        step = max(1, CHUNK_ELEMENTS // (4 * math.prod(self.shape)))
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, gts.size, step):
                 chunk = slice(start, start + step)
@@ -123,8 +126,9 @@ class SingleModeLiteral(AnchoredRoute):
 
     def __init__(self, field: FieldDistribution):
         self.field = field
-        self.ns = np.arange(max(0, field.window.n_min - 2), field.window.n_max + 1)
-        super().__init__([field], self.ns[:, None])
+        window = TruncationWindow(max(0, field.window.n_min - 2), field.window.n_max)
+        self.ns = window.values()
+        super().__init__([field], [window])
 
     def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
         ns, c, t = self.ns, self.field, gts[:, None]
@@ -161,7 +165,7 @@ class SingleModeConsistent(AnchoredRoute):
     def __init__(self, field: FieldDistribution):
         self.field = field
         self.ns = field.window.values()
-        super().__init__([field], self.ns[:, None])
+        super().__init__([field], [field.window])
 
     def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
         ns, c, t = self.ns.astype(float), self.field.amplitudes, gts[:, None]
@@ -296,14 +300,13 @@ class LiteralTerms:
         return (c0 * (ratio2 * (np.cos(np.repeat(t, n) * w2) - 1.0) + 1.0)).reshape(g, n)
 
 
-# the bytes ProductLiteral holds per configuration beside its int64 row:
-# three complex factor rows (48); LiteralTerms' four float64 and two
-# complex rows (64) and, where x2's frequency is complex, an int64 index
-# and three complex rows (56); the int64 anchor index (8); and the larger
-# transient of the build (nine float64 statistic rows and seven float64
-# temporaries, 128) and of a gt's evaluation (four complex amplitudes and
-# their gathered copy, 128)
-PRODUCT_LITERAL_ROW_BYTES = 48 + 64 + 56 + 8 + 128
+# the bytes ProductLiteral holds per configuration: three complex factor
+# rows (48); LiteralTerms' four float64 and two complex rows (64) and,
+# where x2's frequency is complex, an int64 index and three complex rows
+# (56); and the larger transient of the build (nine float64 statistic rows
+# and seven float64 temporaries, 128) and of a gt's evaluation (four
+# complex amplitudes, 64)
+PRODUCT_LITERAL_ROW_BYTES = 48 + 64 + 56 + 128
 
 
 class ProductLiteral(AnchoredRoute):
@@ -324,24 +327,25 @@ class ProductLiteral(AnchoredRoute):
                 "use SingleModeLiteral for m=1")
         ranges = [TruncationWindow(max(0, f.window.n_min - 2), f.window.n_max)
                   for f in fields]
-        chunk = chunk_bytes(fields)
-        self.configs = config_array(ranges, PRODUCT_LITERAL_ROW_BYTES,
-                                    "literal multimode configurations", chunk)
-        self.memory_bytes = (self.configs.nbytes
-                             + len(self.configs) * PRODUCT_LITERAL_ROW_BYTES + chunk)
-        # summed and multiplied over the modes in mode order, a row at a
-        # time so that no temporary outgrows one row
-        stats = np.zeros((9, len(self.configs)))
-        weights = np.ones((3, len(self.configs)), dtype=complex)
-        for k, (f, r) in enumerate(zip(fields, ranges)):
+        shape = tuple(r.size for r in ranges)
+        count = math.prod(shape)
+        self.memory_bytes = count * PRODUCT_LITERAL_ROW_BYTES + chunk_bytes(fields)
+        check_memory(self.memory_bytes, f"{count} literal multimode configurations")
+        # summed and multiplied over the modes in mode order, each mode's
+        # values broadcast along its axis, a row at a time: numpy can round
+        # the complex product of a whole stack differently (seen for rows
+        # of one configuration)
+        stats = np.zeros((9, *shape))
+        weights = np.ones((3, *shape), dtype=complex)
+        for k, f in enumerate(fields):
+            axis = [-1 if j == k else 1 for j in range(m)]
             feats, wfeats = literal_features(f)
-            column = self.configs[:, k] - r.n_min
             for row, values in zip(stats, feats):
-                row += values[column]
+                row += values.reshape(axis)
             for row, values in zip(weights, wfeats):
-                row *= values[column]
-        self.terms = LiteralTerms(m, stats, weights)
-        super().__init__(fields, self.configs)
+                row *= values.reshape(axis)
+        self.terms = LiteralTerms(m, stats.reshape(9, count), weights.reshape(3, count))
+        super().__init__(fields, ranges)
 
     def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
         out = np.empty((gts.size, 4, self.terms.size), dtype=complex)
@@ -375,12 +379,11 @@ class ConsistentBlocks(AnchoredRoute):
         self.dim = 1 + m + len(self.pairs)
 
         # the bytes held per configuration beside its int64 row: the complex
-        # weight (16), the int64 anchor index (8), a float64 copy of the row
-        # (8 m), the float64 block Hamiltonian and its eigenvectors
-        # (2 x 8 dim**2) and three vectors of dim: the float64 eigenvalues,
-        # their complex rates and the eigenvectors' complex overlaps with
-        # |aa, n> (40 dim)
-        row_bytes = 24 + 8 * m + 16 * self.dim ** 2 + 40 * self.dim
+        # weight (16), a float64 copy of the row (8 m), the float64 block
+        # Hamiltonian and its eigenvectors (2 x 8 dim**2) and three vectors
+        # of dim: the float64 eigenvalues, their complex rates and the
+        # eigenvectors' complex overlaps with |aa, n> (40 dim)
+        row_bytes = 16 + 8 * m + 16 * self.dim ** 2 + 40 * self.dim
         chunk = chunk_bytes(fields)
         configs = config_array([f.window for f in fields], row_bytes,
                                f"consistent cascade blocks of {self.dim}x{self.dim} entries",
@@ -388,7 +391,7 @@ class ConsistentBlocks(AnchoredRoute):
         self.memory_bytes = configs.nbytes + len(configs) * row_bytes + chunk
         self.configs = configs
         self.weights = joint_amplitudes(fields, configs)
-        super().__init__(fields, configs)
+        super().__init__(fields, [f.window for f in fields])
 
         n = configs.astype(float)
         h = np.zeros((len(configs), self.dim, self.dim))
@@ -406,21 +409,17 @@ class ConsistentBlocks(AnchoredRoute):
         self._p0 = self.eigvecs[:, 0, :].astype(complex)
         self._rates = -1j * self.eigvals
 
-    def amplitudes_at(self, gt: float) -> np.ndarray:
-        """(n_configs, dim) complex block amplitudes at time gt; einsum
-        casts the real eigenvectors to complex for this call alone."""
-        phase = np.exp(self._rates * gt) * self._p0
-        return np.einsum("ndm,nm->nd", self.eigvecs, phase)
-
     def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
         """The weighted block amplitudes summed per branch in cascade order:
         aa; ab and ba, each the one-photon state over sqrt(2), per mode; bb
-        per mode pair."""
+        per mode pair.  einsum casts the real eigenvectors to complex for
+        each gt's call alone."""
         m = self.mode_count
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         out = np.zeros((gts.size, 4, len(self.configs)), dtype=complex)
         for block, gt in zip(out, gts):
-            amps = self.amplitudes_at(gt) * self.weights[:, None]
+            amps = np.einsum("ndm,nm->nd", self.eigvecs,
+                             np.exp(self._rates * gt) * self._p0) * self.weights[:, None]
             block[0] += amps[:, 0]
             for k in range(m):
                 half = amps[:, 1 + k] * inv_sqrt2

@@ -359,6 +359,11 @@ def _add_concurrence(lines):
     # the envelope and the peak separation are counted in grid steps
     pytest.param(lambda lines: lines[:100] + lines[101:], ["--mean", "5", "--max-j", "1"],
                  id="non-uniform-grid"),
+    # --mean and --channel are read by peak detection alone
+    pytest.param(_add_concurrence, ["--mean", "-5", "--channel", "concurrence",
+                                    "--threshold", "0.05"], id="unread-mean"),
+    pytest.param(_add_concurrence, ["--channel", "concurrence", "--threshold", "0.05"],
+                 id="unread-channel"),
 ])
 def test_analyze_refuses_what_it_cannot_read(tmp_path, capsys, edit, flags):
     inv = tmp_path / "inv.csv"
@@ -371,6 +376,40 @@ def test_analyze_refuses_what_it_cannot_read(tmp_path, capsys, edit, flags):
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, flag", [
+    pytest.param(["run", "--field", "fock", "--n0", "3", "--mean", "7", "--sigma-width", "2"],
+                 "--mean", id="run-fock-mean"),
+    pytest.param(["run", "--field", "coherent", "--n0", "3"], "--n0", id="run-coherent-n0"),
+    pytest.param(["run", "--custom-file", "amps.txt"], "--custom-file",
+                 id="run-coherent-custom-file"),
+    pytest.param(["inversion", "--field", "fock", "--n0", "2", "--coverage-epsilon", "0.5"],
+                 "--coverage-epsilon", id="inversion-fock-coverage-epsilon"),
+    pytest.param(["compare-oracle", "--field", "fock", "--sigma-width", "3"], "--sigma-width",
+                 id="compare-oracle-fock-sigma-width"),
+])
+def test_field_flags_the_field_does_not_read_are_refused(tmp_path, capsys, args, flag):
+    out = tmp_path / "x.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert f" {flag} " in err
+    assert not out.exists()
+
+
+def test_config_keys_a_run_does_not_read_are_accepted(tmp_path):
+    # one config file may serve several runs: its unread keys are no error
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("field = fock\nn0 = 1\nmean = 7\nsigma_width = 2\nchannel = concurrence\n"
+                   "gt_max = 2\ngt_steps = 20\n")
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_csv(out)[1].shape == (20, 4)
+    report = tmp_path / "report.txt"
+    assert main(["analyze", "--config", str(cfg), "--in", str(out), "--threshold", "0.05",
+                 "--out", str(report)]) == 0
+    assert report.read_text().startswith("collapse windows")
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -37,7 +37,9 @@ def multimode_literal(config, gt, fields):
     """(aa, ab, ba, bb) published multimode amplitudes at one summation
     configuration."""
     route = ProductLiteral(fields)
-    col = np.flatnonzero((route.configs == config).all(axis=1))[0]
+    lows = [max(0, f.window.n_min - 2) for f in fields]
+    shape = [f.window.n_max - low + 1 for f, low in zip(fields, lows)]
+    col = np.ravel_multi_index(tuple(np.subtract(config, lows)), shape)
     return route.branch_amplitudes(np.array([gt]))[0][:, col]
 
 
@@ -140,7 +142,7 @@ def test_product_literal_checks_its_budget_before_enumerating(memory_budget):
                              f"memory budget of {predicted - 1} bytes;"):
         ProductLiteral(fields)
     memory_budget(predicted)
-    assert ProductLiteral(fields).configs.shape == (count, 2)
+    assert ProductLiteral(fields).terms.size == count
 
 
 def test_multimode_zero_config_example():
@@ -202,8 +204,8 @@ def test_assemble_gt0_consistent_equals_initial_state():
     fields = [coherent_field(2.0), coherent_field(1.0)]
     blocks = ConsistentBlocks(fields)
     vectors = blocks.anchored_vectors([0.0])[0]
-    assert np.abs(vectors[0, blocks.anchor_flat]
-                  - weights(fields, blocks.configs)).max() <= 1e-13
+    anchored = vectors.reshape(4, *blocks.shape)[(0, *blocks.box)].ravel()
+    assert np.abs(anchored - weights(fields, blocks.configs)).max() <= 1e-13
     for b in (1, 2, 3):
         assert np.abs(vectors[b]).max() <= 1e-14
     assert np.sum(np.abs(vectors) ** 2) == pytest.approx(1.0, abs=1e-10)
@@ -214,7 +216,7 @@ def test_assemble_literal_gt0_on_bb():
     route = SingleModeLiteral(field)
     vectors = route.anchored_vectors([0.0])[0]
     window = field.window.values()
-    assert np.abs(vectors[3, route.anchor_flat[window - route.ns[0]]]
+    assert np.abs(vectors[3, route.box[0]][window - route.ns[0]]
                   - field.amplitudes).max() <= 1e-14
     assert np.abs(vectors[0]).max() == 0.0
 
@@ -242,11 +244,18 @@ def test_assemble_consistent_multimode_norm():
         assert deficit == pytest.approx(1.0 - norm, abs=1e-12)
 
 
+def block_amplitudes(blocks, gt):
+    """(n_configs, dim) unweighted block amplitudes at gt, from the held
+    eigenbasis as branch_amplitudes computes them."""
+    phase = np.exp(blocks._rates * gt) * blocks._p0
+    return np.einsum("ndm,nm->nd", blocks.eigvecs, phase)
+
+
 def test_assemble_branch_unitarity_per_block():
     blocks = ConsistentBlocks([fock_field(1), fock_field(2)])
-    amps = blocks.amplitudes_at(1.3)
+    amps = block_amplitudes(blocks, 1.3)
     assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert blocks.amplitudes_at(0.0)[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert block_amplitudes(blocks, 0.0)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_consistent_blocks_hold_each_eigenbasis_once_as_float64():
@@ -322,7 +331,7 @@ def test_grid_call_equals_single_gt_calls(route, monkeypatch):
     gts = np.linspace(0.0, 8.0, 97)
     whole = built.raw_densities(gts)
     single = np.stack([built.raw_densities([g])[0] for g in gts])
-    monkeypatch.setattr(closed_form, "CHUNK_ELEMENTS", 4 * built.vector_size * 5)
+    monkeypatch.setattr(closed_form, "CHUNK_ELEMENTS", 4 * math.prod(built.shape) * 5)
     chunked = built.raw_densities(gts)
     assert _same_bits(whole, single)
     assert _same_bits(chunked, single)
@@ -531,6 +540,41 @@ def test_assemble_validation():
         closed_form_series(fields, [-1.0], CONSISTENT)
 
 
+@pytest.mark.parametrize("route, names", [
+    (SingleModeLiteral, ("coherent-n0",)), (SingleModeLiteral, ("custom",)),
+    (SingleModeConsistent, ("coherent-9",)), (SingleModeConsistent, ("custom",)),
+    (ProductLiteral, ("coherent-n0", "custom")),
+    (ProductLiteral, ("coherent-n0", "coherent-9", "fock-3")),
+    (ConsistentBlocks, ("coherent-9", "fock-3")), (ConsistentBlocks, ("custom", "custom")),
+], ids=lambda v: "+".join(v) if isinstance(v, tuple) else v.__name__)
+def test_anchored_vectors_match_add_at_accumulation(route, names):
+    from test_golden_digests import _fields as golden_fields
+
+    from tcmsim.closed_form import extended_window
+    from tcmsim.reduced_density import raw_density
+
+    catalogue = golden_fields()
+    fields = [catalogue[n] for n in names]
+    built = (route(fields[0]) if route in (SingleModeLiteral, SingleModeConsistent)
+             else route(fields))
+    # the anchors, one row per anchor in C order: the summation windows in
+    # literal mode, the initial windows in consistent mode
+    literal = route in (SingleModeLiteral, ProductLiteral)
+    anchors = [range(max(0, f.window.n_min - 2) if literal else f.window.n_min,
+                     f.window.n_max + 1) for f in fields]
+    rows = np.array(list(itertools.product(*anchors)))
+    windows = [extended_window(f.window) for f in fields]
+    shape = tuple(w.size for w in windows)
+    flat = np.ravel_multi_index(tuple((rows - [w.n_min for w in windows]).T), shape)
+    gts = np.array([0.0, 0.45, 2.7])
+    amps = built.branch_amplitudes(gts)
+    assert amps.shape == (gts.size, 4, len(rows))
+    ref = np.zeros((gts.size, 4, math.prod(shape)), dtype=complex)
+    np.add.at(ref, (slice(None), slice(None), flat), amps)
+    assert _same_bits(built.anchored_vectors(gts), ref)
+    assert _same_bits(built.raw_densities(gts), raw_density(ref))
+
+
 @pytest.mark.parametrize("fields", [[coherent_field(2.0)] * 2,
                                     [coherent_field(1.5), coherent_field(4.0)],
                                     [coherent_field(1.0)] * 3])
@@ -547,7 +591,7 @@ def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
     for gt in (0.0, 0.45, 2.7):
         # the anchored arrays as np.add.at on zeros builds them, in cascade
         # order (aa; ab and ba per mode; bb per pair)
-        amps = blocks.amplitudes_at(gt) * blocks.weights[:, None]
+        amps = block_amplitudes(blocks, gt) * blocks.weights[:, None]
         ref = np.zeros((4, int(np.prod(shape))), dtype=complex)
         np.add.at(ref[0], flat, amps[:, 0])
         for k in range(m):

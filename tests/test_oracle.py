@@ -335,3 +335,14 @@ def test_branch_vectors_pair_like_the_multimode_density():
     for vectors, raw in zip(evolver.branch_vectors(gts), evolver.densities(gts)[0]):
         assert _same_bits(density_from_branch_vectors(vectors),
                           densities(raw[None])[0])
+
+
+@pytest.mark.parametrize("m, mean", [(2, 2.0), (2, 5.0), (3, 1.0)])
+def test_identical_coherent_modes_evolve_as_one_collective_mode(m, mean):
+    # m identical coherent modes of mean n are the collective mode of mean
+    # m n, coupled with sqrt(m) g, and m - 1 vacuum modes: the multimode
+    # density is the single-mode standard partial trace at sqrt(m) gt
+    gts = np.linspace(0.0, 6.0, 25)
+    multimode = ExactEvolver([coherent_field(mean)] * m).densities(gts)[0]
+    v = ExactEvolver([coherent_field(m * mean)]).branch_vectors(math.sqrt(m) * gts)
+    assert np.abs(multimode - raw_density(v)).max() <= 1e-10
