@@ -18,8 +18,7 @@ from .fock_field import (FieldDistribution, TruncationWindow,
                          default_window, fock_field, load_custom_field)
 from .inversion import single_atom_jcm_series
 from .oracle import (ExactEvolver, ExpansionReport, SectorBasis,
-                     build_hamiltonian, build_sector_basis,
-                     expansion_diagnostic)
+                     build_hamiltonian, expansion_diagnostic)
 from .pipeline import closed_form_series, oracle_series
 from .series import TimeSeries
 
@@ -28,7 +27,7 @@ __all__ = [
     "ExpansionReport", "FieldDistribution", "LITERAL",
     "NumericalFailureError", "RevivalReport", "SectorBasis", "TcmError",
     "TimeSeries", "TruncationWindow", "binary_entropy", "build_hamiltonian",
-    "build_sector_basis", "closed_form_series", "coherent_amplitudes",
+    "closed_form_series", "coherent_amplitudes",
     "coherent_field", "collapse_windows", "custom_field", "default_window",
     "detect_revival_peaks", "deviation_report", "eof", "expansion_diagnostic",
     "fock_field", "load_custom_field", "mode_sweep", "oracle_series",

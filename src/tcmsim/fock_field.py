@@ -152,9 +152,13 @@ def default_window(mean: float,
         raise ConfigurationError(
             "sigma_width and coverage_epsilon must be finite and positive, got "
             f"{sigma_width} and {coverage_epsilon}")
-    spread = sigma_width * np.sqrt(mean)
-    lo = max(0, int(np.floor(mean - spread)))
-    hi = max(lo, int(np.ceil(mean + spread)))
+    # a Python float overflows to inf with no warning; the budget check
+    # below refuses the window [0, inf]
+    spread = float(sigma_width) * math.sqrt(mean)
+    lo, hi = 0, math.inf
+    if spread < math.inf:
+        lo = max(0, int(np.floor(mean - spread)))
+        hi = max(lo, int(np.ceil(mean + spread)))
     target = 1.0 - coverage_epsilon
     # the pmf beyond the first window, nearest photon number first, computed
     # a doubling batch at a time; the window holds the first `left` values

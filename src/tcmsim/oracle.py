@@ -8,7 +8,10 @@ atoms).  Each sector block is diagonalized once and the propagator
 exp(-i H gt) is applied per requested time, which is exactly unitary.
 
 The oracle Fock window extends the field window by two photons per mode,
-enough to absorb the at most two photons the atoms can emit.
+enough to absorb the at most two photons the atoms emit into one mode.
+For m >= 2 the box is not closed under photon exchange between modes and
+cuts the dynamics there, with no norm drift to show it (docs/decisions.md,
+"Open point: photon exchange leaves the oracle box").
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BRANCHES, EXCITED_COUNT
+from .basis import BRANCHES
 from .errors import ConfigurationError
 from .fock_field import (FieldDistribution, TruncationWindow, check_memory, config_array,
                          joint_amplitudes)
@@ -58,27 +61,6 @@ class SectorBasis:
 def _flat(configs: np.ndarray, lows, shape: tuple) -> np.ndarray:
     """Row-major indices of configurations in the box shape starting at lows."""
     return np.ravel_multi_index(tuple((configs - lows).T), shape)
-
-
-def build_sector_basis(excitation: int, mode_count: int,
-                       windows: list[TruncationWindow]) -> SectorBasis:
-    if excitation < 0:
-        raise ConfigurationError(f"excitation must be nonnegative, got {excitation}")
-    if len(windows) != mode_count:
-        raise ConfigurationError("one window per mode required")
-    configs = config_array(windows)
-    return _sector_basis(excitation, configs, configs.sum(axis=1))
-
-
-def _sector_basis(excitation: int, configs: np.ndarray,
-                  totals: np.ndarray) -> SectorBasis:
-    """The sector's basis from the lexicographic configurations and their
-    photon totals."""
-    parts = [configs[totals == excitation - EXCITED_COUNT[b]] for b in BRANCHES]
-    return SectorBasis(
-        excitation=excitation,
-        branch_of=np.repeat(np.arange(len(BRANCHES)), [len(p) for p in parts]),
-        configs=np.concatenate(parts))
 
 
 def build_hamiltonian(basis: SectorBasis) -> np.ndarray:
@@ -121,25 +103,15 @@ class _Sector:
     call alone, the one a held complex copy would be, so every coefficient
     keeps its bits."""
 
-    def __init__(self, basis: SectorBasis, shape: tuple, lows: np.ndarray,
+    def __init__(self, basis: SectorBasis, rows: np.ndarray, size: int,
                  initial: np.ndarray):
         self.basis = basis
         self.eigvals, self.eigvecs = np.linalg.eigh(build_hamiltonian(basis))
-        size = int(np.prod(shape))
-        flat = _flat(basis.configs, lows, shape)
         # the initial state |aa> x fields: only aa states carry weight
-        self.c0 = np.where(basis.branch_of == 0, initial[flat], 0)
-        # branch_vectors' layout: every coefficient at its final configuration
-        self.final = basis.branch_of * size + flat
-        # densities' layout: for a single mode each branch is shifted back by
-        # the photons it emitted, and states shifted below the window drop out
-        if len(shape) == 1:
-            flat = flat - _EMITTED[basis.branch_of]
-            self.positions = np.flatnonzero(flat >= 0)
-            self.targets = basis.branch_of[self.positions] * size + flat[self.positions]
-        else:
-            # nothing is shifted: every coefficient lands where it ends
-            self.positions, self.targets = slice(None), self.final
+        self.c0 = np.where(basis.branch_of == 0, initial[rows], 0)
+        # every coefficient at its branch and final configuration, whose
+        # row is its row-major index in the box
+        self.final = basis.branch_of * size + rows
         self._rates = -1j * self.eigvals
         self._proj = self.eigvecs.T @ self.c0
 
@@ -152,7 +124,11 @@ class _Sector:
 
 class ExactEvolver:
     """Diagonalizes every sector holding initial weight and evolves the
-    initial state |a1, a2> x prod_k |field_k> over gt grids."""
+    initial state |a1, a2> x prod_k |field_k> over gt grids.
+
+    This is the one place that decides which states a sector holds: the
+    box's configurations are ordered once by photon total, and the counts
+    per total both size the sectors for the budget and cut them."""
 
     def __init__(self, fields: list[FieldDistribution]):
         if not fields:
@@ -162,29 +138,32 @@ class ExactEvolver:
                         for f in fields]
         self.shape = tuple(w.size for w in self.windows)
         self._vector_size = int(np.prod(self.shape))
-        lows = np.array([w.n_min for w in self.windows])
         m = len(fields)
         # the bytes held per configuration beside its int64 row: its int64
-        # photon total (8) and complex initial amplitude (16); the sector
-        # states it is in, at most one per branch, each an int64 branch and
-        # row (8 + 8 m), complex initial coefficient, rates and eigenbasis
-        # projection (48), float64 eigenvalue (8) and int64 scatter targets
-        # (8, and 16 more for one mode's shifted positions); and the branch
-        # vectors of CHUNK_GTS gts and the conjugate copy raw_density takes
+        # photon total and place in the order by total (16) and complex
+        # initial amplitude (16); the sector states it is in, at most one
+        # per branch, each an int64 branch and row (8 + 8 m), complex
+        # initial coefficient, rates and eigenbasis projection (48), float64
+        # eigenvalue (8) and int64 final key (8); and the branch vectors of
+        # CHUNK_GTS gts and the conjugate copy raw_density takes
         # (2 x 16 x 4 CHUNK_GTS)
-        row_bytes = 24 + 4 * (88 + 8 * m) + 2 * 16 * 4 * CHUNK_GTS
+        row_bytes = 32 + 4 * (72 + 8 * m) + 2 * 16 * 4 * CHUNK_GTS
         configs = config_array(self.windows, row_bytes, "oracle configurations")
         totals = configs.sum(axis=1)
         low = int(totals[0]) + 2
 
-        # one sector per initial photon total t, of excitation N = t + 2: it
-        # holds the configurations with N - k photons for each branch with k
-        # excited atoms, c(N - 2) + 2 c(N - 1) + c(N) states, with c the
-        # configuration count by photon total.  The sector dimensions and
-        # the memory are checked before the first sector is built.
+        # one sector per initial photon total t, of excitation N = t + 2:
+        # its branch that emitted k photons holds the configurations of
+        # total t + k, so it has c(t) + 2 c(t + 1) + c(t + 2) states, with c
+        # the configuration count by photon total.  branch_total[i, b] is
+        # the photon total, less the lowest, of branch b's configurations in
+        # sector i.  The sector dimensions and the memory are checked before
+        # the first sector is built.
         counts = np.bincount(totals - totals[0])
         n = sum(f.window.size - 1 for f in fields) + 1
-        dims = counts[:n] + 2 * counts[1:n + 1] + counts[2:n + 2]
+        branch_total = np.arange(n)[:, None] + _EMITTED
+        sizes = counts[branch_total]
+        dims = sizes.sum(axis=1)
         over = np.flatnonzero(dims > MAX_SECTOR_DIM)
         if over.size:
             raise ConfigurationError(
@@ -213,31 +192,42 @@ class ExactEvolver:
         weights = joint_amplitudes(fields, inner)
         initial = np.zeros(len(configs), dtype=complex)
         initial[inside] = weights
-        self.sectors = [_Sector(_sector_basis(low + i, configs, totals), self.shape,
-                                lows, initial) for i in range(n)]
+        # the rows of each photon total, less the lowest, in lexicographic
+        # order: the stable sort keeps the box's row-major order in a total
+        by_total = np.split(np.argsort(totals, kind="stable"), np.cumsum(counts[:-1]))
+        self.sectors = []
+        for i in range(n):
+            rows = np.concatenate([by_total[t] for t in branch_total[i]])
+            basis = SectorBasis(low + i, np.repeat(np.arange(len(BRANCHES)), sizes[i]),
+                                configs[rows])
+            self.sectors.append(_Sector(basis, rows, self._vector_size, initial))
         self._norm0 = float(sum(np.sum(np.abs(s.c0) ** 2) for s in self.sectors))
 
     def check_drift(self, norms: np.ndarray) -> None:
-        """Raise at the first gt whose total norm drifted from the initial one."""
+        """Raise at the first gt whose total norm drifted from the initial
+        one.  Every sector Hamiltonian, truncated or not, is Hermitian, so
+        drift detects propagation that lost unitarity, not a small window."""
         drift = np.abs(np.asarray(norms) - self._norm0)
         raise_at_first(drift > NORM_DRIFT_TOL, lambda i: (
             f"norm drift {drift[i]:.3e} beyond {NORM_DRIFT_TOL:g}; "
-            "the truncation window is too small"))
+            "the propagation lost unitarity"))
 
     def densities(self, gts) -> tuple[np.ndarray, np.ndarray]:
         """(G, 4, 4) unnormalized two-atom densities and (G,) total norms,
         propagating CHUNK_GTS gts at once; check_drift checks the norms.
-        Each sector's coefficients are written into the chunk's branch
-        vectors as they are computed, and its norms into a (G, n_sectors)
-        table summed per gt, so no more than one sector's coefficients are
-        held at a time.
+        Each sector's coefficients are written to their final
+        configurations in the chunk's branch vectors as they are computed,
+        and its norms into a (G, n_sectors) table summed per gt, so no more
+        than one sector's coefficients are held at a time.
 
         For a single mode the branch amplitudes are paired by initial photon
         number (the branch's final occupation minus the photons it emitted),
         matching the published bilinear pairing and the consistent closed
-        form.  For m >= 2 no per-mode emission bookkeeping survives the
-        exact evolution, so amplitudes are paired by final configuration:
-        the standard partial trace over field states."""
+        form: each branch of the chunk is shifted back in place by the
+        photons it emitted, and states shifted below the window drop out.
+        For m >= 2 no per-mode emission bookkeeping survives the exact
+        evolution, so amplitudes are paired by final configuration: the
+        standard partial trace over field states."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
         raws = np.empty((gts.size, 4, 4), dtype=complex)
         norms = np.empty(gts.size)
@@ -249,9 +239,14 @@ class ExactEvolver:
             for i, sector in enumerate(self.sectors):
                 c = sector.evolve(gts[chunk])
                 sector_norms[:, i] = np.sum(np.abs(c) ** 2, axis=-1)
-                vectors[:, sector.targets] = c[:, sector.positions]
+                vectors[:, sector.final] = c
             norms[chunk] = sector_norms.sum(axis=-1)
-            raws[chunk] = raw_density(vectors.reshape(g, 4, self._vector_size))
+            vectors = vectors.reshape(g, 4, self._vector_size)
+            if len(self.shape) == 1:
+                for b, shift in enumerate(_EMITTED[1:], 1):
+                    vectors[:, b, :-shift] = vectors[:, b, shift:]
+                    vectors[:, b, -shift:] = 0
+            raws[chunk] = raw_density(vectors)
         return raws, norms
 
     def branch_vectors(self, gts) -> np.ndarray:

@@ -68,15 +68,13 @@ def closed_form_series(fields: list[FieldDistribution], gts: np.ndarray,
                       eof=obs["eof"], extras={"norm_deficit": obs["norm_deficit"]})
 
 
-def oracle_series(fields: list[FieldDistribution], gts: np.ndarray,
-                  evolver: ExactEvolver | None = None) -> TimeSeries:
+def oracle_series(fields: list[FieldDistribution], gts: np.ndarray) -> TimeSeries:
     """Exact-evolution observables on the grid, with per-point norm drift
     from the gt = 0 norm.  The gt = 0 norm and then the grid's norms are
-    checked for drift before the densities: a truncation too small is
-    reported ahead of the density failures it causes."""
+    checked for drift before the densities: propagation that lost
+    unitarity is reported ahead of the density failures it causes."""
     gts = check_grid(gts)
-    if evolver is None:
-        evolver = ExactEvolver(fields)
+    evolver = ExactEvolver(fields)
     _, norm0 = evolver.densities([0.0])
     evolver.check_drift(norm0)
     raws, norms = evolver.densities(gts)

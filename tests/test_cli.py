@@ -245,6 +245,9 @@ def test_readme_revival_report(tmp_path):
     ["sweep-modes", "--sweep-gt", "nan"],
     ["run", "--field", "custom", "--custom-file", "nan_field.txt"],
     ["run", "--config", "nan.cfg"],
+    # a spread that overflows to inf: the window-budget message
+    ["run", "--sigma-width", "1e308"],
+    ["sweep-modes", "--sigma-width", "1e308"],
 ])
 def test_bad_numeric_input_exits_with_one_message(tmp_path, args):
     (tmp_path / "nan_field.txt").write_text("0.8\nnan\n")

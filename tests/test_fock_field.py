@@ -149,9 +149,10 @@ def test_default_window_rejects_non_finite_input(kwargs):
 
 @pytest.mark.parametrize("kwargs", [
     # bounds beyond int64 (an object-dtype arange), a window wider than the
-    # budget, and photon numbers doubles cannot all hold
+    # budget, photon numbers doubles cannot all hold, and a spread that
+    # overflows to inf
     {"mean": 1e300}, {"mean": 1.0, "sigma_width": 1e7},
-    {"mean": 1e17, "sigma_width": 1e-9},
+    {"mean": 1e17, "sigma_width": 1e-9}, {"mean": 5.0, "sigma_width": 1e308},
 ])
 def test_default_window_rejects_windows_beyond_the_budget(kwargs):
     with pytest.raises(ConfigurationError, match="budget"):

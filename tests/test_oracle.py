@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from tcmsim import (BRANCHES, ConfigurationError, ExactEvolver,
-                    NumericalFailureError, TruncationWindow, build_hamiltonian,
-                    build_sector_basis, coherent_field, eof, expansion_diagnostic,
+                    NumericalFailureError, SectorBasis, TruncationWindow,
+                    build_hamiltonian, coherent_field, eof, expansion_diagnostic,
                     fock_field, oracle)
 from tcmsim.basis import EXCITED_COUNT
 from tcmsim.closed_form import SingleModeConsistent
@@ -44,6 +44,20 @@ def propagate(sector, c, gt):
     return sector.eigvecs @ (np.exp(-1j * sector.eigvals * gt) * (sector.eigvecs.T @ c))
 
 
+def sector_basis(excitation, windows):
+    """The sector's basis by brute force, as a test-side reference: every
+    (branch, configuration) pair of the windows' product whose photons and
+    excited atoms add up to the excitation, branches in order and
+    configurations lexicographic within each."""
+    configs = list(itertools.product(*(w.values().tolist() for w in windows)))
+    pairs = [(b, cfg) for b, branch in enumerate(BRANCHES) for cfg in configs
+             if sum(cfg) + EXCITED_COUNT[branch] == excitation]
+    return SectorBasis(excitation=excitation,
+                       branch_of=np.array([b for b, _ in pairs], dtype=np.int64),
+                       configs=np.array([c for _, c in pairs],
+                                        dtype=np.int64).reshape(-1, len(windows)))
+
+
 def states(basis):
     """The basis as (branch, config tuple) pairs, in order."""
     return [(BRANCHES[b], tuple(c))
@@ -51,19 +65,19 @@ def states(basis):
 
 
 def test_sector_basis_m1_n2():
-    basis = build_sector_basis(2, 1, [TruncationWindow(0, 10)])
+    basis = sector_basis(2, [TruncationWindow(0, 10)])
     assert states(basis) == [("aa", (0,)), ("ab", (1,)), ("ba", (1,)), ("bb", (2,))]
 
 
 def test_sector_basis_m2_n1():
-    basis = build_sector_basis(1, 2, [TruncationWindow(0, 1)] * 2)
+    basis = sector_basis(1, [TruncationWindow(0, 1)] * 2)
     assert set(states(basis)) == {("ab", (0, 0)), ("ba", (0, 0)),
                                   ("bb", (1, 0)), ("bb", (0, 1))}
     assert basis.dim == 4
 
 
 def test_sector_basis_empty_beyond_capacity():
-    basis = build_sector_basis(6, 1, [TruncationWindow(0, 3)])
+    basis = sector_basis(6, [TruncationWindow(0, 3)])
     assert basis.dim == 0
 
 
@@ -73,19 +87,32 @@ def test_sector_basis_is_the_brute_force_enumeration():
     for excitation in range(15):
         want = [(b, cfg) for b in BRANCHES for cfg in configs
                 if sum(cfg) + EXCITED_COUNT[b] == excitation]
-        assert states(build_sector_basis(excitation, 3, windows)) == want
+        assert states(sector_basis(excitation, windows)) == want
 
 
 @pytest.mark.parametrize("fields", [
     [coherent_field(2.0)],
     [coherent_field(1.5), coherent_field(0.8)],
+    [fock_field(1), coherent_field(0.5), fock_field(2)],
 ])
 def test_evolver_sectors_use_the_sector_basis(fields):
+    # the evolver builds one sector per excitation from the lowest the box
+    # holds with initial weight, each the brute-force enumeration, with
+    # every state's final key its branch and its configuration's row-major
+    # index in the box
     ev = ExactEvolver(fields)
     assert ev.sectors
+    lows = [w.n_min for w in ev.windows]
+    low = sum(lows) + 2
+    assert [s.basis.excitation for s in ev.sectors] == list(range(low, low + len(ev.sectors)))
+    size = math.prod(ev.shape)
     for sector in ev.sectors:
-        assert states(sector.basis) == states(build_sector_basis(
-            sector.basis.excitation, len(fields), ev.windows))
+        basis = sector_basis(sector.basis.excitation, ev.windows)
+        assert np.array_equal(sector.basis.branch_of, basis.branch_of)
+        assert np.array_equal(sector.basis.configs, basis.configs)
+        keys = basis.branch_of * size + np.ravel_multi_index(
+            tuple((basis.configs - lows).T), ev.shape)
+        assert np.array_equal(sector.final, keys)
 
 
 @pytest.mark.parametrize("m, n_cut", [(1, 6), (2, 3), (3, 2)])
@@ -105,7 +132,7 @@ def test_sector_hamiltonians_restrict_the_dense_interaction(m, n_cut):
     windows = [TruncationWindow(0, n_cut)] * m
     covered = 0
     for excitation in range(m * n_cut + 3):
-        basis = build_sector_basis(excitation, m, windows)
+        basis = sector_basis(excitation, windows)
         index = (basis.branch_of * local ** m
                  + np.ravel_multi_index(tuple(basis.configs.T), (local,) * m))
         assert np.array_equal(build_hamiltonian(basis), v[np.ix_(index, index)])
@@ -114,14 +141,14 @@ def test_sector_hamiltonians_restrict_the_dense_interaction(m, n_cut):
 
 
 def test_hamiltonian_eigenvalues_m1_n2():
-    h = build_hamiltonian(build_sector_basis(2, 1, [TruncationWindow(0, 10)]))
+    h = build_hamiltonian(sector_basis(2, [TruncationWindow(0, 10)]))
     assert np.max(np.abs(h - h.T)) == 0.0
     eigs = np.sort(np.linalg.eigvalsh(h))
     assert np.allclose(eigs, [-math.sqrt(6), 0.0, 0.0, math.sqrt(6)], atol=1e-12)
 
 
 def test_hamiltonian_eigenvalues_m1_n1():
-    h = build_hamiltonian(build_sector_basis(1, 1, [TruncationWindow(0, 10)]))
+    h = build_hamiltonian(sector_basis(1, [TruncationWindow(0, 10)]))
     eigs = np.sort(np.linalg.eigvalsh(h))
     assert np.allclose(eigs, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-12)
 
@@ -288,7 +315,7 @@ def test_oracle_series_equals_per_gt_views(fields, monkeypatch):
     evolver = ExactEvolver(fields)
     gts = np.linspace(0.0, 9.0, 40)
     assert gts.size > 5 * oracle.CHUNK_GTS
-    series = oracle_series(fields, gts, evolver=evolver)
+    series = oracle_series(fields, gts)
     norm0 = evolver.densities([0.0])[1][0]
     raws, norms = evolver.densities(gts)
     assert len(raws) == len(norms) == gts.size
@@ -315,14 +342,15 @@ def test_state_coefficients_equal_direct_propagation():
             assert _same_bits(vectors[sector.final], propagate(sector, sector.c0, gt))
 
 
-def test_batched_oracle_raises_on_norm_drift():
+def test_batched_oracle_raises_on_norm_drift(monkeypatch):
     from tcmsim.pipeline import oracle_series
 
+    # a tolerance below zero: every norm counts as drifted
+    monkeypatch.setattr(oracle, "NORM_DRIFT_TOL", -1.0)
     fields = [coherent_field(2.0)]
     evolver = ExactEvolver(fields)
-    evolver._norm0 += 1e-6
     with pytest.raises(NumericalFailureError, match="norm drift"):
-        oracle_series(fields, np.linspace(0.0, 2.0, 5), evolver=evolver)
+        oracle_series(fields, np.linspace(0.0, 2.0, 5))
     with pytest.raises(NumericalFailureError, match="norm drift"):
         evolver.check_drift(evolver.densities([0.5])[1])
 
@@ -345,4 +373,24 @@ def test_identical_coherent_modes_evolve_as_one_collective_mode(m, mean):
     gts = np.linspace(0.0, 6.0, 25)
     multimode = ExactEvolver([coherent_field(mean)] * m).densities(gts)[0]
     v = ExactEvolver([coherent_field(m * mean)]).branch_vectors(math.sqrt(m) * gts)
+    assert np.abs(multimode - raw_density(v)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("means", [(2.0, 0.5), (5.0, 1.0), (3.0, 0.0)],
+                         ids=["2-0.5", "5-1", "3-0"])
+def test_unequal_coherent_modes_evolve_as_one_collective_mode(means):
+    # real coherent amplitudes sqrt(n1), sqrt(n2): the collective mode
+    # (a1 + a2) / sqrt(2), coupled with sqrt(2) g, is coherent of mean
+    # (sqrt(n1) + sqrt(n2))^2 / 2, and the orthogonal mode, coherent too,
+    # does not couple.  The box of windows is not closed under photon
+    # exchange between the modes, so each window is padded down to n = 0
+    # and far above the field, on boxes of unequal size
+    windows = (TruncationWindow(0, 32), TruncationWindow(0, 22))
+    fields = [coherent_field(n, coverage_epsilon=1e-14, window=w)
+              for n, w in zip(means, windows)]
+    collective = coherent_field((math.sqrt(means[0]) + math.sqrt(means[1])) ** 2 / 2,
+                                coverage_epsilon=1e-14, window=windows[0])
+    gts = np.linspace(0.0, 6.0, 25)
+    multimode = ExactEvolver(fields).densities(gts)[0]
+    v = ExactEvolver([collective]).branch_vectors(math.sqrt(2) * gts)
     assert np.abs(multimode - raw_density(v)).max() <= 1e-10
