@@ -34,34 +34,17 @@ import numpy as np
 from .errors import ConfigurationError
 from .fock_field import (FieldDistribution, TruncationWindow, check_memory, config_array,
                          joint_amplitudes)
-from .reduced_density import raw_density
+from .reduced_density import DensityContraction, contraction_bytes
 
 LITERAL = "literal"
 CONSISTENT = "consistent"
 CONVENTIONS = (LITERAL, CONSISTENT)
-
-# anchored-vector entries held at once: gts per chunk x 4 branches x layout size
-CHUNK_ELEMENTS = 1 << 17
 
 
 def extended_window(window: TruncationWindow) -> TruncationWindow:
     """Final-configuration window: two photons below (literal summation
     reach) and two above (two-photon emission) the initial window."""
     return TruncationWindow(max(0, window.n_min - 2), window.n_max + 2)
-
-
-def _layout_shape(fields: list[FieldDistribution]) -> tuple:
-    return tuple(extended_window(f.window).size for f in fields)
-
-
-def chunk_bytes(fields: list[FieldDistribution]) -> int:
-    """The bytes AnchoredRoute.raw_densities holds for a chunk of gts
-    beside one gt's amplitudes per anchor: the anchored vectors and the
-    conjugate copy raw_density takes, each of at most max(CHUNK_ELEMENTS,
-    4 x layout size) complex entries, and the amplitudes of a chunk of
-    several gts, of at most CHUNK_ELEMENTS complex entries."""
-    entries = max(CHUNK_ELEMENTS, 4 * math.prod(_layout_shape(fields)))
-    return 2 * 16 * entries + 16 * CHUNK_ELEMENTS
 
 
 class AnchoredRoute:
@@ -78,40 +61,35 @@ class AnchoredRoute:
     layout padded differently could regroup the contraction's sums."""
 
     def __init__(self, fields: list[FieldDistribution], anchors: list[TruncationWindow]):
-        self.shape = _layout_shape(fields)
-        lows = [extended_window(f.window).n_min for f in fields]
-        self.box = tuple(slice(a.n_min - low, a.n_max + 1 - low)
-                         for a, low in zip(anchors, lows))
+        layout = [extended_window(f.window) for f in fields]
+        self.shape = tuple(w.size for w in layout)
+        self.width = math.prod(self.shape)
+        self.box = tuple(slice(a.n_min - w.n_min, a.n_max + 1 - w.n_min)
+                         for a, w in zip(anchors, layout))
+        # raw_densities' chunk: the contraction's two stacks and the chunk's
+        # amplitudes before they are written into one, a stack more at most
+        self.chunk_memory = 3 * contraction_bytes(self.width) // 2
 
-    def anchored_vectors(self, gts) -> np.ndarray:
-        """(G, 4, layout size) branch amplitudes keyed by anchor.  Each is
-        written as 0.0 + x, so that a -0.0 reads +0.0 as on a zero vector."""
+    def anchored_vectors(self, gts, out: np.ndarray | None = None) -> np.ndarray:
+        """(G, 4, layout size) branch amplitudes keyed by anchor, written
+        into out if given.  Each is written as 0.0 + x on zeros, so that a
+        -0.0 reads +0.0."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
         amps = self.branch_amplitudes(gts)
-        vectors = np.zeros((gts.size, 4, *self.shape), dtype=complex)
-        box = vectors[(..., *self.box)]
+        out = np.empty((gts.size, 4, self.width), dtype=complex) if out is None else out
+        out.fill(0.0)
+        box = out.reshape(gts.size, 4, *self.shape)[(..., *self.box)]
         np.add(amps.reshape(box.shape), 0.0, out=box)
-        return vectors.reshape(gts.size, 4, math.prod(self.shape))
+        return out
 
     def raw_densities(self, gts) -> np.ndarray:
-        """(G, 4, 4) unnormalized densities, CHUNK_ELEMENTS anchored-vector
-        entries at a time; each is its own contraction, whatever the grid.
-        Overflows are left to the density's non-finite check."""
+        """(G, 4, 4) unnormalized densities, contracted a chunk of gts at a
+        time (reduced_density.DensityContraction)."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
-        raw = np.empty((gts.size, 4, 4), dtype=complex)
-        step = max(1, CHUNK_ELEMENTS // (4 * math.prod(self.shape)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, gts.size, step):
-                chunk = slice(start, start + step)
-                raw[chunk] = raw_density(self.anchored_vectors(gts[chunk]))
-        return raw
-
-
-def _branches(x1, x2, x3) -> np.ndarray:
-    """(G, 4, n) literal branch amplitudes: x1 on aa, x3 with phase -i on
-    ab and ba, x2 on bb."""
-    ab = -1j * x3
-    return np.stack([x1, ab, ab, x2], axis=1)
+        contraction = DensityContraction(gts.size, self.width)
+        for chunk, vectors in contraction.chunks(self.width):
+            contraction.add(chunk, self.anchored_vectors(gts[chunk], vectors))
+        return contraction.raw
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +126,9 @@ class SingleModeLiteral(AnchoredRoute):
         x2[:, pos] = c0[pos] * (n * np.cos(t * np.sqrt(4 * n - 2.0)) + n - 1.0) \
             / (2 * n - 1.0)
 
-        x3 = c1 * np.sqrt((ns + 1.0) / (4 * ns + 2.0)) * np.sin(t * np.sqrt(4 * ns + 2.0))
-        return _branches(x1, x2, x3)
+        # x3 = x4, with phase -i, on ab and ba
+        ab = -1j * (c1 * np.sqrt((ns + 1.0) / (4 * ns + 2.0)) * np.sin(t * np.sqrt(4 * ns + 2.0)))
+        return np.stack([x1, ab, ab, x2], axis=1)
 
 
 class SingleModeConsistent(AnchoredRoute):
@@ -327,9 +306,10 @@ class ProductLiteral(AnchoredRoute):
                 "use SingleModeLiteral for m=1")
         ranges = [TruncationWindow(max(0, f.window.n_min - 2), f.window.n_max)
                   for f in fields]
+        super().__init__(fields, ranges)
         shape = tuple(r.size for r in ranges)
         count = math.prod(shape)
-        self.memory_bytes = count * PRODUCT_LITERAL_ROW_BYTES + chunk_bytes(fields)
+        self.memory_bytes = count * PRODUCT_LITERAL_ROW_BYTES + self.chunk_memory
         check_memory(self.memory_bytes, f"{count} literal multimode configurations")
         # summed and multiplied over the modes in mode order, each mode's
         # values broadcast along its axis, a row at a time: numpy can round
@@ -345,7 +325,6 @@ class ProductLiteral(AnchoredRoute):
             for row, values in zip(weights, wfeats):
                 row *= values.reshape(axis)
         self.terms = LiteralTerms(m, stats.reshape(9, count), weights.reshape(3, count))
-        super().__init__(fields, ranges)
 
     def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
         out = np.empty((gts.size, 4, self.terms.size), dtype=complex)
@@ -377,6 +356,7 @@ class ConsistentBlocks(AnchoredRoute):
         self.mode_count = m
         self.pairs = [(k, l) for k in range(m) for l in range(k, m)]
         self.dim = 1 + m + len(self.pairs)
+        super().__init__(fields, [f.window for f in fields])
 
         # the bytes held per configuration beside its int64 row: the complex
         # weight (16), a float64 copy of the row (8 m), the float64 block
@@ -384,14 +364,12 @@ class ConsistentBlocks(AnchoredRoute):
         # of dim: the float64 eigenvalues, their complex rates and the
         # eigenvectors' complex overlaps with |aa, n> (40 dim)
         row_bytes = 16 + 8 * m + 16 * self.dim ** 2 + 40 * self.dim
-        chunk = chunk_bytes(fields)
         configs = config_array([f.window for f in fields], row_bytes,
                                f"consistent cascade blocks of {self.dim}x{self.dim} entries",
-                               chunk)
-        self.memory_bytes = configs.nbytes + len(configs) * row_bytes + chunk
+                               self.chunk_memory)
+        self.memory_bytes = configs.nbytes + len(configs) * row_bytes + self.chunk_memory
         self.configs = configs
         self.weights = joint_amplitudes(fields, configs)
-        super().__init__(fields, [f.window for f in fields])
 
         n = configs.astype(float)
         h = np.zeros((len(configs), self.dim, self.dim))

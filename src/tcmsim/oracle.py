@@ -25,11 +25,9 @@ from .basis import BRANCHES
 from .errors import ConfigurationError
 from .fock_field import (FieldDistribution, TruncationWindow, check_memory, config_array,
                          joint_amplitudes)
-from .reduced_density import raise_at_first, raw_density
+from .reduced_density import DensityContraction, chunk_gts, contraction_bytes, raise_at_first
 
 NORM_DRIFT_TOL = 1e-8
-# gts propagated at once: bounds the (CHUNK_GTS, 4, N) branch vectors
-CHUNK_GTS = 16
 # bounds each sector's eigh time
 MAX_SECTOR_DIM = 4000
 ORACLE_WINDOW_EXTENSION = 2
@@ -144,11 +142,11 @@ class ExactEvolver:
         # initial amplitude (16); the sector states it is in, at most one
         # per branch, each an int64 branch and row (8 + 8 m), complex
         # initial coefficient, rates and eigenbasis projection (48), float64
-        # eigenvalue (8) and int64 final key (8); and the branch vectors of
-        # CHUNK_GTS gts and the conjugate copy raw_density takes
-        # (2 x 16 x 4 CHUNK_GTS)
-        row_bytes = 32 + 4 * (72 + 8 * m) + 2 * 16 * 4 * CHUNK_GTS
-        configs = config_array(self.windows, row_bytes, "oracle configurations")
+        # eigenvalue (8) and int64 final key (8); beside them all, the
+        # density contraction's stacks of the branch vectors
+        row_bytes = 32 + 4 * (72 + 8 * m)
+        chunk = contraction_bytes(self._vector_size)
+        configs = config_array(self.windows, row_bytes, "oracle configurations", chunk)
         totals = configs.sum(axis=1)
         low = int(totals[0]) + 2
 
@@ -173,11 +171,12 @@ class ExactEvolver:
         # and while one sector is built or propagated, its float64
         # Hamiltonian during eigh or the complex cast of its eigenvectors
         # in a product (16 an entry), with the phases, products and
-        # coefficients of CHUNK_GTS gts (3 x 16 CHUNK_GTS a state)
+        # coefficients of a chunk's gts (3 x 16 a state and gt)
         entries = int(np.sum(dims ** 2))
         largest = int(dims.max())
-        self.memory_bytes = (configs.nbytes + len(configs) * row_bytes + 8 * entries
-                             + 16 * largest ** 2 + 3 * 16 * CHUNK_GTS * largest)
+        per_chunk = chunk_gts(self._vector_size)
+        self.memory_bytes = (configs.nbytes + len(configs) * row_bytes + chunk + 8 * entries
+                             + 16 * largest ** 2 + 3 * 16 * per_chunk * largest)
         check_memory(self.memory_bytes,
                      f"the {n} sectors of {entries} matrix entries over {len(configs)} "
                      "oracle configurations")
@@ -214,40 +213,37 @@ class ExactEvolver:
 
     def densities(self, gts) -> tuple[np.ndarray, np.ndarray]:
         """(G, 4, 4) unnormalized two-atom densities and (G,) total norms,
-        propagating CHUNK_GTS gts at once; check_drift checks the norms.
-        Each sector's coefficients are written to their final
-        configurations in the chunk's branch vectors as they are computed,
-        and its norms into a (G, n_sectors) table summed per gt, so no more
-        than one sector's coefficients are held at a time.
+        propagated and contracted a chunk of gts at a time
+        (reduced_density.DensityContraction); check_drift checks the norms.
+        Each sector's coefficients are written to their final configurations
+        in the chunk's stack as they are computed, and their norms into a
+        table summed per gt, so one sector's are held at a time.
 
-        For a single mode the branch amplitudes are paired by initial photon
-        number (the branch's final occupation minus the photons it emitted),
-        matching the published bilinear pairing and the consistent closed
-        form: each branch of the chunk is shifted back in place by the
-        photons it emitted, and states shifted below the window drop out.
-        For m >= 2 no per-mode emission bookkeeping survives the exact
-        evolution, so amplitudes are paired by final configuration: the
-        standard partial trace over field states."""
+        For a single mode amplitudes are paired by initial photon number
+        (final occupation minus the photons emitted), as the published
+        bilinear pairing and the consistent closed form pair them: each
+        branch is shifted back in place by the photons it emitted, and
+        states shifted below the window drop out.  For m >= 2 they are
+        paired by final configuration: the standard partial trace over
+        field states."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
-        raws = np.empty((gts.size, 4, 4), dtype=complex)
         norms = np.empty(gts.size)
-        for start in range(0, gts.size, CHUNK_GTS):
-            chunk = slice(start, start + CHUNK_GTS)
-            g = gts[chunk].size
-            vectors = np.zeros((g, 4 * self._vector_size), dtype=complex)
-            sector_norms = np.empty((g, len(self.sectors)))
+        contraction = DensityContraction(gts.size, self._vector_size)
+        for chunk, vectors in contraction.chunks(self._vector_size):
+            flat = vectors.reshape(len(vectors), -1)
+            flat.fill(0.0)
+            sector_norms = np.empty((len(vectors), len(self.sectors)))
             for i, sector in enumerate(self.sectors):
                 c = sector.evolve(gts[chunk])
                 sector_norms[:, i] = np.sum(np.abs(c) ** 2, axis=-1)
-                vectors[:, sector.final] = c
+                flat[:, sector.final] = c
             norms[chunk] = sector_norms.sum(axis=-1)
-            vectors = vectors.reshape(g, 4, self._vector_size)
             if len(self.shape) == 1:
                 for b, shift in enumerate(_EMITTED[1:], 1):
                     vectors[:, b, :-shift] = vectors[:, b, shift:]
                     vectors[:, b, -shift:] = 0
-            raws[chunk] = raw_density(vectors)
-        return raws, norms
+            contraction.add(chunk, vectors)
+        return contraction.raw, norms
 
     def branch_vectors(self, gts) -> np.ndarray:
         """(G, 4, N) amplitudes per branch over the final configurations,

@@ -3,7 +3,8 @@
 Densities are normalized and validated as (G, 4, 4) stacks, one matrix per
 gt; a single matrix is a stack of one.  Each check runs on the whole stack,
 and a stack fails at the first check that fails, at that check's first
-failing gt (raise_at_first).
+failing gt (raise_at_first).  Every route contracts its branch amplitudes
+into such a stack with DensityContraction, under one chunk budget.
 """
 
 from __future__ import annotations
@@ -61,8 +62,56 @@ def validate(rho: np.ndarray) -> None:
         f"density matrix has negative eigenvalue {lo[i]:.3e} beyond tolerance"))
 
 
-def raw_density(vectors: np.ndarray) -> np.ndarray:
-    """Unnormalized rho[..., b, b'] = sum_f v[..., b, f] conj(v[..., b', f])
-    of (..., 4, N) branch vectors over a shared configuration indexing; a
-    stack of gts gives the same matrices as one gt at a time."""
-    return vectors @ np.swapaxes(vectors.conj(), -1, -2)
+# the most bytes a density contraction's stacks hold for one chunk of gts:
+# one gt's weighted stacks over the symmetric route's tile of 8,192 multisets
+CHUNK_BYTES = 3 * 64 * 8192
+
+
+def stack_bytes(width: int, weighted: bool = False) -> int:
+    """One gt's complex (4, width) stacks: the amplitudes, their conjugates
+    and, when weighted, the weighted amplitudes."""
+    return (3 if weighted else 2) * 64 * width
+
+
+def chunk_gts(width: int, weighted: bool = False) -> int:
+    """The most gts whose stacks fit CHUNK_BYTES, and never fewer than one."""
+    return max(1, CHUNK_BYTES // stack_bytes(width, weighted))
+
+
+def contraction_bytes(width: int, weighted: bool = False) -> int:
+    """What a DensityContraction of this width, or narrower chunks, holds:
+    CHUNK_BYTES, or one gt's stacks where those are larger."""
+    return max(CHUNK_BYTES, stack_bytes(width, weighted))
+
+
+class DensityContraction:
+    """Unnormalized densities raw[g] = sum_f w_f a[g, :, f] a[g, :, f]^H of
+    a grid's (4, width) branch amplitudes, a chunk of gts at a time:
+    raw[chunk] += (w a) @ conj(a)^T, with no w when unweighted.  The stacks
+    are allocated once, for chunks of this width or narrower: reallocated
+    per chunk, their pages are handed back and faulted in again.  Each gt
+    is its own product, so no bit depends on the chunk; raw starts at
+    zeros, so a -0.0 entry adds up to +0.0."""
+
+    def __init__(self, size: int, width: int, weighted: bool = False):
+        self.weighted = weighted
+        self.raw = np.zeros((size, 4, 4), dtype=complex)
+        stacks = 3 if weighted else 2
+        entries = min(size * 4 * width, contraction_bytes(width, weighted) // (16 * stacks))
+        self._stacks = np.empty((stacks, entries), dtype=complex)
+
+    def chunks(self, width: int):
+        """Yield each chunk's gts slice and (gts, 4, width) stack to fill."""
+        step, size = chunk_gts(width, self.weighted), len(self.raw)
+        for start in range(0, size, step):
+            g = min(step, size - start)
+            yield slice(start, start + g), self._stacks[0, :g * 4 * width].reshape(g, 4, width)
+
+    def add(self, chunk: slice, a: np.ndarray, weights: np.ndarray | None = None) -> None:
+        """raw[chunk] += (weights a) @ conj(a)^T; overflows are left to the
+        density's non-finite check."""
+        conj = np.conjugate(a, out=self._stacks[-1, :a.size].reshape(a.shape))
+        if weights is not None:
+            a = np.multiply(weights, a, out=self._stacks[1, :a.size].reshape(a.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.raw[chunk] += a @ conj.transpose(0, 2, 1)

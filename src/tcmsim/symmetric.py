@@ -1,33 +1,26 @@
 """Permutation-symmetric fast path for the literal multimode observables.
 
 When every mode carries the same distribution, the literal amplitudes
-depend on a configuration only through additive per-mode statistics, and
-the joint weight is permutation invariant.  Summations over the full
-Cartesian product of windows then collapse to sums over occupation
-multisets weighted by their permutation multiplicity, which is what makes
-mode counts up to six tractable.
+depend on a configuration only through additive per-mode statistics and
+the joint weight is permutation invariant, so the sums over the product of
+windows collapse to sums over occupation multisets weighted by their
+permutation multiplicity, which is what makes mode counts up to six
+tractable.
 
-Multisets are enumerated level by level as nondecreasing tuples in colex
-order, with the statistics, weight products and multiplicity denominators
-carried along as stacked numpy arrays, so no per-configuration Python loop
-runs.  Block v of level k (the tuples whose largest value index is v) is
-the (k - 1)-level's first rows extended by v, and block offsets are
-binomial coefficients.  One method, _write, writes any rows of any level:
-those of the level below that are held are read in place, and the rest
-are first written into that level's buffer of CHUNK_ELEMENTS rows by the
-same method.  Every level up to m - 3 is held whole (each built from the
-one below, which is then dropped), the (m - 2)-level as its first
-CHUNK_ELEMENTS rows, and the last two levels only in their buffers.  A
-tile is at most CHUNK_ELEMENTS rows of one block of the last level.  Each
-row is extended by the same operations from the same source rows as if
-every level were held, and the sums run in the same order, so every bit
-is the same.  Each tile's gt-independent terms (frequencies and
-coefficients, closed_form.LiteralTerms) are built once per call, and only
-the cosines, sines and the density contraction run per gt, over chunks of
-at most CHUNK_ELEMENTS amplitudes, so the working set stays the same size
-whatever the mode count.  Tile boundaries depend only on the block, never
-on the gt grid, so a grid call and single-gt calls sum the same terms in
-the same order.
+Multisets are nondecreasing tuples in colex order, enumerated level by
+level as stacked numpy arrays of statistics, weight products and
+multiplicity denominators, with no per-configuration Python loop.  Block v
+of level k (the tuples whose largest value index is v) is the (k - 1)-
+level's first rows extended by v; block offsets are binomial coefficients.
+One method, _write, writes any rows of any level: it reads the held rows
+of the level below in place and first writes the rest into that level's
+buffer of TILE_MULTISETS rows.  Levels up to m - 3 are held whole, the
+(m - 2)-level as its first TILE_MULTISETS rows and the last two only in
+their buffers; a tile is at most TILE_MULTISETS rows of one block of the
+last level.  Each row is extended by the same operations from the same
+source rows as if every level were held, and the tiles depend only on the
+block, never on the gt grid, and are summed in the same order, so a grid
+call and single-gt calls give the same bits.
 """
 
 from __future__ import annotations
@@ -39,20 +32,22 @@ import numpy as np
 from .closed_form import LiteralTerms, literal_features
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, check_memory
+from .reduced_density import DensityContraction, contraction_bytes
 
 # bounds the evaluation time
 MAX_MULTISETS = 100_000_000
-# multisets per tile, and amplitudes evaluated at once: gts per chunk x tile size
-CHUNK_ELEMENTS = 8192
+# multisets per tile: blocks larger than a tile are summed tile by tile,
+# so this size is part of the summation order
+TILE_MULTISETS = 8192
 # the bytes raw_densities holds per tile element beside four level rows
 # (the (m - 2)-level's held rows, the last two levels' buffers and the
-# tile): the three complex work stacks of four branches (3 x 4 x 16);
-# the tile's LiteralTerms, its four float64 and two complex rows (64), an
-# int64 index and three complex rows where x2's frequency is complex (56),
-# seven float64 build temporaries and two complex ones (88); its float64
-# multiplicities (8); and the chunk's float64 and complex temporaries
-# (cosines, sines and the tiled complex-frequency terms: 8 x 16)
-TILE_ELEMENT_BYTES = 3 * 4 * 16 + 64 + 56 + 88 + 8 + 8 * 16
+# tile) and the density contraction's stacks: the tile's LiteralTerms,
+# its four float64 and two complex rows (64), an int64 index and three
+# complex rows where x2's frequency is complex (56), seven float64 build
+# temporaries and two complex ones (88); its float64 multiplicities (8);
+# and the chunk's float64 and complex temporaries (cosines, sines and the
+# tiled complex-frequency terms: 8 x 16)
+TILE_ELEMENT_BYTES = 64 + 56 + 88 + 8 + 8 * 16
 
 
 class _Level:
@@ -145,9 +140,9 @@ class SymmetricLiteralEvaluator:
                 f"{total} occupation multisets exceed the budget {MAX_MULTISETS}; "
                 "reduce windows, coverage, or mode count")
         # the floor (m - 3)-level and the one it is built from are the two
-        # largest levels held at once; four CHUNK_ELEMENTS-row levels (the
-        # (m - 2)-level's held rows, two buffers and the tile) and the
-        # tile's working set come on top
+        # largest levels held at once; four TILE_MULTISETS-row levels (the
+        # (m - 2)-level's held rows, two buffers and the tile), the tile's
+        # working set and the density contraction come on top
         floor = mode_count - 3
         levels = range(max(floor - 1, 0), max(floor, 0) + 1)
         rows = sum(math.comb(self.n_values + k - 1, k) for k in levels)
@@ -155,58 +150,56 @@ class SymmetricLiteralEvaluator:
         # value, the int32 run and the float64 denominator
         row = 8 * len(self.feats) + self.wfeats.itemsize * len(self.wfeats) + 8 + 4 + 8
         self.memory_bytes = (self.feats.nbytes + self.wfeats.nbytes + rows * row
-                             + CHUNK_ELEMENTS * (4 * row + TILE_ELEMENT_BYTES))
+                             + TILE_MULTISETS * (4 * row + TILE_ELEMENT_BYTES)
+                             + contraction_bytes(TILE_MULTISETS, weighted=True))
         check_memory(self.memory_bytes,
                      f"the multiset levels {' and '.join(map(str, levels))} of {mode_count} "
                      f"modes over {self.n_values} values, {rows} rows,")
         self._ends = [None] + [_block_ends(self.n_values, k) for k in range(1, mode_count + 1)]
         # held: every level up to the floor (each dropped once the next is
-        # built) and the (m - 2)-level's first CHUNK_ELEMENTS rows; the last
+        # built) and the (m - 2)-level's first TILE_MULTISETS rows; the last
         # two levels write the rest into a buffer each (see _tiles)
         empty = _Level.empty(0, self.feats, self.wfeats)
         self._held = [_level_zero(self.feats, self.wfeats)] + [empty] * (mode_count - 1)
         for k in range(1, mode_count - 1):
             size = int(self._ends[k][-1])
             whole = k <= floor
-            self._held[k] = self._write(k, 0, size if whole else min(size, CHUNK_ELEMENTS))
+            self._held[k] = self._write(k, 0, size if whole else min(size, TILE_MULTISETS))
             if whole:
                 self._held[k - 1] = empty
-        self._buffers = {k: _Level.empty(CHUNK_ELEMENTS, self.feats, self.wfeats)
+        self._buffers = {k: _Level.empty(TILE_MULTISETS, self.feats, self.wfeats)
                          for k in (mode_count - 2, mode_count - 1)}
 
     def raw_densities(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), 4, 4) unnormalized density matrices: for every gt the
         multiplicity-weighted sum over multisets of the outer product of the
-        branch amplitude vector (x1, -i x3, -i x3, x2).
-
-        Multisets are taken in blocks that share their largest value, and
-        each block in tiles of at most CHUNK_ELEMENTS multisets, written
-        from the held levels (see _write).  Each tile's gt-independent
-        terms are built once; its amplitudes are then evaluated a chunk of
-        gts at a time and contracted one gt at a time, and every raw[g]
-        sums the tiles in the same order, so every matrix is the same
-        whatever the grid or chunking."""
+        branch amplitude vector (x1, -i x3, -i x3, x2), summed tile by tile
+        (see _tiles).  Each tile's gt-independent terms are built once
+        (closed_form.LiteralTerms); its amplitudes are evaluated and
+        contracted, weighted by the multiplicities, a chunk of gts at a time
+        (reduced_density.DensityContraction), so the working set stays the
+        same size whatever the mode count."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
-        raw = np.zeros((gts.size, 4, 4), dtype=complex)
-        # the chunk's amplitude stacks, allocated once per call: freeing and
-        # reallocating them per chunk lets the C allocator hand the pages
-        # back and fault them in again on every chunk
-        work = np.empty((3, 4 * CHUNK_ELEMENTS), dtype=complex)
+        contraction = DensityContraction(gts.size, TILE_MULTISETS, weighted=True)
         for tile in self._tiles():
-            self._add_tile(raw, gts, tile, work)
-        return raw
+            mult = float(math.factorial(self.mode_count)) / tile.denom
+            terms = LiteralTerms(self.mode_count, tile.stats, tile.weights)
+            for chunk, amp in contraction.chunks(terms.size):
+                contraction.add(chunk, terms.branches(gts[chunk], amp), mult)
+            del mult, terms    # freed before the next tile and its terms are built
+        return contraction.raw
 
     def _tiles(self):
         """Yield the multisets in summation order, as tiles of the last
-        level: each block in turn, cut every CHUNK_ELEMENTS rows from its
+        level: each block in turn, cut every TILE_MULTISETS rows from its
         first.  A tile from its block's first row holds the (m - 1)-rows
         the tile before wrote into the level's buffer and writes only the
         rest, so at m = 3, where a block is one tile, each adds one block."""
         m = self.mode_count
         rows = self._buffers[m - 1]
         for _, first, _, end in _blocks(self._ends[m], 0, int(self._ends[m][-1])):
-            for lo in range(first, end, CHUNK_ELEMENTS):
-                hi = min(lo + CHUNK_ELEMENTS, end)
+            for lo in range(first, end, TILE_MULTISETS):
+                hi = min(lo + TILE_MULTISETS, end)
                 # hold the (m - 1)-rows 0:b, writing only those not yet held
                 b = hi - first if lo == first else 0
                 held = self._held[m - 1].size
@@ -232,21 +225,3 @@ class SymmetricLiteralEvaluator:
                 _extend_rows(rows[:b - cut], v, self.feats, self.wfeats, out[first + cut - start:])
         return out
 
-    def _add_tile(self, raw: np.ndarray, gts: np.ndarray, tile: _Level,
-                  work: np.ndarray) -> None:
-        """Add one tile's multisets to raw."""
-        m = self.mode_count
-        mult = float(math.factorial(m)) / tile.denom
-        terms = LiteralTerms(m, tile.stats, tile.weights)
-        step = CHUNK_ELEMENTS // terms.size
-        for start in range(0, gts.size, step):
-            chunk = gts[start:start + step]
-            shape = (chunk.size, 4, terms.size)
-            size = math.prod(shape)
-            amp = terms.branches(chunk, work[0, :size].reshape(shape))
-            # one (4, size) @ (size, 4) product per gt; an overflow is
-            # reported by the density's non-finite check
-            with np.errstate(over="ignore", invalid="ignore"):
-                raw[start:start + step] += (
-                    np.multiply(mult, amp, out=work[1, :size].reshape(shape))
-                    @ np.conjugate(amp, out=work[2, :size].reshape(shape)).transpose(0, 2, 1))

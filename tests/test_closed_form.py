@@ -12,6 +12,7 @@ from tcmsim.closed_form import (ConsistentBlocks, ProductLiteral,
 from tcmsim.fock_field import custom_field
 from tcmsim.pipeline import closed_form_route, closed_form_series
 from tcmsim.reduced_density import normalize, validate
+from test_reduced_density import contract
 
 
 def densities(raws):
@@ -292,20 +293,31 @@ def test_symmetric_evaluator_keeps_small_imaginary_parts():
     assert np.max(np.abs(rho_sym - rho_dir)) <= 1e-13
 
 
+def _set_tile(monkeypatch, size):
+    """Symmetric tiles of size multisets, and chunks of at most size
+    multisets times gts: a budget of one gt's weighted stacks over size."""
+    from tcmsim import reduced_density, symmetric
+
+    monkeypatch.setattr(symmetric, "TILE_MULTISETS", size)
+    monkeypatch.setattr(reduced_density, "CHUNK_BYTES",
+                        reduced_density.stack_bytes(size, weighted=True))
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("chunk_elements", [None, 40])
 def test_symmetric_evaluator_is_exact_across_chunks(m, chunk_elements, monkeypatch):
     from tcmsim import symmetric
+    from tcmsim.reduced_density import chunk_gts
 
     if chunk_elements is not None:
-        monkeypatch.setattr(symmetric, "CHUNK_ELEMENTS", chunk_elements)
+        _set_tile(monkeypatch, chunk_elements)
     # the window reaches n = 0: complex x2 frequencies and the all-zero multiset
     field = coherent_field(1.5, sigma_width=4.0, coverage_epsilon=1e-8)
     assert field.window.n_min == 0
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
     gts = np.linspace(0.0, 8.0, 701)
     # the largest block (every penultimate multiset) spans several chunks
-    assert gts.size > symmetric.CHUNK_ELEMENTS // symmetric._block_ends(ev.n_values, m - 1)[-1]
+    assert gts.size > chunk_gts(symmetric._block_ends(ev.n_values, m - 1)[-1], weighted=True)
     assert _same_bits(ev.raw_densities(gts),
                       np.stack([ev.raw_densities([g])[0] for g in gts]))
 
@@ -313,7 +325,7 @@ def test_symmetric_evaluator_is_exact_across_chunks(m, chunk_elements, monkeypat
 @pytest.mark.parametrize("route", ["literal-1", "consistent-1", "literal-product",
                                    "consistent-blocks"])
 def test_grid_call_equals_single_gt_calls(route, monkeypatch):
-    from tcmsim import closed_form
+    from tcmsim import reduced_density
 
     # windows reaching n = 0 (the literal x2 special cases and complex
     # frequencies), and a custom field with complex weights
@@ -331,7 +343,8 @@ def test_grid_call_equals_single_gt_calls(route, monkeypatch):
     gts = np.linspace(0.0, 8.0, 97)
     whole = built.raw_densities(gts)
     single = np.stack([built.raw_densities([g])[0] for g in gts])
-    monkeypatch.setattr(closed_form, "CHUNK_ELEMENTS", 4 * math.prod(built.shape) * 5)
+    monkeypatch.setattr(reduced_density, "CHUNK_BYTES",
+                        reduced_density.stack_bytes(math.prod(built.shape)) * 5)
     chunked = built.raw_densities(gts)
     assert _same_bits(whole, single)
     assert _same_bits(chunked, single)
@@ -347,12 +360,12 @@ def test_symmetric_evaluator_is_exact_across_tiles(monkeypatch):
     gts = np.linspace(0.0, 8.0, 301)
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
     blocks = symmetric._block_ends(ev.n_values, m - 1)
-    assert blocks.max() <= symmetric.CHUNK_ELEMENTS
+    assert blocks.max() <= symmetric.TILE_MULTISETS
     untiled = ev.raw_densities(gts)
 
-    monkeypatch.setattr(symmetric, "CHUNK_ELEMENTS", 3)
+    _set_tile(monkeypatch, 3)
     # every block but the all-zero multiset's spans several tiles
-    assert blocks[0] == 1 and np.all(blocks[1:] > symmetric.CHUNK_ELEMENTS)
+    assert blocks[0] == 1 and np.all(blocks[1:] > symmetric.TILE_MULTISETS)
     tiled = ev.raw_densities(gts)
     assert _same_bits(tiled, np.stack([ev.raw_densities([g])[0] for g in gts]))
     scale = np.max(np.abs(untiled), axis=(1, 2))[:, None, None]
@@ -474,7 +487,7 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, mon
     from tcmsim import symmetric
     from tcmsim.fock_field import custom_field
 
-    monkeypatch.setattr(symmetric, "CHUNK_ELEMENTS", chunk_elements)
+    _set_tile(monkeypatch, chunk_elements)
     amps = np.array([0.3, -0.5j, 0.4 + 0.2j, -0.6, 0.1j, 0.25 - 0.35j])
     # the window reaches n = 0: real weights, complex x2 frequencies; six
     # or seven modes take a narrower coherent window and a longer custom
@@ -551,7 +564,6 @@ def test_anchored_vectors_match_add_at_accumulation(route, names):
     from test_golden_digests import _fields as golden_fields
 
     from tcmsim.closed_form import extended_window
-    from tcmsim.reduced_density import raw_density
 
     catalogue = golden_fields()
     fields = [catalogue[n] for n in names]
@@ -572,7 +584,7 @@ def test_anchored_vectors_match_add_at_accumulation(route, names):
     ref = np.zeros((gts.size, 4, math.prod(shape)), dtype=complex)
     np.add.at(ref, (slice(None), slice(None), flat), amps)
     assert _same_bits(built.anchored_vectors(gts), ref)
-    assert _same_bits(built.raw_densities(gts), raw_density(ref))
+    assert _same_bits(built.raw_densities(gts), contract(ref))
 
 
 @pytest.mark.parametrize("fields", [[coherent_field(2.0)] * 2,
@@ -580,7 +592,6 @@ def test_anchored_vectors_match_add_at_accumulation(route, names):
                                     [coherent_field(1.0)] * 3])
 def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
     from tcmsim.closed_form import extended_window
-    from tcmsim.reduced_density import raw_density
 
     blocks = ConsistentBlocks(fields)
     m = len(fields)
@@ -604,7 +615,7 @@ def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
         assert _same_bits(vectors, ref)
 
         rho, deficit = densities(blocks.raw_densities([gt]))
-        rho_ref, deficit_ref = densities(raw_density(ref)[None])
+        rho_ref, deficit_ref = densities(contract(ref)[None])
         assert _same_bits(rho, rho_ref)
         assert deficit == deficit_ref
 
@@ -646,8 +657,8 @@ def test_penultimate_level_equals_concatenated_blocks(m):
         assert getattr(built, name).dtype == getattr(level, name).dtype
         assert np.array_equal(getattr(built, name), getattr(level, name))
     # the evaluator holds the (m - 3)-level, the (m - 2)-level's first
-    # CHUNK_ELEMENTS rows and no row of the penultimate level
-    prefix = min(symmetric.CHUNK_ELEMENTS, levels[m - 2].size)
+    # TILE_MULTISETS rows and no row of the penultimate level
+    prefix = min(symmetric.TILE_MULTISETS, levels[m - 2].size)
     floor, head = ev._held[m - 3], ev._held[m - 2]
     assert ev._held[m - 1].size == 0
     for stored, ref in ((floor, levels[m - 3]), (head, levels[m - 2])):

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from tcmsim import (LITERAL, ExactEvolver, coherent_field,
-                    custom_field, fock_field, symmetric)
+                    custom_field, fock_field, reduced_density, symmetric)
 from tcmsim.closed_form import (ConsistentBlocks, ProductLiteral,
                                 SingleModeConsistent, SingleModeLiteral)
 from tcmsim.pipeline import closed_form_route, observables
@@ -82,10 +82,13 @@ def catalogue() -> dict:
         key = "+".join(names)
         out[f"product-literal/{key}"] = _densities(ProductLiteral(fields).raw_densities(GTS))
         out[f"consistent-blocks/{key}"] = _densities(ConsistentBlocks(fields).raw_densities(GTS))
-    chunk_elements = symmetric.CHUNK_ELEMENTS
+    # each size sets the symmetric tile and, as one gt's weighted stacks
+    # over it, the chunk budget: a chunk holds at most size multisets x gts
+    tile, budget = symmetric.TILE_MULTISETS, reduced_density.CHUNK_BYTES
     try:
-        for chunk in (7, 40, chunk_elements):
-            symmetric.CHUNK_ELEMENTS = chunk
+        for chunk in (7, 40, tile):
+            symmetric.TILE_MULTISETS = chunk
+            reduced_density.CHUNK_BYTES = reduced_density.stack_bytes(chunk, weighted=True)
             # at 7, the nine-value window's 3,003 six-mode multisets would
             # take most of the test's time; 40 already splits its blocks
             names = ("coherent-n0", "fock-3", "custom") + (("coherent-9",) if chunk > 7 else ())
@@ -96,7 +99,7 @@ def catalogue() -> dict:
                     out[f"symmetric/{name}/m{m}/chunk{chunk}"] = _densities(
                         route.raw_densities(GTS))
     finally:
-        symmetric.CHUNK_ELEMENTS = chunk_elements
+        symmetric.TILE_MULTISETS, reduced_density.CHUNK_BYTES = tile, budget
     for names in (("coherent-n0",), ("fock-3",), ("custom",),
                   ("coherent-n0", "coherent-n0"), ("fock-3", "custom")):
         evolver = ExactEvolver([f[n] for n in names])

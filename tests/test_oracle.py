@@ -11,7 +11,8 @@ from tcmsim import (BRANCHES, ConfigurationError, ExactEvolver,
 from tcmsim.basis import EXCITED_COUNT
 from tcmsim.closed_form import SingleModeConsistent
 from tcmsim.pipeline import observables
-from tcmsim.reduced_density import normalize, raw_density, validate
+from tcmsim.reduced_density import normalize, validate
+from test_reduced_density import contract
 
 
 def amplitude(evolver, gt, branch, config):
@@ -32,7 +33,7 @@ def densities(raws):
 def density_from_branch_vectors(vectors):
     """The standard partial trace: (4, N) branch amplitudes paired by final
     configuration."""
-    return densities(raw_density(vectors)[None])[0]
+    return densities(contract(vectors)[None])[0]
 
 
 def exact_density(fields, gt):
@@ -306,15 +307,23 @@ def _reference_density(evolver, gt):
     return density_from_branch_vectors(vectors)
 
 
-@pytest.mark.parametrize("fields", [[coherent_field(3.0)],
-                                    [coherent_field(2.0), coherent_field(1.0)]])
-def test_oracle_series_equals_per_gt_views(fields, monkeypatch):
+@pytest.mark.parametrize("fields, stacks, gts_per_chunk", [
+    pytest.param([coherent_field(3.0)], 7, 7, id="fields0"),
+    pytest.param([coherent_field(2.0), coherent_field(1.0)], 7, 7, id="fields1"),
+    # a budget below one gt's stacks still takes one gt a chunk
+    pytest.param([coherent_field(2.0), coherent_field(1.0)], 0.5, 1, id="one-gt-floor"),
+])
+def test_oracle_series_equals_per_gt_views(fields, stacks, gts_per_chunk, monkeypatch):
+    from tcmsim import reduced_density
     from tcmsim.pipeline import oracle_series
 
-    monkeypatch.setattr(oracle, "CHUNK_GTS", 7)
     evolver = ExactEvolver(fields)
+    width = math.prod(evolver.shape)
+    monkeypatch.setattr(reduced_density, "CHUNK_BYTES",
+                        int(stacks * reduced_density.stack_bytes(width)))
+    assert reduced_density.chunk_gts(width) == gts_per_chunk
     gts = np.linspace(0.0, 9.0, 40)
-    assert gts.size > 5 * oracle.CHUNK_GTS
+    assert gts.size > 5 * reduced_density.chunk_gts(width)
     series = oracle_series(fields, gts)
     norm0 = evolver.densities([0.0])[1][0]
     raws, norms = evolver.densities(gts)
@@ -373,7 +382,7 @@ def test_identical_coherent_modes_evolve_as_one_collective_mode(m, mean):
     gts = np.linspace(0.0, 6.0, 25)
     multimode = ExactEvolver([coherent_field(mean)] * m).densities(gts)[0]
     v = ExactEvolver([coherent_field(m * mean)]).branch_vectors(math.sqrt(m) * gts)
-    assert np.abs(multimode - raw_density(v)).max() <= 1e-10
+    assert np.abs(multimode - contract(v)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("means", [(2.0, 0.5), (5.0, 1.0), (3.0, 0.0)],
@@ -393,4 +402,4 @@ def test_unequal_coherent_modes_evolve_as_one_collective_mode(means):
     gts = np.linspace(0.0, 6.0, 25)
     multimode = ExactEvolver(fields).densities(gts)[0]
     v = ExactEvolver([collective]).branch_vectors(math.sqrt(2) * gts)
-    assert np.abs(multimode - raw_density(v)).max() <= 1e-10
+    assert np.abs(multimode - contract(v)).max() <= 1e-10

@@ -6,7 +6,20 @@ import pytest
 from tcmsim import NumericalFailureError, coherent_field, fock_field
 from tcmsim.closed_form import SingleModeConsistent, SingleModeLiteral
 from tcmsim.pipeline import observables
-from tcmsim.reduced_density import normalize, raw_density, validate
+from tcmsim import reduced_density
+from tcmsim.reduced_density import DensityContraction, normalize, validate
+
+
+def contract(vectors, weights=None):
+    """The unnormalized densities of (..., 4, N) branch vectors, one per
+    leading index, from a DensityContraction over them as a grid."""
+    vectors = np.asarray(vectors, dtype=complex)
+    grid = vectors.reshape(-1, 4, vectors.shape[-1])
+    contraction = DensityContraction(len(grid), grid.shape[-1], weights is not None)
+    for chunk, a in contraction.chunks(grid.shape[-1]):
+        a[...] = grid[chunk]
+        contraction.add(chunk, a, weights)
+    return contraction.raw.reshape(*vectors.shape[:-2], 4, 4)
 
 
 def density(raw):
@@ -55,14 +68,14 @@ def test_rank_one_for_single_anchor():
 
 def test_global_phase_invariance():
     vectors = SingleModeConsistent(coherent_field(2.0)).anchored_vectors([1.8])[0]
-    rho, _ = density(raw_density(vectors))
-    rho2, _ = density(raw_density(vectors * np.exp(0.83j)))
+    rho, _ = density(contract(vectors))
+    rho2, _ = density(contract(vectors * np.exp(0.83j)))
     assert np.allclose(rho, rho2, atol=1e-13)
 
 
 def test_zero_norm_raises():
     with pytest.raises(NumericalFailureError):
-        density(raw_density(np.zeros((4, 3), dtype=complex)))
+        density(contract(np.zeros((4, 3), dtype=complex)))
 
 
 def test_density_validation():
@@ -86,7 +99,7 @@ def test_non_finite_density_raises():
 
 def test_literal_norm_deficit_recorded():
     vectors = SingleModeLiteral(coherent_field(5.0)).anchored_vectors([1.5])[0]
-    _, deficit = density(raw_density(vectors))
+    _, deficit = density(contract(vectors))
     total_norm = np.sum(np.abs(vectors) ** 2)
     assert deficit == pytest.approx(1.0 - total_norm, abs=1e-12)
 
@@ -117,3 +130,22 @@ def test_stack_fails_at_its_first_failing_matrix():
     # (validate) of an earlier gt
     stack = np.stack([good, negative, good, zero])
     assert _failure(lambda: observables(stack)) == _failure(lambda: density(zero))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("gts_per_chunk", [1, 3, 64])
+def test_contraction_is_the_weighted_pairing_of_each_gt(weighted, gts_per_chunk, monkeypatch):
+    # raw[g] = sum_f w_f a[g, :, f] conj(a[g, :, f]), one gt at a time,
+    # whatever the chunk: a budget below one gt's stacks still takes one
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(10, 4, 23)) + 1j * rng.normal(size=(10, 4, 23))
+    weights = rng.uniform(0.5, 2.0, size=23) if weighted else None
+    monkeypatch.setattr(reduced_density, "CHUNK_BYTES",
+                        reduced_density.stack_bytes(23, weighted) * gts_per_chunk - 1)
+    assert reduced_density.chunk_gts(23, weighted) == max(1, gts_per_chunk - 1)
+    raw = contract(a, weights)
+    w = np.ones(23) if weights is None else weights
+    ref = np.einsum("f,gbf,gcf->gbc", w, a, a.conj())
+    assert np.max(np.abs(raw - ref)) <= 1e-13 * np.max(np.abs(ref))
+    single = np.stack([contract(v, weights) for v in a])
+    assert raw.dtype == single.dtype and raw.tobytes() == single.tobytes()
