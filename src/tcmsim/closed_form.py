@@ -48,12 +48,12 @@ def extended_window(window: TruncationWindow) -> TruncationWindow:
 
 
 class AnchoredRoute:
-    """A closed-form route: subclasses give branch_amplitudes(gts) ->
-    (G, 4, n_anchors), branches (aa, ab, ba, bb), on fixed anchors: the
-    summation configuration in literal mode, the initial one in consistent
-    mode.  The density pairs amplitudes by anchor, which reproduces the
-    published sixteen-term bilinear structure and keeps each block's
-    interbranch coherences.
+    """A closed-form route: subclasses give branch_amplitudes(gts, out) ->
+    out, the (G, 4, n_anchors) branches (aa, ab, ba, bb) written into it, on
+    fixed anchors: the summation configuration in literal mode, the initial
+    one in consistent mode.  The density pairs amplitudes by anchor, which
+    reproduces the published sixteen-term bilinear structure and keeps each
+    block's interbranch coherences.
 
     This class alone knows the anchored layout: zero vectors over the
     product of the per-mode extended windows, C order.  The anchors are the
@@ -66,17 +66,19 @@ class AnchoredRoute:
         self.width = math.prod(self.shape)
         self.box = tuple(slice(a.n_min - w.n_min, a.n_max + 1 - w.n_min)
                          for a, w in zip(anchors, layout))
-        # raw_densities' chunk: the contraction's two stacks and the chunk's
-        # amplitudes before they are written into one, a stack more at most
-        self.chunk_memory = 3 * contraction_bytes(self.width) // 2
+        self.anchors = math.prod(a.size for a in anchors)
+        # raw_densities' chunk: the contraction's two stacks, the second
+        # holding the amplitudes until they are written into the first
+        self.memory_bytes = contraction_bytes(self.width)
 
-    def anchored_vectors(self, gts, out: np.ndarray | None = None) -> np.ndarray:
-        """(G, 4, layout size) branch amplitudes keyed by anchor, written
-        into out if given.  Each is written as 0.0 + x on zeros, so that a
-        -0.0 reads +0.0."""
-        gts = np.atleast_1d(np.asarray(gts, dtype=float))
-        amps = self.branch_amplitudes(gts)
-        out = np.empty((gts.size, 4, self.width), dtype=complex) if out is None else out
+    def anchored_vectors(self, gts, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """out, (G, 4, layout size): the branch amplitudes, evaluated into
+        scratch's first entries, keyed by anchor.  Each is written as 0.0 +
+        x on zeros, so that a -0.0 reads +0.0.  Overflowing phases are left
+        to the density's non-finite check, without numpy warnings."""
+        shape = (gts.size, 4, self.anchors)
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps = self.branch_amplitudes(gts, scratch.ravel()[:math.prod(shape)].reshape(shape))
         out.fill(0.0)
         box = out.reshape(gts.size, 4, *self.shape)[(..., *self.box)]
         np.add(amps.reshape(box.shape), 0.0, out=box)
@@ -86,9 +88,9 @@ class AnchoredRoute:
         """(G, 4, 4) unnormalized densities, contracted a chunk of gts at a
         time (reduced_density.DensityContraction)."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
-        contraction = DensityContraction(gts.size, self.width)
-        for chunk, vectors in contraction.chunks(self.width):
-            contraction.add(chunk, self.anchored_vectors(gts[chunk], vectors))
+        contraction = DensityContraction(gts.size, self.width, self.memory_bytes)
+        for chunk, vectors, scratch in contraction.chunks(self.width):
+            contraction.add(chunk, self.anchored_vectors(gts[chunk], vectors, scratch))
         return contraction.raw
 
 
@@ -108,7 +110,7 @@ class SingleModeLiteral(AnchoredRoute):
         self.ns = window.values()
         super().__init__([field], [window])
 
-    def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
+    def branch_amplitudes(self, gts: np.ndarray, out: np.ndarray) -> np.ndarray:
         ns, c, t = self.ns, self.field, gts[:, None]
         c0 = c.amplitudes_at(ns)
         c1 = c.amplitudes_at(ns + 1)
@@ -128,7 +130,7 @@ class SingleModeLiteral(AnchoredRoute):
 
         # x3 = x4, with phase -i, on ab and ba
         ab = -1j * (c1 * np.sqrt((ns + 1.0) / (4 * ns + 2.0)) * np.sin(t * np.sqrt(4 * ns + 2.0)))
-        return np.stack([x1, ab, ab, x2], axis=1)
+        return np.stack([x1, ab, ab, x2], axis=1, out=out)
 
 
 class SingleModeConsistent(AnchoredRoute):
@@ -146,7 +148,7 @@ class SingleModeConsistent(AnchoredRoute):
         self.ns = field.window.values()
         super().__init__([field], [field.window])
 
-    def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
+    def branch_amplitudes(self, gts: np.ndarray, out: np.ndarray) -> np.ndarray:
         ns, c, t = self.ns.astype(float), self.field.amplitudes, gts[:, None]
         om_sq = 4 * ns + 6.0
         om = np.sqrt(om_sq)
@@ -154,7 +156,7 @@ class SingleModeConsistent(AnchoredRoute):
         a_aa = (2 * (ns + 2.0) + 2 * (ns + 1.0) * cos) / om_sq
         a_ab = c * (-1j * np.sqrt(ns + 1.0) * np.sin(om * t) / om)
         a_bb = 2 * np.sqrt((ns + 1.0) * (ns + 2.0)) * (cos - 1.0) / om_sq
-        return np.stack([c * a_aa, a_ab, a_ab, c * a_bb], axis=1)
+        return np.stack([c * a_aa, a_ab, a_ab, c * a_bb], axis=1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +285,9 @@ class LiteralTerms:
 # rows (48); LiteralTerms' four float64 and two complex rows (64) and,
 # where x2's frequency is complex, an int64 index and three complex rows
 # (56); and the larger transient of the build (nine float64 statistic rows
-# and seven float64 temporaries, 128) and of a gt's evaluation (four
-# complex amplitudes, 64)
+# and seven float64 temporaries, 128) and of a gt's evaluation into the
+# density contraction's second stack (phases, cosines, sines and their
+# products, at most 80 where x2's frequency is complex)
 PRODUCT_LITERAL_ROW_BYTES = 48 + 64 + 56 + 128
 
 
@@ -309,7 +312,7 @@ class ProductLiteral(AnchoredRoute):
         super().__init__(fields, ranges)
         shape = tuple(r.size for r in ranges)
         count = math.prod(shape)
-        self.memory_bytes = count * PRODUCT_LITERAL_ROW_BYTES + self.chunk_memory
+        self.memory_bytes += count * PRODUCT_LITERAL_ROW_BYTES
         check_memory(self.memory_bytes, f"{count} literal multimode configurations")
         # summed and multiplied over the modes in mode order, each mode's
         # values broadcast along its axis, a row at a time: numpy can round
@@ -326,8 +329,7 @@ class ProductLiteral(AnchoredRoute):
                 row *= values.reshape(axis)
         self.terms = LiteralTerms(m, stats.reshape(9, count), weights.reshape(3, count))
 
-    def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
-        out = np.empty((gts.size, 4, self.terms.size), dtype=complex)
+    def branch_amplitudes(self, gts: np.ndarray, out: np.ndarray) -> np.ndarray:
         return self.terms.branches(gts, out)
 
 
@@ -366,8 +368,8 @@ class ConsistentBlocks(AnchoredRoute):
         row_bytes = 16 + 8 * m + 16 * self.dim ** 2 + 40 * self.dim
         configs = config_array([f.window for f in fields], row_bytes,
                                f"consistent cascade blocks of {self.dim}x{self.dim} entries",
-                               self.chunk_memory)
-        self.memory_bytes = configs.nbytes + len(configs) * row_bytes + self.chunk_memory
+                               self.memory_bytes)
+        self.memory_bytes += configs.nbytes + len(configs) * row_bytes
         self.configs = configs
         self.weights = joint_amplitudes(fields, configs)
 
@@ -387,14 +389,14 @@ class ConsistentBlocks(AnchoredRoute):
         self._p0 = self.eigvecs[:, 0, :].astype(complex)
         self._rates = -1j * self.eigvals
 
-    def branch_amplitudes(self, gts: np.ndarray) -> np.ndarray:
-        """The weighted block amplitudes summed per branch in cascade order:
-        aa; ab and ba, each the one-photon state over sqrt(2), per mode; bb
-        per mode pair.  einsum casts the real eigenvectors to complex for
-        each gt's call alone."""
+    def branch_amplitudes(self, gts: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The weighted block amplitudes summed per branch into out zeroed,
+        in cascade order: aa; ab and ba, each the one-photon state over
+        sqrt(2), per mode; bb per mode pair.  einsum casts the real
+        eigenvectors to complex for each gt's call alone."""
         m = self.mode_count
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        out = np.zeros((gts.size, 4, len(self.configs)), dtype=complex)
+        out.fill(0.0)
         for block, gt in zip(out, gts):
             amps = np.einsum("ndm,nm->nd", self.eigvecs,
                              np.exp(self._rates * gt) * self._p0) * self.weights[:, None]

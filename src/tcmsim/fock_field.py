@@ -231,7 +231,6 @@ class FieldDistribution:
     kind: str
     window: TruncationWindow
     amplitudes: np.ndarray
-    mean: float = 0.0
     coverage_epsilon: float = DEFAULT_COVERAGE_EPSILON
 
     def __post_init__(self):
@@ -272,16 +271,14 @@ def coherent_field(mean: float,
     if window is None:
         window = default_window(mean, sigma_width, coverage_epsilon)
     amps = coherent_amplitudes(mean, window)
-    return FieldDistribution("coherent", window, amps, mean=mean,
-                             coverage_epsilon=coverage_epsilon)
+    return FieldDistribution("coherent", window, amps, coverage_epsilon=coverage_epsilon)
 
 
 def fock_field(n0: int) -> FieldDistribution:
     if n0 < 0 or int(n0) != n0:
         raise ConfigurationError(f"fock occupation must be a nonnegative integer, got {n0}")
     n0 = int(n0)
-    return FieldDistribution("fock", TruncationWindow(n0, n0),
-                             np.array([1.0 + 0.0j]), mean=float(n0),
+    return FieldDistribution("fock", TruncationWindow(n0, n0), np.array([1.0 + 0.0j]),
                              coverage_epsilon=0.0)
 
 
@@ -299,9 +296,8 @@ def custom_field(amplitudes) -> FieldDistribution:
         warnings.warn(f"custom distribution norm {norm:.9g} != 1; renormalizing",
                       stacklevel=2)
     amps = amps / norm
-    mean = float(np.sum(np.arange(amps.size) * np.abs(amps) ** 2))
-    return FieldDistribution("custom", TruncationWindow(0, amps.size - 1),
-                             amps, mean=mean, coverage_epsilon=0.0)
+    return FieldDistribution("custom", TruncationWindow(0, amps.size - 1), amps,
+                             coverage_epsilon=0.0)
 
 
 def load_custom_field(path) -> FieldDistribution:

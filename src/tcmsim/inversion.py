@@ -6,13 +6,20 @@ from __future__ import annotations
 import numpy as np
 
 from .fock_field import FieldDistribution
+from .reduced_density import raise_at_first
 
 
 def single_atom_jcm_series(field: FieldDistribution, gts: np.ndarray) -> np.ndarray:
     """Resonant one-atom inversion W(gt) = sum_n p_n cos(2 gt sqrt(n+1)),
-    the standard comparator for collapse-and-revival timing."""
+    the standard comparator for collapse-and-revival timing.  A gt whose
+    phase 2 gt sqrt(n+1) overflows raises NumericalFailureError."""
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
     p = field.probabilities()
     p = p / p.sum()
     rabi = 2.0 * np.sqrt(field.window.values() + 1.0)
-    return np.cos(np.outer(gts, rabi)) @ p
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.outer(gts, rabi)
+        w = np.cos(phases) @ p
+    raise_at_first(~np.isfinite(phases).all(axis=1), lambda i: (
+        f"the one-atom phase 2 gt sqrt(n+1) overflowed at gt {gts[i]:g}"))
+    return w

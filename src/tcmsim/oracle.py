@@ -227,9 +227,9 @@ class ExactEvolver:
         paired by final configuration: the standard partial trace over
         field states."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        contraction = DensityContraction(gts.size, self._vector_size, self.memory_bytes)
         norms = np.empty(gts.size)
-        contraction = DensityContraction(gts.size, self._vector_size)
-        for chunk, vectors in contraction.chunks(self._vector_size):
+        for chunk, vectors, _ in contraction.chunks(self._vector_size):
             flat = vectors.reshape(len(vectors), -1)
             flat.fill(0.0)
             sector_norms = np.empty((len(vectors), len(self.sectors)))

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalFailureError
+from .fock_field import check_memory
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -62,26 +63,30 @@ def validate(rho: np.ndarray) -> None:
         f"density matrix has negative eigenvalue {lo[i]:.3e} beyond tolerance"))
 
 
-# the most bytes a density contraction's stacks hold for one chunk of gts:
-# one gt's weighted stacks over the symmetric route's tile of 8,192 multisets
+# the most bytes a density contraction's two stacks hold for one chunk of
+# gts: one gt's stacks of width 12,288, 1.5 symmetric tiles of 8,192
 CHUNK_BYTES = 3 * 64 * 8192
+# the grid's own output per gt, beside what its route states: the complex
+# (4, 4) unnormalized density (256) and the float64 norm the oracle
+# returns with it (8)
+GRID_GT_BYTES = 256 + 8
 
 
-def stack_bytes(width: int, weighted: bool = False) -> int:
-    """One gt's complex (4, width) stacks: the amplitudes, their conjugates
-    and, when weighted, the weighted amplitudes."""
-    return (3 if weighted else 2) * 64 * width
+def stack_bytes(width: int) -> int:
+    """One gt's two complex (4, width) stacks: the amplitudes and their
+    conjugates."""
+    return 2 * 64 * width
 
 
-def chunk_gts(width: int, weighted: bool = False) -> int:
+def chunk_gts(width: int) -> int:
     """The most gts whose stacks fit CHUNK_BYTES, and never fewer than one."""
-    return max(1, CHUNK_BYTES // stack_bytes(width, weighted))
+    return max(1, CHUNK_BYTES // stack_bytes(width))
 
 
-def contraction_bytes(width: int, weighted: bool = False) -> int:
+def contraction_bytes(width: int) -> int:
     """What a DensityContraction of this width, or narrower chunks, holds:
     CHUNK_BYTES, or one gt's stacks where those are larger."""
-    return max(CHUNK_BYTES, stack_bytes(width, weighted))
+    return max(CHUNK_BYTES, stack_bytes(width))
 
 
 class DensityContraction:
@@ -91,27 +96,30 @@ class DensityContraction:
     are allocated once, for chunks of this width or narrower: reallocated
     per chunk, their pages are handed back and faulted in again.  Each gt
     is its own product, so no bit depends on the chunk; raw starts at
-    zeros, so a -0.0 entry adds up to +0.0."""
+    zeros, so a -0.0 entry adds up to +0.0.
 
-    def __init__(self, size: int, width: int, weighted: bool = False):
-        self.weighted = weighted
+    stated is what the route says it holds beside the grid's output; the
+    two are checked against the memory budget before raw is allocated."""
+
+    def __init__(self, size: int, width: int, stated: int):
+        check_memory(stated + GRID_GT_BYTES * size, f"a grid of {size} gts and its route")
         self.raw = np.zeros((size, 4, 4), dtype=complex)
-        stacks = 3 if weighted else 2
-        entries = min(size * 4 * width, contraction_bytes(width, weighted) // (16 * stacks))
-        self._stacks = np.empty((stacks, entries), dtype=complex)
+        entries = min(size * 4 * width, contraction_bytes(width) // 32)
+        self._stacks = np.empty((2, entries), dtype=complex)
 
     def chunks(self, width: int):
-        """Yield each chunk's gts slice and (gts, 4, width) stack to fill."""
-        step, size = chunk_gts(width, self.weighted), len(self.raw)
+        """Yield each chunk's gts slice, its (gts, 4, width) stack to fill,
+        and the second, free until add() conjugates into it."""
+        step, size = chunk_gts(width), len(self.raw)
         for start in range(0, size, step):
             g = min(step, size - start)
-            yield slice(start, start + g), self._stacks[0, :g * 4 * width].reshape(g, 4, width)
+            yield slice(start, start + g), *self._stacks[:, :g * 4 * width].reshape(2, g, 4, width)
 
     def add(self, chunk: slice, a: np.ndarray, weights: np.ndarray | None = None) -> None:
-        """raw[chunk] += (weights a) @ conj(a)^T; overflows are left to the
-        density's non-finite check."""
-        conj = np.conjugate(a, out=self._stacks[-1, :a.size].reshape(a.shape))
+        """raw[chunk] += (weights a) @ conj(a)^T, weighting a in place;
+        overflows are left to the density's non-finite check."""
+        conj = np.conjugate(a, out=self._stacks[1, :a.size].reshape(a.shape))
         if weights is not None:
-            a = np.multiply(weights, a, out=self._stacks[1, :a.size].reshape(a.shape))
+            np.multiply(weights, a, out=a)
         with np.errstate(over="ignore", invalid="ignore"):
             self.raw[chunk] += a @ conj.transpose(0, 2, 1)

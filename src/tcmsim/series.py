@@ -39,9 +39,7 @@ class TimeSeries:
                 raise ConfigurationError(f"{name} outside [0, 1]")
 
     def channel(self, name: str) -> np.ndarray:
-        key = {"W": "w", "w": "w",
-               "C": "concurrence", "concurrence": "concurrence",
-               "eof": "eof", "E_F": "eof"}.get(name)
+        key = {"W": "w", "concurrence": "concurrence", "eof": "eof"}.get(name)
         if key is None:
             raise ConfigurationError(f"unknown channel {name!r}")
         return getattr(self, key)

@@ -46,8 +46,9 @@ TILE_MULTISETS = 8192
 # complex rows where x2's frequency is complex (56), seven float64 build
 # temporaries and two complex ones (88); its float64 multiplicities (8);
 # and the chunk's float64 and complex temporaries (cosines, sines and the
-# tiled complex-frequency terms: 8 x 16)
-TILE_ELEMENT_BYTES = 64 + 56 + 88 + 8 + 8 * 16
+# tiled complex-frequency terms: 8 x 16 a chunk element), over chunks of up
+# to CHUNK_BYTES / 128 = 1.5 TILE_MULTISETS elements (12 x 16)
+TILE_ELEMENT_BYTES = 64 + 56 + 88 + 8 + 12 * 16
 
 
 class _Level:
@@ -151,7 +152,7 @@ class SymmetricLiteralEvaluator:
         row = 8 * len(self.feats) + self.wfeats.itemsize * len(self.wfeats) + 8 + 4 + 8
         self.memory_bytes = (self.feats.nbytes + self.wfeats.nbytes + rows * row
                              + TILE_MULTISETS * (4 * row + TILE_ELEMENT_BYTES)
-                             + contraction_bytes(TILE_MULTISETS, weighted=True))
+                             + contraction_bytes(TILE_MULTISETS))
         check_memory(self.memory_bytes,
                      f"the multiset levels {' and '.join(map(str, levels))} of {mode_count} "
                      f"modes over {self.n_values} values, {rows} rows,")
@@ -180,11 +181,11 @@ class SymmetricLiteralEvaluator:
         (reduced_density.DensityContraction), so the working set stays the
         same size whatever the mode count."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
-        contraction = DensityContraction(gts.size, TILE_MULTISETS, weighted=True)
+        contraction = DensityContraction(gts.size, TILE_MULTISETS, self.memory_bytes)
         for tile in self._tiles():
             mult = float(math.factorial(self.mode_count)) / tile.denom
             terms = LiteralTerms(self.mode_count, tile.stats, tile.weights)
-            for chunk, amp in contraction.chunks(terms.size):
+            for chunk, amp, _ in contraction.chunks(terms.size):
                 contraction.add(chunk, terms.branches(gts[chunk], amp), mult)
             del mult, terms    # freed before the next tile and its terms are built
         return contraction.raw

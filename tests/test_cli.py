@@ -262,6 +262,25 @@ def test_bad_numeric_input_exits_with_one_message(tmp_path, args):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--modes", "1", "--convention", "literal", "--gt-max", "1e308", "--gt-steps", "3"],
+    ["run", "--modes", "1", "--convention", "consistent", "--gt-max", "1e308",
+     "--gt-steps", "3"],
+    ["run", "--modes", "2", "--gt-max", "1e308", "--gt-steps", "3"],
+    ["sweep-modes", "--sweep-gt", "1e308"],
+    ["inversion", "--gt-max", "1e308", "--gt-steps", "3"],
+])
+def test_overflowing_phase_exits_with_one_message(tmp_path, args):
+    # gt times a frequency overflows: one numerical-failure line, with no
+    # numpy warning ahead of it, and no CSV
+    proc = run_cli([*args, "--out", "x.csv"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("numerical failure: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_determinism(tmp_path):
     args = ["run", "--mean", "3", "--gt-max", "4", "--gt-steps", "40"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -12,7 +12,7 @@ from tcmsim.closed_form import (ConsistentBlocks, ProductLiteral,
 from tcmsim.fock_field import custom_field
 from tcmsim.pipeline import closed_form_route, closed_form_series
 from tcmsim.reduced_density import normalize, validate
-from test_reduced_density import contract
+from test_reduced_density import amplitudes, anchored_vectors, contract
 
 
 def densities(raws):
@@ -26,12 +26,12 @@ def densities(raws):
 def single_mode_literal(n, gt, field):
     """(aa, ab, ba, bb) published single-mode amplitudes at summation index n."""
     route = SingleModeLiteral(field)
-    return route.branch_amplitudes(np.array([gt]))[0][:, n - route.ns[0]]
+    return amplitudes(route, [gt])[0][:, n - route.ns[0]]
 
 
 def single_mode_consistent(n, gt):
     """(aa, ab, ba, bb) block amplitudes of the initial state |aa, n>."""
-    return SingleModeConsistent(fock_field(n)).branch_amplitudes(np.array([gt]))[0][:, 0]
+    return amplitudes(SingleModeConsistent(fock_field(n)), [gt])[0][:, 0]
 
 
 def multimode_literal(config, gt, fields):
@@ -41,7 +41,7 @@ def multimode_literal(config, gt, fields):
     lows = [max(0, f.window.n_min - 2) for f in fields]
     shape = [f.window.n_max - low + 1 for f, low in zip(fields, lows)]
     col = np.ravel_multi_index(tuple(np.subtract(config, lows)), shape)
-    return route.branch_amplitudes(np.array([gt]))[0][:, col]
+    return amplitudes(route, [gt])[0][:, col]
 
 
 def weights(fields, configs):
@@ -204,7 +204,7 @@ def _same_bits(a, b):
 def test_assemble_gt0_consistent_equals_initial_state():
     fields = [coherent_field(2.0), coherent_field(1.0)]
     blocks = ConsistentBlocks(fields)
-    vectors = blocks.anchored_vectors([0.0])[0]
+    vectors = anchored_vectors(blocks, [0.0])[0]
     anchored = vectors.reshape(4, *blocks.shape)[(0, *blocks.box)].ravel()
     assert np.abs(anchored - weights(fields, blocks.configs)).max() <= 1e-13
     for b in (1, 2, 3):
@@ -215,7 +215,7 @@ def test_assemble_gt0_consistent_equals_initial_state():
 def test_assemble_literal_gt0_on_bb():
     field = coherent_field(5.0)
     route = SingleModeLiteral(field)
-    vectors = route.anchored_vectors([0.0])[0]
+    vectors = anchored_vectors(route, [0.0])[0]
     window = field.window.values()
     assert np.abs(vectors[3, route.box[0]][window - route.ns[0]]
                   - field.amplitudes).max() <= 1e-14
@@ -225,7 +225,7 @@ def test_assemble_literal_gt0_on_bb():
 def test_assemble_consistent_norm_over_grid():
     field = coherent_field(5.0)
     eps = field.coverage_epsilon
-    vectors = SingleModeConsistent(field).anchored_vectors(np.linspace(0.0, 12.0, 25))
+    vectors = anchored_vectors(SingleModeConsistent(field), np.linspace(0.0, 12.0, 25))
     for norm in np.sum(np.abs(vectors) ** 2, axis=(1, 2)):
         assert 1 - eps * 3 - 1e-12 <= norm <= 1 + 1e-12
 
@@ -235,7 +235,7 @@ def test_assemble_consistent_multimode_norm():
     # the density records 1 minus the raw trace as its norm deficit
     fields = [coherent_field(2.0)] * 2
     blocks = ConsistentBlocks(fields)
-    assert np.sum(np.abs(blocks.anchored_vectors([0.0])) ** 2) == pytest.approx(
+    assert np.sum(np.abs(anchored_vectors(blocks, [0.0])) ** 2) == pytest.approx(
         1.0, abs=1e-10)
     raws = blocks.raw_densities([0.8, 2.5])
     series = closed_form_series(fields, [0.8, 2.5], CONSISTENT)
@@ -295,12 +295,12 @@ def test_symmetric_evaluator_keeps_small_imaginary_parts():
 
 def _set_tile(monkeypatch, size):
     """Symmetric tiles of size multisets, and chunks of at most size
-    multisets times gts: a budget of one gt's weighted stacks over size."""
+    multisets times gts: a budget of one gt's stacks over size."""
     from tcmsim import reduced_density, symmetric
 
     monkeypatch.setattr(symmetric, "TILE_MULTISETS", size)
     monkeypatch.setattr(reduced_density, "CHUNK_BYTES",
-                        reduced_density.stack_bytes(size, weighted=True))
+                        reduced_density.stack_bytes(size))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -315,9 +315,9 @@ def test_symmetric_evaluator_is_exact_across_chunks(m, chunk_elements, monkeypat
     field = coherent_field(1.5, sigma_width=4.0, coverage_epsilon=1e-8)
     assert field.window.n_min == 0
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
-    gts = np.linspace(0.0, 8.0, 701)
+    gts = np.linspace(0.0, 8.0, 1001)
     # the largest block (every penultimate multiset) spans several chunks
-    assert gts.size > chunk_gts(symmetric._block_ends(ev.n_values, m - 1)[-1], weighted=True)
+    assert gts.size > chunk_gts(symmetric._block_ends(ev.n_values, m - 1)[-1])
     assert _same_bits(ev.raw_densities(gts),
                       np.stack([ev.raw_densities([g])[0] for g in gts]))
 
@@ -579,12 +579,27 @@ def test_anchored_vectors_match_add_at_accumulation(route, names):
     shape = tuple(w.size for w in windows)
     flat = np.ravel_multi_index(tuple((rows - [w.n_min for w in windows]).T), shape)
     gts = np.array([0.0, 0.45, 2.7])
-    amps = built.branch_amplitudes(gts)
+    amps = amplitudes(built, gts)
     assert amps.shape == (gts.size, 4, len(rows))
     ref = np.zeros((gts.size, 4, math.prod(shape)), dtype=complex)
     np.add.at(ref, (slice(None), slice(None), flat), amps)
-    assert _same_bits(built.anchored_vectors(gts), ref)
+    assert _same_bits(anchored_vectors(built, gts), ref)
     assert _same_bits(built.raw_densities(gts), contract(ref))
+
+
+@pytest.mark.parametrize("route", [SingleModeLiteral, SingleModeConsistent, ProductLiteral,
+                                   ConsistentBlocks], ids=lambda v: v.__name__)
+def test_branch_amplitudes_write_into_the_out_they_are_given(route):
+    # raw_densities hands each route the contraction's second stack: the
+    # amplitudes go there, and nowhere new
+    fields = [coherent_field(1.5), coherent_field(2.0)]
+    built = (route(fields[0]) if route in (SingleModeLiteral, SingleModeConsistent)
+             else route(fields))
+    gts = np.array([0.0, 0.45, 2.7])
+    out = np.full((gts.size, 4, built.anchors), np.nan, dtype=complex)
+    assert built.branch_amplitudes(gts, out) is out
+    assert np.isfinite(out).all()
+    assert _same_bits(out, amplitudes(built, gts))
 
 
 @pytest.mark.parametrize("fields", [[coherent_field(2.0)] * 2,
@@ -611,7 +626,7 @@ def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
             np.add.at(ref[2], flat, half)
         for pi in range(len(blocks.pairs)):
             np.add.at(ref[3], flat, amps[:, 1 + m + pi])
-        vectors = blocks.anchored_vectors([gt])[0]
+        vectors = anchored_vectors(blocks, [gt])[0]
         assert _same_bits(vectors, ref)
 
         rho, deficit = densities(blocks.raw_densities([gt]))

@@ -82,13 +82,13 @@ def catalogue() -> dict:
         key = "+".join(names)
         out[f"product-literal/{key}"] = _densities(ProductLiteral(fields).raw_densities(GTS))
         out[f"consistent-blocks/{key}"] = _densities(ConsistentBlocks(fields).raw_densities(GTS))
-    # each size sets the symmetric tile and, as one gt's weighted stacks
+    # each size sets the symmetric tile and, as one gt's stacks
     # over it, the chunk budget: a chunk holds at most size multisets x gts
     tile, budget = symmetric.TILE_MULTISETS, reduced_density.CHUNK_BYTES
     try:
         for chunk in (7, 40, tile):
             symmetric.TILE_MULTISETS = chunk
-            reduced_density.CHUNK_BYTES = reduced_density.stack_bytes(chunk, weighted=True)
+            reduced_density.CHUNK_BYTES = reduced_density.stack_bytes(chunk)
             # at 7, the nine-value window's 3,003 six-mode multisets would
             # take most of the test's time; 40 already splits its blocks
             names = ("coherent-n0", "fock-3", "custom") + (("coherent-9",) if chunk > 7 else ())

@@ -1,18 +1,19 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tcmsim import (BRANCHES, ConfigurationError, ExactEvolver,
+from tcmsim import (BRANCHES, LITERAL, ConfigurationError, ExactEvolver,
                     NumericalFailureError, SectorBasis, TruncationWindow,
                     build_hamiltonian, coherent_field, eof, expansion_diagnostic,
                     fock_field, oracle)
 from tcmsim.basis import EXCITED_COUNT
 from tcmsim.closed_form import SingleModeConsistent
-from tcmsim.pipeline import observables
-from tcmsim.reduced_density import normalize, validate
-from test_reduced_density import contract
+from tcmsim.pipeline import closed_form_route, observables
+from tcmsim.reduced_density import GRID_GT_BYTES, normalize, validate
+from test_reduced_density import amplitudes, contract
 
 
 def amplitude(evolver, gt, branch, config):
@@ -210,7 +211,7 @@ def test_oracle_matches_consistent_closed_form_entrywise():
     emitted = {"aa": 0, "ab": 1, "ba": 1, "bb": 2}
     evolver = ExactEvolver(fields)
     for gt in (0.6, 1.9):
-        closed = SingleModeConsistent(fields[0]).branch_amplitudes(np.array([gt]))[0][:, 0]
+        closed = amplitudes(SingleModeConsistent(fields[0]), [gt])[0][:, 0]
         for cfg in [(2,), (3,), (4,)]:
             for b, branch in enumerate(BRANCHES):
                 closed_amp = closed[b] if cfg[0] == 2 + emitted[branch] else 0.0
@@ -252,6 +253,38 @@ def test_sector_budgets_count_the_built_sectors(fields, monkeypatch, memory_budg
     monkeypatch.setattr(oracle, "MAX_SECTOR_DIM", max(dims) - 1)
     with pytest.raises(ConfigurationError, match=f"dimension {max(dims)} "):
         ExactEvolver(fields)
+
+
+def test_a_long_grid_stays_within_the_statement_and_the_grid_bytes():
+    # the oracle-large instance of the memory-budget cases on 1,200 gts:
+    # beside its statement, only the grid's own output grows with the grid
+    gts = np.linspace(0.0, 10.0, 1200)
+    tracemalloc.start()
+    try:
+        evolver = ExactEvolver([coherent_field(25.0)] * 2)
+        evolver.densities(gts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= evolver.memory_bytes + GRID_GT_BYTES * gts.size
+
+
+@pytest.mark.parametrize("route", ["oracle", "single-literal", "symmetric"])
+def test_the_grid_bytes_are_checked_beside_the_statement(route, memory_budget):
+    # before its raw stack is allocated, a grid of G gts is checked with
+    # its route's statement plus G times GRID_GT_BYTES
+    field = coherent_field(2.0)
+    if route == "oracle":
+        built = ExactEvolver([field])
+        evaluate = lambda gts: built.densities(gts)[0]
+    else:
+        built = closed_form_route([field] * (2 if route == "symmetric" else 1), LITERAL)
+        evaluate = built.raw_densities
+    memory_budget(built.memory_bytes + GRID_GT_BYTES * 10)
+    assert evaluate(np.zeros(10)).shape == (10, 4, 4)
+    with pytest.raises(ConfigurationError, match=f"^a grid of 11 gts .* need "
+                                                 f"{built.memory_bytes + GRID_GT_BYTES * 11} "):
+        evaluate(np.zeros(11))
 
 
 def test_sectors_hold_each_eigenbasis_once_as_float64():

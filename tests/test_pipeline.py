@@ -9,6 +9,7 @@ from tcmsim.entanglement import concurrences
 from tcmsim.pipeline import (closed_form_route, closed_form_series, observables,
                              oracle_series, uniform_grid)
 from tcmsim.reduced_density import normalize, validate
+from test_reduced_density import amplitudes
 
 
 def test_uniform_grid():
@@ -41,7 +42,7 @@ def test_literal_nonidentical_fields_matches_manual_sum():
     gt = 1.4
     series = closed_form_series(fields, np.array([gt]), LITERAL)
 
-    amps = ProductLiteral(fields).branch_amplitudes(np.array([gt]))[0]
+    amps = amplitudes(ProductLiteral(fields), [gt])[0]
     raw = np.zeros((4, 4), dtype=complex)
     for vec in amps.T:
         raw += np.outer(vec, vec.conj())

@@ -15,11 +15,26 @@ def contract(vectors, weights=None):
     leading index, from a DensityContraction over them as a grid."""
     vectors = np.asarray(vectors, dtype=complex)
     grid = vectors.reshape(-1, 4, vectors.shape[-1])
-    contraction = DensityContraction(len(grid), grid.shape[-1], weights is not None)
-    for chunk, a in contraction.chunks(grid.shape[-1]):
+    contraction = DensityContraction(len(grid), grid.shape[-1], 0)
+    for chunk, a, _ in contraction.chunks(grid.shape[-1]):
         a[...] = grid[chunk]
         contraction.add(chunk, a, weights)
     return contraction.raw.reshape(*vectors.shape[:-2], 4, 4)
+
+
+def amplitudes(route, gts):
+    """An anchored route's (G, 4, n_anchors) branch amplitudes at gts,
+    written into a new array."""
+    gts = np.asarray(gts, dtype=float)
+    return route.branch_amplitudes(gts, np.empty((gts.size, 4, route.anchors), dtype=complex))
+
+
+def anchored_vectors(route, gts):
+    """An anchored route's (G, 4, layout size) anchored vectors at gts,
+    evaluated through two new stacks as raw_densities' chunks are."""
+    gts = np.asarray(gts, dtype=float)
+    out, scratch = np.empty((2, gts.size, 4, route.width), dtype=complex)
+    return route.anchored_vectors(gts, out, scratch)
 
 
 def density(raw):
@@ -67,7 +82,7 @@ def test_rank_one_for_single_anchor():
 
 
 def test_global_phase_invariance():
-    vectors = SingleModeConsistent(coherent_field(2.0)).anchored_vectors([1.8])[0]
+    vectors = anchored_vectors(SingleModeConsistent(coherent_field(2.0)), [1.8])[0]
     rho, _ = density(contract(vectors))
     rho2, _ = density(contract(vectors * np.exp(0.83j)))
     assert np.allclose(rho, rho2, atol=1e-13)
@@ -98,7 +113,7 @@ def test_non_finite_density_raises():
 
 
 def test_literal_norm_deficit_recorded():
-    vectors = SingleModeLiteral(coherent_field(5.0)).anchored_vectors([1.5])[0]
+    vectors = anchored_vectors(SingleModeLiteral(coherent_field(5.0)), [1.5])[0]
     _, deficit = density(contract(vectors))
     total_norm = np.sum(np.abs(vectors) ** 2)
     assert deficit == pytest.approx(1.0 - total_norm, abs=1e-12)
@@ -141,8 +156,8 @@ def test_contraction_is_the_weighted_pairing_of_each_gt(weighted, gts_per_chunk,
     a = rng.normal(size=(10, 4, 23)) + 1j * rng.normal(size=(10, 4, 23))
     weights = rng.uniform(0.5, 2.0, size=23) if weighted else None
     monkeypatch.setattr(reduced_density, "CHUNK_BYTES",
-                        reduced_density.stack_bytes(23, weighted) * gts_per_chunk - 1)
-    assert reduced_density.chunk_gts(23, weighted) == max(1, gts_per_chunk - 1)
+                        reduced_density.stack_bytes(23) * gts_per_chunk - 1)
+    assert reduced_density.chunk_gts(23) == max(1, gts_per_chunk - 1)
     raw = contract(a, weights)
     w = np.ones(23) if weights is None else weights
     ref = np.einsum("f,gbf,gcf->gbc", w, a, a.conj())
