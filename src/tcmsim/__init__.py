@@ -20,13 +20,12 @@ from .inversion import single_atom_jcm_series
 from .oracle import (ExactEvolver, ExpansionReport, SectorBasis,
                      build_hamiltonian, expansion_diagnostic)
 from .pipeline import closed_form_series, oracle_series
-from .series import TimeSeries
 
 __all__ = [
     "BRANCHES", "CONSISTENT", "ConfigurationError", "ExactEvolver",
     "ExpansionReport", "FieldDistribution", "LITERAL",
     "NumericalFailureError", "RevivalReport", "SectorBasis", "TcmError",
-    "TimeSeries", "TruncationWindow", "binary_entropy", "build_hamiltonian",
+    "TruncationWindow", "binary_entropy", "build_hamiltonian",
     "closed_form_series", "coherent_amplitudes",
     "coherent_field", "collapse_windows", "custom_field", "default_window",
     "detect_revival_peaks", "deviation_report", "eof", "expansion_diagnostic",

@@ -1,5 +1,7 @@
 """Post-processing: revival peaks, collapse windows, oscillation rates,
-mode sweeps, and closed-form-versus-oracle deviation summaries."""
+mode sweeps, and closed-form-versus-oracle deviation summaries.  A series
+is the dict of its CSV columns: gt, and the channels W, concurrence and
+eof by their headers; any array-likes will do."""
 
 from __future__ import annotations
 
@@ -10,9 +12,35 @@ import numpy as np
 from . import pipeline
 from .errors import ConfigurationError
 from .fock_field import DEFAULT_COVERAGE_EPSILON, DEFAULT_SIGMA_WIDTH, coherent_field
-from .series import TimeSeries
 
 ENVELOPE_WINDOW_GT = 1.0
+CHANNELS = ("W", "concurrence", "eof")
+
+
+def check_series(series: dict, *channels: str) -> list[np.ndarray]:
+    """The gt column and then the named channels of series, as float
+    arrays.  Columns that do not share the gt grid, a gt that is not
+    strictly increasing, |W| > 1, a concurrence or eof outside [0, 1] (each
+    checked where series holds it) and an unknown channel are
+    configuration errors."""
+    gt = np.asarray(series["gt"], dtype=float)
+    columns = {name: np.asarray(series[name], dtype=float)
+               for name in CHANNELS if name in series}
+    if gt.ndim != 1 or any(col.shape != gt.shape for col in columns.values()):
+        raise ConfigurationError("all series columns must share the gt grid")
+    if np.any(np.diff(gt) <= 0):
+        raise ConfigurationError("gt grid must be strictly increasing")
+    tol = pipeline.RANGE_TOL
+    if "W" in columns and np.any(np.abs(columns["W"]) > 1 + tol):
+        raise ConfigurationError("|W| exceeds 1")
+    for name in CHANNELS[1:]:
+        col = columns.get(name)
+        if col is not None and (np.any(col < -tol) or np.any(col > 1 + tol)):
+            raise ConfigurationError(f"{name} outside [0, 1]")
+    unknown = [name for name in channels if name not in CHANNELS]
+    if unknown:
+        raise ConfigurationError(f"unknown channel {unknown[0]!r}")
+    return [gt, *(columns[name] for name in channels)]
 
 
 def moving_average(values: np.ndarray, half_width: int) -> np.ndarray:
@@ -83,7 +111,7 @@ class RevivalReport:
         return "\n".join(lines)
 
 
-def detect_revival_peaks(series: TimeSeries, channel: str, max_j: int,
+def detect_revival_peaks(series: dict, channel: str, max_j: int,
                          mean: float) -> RevivalReport:
     """Locate revival peaks of |channel|.
 
@@ -92,44 +120,45 @@ def detect_revival_peaks(series: TimeSeries, channel: str, max_j: int,
     pi*sqrt(mean).  The search starts at gt = pi*sqrt(mean), past the
     initial Rabi transient, which would otherwise register as a peak.
     """
+    gt, values = check_series(series, channel)
     if max_j < 1:
         raise ConfigurationError(f"max_j must be >= 1, got {max_j}")
     if mean <= 0:
         raise ConfigurationError("revival prediction needs a positive mean")
-    if series.gt.size < 2:
+    if gt.size < 2:
         raise ConfigurationError("peak detection needs at least two gt samples")
     # the envelope window and the peak separation are counted in steps
-    dgt = series.step
-    if np.any(np.abs(np.diff(series.gt) - dgt) > 1e-6 * dgt):
+    dgt = float(gt[1] - gt[0])
+    if np.any(np.abs(np.diff(gt) - dgt) > 1e-6 * dgt):
         raise ConfigurationError("peak detection needs a uniform gt grid")
-    values = np.abs(series.channel(channel))
     needed = 2 * max_j * np.pi * np.sqrt(mean) * 1.2
-    if series.gt[-1] < needed:
+    if gt[-1] < needed:
         raise ConfigurationError(
-            f"series reaches gt={series.gt[-1]:g} but peak detection up to "
+            f"series reaches gt={gt[-1]:g} but peak detection up to "
             f"j={max_j} needs gt >= {needed:g}")
-    envelope = moving_average(values, int(round(0.5 * ENVELOPE_WINDOW_GT / dgt)))
+    envelope = moving_average(np.abs(values), int(round(0.5 * ENVELOPE_WINDOW_GT / dgt)))
     separation = np.pi * np.sqrt(mean)
-    start = int(np.searchsorted(series.gt, separation))
+    start = int(np.searchsorted(gt, separation))
     region = envelope[start:]
     # ignore numerical ripple in the collapsed stretches: a revival must
     # reach a nonnegligible fraction of the strongest envelope value
     floor = 0.05 * float(region.max())
     peaks = find_peaks(region, distance=max(1, int(np.ceil(separation / dgt))),
                        height=floor)
-    times = [float(series.gt[start + i]) for i in peaks][:max_j]
+    times = [float(gt[start + i]) for i in peaks][:max_j]
     predicted = [2 * j * np.pi * np.sqrt(mean) for j in range(1, max_j + 1)]
     rel = [(t - p) / p for t, p in zip(times, predicted)]
     return RevivalReport(channel=channel, mean=mean, max_j=max_j,
                          peak_times=times, predicted=predicted, relative_errors=rel)
 
 
-def collapse_windows(series: TimeSeries, threshold: float) -> list[tuple[float, float]]:
+def collapse_windows(series: dict, threshold: float) -> list[tuple[float, float]]:
     """Maximal gt intervals (at least two grid steps long) where the
     concurrence stays below the threshold."""
+    gt, concurrence = check_series(series, "concurrence")
     if not 0.0 < threshold <= 0.1:
         raise ConfigurationError(f"threshold must be in (0, 0.1], got {threshold}")
-    below = series.concurrence < threshold
+    below = concurrence < threshold
     out = []
     start = None
     for i, flag in enumerate(below):
@@ -137,14 +166,14 @@ def collapse_windows(series: TimeSeries, threshold: float) -> list[tuple[float, 
             start = i
         elif not flag and start is not None:
             if i - start >= 3:  # >= 2 grid steps
-                out.append((float(series.gt[start]), float(series.gt[i - 1])))
+                out.append((float(gt[start]), float(gt[i - 1])))
             start = None
     if start is not None and below.size - start >= 3:
-        out.append((float(series.gt[start]), float(series.gt[-1])))
+        out.append((float(gt[start]), float(gt[-1])))
     return out
 
 
-def oscillation_rate(series: TimeSeries, channel: str,
+def oscillation_rate(series: dict, channel: str,
                      window: tuple[float, float]) -> float:
     """Zero crossings of (channel - its window mean) per unit gt.
 
@@ -154,12 +183,13 @@ def oscillation_rate(series: TimeSeries, channel: str,
     zero (a concurrence that has died), the crossings stop early and the
     rate measures how long the channel oscillates, not how fast.
     """
+    gt, values = check_series(series, channel)
     lo, hi = window
     eps = 1e-9
-    if lo >= hi or lo < series.gt[0] - eps or hi > series.gt[-1] + eps:
+    if lo >= hi or lo < gt[0] - eps or hi > gt[-1] + eps:
         raise ConfigurationError(f"window {window} not inside the gt grid")
-    sel = (series.gt >= lo - eps) & (series.gt <= hi + eps)
-    y = series.channel(channel)[sel]
+    sel = (gt >= lo - eps) & (gt <= hi + eps)
+    y = values[sel]
     signs = np.sign(y - y.mean())
     signs = signs[signs != 0]
     crossings = int(np.count_nonzero(np.diff(signs)))
@@ -172,8 +202,8 @@ def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
     """Entanglement per (mode count, gt) cell for identical coherent fields
     of the given per-mode mean, as the columns m, gt, concurrence and eof
     with one row per cell, by ascending m and then gt.  Single-mode cells
-    use the single-mode amplitudes; every gt must be finite and
-    nonnegative."""
+    use the single-mode amplitudes; every gt must be finite, nonnegative
+    and given once."""
     if not m_range:
         raise ConfigurationError("empty mode list")
     if len(set(m_range)) != len(m_range):
@@ -182,17 +212,16 @@ def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
         raise ConfigurationError("mode counts must be >= 1")
     if not gt_values:
         raise ConfigurationError("empty gt list")
-    pipeline.check_grid(gt_values)
+    gts = np.sort(pipeline.check_grid(gt_values))
+    if np.any(np.diff(gts) == 0):
+        raise ConfigurationError(f"duplicate gt values in {gt_values}")
 
     field = coherent_field(mean, sigma_width, coverage_epsilon)
-    cells = np.asarray(sorted(gt_values), dtype=float)
-    gts = np.asarray(sorted(set(gt_values)), dtype=float)
-    at = np.searchsorted(gts, cells)
     ms = sorted(m_range)
     series = [pipeline.closed_form_series([field] * m, gts, convention) for m in ms]
-    return {"m": np.repeat(ms, cells.size), "gt": np.tile(cells, len(ms)),
-            "concurrence": np.concatenate([s.concurrence[at] for s in series]),
-            "eof": np.concatenate([s.eof[at] for s in series])}
+    return {"m": np.repeat(ms, gts.size), "gt": np.tile(gts, len(ms)),
+            "concurrence": np.concatenate([s["concurrence"] for s in series]),
+            "eof": np.concatenate([s["eof"] for s in series])}
 
 
 @dataclass
@@ -223,16 +252,20 @@ class DeviationSummary:
         return "\n".join(lines)
 
 
-def deviation_report(closed: TimeSeries,
-                     exact: TimeSeries) -> tuple[DeviationSummary, dict[str, np.ndarray]]:
-    """Summary plus the per-point deltas delta_W, delta_C and delta_EF."""
-    if closed.gt.shape != exact.gt.shape or not np.array_equal(closed.gt, exact.gt):
+def deviation_report(closed: dict,
+                     exact: dict) -> tuple[DeviationSummary, dict[str, np.ndarray]]:
+    """Summary plus the per-point deltas delta_W, delta_C and delta_EF of
+    two series; closed's norm_deficit and exact's norm_drift columns, where
+    present, are summarized too."""
+    gt, w, c, e = check_series(closed, *CHANNELS)
+    gt_exact, w_exact, c_exact, e_exact = check_series(exact, *CHANNELS)
+    if not np.array_equal(gt, gt_exact):
         raise ConfigurationError("deviation report requires identical gt grids")
-    dw = np.abs(closed.w - exact.w)
-    dc = np.abs(closed.concurrence - exact.concurrence)
-    de = np.abs(closed.eof - exact.eof)
-    deficit = closed.extras.get("norm_deficit")
-    drift = exact.extras.get("norm_drift")
+    dw = np.abs(w - w_exact)
+    dc = np.abs(c - c_exact)
+    de = np.abs(e - e_exact)
+    deficit = closed.get("norm_deficit")
+    drift = exact.get("norm_drift")
     summary = DeviationSummary(
         max_dw=float(dw.max()), mean_dw=float(dw.mean()),
         max_dc=float(dc.max()), mean_dc=float(dc.mean()),

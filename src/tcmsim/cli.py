@@ -213,14 +213,12 @@ def _write_text(path: str | None, text: str) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _series_columns(series) -> dict[str, np.ndarray]:
-    return {"gt": series.gt, "W": series.w, "concurrence": series.concurrence,
-            "eof": series.eof}
+def _series_columns(series: dict) -> dict[str, np.ndarray]:
+    return {name: series[name] for name in ("gt", *analysis.CHANNELS)}
 
 
-def _oracle_columns(exact) -> dict[str, np.ndarray]:
-    return {"W_oracle": exact.w, "concurrence_oracle": exact.concurrence,
-            "eof_oracle": exact.eof}
+def _oracle_columns(exact: dict) -> dict[str, np.ndarray]:
+    return {f"{name}_oracle": exact[name] for name in analysis.CHANNELS}
 
 
 def _cmd_run(args) -> int:
@@ -349,19 +347,17 @@ def _cmd_analyze(args) -> int:
     for name in needed:
         if name not in columns:
             raise ConfigurationError(f"input CSV {args.input} has no {name!r} column")
-    zeros = np.zeros(columns["gt"].size)
-    series = analysis.TimeSeries(
-        gt=columns["gt"], w=columns.get("W", zeros),
-        concurrence=columns.get("concurrence", zeros), eof=columns.get("eof", zeros))
+    # the columns are checked as they enter, ahead of the analyses' flags
+    analysis.check_series(columns)
 
     sections = []
     if args.max_j > 0:
         if args.mean <= 0:
             raise ConfigurationError("peak detection requires --mean > 0")
-        rep = analysis.detect_revival_peaks(series, args.channel, args.max_j, args.mean)
+        rep = analysis.detect_revival_peaks(columns, args.channel, args.max_j, args.mean)
         sections.append(rep.render())
     if args.threshold > 0:
-        intervals = analysis.collapse_windows(series, args.threshold)
+        intervals = analysis.collapse_windows(columns, args.threshold)
         lines = [f"collapse windows (concurrence < {args.threshold:g}): "
                  f"{len(intervals)} found"]
         lines += [f"  gt in [{a:.4f}, {b:.4f}]" for a, b in intervals]

@@ -40,6 +40,13 @@ LITERAL = "literal"
 CONSISTENT = "consistent"
 CONVENTIONS = (LITERAL, CONSISTENT)
 
+# the most bytes an evaluation of anchored amplitudes takes a gt and anchor
+# of its chunk, beside the contraction's stacks: LiteralTerms' tiled
+# complex-frequency constants of two chunk lengths (2 x 48) and a complex
+# x2's transient (32), more than its real frequencies' (16) and than the
+# single-mode routes' three or four complex rows and transient (80, 96)
+EVALUATION_ELEMENT_BYTES = 8 * 16
+
 
 def extended_window(window: TruncationWindow) -> TruncationWindow:
     """Final-configuration window: two photons below (literal summation
@@ -60,6 +67,9 @@ class AnchoredRoute:
     box of it spanned by the per-mode anchor windows, in C order too.  A
     layout padded differently could regroup the contraction's sums."""
 
+    # what branch_amplitudes takes a gt and anchor of a chunk
+    element_bytes = EVALUATION_ELEMENT_BYTES
+
     def __init__(self, fields: list[FieldDistribution], anchors: list[TruncationWindow]):
         layout = [extended_window(f.window) for f in fields]
         self.shape = tuple(w.size for w in layout)
@@ -68,8 +78,9 @@ class AnchoredRoute:
                          for a, w in zip(anchors, layout))
         self.anchors = math.prod(a.size for a in anchors)
         # raw_densities' chunk: the contraction's two stacks, the second
-        # holding the amplitudes until they are written into the first
-        self.memory_bytes = contraction_bytes(self.width)
+        # holding the amplitudes until they are written into the first, and
+        # the evaluation's temporaries
+        self.memory_bytes = contraction_bytes(self.width, self.element_bytes)
 
     def anchored_vectors(self, gts, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """out, (G, 4, layout size): the branch amplitudes, evaluated into
@@ -284,11 +295,12 @@ class LiteralTerms:
 # the bytes ProductLiteral holds per configuration: three complex factor
 # rows (48); LiteralTerms' four float64 and two complex rows (64) and,
 # where x2's frequency is complex, an int64 index and three complex rows
-# (56); and the larger transient of the build (nine float64 statistic rows
-# and seven float64 temporaries, 128) and of a gt's evaluation into the
-# density contraction's second stack (phases, cosines, sines and their
-# products, at most 80 where x2's frequency is complex)
-PRODUCT_LITERAL_ROW_BYTES = 48 + 64 + 56 + 128
+# (56)
+PRODUCT_LITERAL_ROW_BYTES = 48 + 64 + 56
+# and the transient of its build per configuration, gone before the density
+# contraction is allocated: nine float64 statistic rows and seven float64
+# temporaries
+PRODUCT_LITERAL_BUILD_BYTES = 128
 
 
 class ProductLiteral(AnchoredRoute):
@@ -312,7 +324,8 @@ class ProductLiteral(AnchoredRoute):
         super().__init__(fields, ranges)
         shape = tuple(r.size for r in ranges)
         count = math.prod(shape)
-        self.memory_bytes += count * PRODUCT_LITERAL_ROW_BYTES
+        self.memory_bytes = (count * PRODUCT_LITERAL_ROW_BYTES
+                             + max(count * PRODUCT_LITERAL_BUILD_BYTES, self.memory_bytes))
         check_memory(self.memory_bytes, f"{count} literal multimode configurations")
         # summed and multiplied over the modes in mode order, each mode's
         # values broadcast along its axis, a row at a time: numpy can round
@@ -351,6 +364,10 @@ class ConsistentBlocks(AnchoredRoute):
     every requested gt.
     """
 
+    # the evaluation runs gt by gt; its temporaries are stated per
+    # configuration
+    element_bytes = 0
+
     def __init__(self, fields: list[FieldDistribution]):
         m = len(fields)
         if m < 2:
@@ -361,11 +378,16 @@ class ConsistentBlocks(AnchoredRoute):
         super().__init__(fields, [f.window for f in fields])
 
         # the bytes held per configuration beside its int64 row: the complex
-        # weight (16), a float64 copy of the row (8 m), the float64 block
-        # Hamiltonian and its eigenvectors (2 x 8 dim**2) and three vectors
-        # of dim: the float64 eigenvalues, their complex rates and the
-        # eigenvectors' complex overlaps with |aa, n> (40 dim)
-        row_bytes = 16 + 8 * m + 16 * self.dim ** 2 + 40 * self.dim
+        # weight (16), a float64 copy of the row (8 m), the float64
+        # eigenvectors (8 dim**2) and three vectors of dim: the float64
+        # eigenvalues, their complex rates and the eigenvectors' complex
+        # overlaps with |aa, n> (40 dim); and the larger of the float64 block
+        # Hamiltonian during eigh (8 dim**2) and one gt's evaluation: four
+        # complex vectors of dim (the gt's exponentials, their products, the
+        # weighted amplitudes and the last gt's) and two complex columns
+        # (64 dim + 32)
+        row_bytes = (16 + 8 * m + 8 * self.dim ** 2 + 40 * self.dim
+                     + max(8 * self.dim ** 2, 64 * self.dim + 32))
         configs = config_array([f.window for f in fields], row_bytes,
                                f"consistent cascade blocks of {self.dim}x{self.dim} entries",
                                self.memory_bytes)

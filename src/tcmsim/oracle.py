@@ -39,6 +39,10 @@ _LOWERING = ((0, 1), (0, 2), (1, 3), (2, 3))
 # photons emitted along each branch relative to the initial |aa> state
 _EMITTED = np.array([0, 1, 1, 2])
 
+# the Python objects of a sector: its _Sector, SectorBasis and eight array
+# headers, about 1.2 KB measured
+SECTOR_OBJECT_BYTES = 2048
+
 
 @dataclass(frozen=True, eq=False)
 class SectorBasis:
@@ -143,9 +147,11 @@ class ExactEvolver:
         # per branch, each an int64 branch and row (8 + 8 m), complex
         # initial coefficient, rates and eigenbasis projection (48), float64
         # eigenvalue (8) and int64 final key (8); beside them all, the
-        # density contraction's stacks of the branch vectors
+        # density contraction's stacks of the branch vectors and, for one
+        # mode, the copy of a branch row that shifting it back makes (16 a
+        # gt and configuration)
         row_bytes = 32 + 4 * (72 + 8 * m)
-        chunk = contraction_bytes(self._vector_size)
+        chunk = contraction_bytes(self._vector_size, 16 if m == 1 else 0)
         configs = config_array(self.windows, row_bytes, "oracle configurations", chunk)
         totals = configs.sum(axis=1)
         low = int(totals[0]) + 2
@@ -167,16 +173,18 @@ class ExactEvolver:
             raise ConfigurationError(
                 f"sector {low + over[0]} has dimension {dims[over[0]]} "
                 f"(budget {MAX_SECTOR_DIM}); reduce modes, mean, or coverage")
-        # beside the rows: every sector's float64 eigenvectors (8 an entry),
-        # and while one sector is built or propagated, its float64
-        # Hamiltonian during eigh or the complex cast of its eigenvectors
-        # in a product (16 an entry), with the phases, products and
-        # coefficients of a chunk's gts (3 x 16 a state and gt)
+        # beside the rows: every sector's float64 eigenvectors (8 an entry)
+        # and Python objects, and while one sector is built or propagated,
+        # its float64 Hamiltonian during eigh or the complex cast of its
+        # eigenvectors in a product (16 an entry), with the phases, products
+        # and coefficients of a chunk's gts (3 x 16 a state and gt) and the
+        # chunk's float64 norms per sector
         entries = int(np.sum(dims ** 2))
         largest = int(dims.max())
         per_chunk = chunk_gts(self._vector_size)
         self.memory_bytes = (configs.nbytes + len(configs) * row_bytes + chunk + 8 * entries
-                             + 16 * largest ** 2 + 3 * 16 * per_chunk * largest)
+                             + SECTOR_OBJECT_BYTES * n + 16 * largest ** 2
+                             + per_chunk * (3 * 16 * largest + 8 * n))
         check_memory(self.memory_bytes,
                      f"the {n} sectors of {entries} matrix entries over {len(configs)} "
                      "oracle configurations")

@@ -1,6 +1,7 @@
-"""Observable time series built from the closed-form or oracle routes:
-each route evaluates a whole gt grid into a (G, 4, 4) stack of unnormalized
-densities, and one batched pass (observables) makes the columns."""
+"""Observable series built from the closed-form or oracle routes: each
+route evaluates a whole gt grid into a (G, 4, 4) stack of unnormalized
+densities, and one batched pass (observables) makes the columns.  A series
+is the dict of its CSV columns, gt first."""
 
 from __future__ import annotations
 
@@ -12,19 +13,28 @@ from .entanglement import concurrences, eof
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, same_fields
 from .oracle import ExactEvolver
-from .reduced_density import normalize, validate
-from .series import TimeSeries
+from .reduced_density import normalize, raise_at_first, validate
 from .symmetric import SymmetricLiteralEvaluator
 
 
-def check_grid(gts) -> np.ndarray:
-    """gts as a 1-D float array; NaN, infinite and negative values are
-    configuration errors.  Every route's grid passes through here."""
+# how far W may leave [-1, 1], and a concurrence or E_F [0, 1], by rounding
+RANGE_TOL = 1e-12
+
+
+def check_grid(gts, increasing: bool = False) -> np.ndarray:
+    """gts as a 1-D float array; a grid of more dimensions, NaN, infinite
+    and negative values and, where increasing is set, a grid that is not
+    strictly increasing are configuration errors.  Every route's grid
+    passes through here."""
     gts = np.atleast_1d(np.asarray(gts, dtype=float))
+    if gts.ndim != 1:
+        raise ConfigurationError(f"gt grid must be one-dimensional, got shape {gts.shape}")
     bad = ~(np.isfinite(gts) & (gts >= 0.0))
     if bad.any():
         raise ConfigurationError(
             f"gt must be finite and nonnegative, got {gts[bad][0]}")
+    if increasing and np.any(np.diff(gts) <= 0):
+        raise ConfigurationError("gt grid must be strictly increasing")
     return gts
 
 
@@ -47,42 +57,43 @@ def closed_form_route(fields: list[FieldDistribution], convention: str):
 
 
 def observables(raws: np.ndarray) -> dict[str, np.ndarray]:
-    """W, concurrence, eof and norm_deficit arrays of a (G, 4, 4) stack of
-    unnormalized densities, all gts at once: normalize, validate and the
-    Wootters concurrence each run on the whole stack.  NumericalFailureError
-    reports the first check that fails, at its first failing gt."""
+    """The W, concurrence, eof and norm_deficit columns of a (G, 4, 4)
+    stack of unnormalized densities, all gts at once: normalize, validate,
+    the Wootters concurrence and the range of W each run on the whole
+    stack.  NumericalFailureError reports the first check that fails, at
+    its first failing gt.  The concurrence and eof clip into [0, 1]."""
     rho, deficit = normalize(raws)
     validate(rho)
     c, _ = concurrences(rho)
-    return {"w": rho[:, 0, 0].real - rho[:, 3, 3].real, "concurrence": c,
-            "eof": eof(c), "norm_deficit": deficit}
+    w = rho[:, 0, 0].real - rho[:, 3, 3].real
+    raise_at_first(np.abs(w) > 1 + RANGE_TOL, lambda i: f"|W| = {abs(w[i]):.15g} exceeds 1")
+    return {"W": w, "concurrence": c, "eof": eof(c), "norm_deficit": deficit}
 
 
 def closed_form_series(fields: list[FieldDistribution], gts: np.ndarray,
-                       convention: str = CONSISTENT) -> TimeSeries:
-    """Closed-form observables on the grid, with the per-point norm deficit
-    as an extra column."""
-    gts = check_grid(gts)
-    obs = observables(closed_form_route(fields, convention).raw_densities(gts))
-    return TimeSeries(gt=gts, w=obs["w"], concurrence=obs["concurrence"],
-                      eof=obs["eof"], extras={"norm_deficit": obs["norm_deficit"]})
+                       convention: str = CONSISTENT) -> dict[str, np.ndarray]:
+    """The columns gt, W, concurrence, eof and norm_deficit of the
+    closed-form observables on a strictly increasing grid."""
+    gts = check_grid(gts, increasing=True)
+    return {"gt": gts} | observables(closed_form_route(fields, convention).raw_densities(gts))
 
 
-def oracle_series(fields: list[FieldDistribution], gts: np.ndarray) -> TimeSeries:
-    """Exact-evolution observables on the grid, with per-point norm drift
-    from the gt = 0 norm.  The gt = 0 norm and then the grid's norms are
-    checked for drift before the densities: propagation that lost
-    unitarity is reported ahead of the density failures it causes."""
-    gts = check_grid(gts)
+def oracle_series(fields: list[FieldDistribution],
+                  gts: np.ndarray) -> dict[str, np.ndarray]:
+    """The columns gt, W, concurrence, eof and norm_drift (from the gt = 0
+    norm) of the exact-evolution observables on a strictly increasing
+    grid.  The gt = 0 norm and then the grid's norms are checked for drift
+    before the densities: propagation that lost unitarity is reported
+    ahead of the density failures it causes."""
+    gts = check_grid(gts, increasing=True)
     evolver = ExactEvolver(fields)
     _, norm0 = evolver.densities([0.0])
     evolver.check_drift(norm0)
     raws, norms = evolver.densities(gts)
     evolver.check_drift(norms)
     obs = observables(raws)
-    drift = np.abs(norms - norm0[0])
-    return TimeSeries(gt=gts, w=obs["w"], concurrence=obs["concurrence"],
-                      eof=obs["eof"], extras={"norm_drift": drift})
+    del obs["norm_deficit"]
+    return {"gt": gts} | obs | {"norm_drift": np.abs(norms - norm0[0])}
 
 
 def uniform_grid(gt_max: float, gt_steps: int) -> np.ndarray:

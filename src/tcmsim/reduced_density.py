@@ -66,6 +66,8 @@ def validate(rho: np.ndarray) -> None:
 # the most bytes a density contraction's two stacks hold for one chunk of
 # gts: one gt's stacks of width 12,288, 1.5 symmetric tiles of 8,192
 CHUNK_BYTES = 3 * 64 * 8192
+# the complex (4, 4) product of each gt of a chunk, made before it is added
+PRODUCT_BYTES = 256
 # the grid's own output per gt, beside what its route states: the complex
 # (4, 4) unnormalized density (256) and the float64 norm the oracle
 # returns with it (8)
@@ -83,10 +85,16 @@ def chunk_gts(width: int) -> int:
     return max(1, CHUNK_BYTES // stack_bytes(width))
 
 
-def contraction_bytes(width: int) -> int:
-    """What a DensityContraction of this width, or narrower chunks, holds:
-    CHUNK_BYTES, or one gt's stacks where those are larger."""
-    return max(CHUNK_BYTES, stack_bytes(width))
+def contraction_bytes(width: int, element_bytes: int = 0) -> int:
+    """What a DensityContraction of this width, or narrower chunks, holds
+    while its route fills it: CHUNK_BYTES, or one gt's stacks where those
+    are larger; the products of a chunk of this width; and the route's
+    evaluation temporaries, element_bytes a gt and column, over the most
+    gts and columns a chunk holds (CHUNK_BYTES / 128 = 12,288, or one
+    gt's width)."""
+    elements = max(CHUNK_BYTES // stack_bytes(1), width)
+    return (max(CHUNK_BYTES, stack_bytes(width)) + PRODUCT_BYTES * chunk_gts(width)
+            + element_bytes * elements)
 
 
 class DensityContraction:
@@ -104,7 +112,7 @@ class DensityContraction:
     def __init__(self, size: int, width: int, stated: int):
         check_memory(stated + GRID_GT_BYTES * size, f"a grid of {size} gts and its route")
         self.raw = np.zeros((size, 4, 4), dtype=complex)
-        entries = min(size * 4 * width, contraction_bytes(width) // 32)
+        entries = min(size * 4 * width, max(CHUNK_BYTES, stack_bytes(width)) // 32)
         self._stacks = np.empty((2, entries), dtype=complex)
 
     def chunks(self, width: int):

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .closed_form import LiteralTerms, literal_features
+from .closed_form import EVALUATION_ELEMENT_BYTES, LiteralTerms, literal_features
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, check_memory
 from .reduced_density import DensityContraction, contraction_bytes
@@ -41,14 +41,12 @@ MAX_MULTISETS = 100_000_000
 TILE_MULTISETS = 8192
 # the bytes raw_densities holds per tile element beside four level rows
 # (the (m - 2)-level's held rows, the last two levels' buffers and the
-# tile) and the density contraction's stacks: the tile's LiteralTerms,
-# its four float64 and two complex rows (64), an int64 index and three
-# complex rows where x2's frequency is complex (56), seven float64 build
-# temporaries and two complex ones (88); its float64 multiplicities (8);
-# and the chunk's float64 and complex temporaries (cosines, sines and the
-# tiled complex-frequency terms: 8 x 16 a chunk element), over chunks of up
-# to CHUNK_BYTES / 128 = 1.5 TILE_MULTISETS elements (12 x 16)
-TILE_ELEMENT_BYTES = 64 + 56 + 88 + 8 + 12 * 16
+# tile) and the density contraction with its chunk's temporaries: the
+# tile's LiteralTerms, its four float64 and two complex rows (64), an int64
+# index and three complex rows where x2's frequency is complex (56), seven
+# float64 build temporaries and two complex ones (88); and its float64
+# multiplicities (8)
+TILE_ELEMENT_BYTES = 64 + 56 + 88 + 8
 
 
 class _Level:
@@ -143,7 +141,8 @@ class SymmetricLiteralEvaluator:
         # the floor (m - 3)-level and the one it is built from are the two
         # largest levels held at once; four TILE_MULTISETS-row levels (the
         # (m - 2)-level's held rows, two buffers and the tile), the tile's
-        # working set and the density contraction come on top
+        # working set and the density contraction come on top, stated for
+        # tiles as narrow as one multiset, whose chunks hold the most gts
         floor = mode_count - 3
         levels = range(max(floor - 1, 0), max(floor, 0) + 1)
         rows = sum(math.comb(self.n_values + k - 1, k) for k in levels)
@@ -152,7 +151,7 @@ class SymmetricLiteralEvaluator:
         row = 8 * len(self.feats) + self.wfeats.itemsize * len(self.wfeats) + 8 + 4 + 8
         self.memory_bytes = (self.feats.nbytes + self.wfeats.nbytes + rows * row
                              + TILE_MULTISETS * (4 * row + TILE_ELEMENT_BYTES)
-                             + contraction_bytes(TILE_MULTISETS))
+                             + contraction_bytes(1, EVALUATION_ELEMENT_BYTES))
         check_memory(self.memory_bytes,
                      f"the multiset levels {' and '.join(map(str, levels))} of {mode_count} "
                      f"modes over {self.n_values} values, {rows} rows,")

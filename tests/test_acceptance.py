@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from tcmsim import (CONSISTENT, LITERAL, ExactEvolver, TimeSeries,
+from tcmsim import (CONSISTENT, LITERAL, ExactEvolver,
                     coherent_field, collapse_windows, custom_field,
                     detect_revival_peaks, eof, fock_field, oscillation_rate,
                     single_atom_jcm_series)
@@ -51,7 +51,7 @@ def jcm_series(mean, gt_max, dgt=0.02):
     gts = np.linspace(0.0, gt_max, int(gt_max / dgt))
     w = single_atom_jcm_series(coherent_field(mean), gts)
     zeros = np.zeros_like(w)
-    return TimeSeries(gt=gts, w=w, concurrence=zeros, eof=zeros)
+    return {"gt": gts, "W": w, "concurrence": zeros, "eof": zeros}
 
 
 def test_criterion_1_revival_times():
@@ -76,10 +76,10 @@ def test_criterion_2_single_mode_oracle_equivalence():
         fields = [coherent_field(mean)]
         closed = closed_form_series(fields, gts, CONSISTENT)
         exact = oracle_series(fields, gts)
-        worst["dW"] = max(worst["dW"], float(np.abs(closed.w - exact.w).max()))
+        worst["dW"] = max(worst["dW"], float(np.abs(closed["W"] - exact["W"]).max()))
         worst["dC"] = max(worst["dC"],
-                          float(np.abs(closed.concurrence - exact.concurrence).max()))
-        worst["dEF"] = max(worst["dEF"], float(np.abs(closed.eof - exact.eof).max()))
+                          float(np.abs(closed["concurrence"] - exact["concurrence"]).max()))
+        worst["dEF"] = max(worst["dEF"], float(np.abs(closed["eof"] - exact["eof"]).max()))
     ok = worst["dW"] <= 1e-8 and worst["dC"] <= 1e-8 and worst["dEF"] <= 1e-7
     assert report(2, "consistent closed form tracks the oracle", ok,
                   f"max dW {worst['dW']:.1e}, dC {worst['dC']:.1e}, "
@@ -89,12 +89,12 @@ def test_criterion_2_single_mode_oracle_equivalence():
 def test_criterion_3_entanglement_collapse_and_revival():
     gts = np.linspace(0.0, 20.0, 1200)
     series = closed_form_series([coherent_field(5.0)], gts, LITERAL)
-    step = series.step
+    step = float(series["gt"][1] - series["gt"][0])
     qualifying = []
     for a, b in collapse_windows(series, 0.02):
         lo, hi = max(a, 2.0), min(b, 15.0)
         if hi - lo >= 2 * step:
-            revived = series.concurrence[series.gt > b]
+            revived = series["concurrence"][series["gt"] > b]
             if revived.size and revived.max() > 0.1:
                 qualifying.append((lo, hi))
     ok = bool(qualifying)
@@ -114,7 +114,7 @@ def test_criterion_4_initial_condition():
     for fields in cases:
         raws = closed_form_route(fields, CONSISTENT).raw_densities([0.0])
         obs = observables(raws)
-        w, c = float(obs["w"][0]), float(obs["concurrence"][0])
+        w, c = float(obs["W"][0]), float(obs["concurrence"][0])
         worst = max(worst,
                     float(np.abs(densities(raws)[0] - np.diag([1.0, 0, 0, 0])).max()),
                     abs(w - 1.0), c, eof(c))
@@ -202,7 +202,7 @@ def test_criterion_8_vacuum_analytic_point():
     raw_c = closed_form_route([fock_field(0)], CONSISTENT).raw_densities([gt])
     raw_o, _ = ExactEvolver([fock_field(0)]).densities([gt])
     obs = observables(np.concatenate([raw_c, raw_o]))
-    worst = max(float(np.abs(obs["w"] - targets["W"]).max()),
+    worst = max(float(np.abs(obs["W"] - targets["W"]).max()),
                 float(np.abs(obs["concurrence"] - targets["C"]).max()))
     ok = worst <= 1e-10
     assert report(8, "vacuum point W=-7/9, C=4*sqrt(2)/9 from both routes", ok,

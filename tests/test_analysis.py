@@ -3,30 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcmsim import (LITERAL, ConfigurationError, TimeSeries, coherent_field,
+from tcmsim import (LITERAL, ConfigurationError, coherent_field,
                     collapse_windows, detect_revival_peaks, deviation_report,
                     mode_sweep, oscillation_rate)
-from tcmsim.analysis import find_peaks, moving_average
+from tcmsim.analysis import check_series, find_peaks, moving_average
 from tcmsim.pipeline import closed_form_series
 
 
 def flat_series(gts, c=0.0, w=0.0):
     n = gts.size
-    return TimeSeries(gt=gts, w=np.full(n, w), concurrence=np.full(n, c),
-                      eof=np.zeros(n))
+    return {"gt": gts, "W": np.full(n, w), "concurrence": np.full(n, c),
+            "eof": np.zeros(n)}
 
 
 def test_series_validation():
     gts = np.linspace(0, 1, 10)
     with pytest.raises(ConfigurationError):
-        TimeSeries(gt=gts[::-1], w=np.zeros(10), concurrence=np.zeros(10),
-                   eof=np.zeros(10))
+        check_series({"gt": gts[::-1], "W": np.zeros(10), "concurrence": np.zeros(10),
+                      "eof": np.zeros(10)})
     with pytest.raises(ConfigurationError):
-        TimeSeries(gt=gts, w=np.full(10, 1.5), concurrence=np.zeros(10),
-                   eof=np.zeros(10))
+        check_series({"gt": gts, "W": np.full(10, 1.5), "concurrence": np.zeros(10),
+                      "eof": np.zeros(10)})
     with pytest.raises(ConfigurationError):
-        TimeSeries(gt=gts, w=np.zeros(10), concurrence=np.full(10, 1.2),
-                   eof=np.zeros(10))
+        check_series({"gt": gts, "W": np.zeros(10), "concurrence": np.full(10, 1.2),
+                      "eof": np.zeros(10)})
 
 
 def test_moving_average_constant():
@@ -48,8 +48,7 @@ def test_find_peaks_matches_scipy(values, distance, height):
 def test_detect_triangular_bump():
     gts = np.linspace(0, 20, 801)
     w = np.maximum(0.0, 1.0 - np.abs(gts - 10.0) / 2.0)
-    series = TimeSeries(gt=gts, w=w, concurrence=np.zeros_like(w),
-                        eof=np.zeros_like(w))
+    series = {"gt": gts, "W": w, "concurrence": np.zeros_like(w), "eof": np.zeros_like(w)}
     report = detect_revival_peaks(series, "W", 1, 1.0)
     assert report.found == 1
     assert report.peak_times[0] == pytest.approx(10.0, abs=0.1)
@@ -68,9 +67,9 @@ def test_detect_requires_long_enough_series():
 def test_detect_scale_invariance():
     gts = np.linspace(0, 20, 801)
     w = np.maximum(0.0, 1.0 - np.abs(gts - 10.0) / 2.0)
-    base = TimeSeries(gt=gts, w=w, concurrence=np.zeros_like(w), eof=np.zeros_like(w))
-    scaled = TimeSeries(gt=gts, w=0.3 * w, concurrence=np.zeros_like(w),
-                        eof=np.zeros_like(w))
+    base = {"gt": gts, "W": w, "concurrence": np.zeros_like(w), "eof": np.zeros_like(w)}
+    scaled = {"gt": gts, "W": 0.3 * w, "concurrence": np.zeros_like(w),
+              "eof": np.zeros_like(w)}
     t1 = detect_revival_peaks(base, "W", 1, 1.0).peak_times
     t2 = detect_revival_peaks(scaled, "W", 1, 1.0).peak_times
     assert t1 == t2
@@ -92,14 +91,14 @@ def test_collapse_windows_mean5_consistent():
     wins = collapse_windows(series, 0.02)
     assert wins
     a, b = wins[0]
-    assert series.concurrence[series.gt > b].max() > 0.1
+    assert series["concurrence"][series["gt"] > b].max() > 0.1
 
 
 def test_collapse_windows_sorted_disjoint():
     gts = np.linspace(0, 10, 201)
     c = np.where((gts > 2) & (gts < 4) | (gts > 6) & (gts < 7), 0.0, 0.5)
-    wins = collapse_windows(TimeSeries(gt=gts, w=np.zeros_like(c),
-                                       concurrence=c, eof=np.zeros_like(c)), 0.02)
+    wins = collapse_windows({"gt": gts, "W": np.zeros_like(c),
+                             "concurrence": c, "eof": np.zeros_like(c)}, 0.02)
     assert len(wins) == 2
     assert wins == sorted(wins)
     assert wins[0][1] < wins[1][0]
@@ -107,8 +106,8 @@ def test_collapse_windows_sorted_disjoint():
 
 def test_oscillation_rate_cosine():
     gts = np.linspace(0, 2 * np.pi, 2001)
-    series = TimeSeries(gt=gts, w=np.cos(2 * gts), concurrence=np.zeros_like(gts),
-                        eof=np.zeros_like(gts))
+    series = {"gt": gts, "W": np.cos(2 * gts), "concurrence": np.zeros_like(gts),
+              "eof": np.zeros_like(gts)}
     rate = oscillation_rate(series, "W", (0.0, 2 * np.pi))
     assert rate == pytest.approx(4 / (2 * np.pi), rel=1e-3)
 
@@ -117,10 +116,10 @@ def test_oscillation_rate_constant_and_offset_invariance():
     gts = np.linspace(0, 5, 500)
     assert oscillation_rate(flat_series(gts, w=0.3), "W", (0.0, 5.0)) == 0.0
     base = np.cos(3 * gts)
-    s1 = TimeSeries(gt=gts, w=base * 0.5, concurrence=np.zeros_like(gts),
-                    eof=np.zeros_like(gts))
-    s2 = TimeSeries(gt=gts, w=base * 0.5 + 0.4, concurrence=np.zeros_like(gts),
-                    eof=np.zeros_like(gts))
+    s1 = {"gt": gts, "W": base * 0.5, "concurrence": np.zeros_like(gts),
+          "eof": np.zeros_like(gts)}
+    s2 = {"gt": gts, "W": base * 0.5 + 0.4, "concurrence": np.zeros_like(gts),
+          "eof": np.zeros_like(gts)}
     r1 = oscillation_rate(s1, "W", (0.0, 5.0))
     r2 = oscillation_rate(s2, "W", (0.0, 5.0))
     assert r1 == r2
@@ -150,6 +149,8 @@ def test_mode_sweep_errors():
         mode_sweep([1.0], 2.0, [], LITERAL)
     with pytest.raises(ConfigurationError):
         mode_sweep([], 2.0, [1], LITERAL)
+    with pytest.raises(ConfigurationError, match=r"^duplicate gt values in \[1\.5, 1\.5, 3\.0\]$"):
+        mode_sweep([1.5, 1.5, 3.0], 2.0, [1, 2], LITERAL)
 
 
 def test_deviation_report_identical_and_mismatch():

@@ -37,8 +37,7 @@ def test_compare_m2_bytes(tmp_path, capsys):
 def test_literal_m3_rows():
     gts = uniform_grid(10.0, 1200)[::40]
     series = closed_form_series([coherent_field(25.0)] * 3, gts, LITERAL)
-    lines = csv_lines({"gt": series.gt, "W": series.w,
-                       "concurrence": series.concurrence, "eof": series.eof})
+    lines = csv_lines({name: series[name] for name in ("gt", "W", "concurrence", "eof")})
     expected = reference_lines("literal-m3.csv")
     assert lines == [expected[0], *expected[1::40]]
 

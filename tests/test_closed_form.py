@@ -239,7 +239,7 @@ def test_assemble_consistent_multimode_norm():
         1.0, abs=1e-10)
     raws = blocks.raw_densities([0.8, 2.5])
     series = closed_form_series(fields, [0.8, 2.5], CONSISTENT)
-    for raw, deficit in zip(raws, series.extras["norm_deficit"]):
+    for raw, deficit in zip(raws, series["norm_deficit"]):
         norm = float(np.trace(raw).real)
         assert np.isfinite(norm) and norm > 0
         assert deficit == pytest.approx(1.0 - norm, abs=1e-12)
@@ -646,9 +646,9 @@ def test_consistent_observables_match_assembled_densities():
     for i, gt in enumerate(gts):
         # the grid's observables equal those of the one-gt density
         one = observables(blocks.raw_densities([gt]))
-        w, c = float(one["w"][0]), float(one["concurrence"][0])
-        assert (series.w[i], series.concurrence[i], series.eof[i]) == (w, c, eof(c))
-        assert series.extras["norm_deficit"][i] == one["norm_deficit"][0]
+        w, c = float(one["W"][0]), float(one["concurrence"][0])
+        assert (series["W"][i], series["concurrence"][i], series["eof"][i]) == (w, c, eof(c))
+        assert series["norm_deficit"][i] == one["norm_deficit"][0]
 
 
 @pytest.mark.parametrize("m", [3, 4])

@@ -64,7 +64,7 @@ def _sha(array) -> str:
 def _densities(raws, norms=None) -> dict:
     obs = observables(raws)
     return {"raw": _sha(raws), "norms": _sha(obs["norm_deficit"] if norms is None else norms),
-            "w": _sha(obs["w"]), "concurrence": _sha(obs["concurrence"]),
+            "w": _sha(obs["W"]), "concurrence": _sha(obs["concurrence"]),
             "eof": _sha(obs["eof"])}
 
 

@@ -10,7 +10,7 @@ from tcmsim import (CONSISTENT, closed_form_series, coherent_field, fock_field,
 def two_atom_inversion(field, gts):
     """The two-atom W = P(both excited) - P(both ground) of one consistent
     mode: the W column of its series."""
-    return closed_form_series([field], gts, CONSISTENT).w
+    return closed_form_series([field], gts, CONSISTENT)["W"]
 
 
 def test_two_atom_gt0():

@@ -369,9 +369,9 @@ def test_oracle_series_equals_per_gt_views(fields, stacks, gts_per_chunk, monkey
         assert _same_bits(rhos[i], _reference_density(evolver, float(gt)))
         # the stacked observables equal those of a stack of one
         one = observables(raws[i:i + 1])
-        w, c = float(one["w"][0]), float(one["concurrence"][0])
-        assert (series.w[i], series.concurrence[i], series.eof[i]) == (w, c, eof(c))
-        assert _same_bits(series.extras["norm_drift"][i], abs(norms[i] - norm0))
+        w, c = float(one["W"][0]), float(one["concurrence"][0])
+        assert (series["W"][i], series["concurrence"][i], series["eof"][i]) == (w, c, eof(c))
+        assert _same_bits(series["norm_drift"][i], abs(norms[i] - norm0))
 
 
 def test_state_coefficients_equal_direct_propagation():

@@ -49,10 +49,10 @@ def test_literal_nonidentical_fields_matches_manual_sum():
     rho, _ = normalize(raw[None])
     validate(rho)
     c = concurrences(rho)[0][0]
-    assert series.w[0] == pytest.approx(
+    assert series["W"][0] == pytest.approx(
         float(rho[0, 0, 0].real - rho[0, 3, 3].real), abs=1e-12)
-    assert series.concurrence[0] == pytest.approx(c, abs=1e-12)
-    assert series.eof[0] == pytest.approx(eof(c), abs=1e-12)
+    assert series["concurrence"][0] == pytest.approx(c, abs=1e-12)
+    assert series["eof"][0] == pytest.approx(eof(c), abs=1e-12)
 
 
 @pytest.mark.parametrize("name, what", [("eigvals", "concurrence eigenvalues"),
@@ -77,23 +77,64 @@ def test_stacked_eigensolver_failure_is_a_numerical_failure(monkeypatch, name, w
 def test_consistent_multimode_series_runs():
     fields = [coherent_field(1.5, sigma_width=4.0, coverage_epsilon=1e-8)] * 2
     series = closed_form_series(fields, np.linspace(0, 3, 7), CONSISTENT)
-    assert series.w[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(series.concurrence >= 0)
+    assert series["W"][0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(series["concurrence"] >= 0)
 
 
 def test_oracle_series_has_drift_column():
     series = oracle_series([coherent_field(2.0)], np.linspace(0, 4, 9))
-    assert "norm_drift" in series.extras
-    assert series.extras["norm_drift"].max() <= 1e-10
+    assert "norm_drift" in series
+    assert series["norm_drift"].max() <= 1e-10
 
 
 def test_series_extras_norm_deficit():
     series = closed_form_series([coherent_field(3.0)], np.linspace(0, 4, 9),
                                 LITERAL)
-    assert "norm_deficit" in series.extras
-    assert np.all(np.isfinite(series.extras["norm_deficit"]))
+    assert "norm_deficit" in series
+    assert np.all(np.isfinite(series["norm_deficit"]))
 
 
 def test_every_export_resolves():
     for name in tcmsim.__all__:
         assert getattr(tcmsim, name, None) is not None, name
+
+
+@pytest.mark.parametrize("call", [
+    lambda gts: closed_form_series([coherent_field(2.0)], gts, CONSISTENT),
+    lambda gts: closed_form_series([coherent_field(2.0)] * 2, gts, CONSISTENT),
+    lambda gts: closed_form_series([coherent_field(2.0)] * 2, gts, LITERAL),
+    lambda gts: oracle_series([coherent_field(2.0)], gts),
+], ids=["single-mode-consistent", "consistent-blocks", "symmetric-literal", "oracle"])
+def test_every_route_refuses_a_grid_that_is_not_one_dimensional(call):
+    with pytest.raises(ConfigurationError,
+                       match=r"^gt grid must be one-dimensional, got shape \(2, 2\)$"):
+        call(np.array([[0.0, 1.0], [2.0, 3.0]]))
+
+
+def test_a_grid_that_does_not_increase_is_refused_before_evaluation(monkeypatch):
+    import tcmsim.pipeline as pipeline
+
+    def evaluated(*args):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(pipeline, "closed_form_route", evaluated)
+    monkeypatch.setattr(pipeline, "ExactEvolver", evaluated)
+    field = coherent_field(2.0)
+    for gts in ([1.0, 0.5], [0.5, 0.5]):
+        for call in (lambda: closed_form_series([field], gts, LITERAL),
+                     lambda: oracle_series([field], gts)):
+            with pytest.raises(ConfigurationError,
+                               match="^gt grid must be strictly increasing$"):
+                call()
+
+
+def test_a_computed_inversion_beyond_one_is_a_numerical_failure():
+    # each density passes normalize and validate (its eigenvalues are within
+    # PSD_TOL of zero), but its W exceeds 1 by more than rounding
+    raws = np.array([np.diag([1.0, 0.0, 0.0, 0.0]),
+                     np.diag([1 + 2e-11, -1e-11, 0.0, -1e-11]),
+                     np.diag([1 + 4e-11, -2e-11, 0.0, -2e-11])], dtype=complex)
+    rho, _ = normalize(raws)
+    validate(rho)
+    with pytest.raises(NumericalFailureError, match=r"^\|W\| = 1\.00000000003\d* exceeds 1$"):
+        observables(raws)
