@@ -41,11 +41,11 @@ CONSISTENT = "consistent"
 CONVENTIONS = (LITERAL, CONSISTENT)
 
 # the most bytes an evaluation of anchored amplitudes takes a gt and anchor
-# of its chunk, beside the contraction's stacks: LiteralTerms' tiled
-# complex-frequency constants of two chunk lengths (2 x 48) and a complex
-# x2's transient (32), more than its real frequencies' (16) and than the
-# single-mode routes' three or four complex rows and transient (80, 96)
-EVALUATION_ELEMENT_BYTES = 8 * 16
+# of its chunk, beside the contraction's stacks: the single-mode routes'
+# three or four complex rows and transient (80, 96), more than
+# LiteralTerms' tiled complex-frequency constants (48) with a complex x2's
+# transient (32), and than its real frequencies' (16)
+EVALUATION_ELEMENT_BYTES = 8 * 12
 
 
 def extended_window(window: TruncationWindow) -> TruncationWindow:
@@ -261,7 +261,6 @@ class LiteralTerms:
         d2_c = (m - 1) * (2 * sn[c] - m) + 2 * (s0[c] * sm - tm0[c])
         self.w2_c, self.ratio2_c = np.sqrt(d2_c), 2 * s0[c] ** 2 / d2_c
         self.c0_c = self.c0[c]
-        self._tiled = {}
 
     def branches(self, gts, out: np.ndarray) -> np.ndarray:
         """Write the branch amplitudes (x1, -i x3, -i x3, x2) of gts into
@@ -283,12 +282,10 @@ class LiteralTerms:
         """(len(t), n) x2 at the n complex-frequency positions, from flat,
         contiguous operands: numpy can round a complex product on broadcast
         2-D operands differently (seen for a 1 x 1 result), and x2 must not
-        depend on how the gts are chunked.  The constants are tiled once
-        per chunk length."""
+        depend on how the gts are chunked.  The constants are tiled for
+        this call alone."""
         g, n = t.size, self.complex2.size
-        if g not in self._tiled:
-            self._tiled[g] = tuple(np.tile(a, g) for a in (self.c0_c, self.ratio2_c, self.w2_c))
-        c0, ratio2, w2 = self._tiled[g]
+        c0, ratio2, w2 = (np.tile(a, g) for a in (self.c0_c, self.ratio2_c, self.w2_c))
         return (c0 * (ratio2 * (np.cos(np.repeat(t, n) * w2) - 1.0) + 1.0)).reshape(g, n)
 
 
@@ -377,22 +374,21 @@ class ConsistentBlocks(AnchoredRoute):
         self.dim = 1 + m + len(self.pairs)
         super().__init__(fields, [f.window for f in fields])
 
-        # the bytes held per configuration beside its int64 row: the complex
-        # weight (16), a float64 copy of the row (8 m), the float64
-        # eigenvectors (8 dim**2) and three vectors of dim: the float64
+        # the bytes held per configuration: its int64 row and a float64
+        # copy of it (16 m), the complex weight (16), the float64
+        # eigenvectors (8 dim**2), three vectors of dim: the float64
         # eigenvalues, their complex rates and the eigenvectors' complex
-        # overlaps with |aa, n> (40 dim); and the larger of the float64 block
-        # Hamiltonian during eigh (8 dim**2) and one gt's evaluation: four
-        # complex vectors of dim (the gt's exponentials, their products, the
-        # weighted amplitudes and the last gt's) and two complex columns
-        # (64 dim + 32)
-        row_bytes = (16 + 8 * m + 8 * self.dim ** 2 + 40 * self.dim
-                     + max(8 * self.dim ** 2, 64 * self.dim + 32))
-        configs = config_array([f.window for f in fields], row_bytes,
-                               f"consistent cascade blocks of {self.dim}x{self.dim} entries",
-                               self.memory_bytes)
-        self.memory_bytes += configs.nbytes + len(configs) * row_bytes
-        self.configs = configs
+        # overlaps with |aa, n> (40 dim); and the float64 block Hamiltonian
+        # during eigh (8 dim**2).  One gt's evaluation, after eigh, takes
+        # less for dim >= 6: two complex vectors of dim (the exponentials
+        # and their products, or the products and the amplitudes) and two
+        # complex columns (a one-photon half, still bound from the last
+        # gt, and einsum's buffers), 32 dim + 32
+        count = math.prod(f.window.size for f in fields)
+        self.memory_bytes += count * (16 + 16 * m + 16 * self.dim ** 2 + 40 * self.dim)
+        check_memory(self.memory_bytes,
+                     f"{count} consistent cascade blocks of {self.dim}x{self.dim} entries")
+        self.configs = configs = config_array([f.window for f in fields])
         self.weights = joint_amplitudes(fields, configs)
 
         n = configs.astype(float)
@@ -420,8 +416,8 @@ class ConsistentBlocks(AnchoredRoute):
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         out.fill(0.0)
         for block, gt in zip(out, gts):
-            amps = np.einsum("ndm,nm->nd", self.eigvecs,
-                             np.exp(self._rates * gt) * self._p0) * self.weights[:, None]
+            amps = np.einsum("ndm,nm->nd", self.eigvecs, np.exp(self._rates * gt) * self._p0)
+            np.multiply(amps, self.weights[:, None], out=amps)
             block[0] += amps[:, 0]
             for k in range(m):
                 half = amps[:, 1 + k] * inv_sqrt2
@@ -429,4 +425,5 @@ class ConsistentBlocks(AnchoredRoute):
                 block[2] += half
             for pi in range(len(self.pairs)):
                 block[3] += amps[:, 1 + m + pi]
+            del amps    # freed before the next gt's are made
         return out

@@ -340,19 +340,14 @@ def check_memory(nbytes: int, what: str) -> None:
             f"{MEMORY_BUDGET_BYTES} bytes; reduce the windows, the mean or the mode count")
 
 
-def config_array(windows: list[TruncationWindow], row_bytes: int = 0,
-                 what: str = "configurations", extra_bytes: int = 0) -> np.ndarray:
+def config_array(windows: list[TruncationWindow]) -> np.ndarray:
     """The Cartesian product of the per-mode windows as an (N, m) int64
-    array, in lexicographic order.  Its 8 m bytes a row, plus row_bytes a
-    row and extra_bytes in all that the caller holds beside it, are checked
-    against the memory budget from the window sizes before anything is
-    allocated."""
+    array, in lexicographic order.  The caller checks its 8 m bytes a row,
+    with what it holds beside them, against the memory budget first."""
     if not windows:
         raise ConfigurationError("at least one mode window is required")
     m = len(windows)
-    count = math.prod(w.size for w in windows)
-    check_memory(count * (8 * m + row_bytes) + extra_bytes, f"{count} {what}")
-    out = np.empty((count, m), dtype=np.int64)
+    out = np.empty((math.prod(w.size for w in windows), m), dtype=np.int64)
     grid = out.reshape(*(w.size for w in windows), m)
     for k, w in enumerate(windows):
         grid[..., k] = w.values().reshape([-1 if j == k else 1 for j in range(m)])

@@ -17,6 +17,7 @@ cuts the dynamics there, with no norm drift to show it (docs/decisions.md,
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,9 +140,9 @@ class ExactEvolver:
                                          f.window.n_max + ORACLE_WINDOW_EXTENSION)
                         for f in fields]
         self.shape = tuple(w.size for w in self.windows)
-        self._vector_size = int(np.prod(self.shape))
+        self._vector_size = math.prod(self.shape)
         m = len(fields)
-        # the bytes held per configuration beside its int64 row: its int64
+        # the bytes held per configuration: its int64 row (8 m), its int64
         # photon total and place in the order by total (16) and complex
         # initial amplitude (16); the sector states it is in, at most one
         # per branch, each an int64 branch and row (8 + 8 m), complex
@@ -149,10 +150,11 @@ class ExactEvolver:
         # eigenvalue (8) and int64 final key (8); beside them all, the
         # density contraction's stacks of the branch vectors and, for one
         # mode, the copy of a branch row that shifting it back makes (16 a
-        # gt and configuration)
-        row_bytes = 32 + 4 * (72 + 8 * m)
-        chunk = contraction_bytes(self._vector_size, 16 if m == 1 else 0)
-        configs = config_array(self.windows, row_bytes, "oracle configurations", chunk)
+        # gt and configuration), checked before the rows are enumerated
+        box_bytes = (self._vector_size * (8 * m + 32 + 4 * (72 + 8 * m))
+                     + contraction_bytes(self._vector_size, 16 if m == 1 else 0))
+        check_memory(box_bytes, f"{self._vector_size} oracle configurations")
+        configs = config_array(self.windows)
         totals = configs.sum(axis=1)
         low = int(totals[0]) + 2
 
@@ -182,8 +184,7 @@ class ExactEvolver:
         entries = int(np.sum(dims ** 2))
         largest = int(dims.max())
         per_chunk = chunk_gts(self._vector_size)
-        self.memory_bytes = (configs.nbytes + len(configs) * row_bytes + chunk + 8 * entries
-                             + SECTOR_OBJECT_BYTES * n + 16 * largest ** 2
+        self.memory_bytes = (box_bytes + 8 * entries + SECTOR_OBJECT_BYTES * n + 16 * largest ** 2
                              + per_chunk * (3 * 16 * largest + 8 * n))
         check_memory(self.memory_bytes,
                      f"the {n} sectors of {entries} matrix entries over {len(configs)} "
@@ -256,8 +257,14 @@ class ExactEvolver:
     def branch_vectors(self, gts) -> np.ndarray:
         """(G, 4, N) amplitudes per branch over the final configurations,
         row-major over the oracle windows and unshifted: what the standard
-        partial trace over field states pairs."""
+        partial trace over field states pairs.  Checked first, beside the
+        evolver's statement: the vectors (64 bytes a gt and configuration)
+        and one sector's phases, products and coefficients over the whole
+        grid (3 x 16 bytes a gt and state of the largest sector)."""
         gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        largest = max(s.basis.dim for s in self.sectors)
+        check_memory(self.memory_bytes + gts.size * (64 * self._vector_size + 48 * largest),
+                     f"a grid of {gts.size} gts and its branch vectors")
         vectors = np.zeros((gts.size, 4 * self._vector_size), dtype=complex)
         for sector in self.sectors:
             vectors[:, sector.final] = sector.evolve(gts)

@@ -146,6 +146,21 @@ def test_product_literal_checks_its_budget_before_enumerating(memory_budget):
     assert ProductLiteral(fields).terms.size == count
 
 
+def test_product_literal_keeps_nothing_once_evaluated():
+    import tracemalloc
+
+    # beside the raw stack it returns, an evaluation on 1,200 gts leaves
+    # nothing behind: no tiles of the chunk lengths it ran
+    route = ProductLiteral([coherent_field(2.0), fock_field(1)])
+    tracemalloc.start()
+    try:
+        raw = route.raw_densities(np.linspace(0.0, 10.0, 1200))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - raw.nbytes <= 8192
+
+
 def test_multimode_zero_config_example():
     fields = [coherent_field(1.0)] * 2
     gt = 0.9
@@ -266,6 +281,27 @@ def test_consistent_blocks_hold_each_eigenbasis_once_as_float64():
     n, dim = len(blocks.configs), blocks.dim
     arrays = {id(v): v for v in vars(blocks).values() if isinstance(v, np.ndarray)}
     assert sum(a.nbytes for a in arrays.values()) <= 8 * n * dim ** 2 + 64 * n * dim
+
+
+def test_consistent_blocks_check_their_budget_from_the_window_sizes(memory_budget):
+    # 1e24 blocks: only a check made before anything is allocated can
+    # answer at once
+    flat = custom_field(np.full(10 ** 6, 1e-3))
+    with pytest.raises(ConfigurationError,
+                       match=r"^1000000000000000000000000 consistent cascade blocks of 15x15 "
+                             r"entries need 4408001024003072004096002304 bytes, beyond the "
+                             r"memory budget"):
+        ConsistentBlocks([flat] * 4)
+    # four blocks of 6x6 entries, 864 bytes each, beside the contraction's
+    # 1,769,472: refused a byte short, admitted at 1,772,928
+    fields = [custom_field([0.6, 0.8])] * 2
+    memory_budget(1772927)
+    with pytest.raises(ConfigurationError,
+                       match=r"^4 consistent cascade blocks of 6x6 entries need 1772928 bytes, "
+                             r"beyond the memory budget of 1772927 bytes;"):
+        ConsistentBlocks(fields)
+    memory_budget(1772928)
+    assert len(ConsistentBlocks(fields).configs) == 4
 
 
 @pytest.mark.parametrize("m", [2, 3])

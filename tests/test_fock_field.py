@@ -251,25 +251,6 @@ def test_config_array_matches_enumeration():
     assert [tuple(r) for r in arr] == list(itertools.product(range(1, 4), range(0, 3)))
 
 
-def test_config_array_checks_its_budget_from_the_window_sizes(memory_budget):
-    # 1e24 rows: only a check made before anything is allocated can answer
-    # at once
-    windows = [TruncationWindow(0, 10 ** 6 - 1)] * 4
-    with pytest.raises(ConfigurationError,
-                       match=r"^1000000000000000000000000 test rows need "
-                             r"37000000000000000000000000 bytes, beyond the memory budget"):
-        config_array(windows, 5, "test rows")
-    # four rows of two int64 entries and 4 bytes each, and 2 bytes beside
-    # them: refused a byte short, admitted at 82
-    small = [TruncationWindow(0, 1)] * 2
-    memory_budget(81)
-    with pytest.raises(ConfigurationError,
-                       match=r"^4 test rows need 82 bytes, beyond the memory budget of 81 bytes;"):
-        config_array(small, 4, "test rows", 2)
-    memory_budget(82)
-    assert len(config_array(small, 4, "test rows", 2)) == 4
-
-
 def test_total_weight_over_configs():
     from tcmsim.closed_form import ConsistentBlocks
 

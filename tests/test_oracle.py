@@ -1,13 +1,12 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from tcmsim import (BRANCHES, LITERAL, ConfigurationError, ExactEvolver,
                     NumericalFailureError, SectorBasis, TruncationWindow,
-                    build_hamiltonian, coherent_field, eof, expansion_diagnostic,
+                    build_hamiltonian, coherent_field, custom_field, eof, expansion_diagnostic,
                     fock_field, oracle)
 from tcmsim.basis import EXCITED_COUNT
 from tcmsim.closed_form import SingleModeConsistent
@@ -255,18 +254,42 @@ def test_sector_budgets_count_the_built_sectors(fields, monkeypatch, memory_budg
         ExactEvolver(fields)
 
 
-def test_a_long_grid_stays_within_the_statement_and_the_grid_bytes():
-    # the oracle-large instance of the memory-budget cases on 1,200 gts:
-    # beside its statement, only the grid's own output grows with the grid
-    gts = np.linspace(0.0, 10.0, 1200)
-    tracemalloc.start()
-    try:
-        evolver = ExactEvolver([coherent_field(25.0)] * 2)
-        evolver.densities(gts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= evolver.memory_bytes + GRID_GT_BYTES * gts.size
+def test_oracle_checks_its_configuration_rows_from_the_window_sizes(memory_budget):
+    # 1e24 configurations: only a check made before anything is allocated
+    # can answer at once
+    flat = custom_field(np.full(10 ** 6 - 2, 1.0 / math.sqrt(10 ** 6 - 2)))
+    with pytest.raises(ConfigurationError,
+                       match=r"^1000000000000000000000000 oracle configurations need "
+                             r"608000000000000000000000256 bytes, beyond the memory budget"):
+        ExactEvolver([flat] * 4)
+    # nine rows of 400 bytes beside the contraction's 1,922,304: refused a
+    # byte short, and at 1,925,904 refused by the sector check instead
+    fields = [fock_field(1), fock_field(0)]
+    memory_budget(1925903)
+    with pytest.raises(ConfigurationError,
+                       match=r"^9 oracle configurations need 1925904 bytes, beyond the memory "
+                             r"budget of 1925903 bytes;"):
+        ExactEvolver(fields)
+    memory_budget(1925904)
+    with pytest.raises(ConfigurationError,
+                       match=r"^the 1 sectors of 64 matrix entries over 9 oracle "
+                             r"configurations need 2464568 bytes"):
+        ExactEvolver(fields)
+
+
+def test_branch_vectors_check_the_grid_before_allocating(memory_budget):
+    # beside the statement, 64 bytes a gt and configuration for the
+    # vectors and 48 a gt and state of the largest sector for its evolution
+    evolver = ExactEvolver([fock_field(2)])
+    width = math.prod(evolver.shape)
+    largest = max(s.basis.dim for s in evolver.sectors)
+    checked = evolver.memory_bytes + 5 * (64 * width + 48 * largest)
+    memory_budget(checked - 1)
+    with pytest.raises(ConfigurationError,
+                       match=f"^a grid of 5 gts and its branch vectors need {checked} bytes"):
+        evolver.branch_vectors(np.zeros(5))
+    memory_budget(checked)
+    assert evolver.branch_vectors(np.zeros(5)).shape == (5, 4, width)
 
 
 @pytest.mark.parametrize("route", ["oracle", "single-literal", "symmetric"])
