@@ -14,7 +14,8 @@ from tcmsim.reduced_density import GRID_GT_BYTES
 
 GRID = np.linspace(0.0, 10.0, 1200)
 LONG = ["product-literal", "product-literal-complex", "consistent-blocks",
-        "consistent-blocks-m4", "oracle", "oracle-one-mode", "oracle-large"]
+        "consistent-blocks-m4", "oracle", "oracle-one-mode", "oracle-large",
+        "symmetric-complex"]
 
 
 @pytest.mark.parametrize("name", LONG)
