@@ -40,13 +40,6 @@ LITERAL = "literal"
 CONSISTENT = "consistent"
 CONVENTIONS = (LITERAL, CONSISTENT)
 
-# the most bytes an evaluation of anchored amplitudes takes a gt and anchor
-# of its chunk, beside the contraction's stacks: the single-mode routes'
-# three or four complex rows and transient (80, 96), more than
-# LiteralTerms' tiled complex-frequency constants (48) with a complex x2's
-# transient (32), and than its real frequencies' (16)
-EVALUATION_ELEMENT_BYTES = 8 * 12
-
 
 def extended_window(window: TruncationWindow) -> TruncationWindow:
     """Final-configuration window: two photons below (literal summation
@@ -67,9 +60,6 @@ class AnchoredRoute:
     box of it spanned by the per-mode anchor windows, in C order too.  A
     layout padded differently could regroup the contraction's sums."""
 
-    # what branch_amplitudes takes a gt and anchor of a chunk
-    element_bytes = EVALUATION_ELEMENT_BYTES
-
     def __init__(self, fields: list[FieldDistribution], anchors: list[TruncationWindow]):
         layout = [extended_window(f.window) for f in fields]
         self.shape = tuple(w.size for w in layout)
@@ -80,7 +70,7 @@ class AnchoredRoute:
         # raw_densities' chunk: the contraction's two stacks, the second
         # holding the amplitudes until they are written into the first, and
         # the evaluation's temporaries
-        self.memory_bytes = contraction_bytes(self.width, self.element_bytes)
+        self.memory_bytes = contraction_bytes(self.width)
 
     def anchored_vectors(self, gts, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """out, (G, 4, layout size): the branch amplitudes, evaluated into
@@ -292,12 +282,10 @@ class LiteralTerms:
 # the bytes ProductLiteral holds per configuration: three complex factor
 # rows (48); LiteralTerms' four float64 and two complex rows (64) and,
 # where x2's frequency is complex, an int64 index and three complex rows
-# (56)
+# (56).  Its build's transient, nine float64 statistic rows and seven
+# float64 temporaries (128), is gone before the density contraction is
+# allocated, and within that contraction's allowance
 PRODUCT_LITERAL_ROW_BYTES = 48 + 64 + 56
-# and the transient of its build per configuration, gone before the density
-# contraction is allocated: nine float64 statistic rows and seven float64
-# temporaries
-PRODUCT_LITERAL_BUILD_BYTES = 128
 
 
 class ProductLiteral(AnchoredRoute):
@@ -321,8 +309,7 @@ class ProductLiteral(AnchoredRoute):
         super().__init__(fields, ranges)
         shape = tuple(r.size for r in ranges)
         count = math.prod(shape)
-        self.memory_bytes = (count * PRODUCT_LITERAL_ROW_BYTES
-                             + max(count * PRODUCT_LITERAL_BUILD_BYTES, self.memory_bytes))
+        self.memory_bytes += count * PRODUCT_LITERAL_ROW_BYTES
         check_memory(self.memory_bytes, f"{count} literal multimode configurations")
         # summed and multiplied over the modes in mode order, each mode's
         # values broadcast along its axis, a row at a time: numpy can round
@@ -360,10 +347,6 @@ class ConsistentBlocks(AnchoredRoute):
     the identity.  Eigendecompositions are computed once and reused for
     every requested gt.
     """
-
-    # the evaluation runs gt by gt; its temporaries are stated per
-    # configuration
-    element_bytes = 0
 
     def __init__(self, fields: list[FieldDistribution]):
         m = len(fields)

@@ -26,7 +26,7 @@ from .basis import BRANCHES
 from .errors import ConfigurationError
 from .fock_field import (FieldDistribution, TruncationWindow, check_memory, config_array,
                          joint_amplitudes)
-from .reduced_density import DensityContraction, chunk_gts, contraction_bytes, raise_at_first
+from .reduced_density import DensityContraction, contraction_bytes, raise_at_first
 
 NORM_DRIFT_TOL = 1e-8
 # bounds each sector's eigh time
@@ -148,11 +148,10 @@ class ExactEvolver:
         # per branch, each an int64 branch and row (8 + 8 m), complex
         # initial coefficient, rates and eigenbasis projection (48), float64
         # eigenvalue (8) and int64 final key (8); beside them all, the
-        # density contraction's stacks of the branch vectors and, for one
-        # mode, the copy of a branch row that shifting it back makes (16 a
-        # gt and configuration), checked before the rows are enumerated
+        # density contraction of the branch vectors, whose allowance holds
+        # a chunk's one-mode shift, checked before the rows are enumerated
         box_bytes = (self._vector_size * (8 * m + 32 + 4 * (72 + 8 * m))
-                     + contraction_bytes(self._vector_size, 16 if m == 1 else 0))
+                     + contraction_bytes(self._vector_size))
         check_memory(box_bytes, f"{self._vector_size} oracle configurations")
         configs = config_array(self.windows)
         totals = configs.sum(axis=1)
@@ -178,14 +177,13 @@ class ExactEvolver:
         # beside the rows: every sector's float64 eigenvectors (8 an entry)
         # and Python objects, and while one sector is built or propagated,
         # its float64 Hamiltonian during eigh or the complex cast of its
-        # eigenvectors in a product (16 an entry), with the phases, products
-        # and coefficients of a chunk's gts (3 x 16 a state and gt) and the
-        # chunk's float64 norms per sector
+        # eigenvectors in a product (16 an entry).  The phases, products and
+        # coefficients of a chunk's gts (3 x 16 a gt and state, a sector
+        # holding each configuration at most twice) and their float64 norms
+        # per sector are within the contraction's allowance
         entries = int(np.sum(dims ** 2))
         largest = int(dims.max())
-        per_chunk = chunk_gts(self._vector_size)
-        self.memory_bytes = (box_bytes + 8 * entries + SECTOR_OBJECT_BYTES * n + 16 * largest ** 2
-                             + per_chunk * (3 * 16 * largest + 8 * n))
+        self.memory_bytes = box_bytes + 8 * entries + SECTOR_OBJECT_BYTES * n + 16 * largest ** 2
         check_memory(self.memory_bytes,
                      f"the {n} sectors of {entries} matrix entries over {len(configs)} "
                      "oracle configurations")

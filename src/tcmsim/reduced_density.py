@@ -66,8 +66,6 @@ def validate(rho: np.ndarray) -> None:
 # the most bytes a density contraction's two stacks hold for one chunk of
 # gts: one gt's stacks of width 12,288, 1.5 symmetric tiles of 8,192
 CHUNK_BYTES = 3 * 64 * 8192
-# the complex (4, 4) product of each gt of a chunk, made before it is added
-PRODUCT_BYTES = 256
 # the grid's own output per gt, beside what its route states: the complex
 # (4, 4) unnormalized density (256) and the float64 norm the oracle
 # returns with it (8)
@@ -85,16 +83,16 @@ def chunk_gts(width: int) -> int:
     return max(1, CHUNK_BYTES // stack_bytes(width))
 
 
-def contraction_bytes(width: int, element_bytes: int = 0) -> int:
+def contraction_bytes(width: int) -> int:
     """What a DensityContraction of this width, or narrower chunks, holds
-    while its route fills it: CHUNK_BYTES, or one gt's stacks where those
-    are larger; the products of a chunk of this width; and the route's
-    evaluation temporaries, element_bytes a gt and column, over the most
-    gts and columns a chunk holds (CHUNK_BYTES / 128 = 12,288, or one
-    gt's width)."""
-    elements = max(CHUNK_BYTES // stack_bytes(1), width)
-    return (max(CHUNK_BYTES, stack_bytes(width)) + PRODUCT_BYTES * chunk_gts(width)
-            + element_bytes * elements)
+    while its route fills it: twice its stacks and two CHUNK_BYTES more.
+    A chunk of width w >= 12,288 (one gt) holds 128 w of stacks, at most
+    96 w of evaluation temporaries, 16 w for the one-mode oracle's shift
+    and one 256-byte product, under 256 w; a narrower one holds
+    CHUNK_BYTES of stacks, 0.75 CHUNK_BYTES of temporaries (96 bytes a gt
+    and column, 12,288 of them) and at most 2 CHUNK_BYTES of products
+    (12,288 gts of 256 bytes), under 4 CHUNK_BYTES."""
+    return 2 * max(CHUNK_BYTES, stack_bytes(width)) + 2 * CHUNK_BYTES
 
 
 class DensityContraction:

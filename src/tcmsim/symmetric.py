@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .closed_form import EVALUATION_ELEMENT_BYTES, LiteralTerms, literal_features
+from .closed_form import LiteralTerms, literal_features
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, check_memory
 from .reduced_density import DensityContraction, contraction_bytes
@@ -39,14 +39,6 @@ MAX_MULTISETS = 100_000_000
 # multisets per tile: blocks larger than a tile are summed tile by tile,
 # so this size is part of the summation order
 TILE_MULTISETS = 8192
-# the bytes raw_densities holds per tile element beside four level rows
-# (the (m - 2)-level's held rows, the last two levels' buffers and the
-# tile) and the density contraction with its chunk's temporaries: the
-# tile's LiteralTerms, its four float64 and two complex rows (64), an int64
-# index and three complex rows where x2's frequency is complex (56), seven
-# float64 build temporaries and two complex ones (88); and its float64
-# multiplicities (8)
-TILE_ELEMENT_BYTES = 64 + 56 + 88 + 8
 
 
 class _Level:
@@ -140,9 +132,13 @@ class SymmetricLiteralEvaluator:
                 "reduce windows, coverage, or mode count")
         # the floor (m - 3)-level and the one it is built from are the two
         # largest levels held at once; four TILE_MULTISETS-row levels (the
-        # (m - 2)-level's held rows, two buffers and the tile), the tile's
-        # working set and the density contraction come on top, stated for
-        # tiles as narrow as one multiset, whose chunks hold the most gts
+        # (m - 2)-level's held rows, two buffers and the tile) and the
+        # density contraction come on top, stated for tiles as narrow as one
+        # multiset, whose chunks hold the most gts.  Its allowance also holds
+        # the tile's terms, multiplicities and their build (216 bytes a
+        # multiset): a tile of w multisets and its chunk hold at most
+        # (1.75 + 2 / w + 1.125 w / 8192) CHUNK_BYTES, largest at w = 1 and
+        # under 4 there
         floor = mode_count - 3
         levels = range(max(floor - 1, 0), max(floor, 0) + 1)
         rows = sum(math.comb(self.n_values + k - 1, k) for k in levels)
@@ -150,8 +146,7 @@ class SymmetricLiteralEvaluator:
         # value, the int32 run and the float64 denominator
         row = 8 * len(self.feats) + self.wfeats.itemsize * len(self.wfeats) + 8 + 4 + 8
         self.memory_bytes = (self.feats.nbytes + self.wfeats.nbytes + rows * row
-                             + TILE_MULTISETS * (4 * row + TILE_ELEMENT_BYTES)
-                             + contraction_bytes(1, EVALUATION_ELEMENT_BYTES))
+                             + TILE_MULTISETS * 4 * row + contraction_bytes(1))
         check_memory(self.memory_bytes,
                      f"the multiset levels {' and '.join(map(str, levels))} of {mode_count} "
                      f"modes over {self.n_values} values, {rows} rows,")

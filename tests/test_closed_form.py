@@ -289,18 +289,18 @@ def test_consistent_blocks_check_their_budget_from_the_window_sizes(memory_budge
     flat = custom_field(np.full(10 ** 6, 1e-3))
     with pytest.raises(ConfigurationError,
                        match=r"^1000000000000000000000000 consistent cascade blocks of 15x15 "
-                             r"entries need 4408001024003072004096002304 bytes, beyond the "
+                             r"entries need 4536002048006144008195149824 bytes, beyond the "
                              r"memory budget"):
         ConsistentBlocks([flat] * 4)
     # four blocks of 6x6 entries, 864 bytes each, beside the contraction's
-    # 1,769,472: refused a byte short, admitted at 1,772,928
+    # 6,291,456: refused a byte short, admitted at 6,294,912
     fields = [custom_field([0.6, 0.8])] * 2
-    memory_budget(1772927)
+    memory_budget(6294911)
     with pytest.raises(ConfigurationError,
-                       match=r"^4 consistent cascade blocks of 6x6 entries need 1772928 bytes, "
-                             r"beyond the memory budget of 1772927 bytes;"):
+                       match=r"^4 consistent cascade blocks of 6x6 entries need 6294912 bytes, "
+                             r"beyond the memory budget of 6294911 bytes;"):
         ConsistentBlocks(fields)
-    memory_budget(1772928)
+    memory_budget(6294912)
     assert len(ConsistentBlocks(fields).configs) == 4
 
 

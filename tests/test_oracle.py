@@ -260,20 +260,20 @@ def test_oracle_checks_its_configuration_rows_from_the_window_sizes(memory_budge
     flat = custom_field(np.full(10 ** 6 - 2, 1.0 / math.sqrt(10 ** 6 - 2)))
     with pytest.raises(ConfigurationError,
                        match=r"^1000000000000000000000000 oracle configurations need "
-                             r"608000000000000000000000256 bytes, beyond the memory budget"):
+                             r"736000000000000000003145728 bytes, beyond the memory budget"):
         ExactEvolver([flat] * 4)
-    # nine rows of 400 bytes beside the contraction's 1,922,304: refused a
-    # byte short, and at 1,925,904 refused by the sector check instead
+    # nine rows of 400 bytes beside the contraction's 6,291,456: refused a
+    # byte short, and at 6,295,056 refused by the sector check instead
     fields = [fock_field(1), fock_field(0)]
-    memory_budget(1925903)
+    memory_budget(6295055)
     with pytest.raises(ConfigurationError,
-                       match=r"^9 oracle configurations need 1925904 bytes, beyond the memory "
-                             r"budget of 1925903 bytes;"):
+                       match=r"^9 oracle configurations need 6295056 bytes, beyond the memory "
+                             r"budget of 6295055 bytes;"):
         ExactEvolver(fields)
-    memory_budget(1925904)
+    memory_budget(6295056)
     with pytest.raises(ConfigurationError,
                        match=r"^the 1 sectors of 64 matrix entries over 9 oracle "
-                             r"configurations need 2464568 bytes"):
+                             r"configurations need 6298640 bytes"):
         ExactEvolver(fields)
 
 

@@ -164,3 +164,15 @@ def test_contraction_is_the_weighted_pairing_of_each_gt(weighted, gts_per_chunk,
     assert np.max(np.abs(raw - ref)) <= 1e-13 * np.max(np.abs(ref))
     single = np.stack([contract(v, weights) for v in a])
     assert raw.dtype == single.dtype and raw.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 12_287, 12_288, 12_289, 10 ** 5, 10 ** 6])
+def test_contraction_allowance_holds_every_chunk_working_set(width):
+    # a chunk's stacks, its gts' (4, 4) products (256 bytes each), the
+    # evaluation temporaries (96 bytes a gt and column) and the one-mode
+    # oracle's shift (16), over the most gts and columns a chunk holds:
+    # 12,288, or one gt's width
+    columns = max(12_288, width)
+    held = (max(reduced_density.CHUNK_BYTES, reduced_density.stack_bytes(width))
+            + 256 * reduced_density.chunk_gts(width) + (96 + 16) * columns)
+    assert reduced_density.contraction_bytes(width) >= held
