@@ -41,10 +41,16 @@ CONSISTENT = "consistent"
 CONVENTIONS = (LITERAL, CONSISTENT)
 
 
+def summation_window(window: TruncationWindow) -> TruncationWindow:
+    """A mode's literal summation range: its initial window widened two
+    below, down to the lowest n whose c_{n+2} it holds."""
+    return TruncationWindow(max(0, window.n_min - 2), window.n_max)
+
+
 def extended_window(window: TruncationWindow) -> TruncationWindow:
-    """Final-configuration window: two photons below (literal summation
-    reach) and two above (two-photon emission) the initial window."""
-    return TruncationWindow(max(0, window.n_min - 2), window.n_max + 2)
+    """Final-configuration window: the literal summation range, widened two
+    above the initial window (two-photon emission)."""
+    return TruncationWindow(summation_window(window).n_min, window.n_max + 2)
 
 
 class AnchoredRoute:
@@ -100,22 +106,21 @@ class AnchoredRoute:
 # ---------------------------------------------------------------------------
 
 class SingleModeLiteral(AnchoredRoute):
-    """Published single-mode amplitudes over the summation indices n of the
-    initial window widened two below: x1 on (aa, n), x2 on (bb, n), and
-    x3 = x4 with phase -i on (ab, n) and (ba, n).  c-indices shifted outside
-    the window contribute zero."""
+    """Published single-mode amplitudes over the summation indices n
+    (summation_window): x1 on (aa, n), x2 on (bb, n), and x3 = x4 with
+    phase -i on (ab, n) and (ba, n).  c-indices shifted outside the window
+    contribute zero; c_n, c_{n+1} and c_{n+2} are literal_features' factor
+    rows."""
 
     def __init__(self, field: FieldDistribution):
-        self.field = field
-        window = TruncationWindow(max(0, field.window.n_min - 2), field.window.n_max)
+        window = summation_window(field.window)
         self.ns = window.values()
+        _, self.weights = literal_features(field)
         super().__init__([field], [window])
 
     def branch_amplitudes(self, gts: np.ndarray, out: np.ndarray) -> np.ndarray:
-        ns, c, t = self.ns, self.field, gts[:, None]
-        c0 = c.amplitudes_at(ns)
-        c1 = c.amplitudes_at(ns + 1)
-        c2 = c.amplitudes_at(ns + 2)
+        ns, t = self.ns, gts[:, None]
+        c0, c1, c2 = self.weights
 
         x1 = c2 * np.sqrt((ns + 1.0) * (ns + 2.0)) / (2 * ns + 3.0) \
             * (np.cos(t * np.sqrt(4 * ns + 6.0)) - 1.0)
@@ -166,8 +171,7 @@ class SingleModeConsistent(AnchoredRoute):
 
 def literal_features(field: FieldDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Per-value statistics and amplitude factors of a mode over its
-    summation range (the initial window widened two below), one column per
-    photon number n.
+    summation range (summation_window), one column per photon number n.
 
     The nine statistic rows are n, sqrt(n), sqrt(n+1), sqrt(n+2),
     sqrt(n(n+1)), sqrt((n+1)(n+2)), sqrt((n-1)n), sqrt(n-1) (both zero for
@@ -178,7 +182,7 @@ def literal_features(field: FieldDistribution) -> tuple[np.ndarray, np.ndarray]:
     sum_{i<j}[(sqrt(a_i)+sqrt(b_j))^2 + (sqrt(b_i)+sqrt(a_j))^2]
     = (m-1)(sum a + sum b) + 2[(sum sqrt a)(sum sqrt b) - sum sqrt(a b)].
     """
-    ns = np.arange(max(0, field.window.n_min - 2), field.window.n_max + 1)
+    ns = summation_window(field.window).values()
     v = ns.astype(float)
     stats = np.stack([
         v,
@@ -290,9 +294,9 @@ PRODUCT_LITERAL_ROW_BYTES = 48 + 64 + 56
 
 class ProductLiteral(AnchoredRoute):
     """Published multimode amplitudes over the full product of summation
-    windows (each initial window widened two below), for fields that are
-    not all identical; all four branches of a configuration share it as
-    their anchor.  The gt-independent terms are built once (LiteralTerms).
+    windows (summation_window), for fields that are not all identical;
+    all four branches of a configuration share it as their anchor.  The
+    gt-independent terms are built once (LiteralTerms).
 
     Requires m >= 2: for a single mode every pairwise i<j frequency sum is
     empty and the denominators vanish; use SingleModeLiteral instead.
@@ -304,8 +308,7 @@ class ProductLiteral(AnchoredRoute):
             raise ConfigurationError(
                 "multimode amplitudes need at least two modes; "
                 "use SingleModeLiteral for m=1")
-        ranges = [TruncationWindow(max(0, f.window.n_min - 2), f.window.n_max)
-                  for f in fields]
+        ranges = [summation_window(f.window) for f in fields]
         super().__init__(fields, ranges)
         shape = tuple(r.size for r in ranges)
         count = math.prod(shape)

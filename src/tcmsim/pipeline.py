@@ -13,7 +13,7 @@ from .entanglement import concurrences, eof
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, same_fields
 from .oracle import ExactEvolver
-from .reduced_density import normalize, raise_at_first, validate
+from .reduced_density import normalize, raise_at_first
 from .symmetric import SymmetricLiteralEvaluator
 
 
@@ -58,12 +58,11 @@ def closed_form_route(fields: list[FieldDistribution], convention: str):
 
 def observables(raws: np.ndarray) -> dict[str, np.ndarray]:
     """The W, concurrence, eof and norm_deficit columns of a (G, 4, 4)
-    stack of unnormalized densities, all gts at once: normalize, validate,
-    the Wootters concurrence and the range of W each run on the whole
-    stack.  NumericalFailureError reports the first check that fails, at
-    its first failing gt.  The concurrence and eof clip into [0, 1]."""
+    stack of unnormalized densities, all gts at once: normalize and its
+    checks, the Wootters concurrence and the range of W each run on the
+    whole stack.  NumericalFailureError reports the first check that
+    fails, at its first failing gt.  The concurrence and eof clip into [0, 1]."""
     rho, deficit = normalize(raws)
-    validate(rho)
     c, _ = concurrences(rho)
     w = rho[:, 0, 0].real - rho[:, 3, 3].real
     raise_at_first(np.abs(w) > 1 + RANGE_TOL, lambda i: f"|W| = {abs(w[i]):.15g} exceeds 1")

@@ -1,10 +1,11 @@
 """Two-atom reduced density matrices obtained by tracing out the field.
 
-Densities are normalized and validated as (G, 4, 4) stacks, one matrix per
-gt; a single matrix is a stack of one.  Each check runs on the whole stack,
-and a stack fails at the first check that fails, at that check's first
-failing gt (raise_at_first).  Every route contracts its branch amplitudes
-into such a stack with DensityContraction, under one chunk budget.
+Densities are normalized and checked in one pass (normalize) over
+(G, 4, 4) stacks, one matrix per gt; a single matrix is a stack of one.
+Each check runs on the whole stack, and a stack fails at the first check
+that fails, at that check's first failing gt (raise_at_first).  Every
+route contracts its branch amplitudes into such a stack with
+DensityContraction, under one chunk budget.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 from .errors import NumericalFailureError
 from .fock_field import check_memory
 
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
@@ -28,39 +27,32 @@ def raise_at_first(bad: np.ndarray, message: Callable[[int], str]) -> None:
         raise NumericalFailureError(message(int(np.argmax(bad))))
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(m, -1, -2))
-
-
 def normalize(raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-trace matrices and norm deficits (1 minus the trace before
-    normalization) of a (G, 4, 4) unnormalized stack, Hermitian-symmetrized."""
+    """The density matrices of a (G, 4, 4) unnormalized stack, Hermitian-
+    symmetrized and divided by their traces, and their norm deficits (1
+    minus the trace before normalization).  The checks run in order:
+    finite entries, a positive trace, finite densities, and no eigenvalue
+    below -PSD_TOL.  The symmetrized stack is exactly Hermitian with a real
+    trace, and the division keeps both; overflows are left to the density
+    check, without numpy warnings."""
     raw = np.asarray(raws, dtype=complex)
     raise_at_first(~np.isfinite(raw).all(axis=(-2, -1)), lambda i: (
         "unnormalized density matrix has non-finite entries: the amplitude "
         "sums overflowed"))
-    raw = 0.5 * (raw + _adjoint(raw))
-    trace = np.trace(raw, axis1=-2, axis2=-1).real
-    raise_at_first(trace <= 0.0, lambda i: "amplitude set has zero total norm")
-    return raw / trace[:, None, None], 1.0 - trace
-
-
-def validate(rho: np.ndarray) -> None:
-    """Check a (G, 4, 4) stack of density matrices: finite, Hermitian, unit
-    trace and positive semidefinite, each within its tolerance."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = 0.5 * (raw + np.conj(np.swapaxes(raw, -1, -2)))
+        trace = np.trace(raw, axis1=-2, axis2=-1).real
+        raise_at_first(trace <= 0.0, lambda i: "amplitude set has zero total norm")
+        rho = raw / trace[:, None, None]
     raise_at_first(~np.isfinite(rho).all(axis=(-2, -1)),
                    lambda i: "density matrix has non-finite entries")
-    skew = np.abs(rho - _adjoint(rho)).max(axis=(-2, -1), initial=0.0)
-    raise_at_first(skew > HERMITICITY_TOL, lambda i: "density matrix is not Hermitian")
-    tr = np.trace(rho, axis1=-2, axis2=-1)
-    raise_at_first((np.abs(tr.real - 1.0) > TRACE_TOL) | (np.abs(tr.imag) > TRACE_TOL),
-                   lambda i: f"density matrix trace {tr[i]} != 1")
     try:
         lo = np.linalg.eigvalsh(rho).min(axis=-1, initial=np.inf)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"density matrix eigenvalues: {exc}") from exc
     raise_at_first(lo < -PSD_TOL, lambda i: (
         f"density matrix has negative eigenvalue {lo[i]:.3e} beyond tolerance"))
+    return rho, 1.0 - trace
 
 
 # the most bytes a density contraction's two stacks hold for one chunk of

@@ -21,15 +21,13 @@ from tcmsim.cli import main
 from tcmsim.entanglement import concurrences
 from tcmsim.pipeline import (closed_form_route, closed_form_series, observables,
                              oracle_series)
-from tcmsim.reduced_density import normalize, validate
+from tcmsim.reduced_density import normalize
 
 
 def densities(raws):
-    """The normalized, validated density matrices of a (G, 4, 4) stack of
-    unnormalized ones."""
-    rho, _ = normalize(raws)
-    validate(rho)
-    return rho
+    """The checked density matrices of a (G, 4, 4) stack of unnormalized
+    ones."""
+    return normalize(raws)[0]
 
 
 def concurrence(rho):

@@ -11,16 +11,8 @@ from tcmsim.closed_form import (ConsistentBlocks, ProductLiteral,
                                 SingleModeConsistent, SingleModeLiteral)
 from tcmsim.fock_field import custom_field
 from tcmsim.pipeline import closed_form_route, closed_form_series
-from tcmsim.reduced_density import normalize, validate
+from tcmsim.reduced_density import normalize
 from test_reduced_density import amplitudes, anchored_vectors, contract
-
-
-def densities(raws):
-    """The normalized, validated density matrices of a (G, 4, 4) stack of
-    unnormalized ones, and their norm deficits."""
-    rho, deficit = normalize(raws)
-    validate(rho)
-    return rho, deficit
 
 
 def single_mode_literal(n, gt, field):
@@ -312,8 +304,8 @@ def test_symmetric_evaluator_matches_direct_assembly(m):
     evaluator = SymmetricLiteralEvaluator(field, m)
     product = ProductLiteral([field] * m)
     gts = np.array([0.6, 2.1])
-    rho_sym, deficit_sym = densities(evaluator.raw_densities(gts))
-    rho_dir, deficit_dir = densities(product.raw_densities(gts))
+    rho_sym, deficit_sym = normalize(evaluator.raw_densities(gts))
+    rho_dir, deficit_dir = normalize(product.raw_densities(gts))
     assert np.max(np.abs(rho_sym - rho_dir)) <= 1e-13
     assert deficit_sym == pytest.approx(deficit_dir, abs=1e-12)
 
@@ -324,8 +316,8 @@ def test_symmetric_evaluator_keeps_small_imaginary_parts():
 
     field = custom_field(0.5 + 1e-9 * np.array([1, -2, 3, 1]) * 1j)
     gt = 1.3
-    rho_sym, _ = densities(SymmetricLiteralEvaluator(field, 2).raw_densities([gt]))
-    rho_dir, _ = densities(ProductLiteral([field] * 2).raw_densities([gt]))
+    rho_sym, _ = normalize(SymmetricLiteralEvaluator(field, 2).raw_densities([gt]))
+    rho_dir, _ = normalize(ProductLiteral([field] * 2).raw_densities([gt]))
     assert np.max(np.abs(rho_sym - rho_dir)) <= 1e-13
 
 
@@ -407,8 +399,8 @@ def test_symmetric_evaluator_is_exact_across_tiles(monkeypatch):
     scale = np.max(np.abs(untiled), axis=(1, 2))[:, None, None]
     assert np.max(np.abs(tiled - untiled) / scale) <= 1e-14
     product = ProductLiteral([field] * m)
-    rho_sym, _ = densities(ev.raw_densities([0.6, 2.1]))
-    rho_dir, _ = densities(product.raw_densities([0.6, 2.1]))
+    rho_sym, _ = normalize(ev.raw_densities([0.6, 2.1]))
+    rho_dir, _ = normalize(product.raw_densities([0.6, 2.1]))
     assert np.max(np.abs(rho_sym - rho_dir)) <= 1e-13
 
 
@@ -665,8 +657,8 @@ def test_consistent_anchored_vectors_match_add_at_accumulation(fields):
         vectors = anchored_vectors(blocks, [gt])[0]
         assert _same_bits(vectors, ref)
 
-        rho, deficit = densities(blocks.raw_densities([gt]))
-        rho_ref, deficit_ref = densities(contract(ref)[None])
+        rho, deficit = normalize(blocks.raw_densities([gt]))
+        rho_ref, deficit_ref = normalize(contract(ref)[None])
         assert _same_bits(rho, rho_ref)
         assert deficit == deficit_ref
 

@@ -7,11 +7,12 @@ import pytest
 from tcmsim import (BRANCHES, LITERAL, ConfigurationError, ExactEvolver,
                     NumericalFailureError, SectorBasis, TruncationWindow,
                     build_hamiltonian, coherent_field, custom_field, eof, expansion_diagnostic,
-                    fock_field, oracle)
+                    fock_field, oracle, reduced_density)
 from tcmsim.basis import EXCITED_COUNT
 from tcmsim.closed_form import SingleModeConsistent
 from tcmsim.pipeline import closed_form_route, observables
-from tcmsim.reduced_density import GRID_GT_BYTES, normalize, validate
+from tcmsim.reduced_density import GRID_GT_BYTES, normalize
+from test_memory_budget import traced_peak
 from test_reduced_density import amplitudes, contract
 
 
@@ -23,11 +24,9 @@ def amplitude(evolver, gt, branch, config):
 
 
 def densities(raws):
-    """The normalized, validated density matrices of a (G, 4, 4) stack of
-    unnormalized ones."""
-    rho, _ = normalize(raws)
-    validate(rho)
-    return rho
+    """The checked density matrices of a (G, 4, 4) stack of unnormalized
+    ones."""
+    return normalize(raws)[0]
 
 
 def density_from_branch_vectors(vectors):
@@ -230,6 +229,18 @@ def test_sector_dim_budget(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_SECTOR_DIM", 10)
     with pytest.raises(ConfigurationError):
         ExactEvolver([coherent_field(20.0)] * 2)
+
+
+def test_the_statement_holds_every_sectors_objects(monkeypatch):
+    # 250 one-mode values make 250 sectors of a 252-configuration box; with
+    # the chunk at one gt's stacks of that box, the sectors' Python objects
+    # (SECTOR_OBJECT_BYTES each) are what the statement must hold beside the
+    # rows, eigenvectors and contraction: without them it states 252,000
+    # bytes, below the peak
+    monkeypatch.setattr(reduced_density, "CHUNK_BYTES", reduced_density.stack_bytes(252))
+    evolver, peak = traced_peak(lambda: ExactEvolver([custom_field([(1 / 250) ** 0.5] * 250)]))
+    assert len(evolver.sectors) == 250
+    assert peak <= evolver.memory_bytes
 
 
 @pytest.mark.parametrize("fields", [[coherent_field(5.0)] * 2,

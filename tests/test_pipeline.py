@@ -8,7 +8,7 @@ from tcmsim.closed_form import ProductLiteral
 from tcmsim.entanglement import concurrences
 from tcmsim.pipeline import (closed_form_route, closed_form_series, observables,
                              oracle_series, uniform_grid)
-from tcmsim.reduced_density import normalize, validate
+from tcmsim.reduced_density import normalize
 from test_reduced_density import amplitudes
 
 
@@ -47,7 +47,6 @@ def test_literal_nonidentical_fields_matches_manual_sum():
     for vec in amps.T:
         raw += np.outer(vec, vec.conj())
     rho, _ = normalize(raw[None])
-    validate(rho)
     c = concurrences(rho)[0][0]
     assert series["W"][0] == pytest.approx(
         float(rho[0, 0, 0].real - rho[0, 3, 3].real), abs=1e-12)
@@ -129,12 +128,11 @@ def test_a_grid_that_does_not_increase_is_refused_before_evaluation(monkeypatch)
 
 
 def test_a_computed_inversion_beyond_one_is_a_numerical_failure():
-    # each density passes normalize and validate (its eigenvalues are within
-    # PSD_TOL of zero), but its W exceeds 1 by more than rounding
+    # each density passes normalize (its eigenvalues are within PSD_TOL of
+    # zero), but its W exceeds 1 by more than rounding
     raws = np.array([np.diag([1.0, 0.0, 0.0, 0.0]),
                      np.diag([1 + 2e-11, -1e-11, 0.0, -1e-11]),
                      np.diag([1 + 4e-11, -2e-11, 0.0, -2e-11])], dtype=complex)
-    rho, _ = normalize(raws)
-    validate(rho)
+    normalize(raws)
     with pytest.raises(NumericalFailureError, match=r"^\|W\| = 1\.00000000003\d* exceeds 1$"):
         observables(raws)

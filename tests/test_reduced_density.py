@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tcmsim import NumericalFailureError, coherent_field, fock_field
 from tcmsim.closed_form import SingleModeConsistent, SingleModeLiteral
 from tcmsim.pipeline import observables
 from tcmsim import reduced_density
-from tcmsim.reduced_density import DensityContraction, normalize, validate
+from tcmsim.reduced_density import DensityContraction, normalize
 
 
 def contract(vectors, weights=None):
@@ -38,16 +42,10 @@ def anchored_vectors(route, gts):
 
 
 def density(raw):
-    """One unnormalized matrix normalized and validated as a stack of one:
+    """One unnormalized matrix normalized and checked as a stack of one:
     the density matrix and its norm deficit."""
     rho, deficit = normalize(np.asarray(raw)[None])
-    validate(rho)
     return rho[0], deficit[0]
-
-
-def check(rho):
-    """Validate one density matrix as a stack of one."""
-    validate(np.asarray(rho, dtype=complex)[None])
 
 
 def consistent_density(gt, field):
@@ -94,12 +92,8 @@ def test_zero_norm_raises():
 
 
 def test_density_validation():
-    bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    bad[0, 1] = 0.4j  # not Hermitian
     with pytest.raises(NumericalFailureError):
-        check(bad)
-    with pytest.raises(NumericalFailureError):
-        check(np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex))
+        density(np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex))
 
 
 def test_non_finite_density_raises():
@@ -109,7 +103,55 @@ def test_non_finite_density_raises():
     nan = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     nan[1, 2] = nan[2, 1] = np.nan
     with pytest.raises(NumericalFailureError, match="non-finite"):
-        check(nan)
+        density(nan)
+
+
+def test_a_trace_dwarfed_by_its_coherences_is_a_non_finite_density():
+    # dividing the 1e10 coherences by a trace of 2e-300 overflows: the
+    # density check reports it, and numpy warns of nothing
+    raw = np.diag([1e-300, 1e-300, 0.0, 0.0]).astype(complex)
+    raw[0, 1] = raw[1, 0] = 1e10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: normalize(raw[None]), lambda: observables(raw[None])):
+            with pytest.raises(NumericalFailureError,
+                               match="^density matrix has non-finite entries$"):
+                call()
+
+
+@st.composite
+def raw_stacks(draw):
+    """(G, 4, 4) unnormalized stacks of 1 to 40 matrices, each scaled by
+    10^k for k in [-300, 300]: arbitrary complex entries in the unit square,
+    whose diagonal real parts are replaced by a nonnegative draw plus the
+    off-diagonal moduli of their row and column, so that the symmetrized
+    matrix is diagonally dominant and passes the eigenvalue check."""
+    g = draw(st.integers(min_value=1, max_value=40))
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    raw = (draw(arrays(float, (g, 4, 4), elements=unit))
+           + 1j * draw(arrays(float, (g, 4, 4), elements=unit)))
+    diagonal = np.arange(4)
+    moduli = np.abs(raw)
+    moduli[:, diagonal, diagonal] = 0.0
+    dominance = 0.5 * (moduli.sum(axis=-1) + moduli.sum(axis=-2))
+    extra = draw(arrays(float, (g, 4), elements=st.floats(min_value=0.0, max_value=1.0)))
+    raw[:, diagonal, diagonal] = dominance + extra + 1j * raw[:, diagonal, diagonal].imag
+    scale = 10.0 ** draw(arrays(np.int64, g, elements=st.integers(-300, 300)))
+    return raw * scale[:, None, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(raws=raw_stacks())
+def test_normalized_densities_are_exactly_hermitian_with_unit_trace(raws):
+    # the checks normalize no longer makes: its densities equal their
+    # adjoints exactly (a zero's sign aside), and their traces are real and
+    # within 8 ulps of 1
+    assume(np.all(np.trace(raws, axis1=-2, axis2=-1).real > 0.0))
+    rho, _ = normalize(raws)
+    assert np.array_equal(rho, np.conj(np.swapaxes(rho, -1, -2)))
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    assert np.all(trace.imag == 0.0)
+    assert np.max(np.abs(trace.real - 1.0)) <= 8 * np.finfo(float).eps
 
 
 def test_literal_norm_deficit_recorded():
