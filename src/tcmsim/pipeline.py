@@ -61,7 +61,8 @@ def observables(raws: np.ndarray) -> dict[str, np.ndarray]:
     stack of unnormalized densities, all gts at once: normalize and its
     checks, the Wootters concurrence and the range of W each run on the
     whole stack.  NumericalFailureError reports the first check that
-    fails, at its first failing gt.  The concurrence and eof clip into [0, 1]."""
+    fails, at its first failing gt.  The concurrence and eof clip into
+    [0, 1]."""
     rho, deficit = normalize(raws)
     c, _ = concurrences(rho)
     w = rho[:, 0, 0].real - rho[:, 3, 3].real
