@@ -10,8 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pipeline
+from .entanglement import RANGE_TOL
 from .errors import ConfigurationError
 from .fock_field import DEFAULT_COVERAGE_EPSILON, DEFAULT_SIGMA_WIDTH, coherent_field
+from .reduced_density import check_grid
 
 ENVELOPE_WINDOW_GT = 1.0
 CHANNELS = ("W", "concurrence", "eof")
@@ -19,23 +21,20 @@ CHANNELS = ("W", "concurrence", "eof")
 
 def check_series(series: dict, *channels: str) -> list[np.ndarray]:
     """The gt column and then the named channels of series, as float
-    arrays.  Columns that do not share the gt grid, a gt that is not
-    strictly increasing, |W| > 1, a concurrence or eof outside [0, 1] (each
-    checked where series holds it) and an unknown channel are
+    arrays.  A gt grid that check_grid(increasing=True) refuses, columns
+    that do not share it, |W| > 1, a concurrence or eof outside [0, 1]
+    (each checked where series holds it) and an unknown channel are
     configuration errors."""
-    gt = np.asarray(series["gt"], dtype=float)
+    gt = check_grid(series["gt"], increasing=True)
     columns = {name: np.asarray(series[name], dtype=float)
                for name in CHANNELS if name in series}
-    if gt.ndim != 1 or any(col.shape != gt.shape for col in columns.values()):
+    if any(col.shape != gt.shape for col in columns.values()):
         raise ConfigurationError("all series columns must share the gt grid")
-    if np.any(np.diff(gt) <= 0):
-        raise ConfigurationError("gt grid must be strictly increasing")
-    tol = pipeline.RANGE_TOL
-    if "W" in columns and np.any(np.abs(columns["W"]) > 1 + tol):
+    if "W" in columns and np.any(np.abs(columns["W"]) > 1 + RANGE_TOL):
         raise ConfigurationError("|W| exceeds 1")
     for name in CHANNELS[1:]:
         col = columns.get(name)
-        if col is not None and (np.any(col < -tol) or np.any(col > 1 + tol)):
+        if col is not None and (np.any(col < -RANGE_TOL) or np.any(col > 1 + RANGE_TOL)):
             raise ConfigurationError(f"{name} outside [0, 1]")
     unknown = [name for name in channels if name not in CHANNELS]
     if unknown:
@@ -212,7 +211,7 @@ def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
         raise ConfigurationError("mode counts must be >= 1")
     if not gt_values:
         raise ConfigurationError("empty gt list")
-    gts = np.sort(pipeline.check_grid(gt_values))
+    gts = np.sort(check_grid(gt_values))
     if np.any(np.diff(gts) == 0):
         raise ConfigurationError(f"duplicate gt values in {gt_values}")
 

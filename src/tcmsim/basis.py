@@ -6,4 +6,3 @@ refers to atom 1.
 """
 
 BRANCHES = ("aa", "ab", "ba", "bb")
-EXCITED_COUNT = {"aa": 2, "ab": 1, "ba": 1, "bb": 0}

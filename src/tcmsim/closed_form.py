@@ -32,9 +32,8 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .fock_field import (FieldDistribution, TruncationWindow, check_memory, config_array,
-                         joint_amplitudes)
-from .reduced_density import DensityContraction, contraction_bytes
+from .fock_field import FieldDistribution, TruncationWindow, config_array, joint_amplitudes
+from .reduced_density import DensityContraction, check_grid, check_memory, contraction_bytes
 
 LITERAL = "literal"
 CONSISTENT = "consistent"
@@ -94,7 +93,7 @@ class AnchoredRoute:
     def raw_densities(self, gts) -> np.ndarray:
         """(G, 4, 4) unnormalized densities, contracted a chunk of gts at a
         time (reduced_density.DensityContraction)."""
-        gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        gts = check_grid(gts)
         contraction = DensityContraction(gts.size, self.width, self.memory_bytes)
         for chunk, vectors, scratch in contraction.chunks(self.width):
             contraction.add(chunk, self.anchored_vectors(gts[chunk], vectors, scratch))
@@ -256,12 +255,13 @@ class LiteralTerms:
         self.w2_c, self.ratio2_c = np.sqrt(d2_c), 2 * s0[c] ** 2 / d2_c
         self.c0_c = self.c0[c]
 
-    def branches(self, gts, out: np.ndarray) -> np.ndarray:
-        """Write the branch amplitudes (x1, -i x3, -i x3, x2) of gts into
-        out, a (len(gts), 4, size) complex array, and return it.  The
-        complex x2 terms grow like cosh and may overflow; that is left to
-        the density's non-finite check to report, without numpy warnings."""
-        t = np.atleast_1d(np.asarray(gts, dtype=float))[:, None]
+    def branches(self, gts: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the branch amplitudes (x1, -i x3, -i x3, x2) of gts, a
+        checked grid, into out, a (len(gts), 4, size) complex array, and
+        return it.  The complex x2 terms grow like cosh and may overflow;
+        that is left to the density's non-finite check to report, without
+        numpy warnings."""
+        t = gts[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(self.coef1, np.cos(t * self.w1) - 1.0, out=out[:, 0])
             np.multiply(-1j, self.coef3 * np.sin(t * self.w3), out=out[:, 1])
@@ -395,8 +395,8 @@ class ConsistentBlocks(AnchoredRoute):
 
     def branch_amplitudes(self, gts: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The weighted block amplitudes summed per branch into out zeroed,
-        in cascade order: aa; ab and ba, each the one-photon state over
-        sqrt(2), per mode; bb per mode pair.  einsum casts the real
+        in cascade order: aa; ab, the one-photon state over sqrt(2) per
+        mode, and ba its copy; bb per mode pair.  einsum casts the real
         eigenvectors to complex for each gt's call alone."""
         m = self.mode_count
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -406,9 +406,8 @@ class ConsistentBlocks(AnchoredRoute):
             np.multiply(amps, self.weights[:, None], out=amps)
             block[0] += amps[:, 0]
             for k in range(m):
-                half = amps[:, 1 + k] * inv_sqrt2
-                block[1] += half
-                block[2] += half
+                block[1] += amps[:, 1 + k] * inv_sqrt2
+            block[2] = block[1]
             for pi in range(len(self.pairs)):
                 block[3] += amps[:, 1 + m + pi]
             del amps    # freed before the next gt's are made

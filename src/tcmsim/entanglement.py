@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import ConfigurationError, NumericalFailureError
 from .reduced_density import raise_at_first
 
 EIG_IMAG_TOL = 1e-10
 EIG_NEG_TOL = 1e-10
+# how far W may leave [-1, 1], and a concurrence or E_F [0, 1], by rounding
+RANGE_TOL = 1e-12
 
 # sigma_y (x) sigma_y in the (aa, ab, ba, bb) basis: antidiagonal -1, 1, 1, -1
 _SPIN_FLIP = np.zeros((4, 4))
@@ -60,8 +62,8 @@ def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2 (1-x) with h(0) = h(1) = 0,
     elementwise; a float for a scalar x."""
     x = np.asarray(x, dtype=float)
-    if np.any((x < -1e-12) | (x > 1.0 + 1e-12)):
-        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
+    if np.any((x < -RANGE_TOL) | (x > 1.0 + RANGE_TOL)):
+        raise ConfigurationError(f"binary entropy argument {x} outside [0, 1]")
     x = np.minimum(np.maximum(x, 0.0), 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 0.0 - np.where(x > 0.0, x * np.log2(x), 0.0)
@@ -73,7 +75,7 @@ def eof(c):
     """Entanglement of formation E_F = h((1 + sqrt(1 - C^2))/2),
     elementwise; a float for a scalar C."""
     c = np.asarray(c, dtype=float)
-    if np.any((c < -1e-12) | (c > 1.0 + 1e-12)):
-        raise ValueError(f"concurrence {c} outside [0, 1]")
+    if np.any((c < -RANGE_TOL) | (c > 1.0 + RANGE_TOL)):
+        raise ConfigurationError(f"concurrence {c} outside [0, 1]")
     c = np.minimum(np.maximum(c, 0.0), 1.0)
     return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)

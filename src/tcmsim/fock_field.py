@@ -36,11 +36,6 @@ _SUM_SLACK = 1e-14
 # eps (mean + n log(mean) + log(n!)) ~ 2 eps mean log(mean); with
 # eps = 2.2e-16 that stays below 1e-6 up to a mean of about 1.2e8
 MAX_COHERENT_MEAN = 1e8
-# the most memory a route may hold, in bytes: a quarter of an 8 GB host.
-# Every route states the bytes it holds per configuration, multiset or
-# sector entry, from the dtypes and shapes it allocates, and check_memory
-# refuses an input from those counts before the allocation they guard
-MEMORY_BUDGET_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -329,15 +324,6 @@ def load_custom_field(path) -> FieldDistribution:
     if not values:
         raise ConfigurationError(f"{path}: no amplitudes found")
     return custom_field(values)
-
-
-def check_memory(nbytes: int, what: str) -> None:
-    """Raise a ConfigurationError naming what when nbytes, the memory it
-    needs, exceed MEMORY_BUDGET_BYTES."""
-    if nbytes > MEMORY_BUDGET_BYTES:
-        raise ConfigurationError(
-            f"{what} need {nbytes} bytes, beyond the memory budget of "
-            f"{MEMORY_BUDGET_BYTES} bytes; reduce the windows, the mean or the mode count")
 
 
 def config_array(windows: list[TruncationWindow]) -> np.ndarray:

@@ -6,14 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from .fock_field import FieldDistribution
-from .reduced_density import raise_at_first
+from .reduced_density import check_grid, raise_at_first
 
 
 def single_atom_jcm_series(field: FieldDistribution, gts: np.ndarray) -> np.ndarray:
     """Resonant one-atom inversion W(gt) = sum_n p_n cos(2 gt sqrt(n+1)),
     the standard comparator for collapse-and-revival timing.  A gt whose
     phase 2 gt sqrt(n+1) overflows raises NumericalFailureError."""
-    gts = np.atleast_1d(np.asarray(gts, dtype=float))
+    gts = check_grid(gts)
     p = field.probabilities()
     p = p / p.sum()
     rabi = 2.0 * np.sqrt(field.window.values() + 1.0)

@@ -24,9 +24,9 @@ import numpy as np
 
 from .basis import BRANCHES
 from .errors import ConfigurationError
-from .fock_field import (FieldDistribution, TruncationWindow, check_memory, config_array,
-                         joint_amplitudes)
-from .reduced_density import DensityContraction, contraction_bytes, raise_at_first
+from .fock_field import FieldDistribution, TruncationWindow, config_array, joint_amplitudes
+from .reduced_density import (DensityContraction, check_grid, check_memory, contraction_bytes,
+                              raise_at_first)
 
 NORM_DRIFT_TOL = 1e-8
 # bounds each sector's eigh time
@@ -233,7 +233,7 @@ class ExactEvolver:
         states shifted below the window drop out.  For m >= 2 they are
         paired by final configuration: the standard partial trace over
         field states."""
-        gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        gts = check_grid(gts)
         contraction = DensityContraction(gts.size, self._vector_size, self.memory_bytes)
         norms = np.empty(gts.size)
         for chunk, vectors, _ in contraction.chunks(self._vector_size):
@@ -259,7 +259,7 @@ class ExactEvolver:
         evolver's statement: the vectors (64 bytes a gt and configuration)
         and one sector's phases, products and coefficients over the whole
         grid (3 x 16 bytes a gt and state of the largest sector)."""
-        gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        gts = check_grid(gts)
         largest = max(s.basis.dim for s in self.sectors)
         check_memory(self.memory_bytes + gts.size * (64 * self._vector_size + 48 * largest),
                      f"a grid of {gts.size} gts and its branch vectors")

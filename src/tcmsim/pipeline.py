@@ -9,33 +9,12 @@ import numpy as np
 
 from .closed_form import (CONSISTENT, CONVENTIONS, LITERAL, ConsistentBlocks,
                           ProductLiteral, SingleModeConsistent, SingleModeLiteral)
-from .entanglement import concurrences, eof
+from .entanglement import RANGE_TOL, concurrences, eof
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, same_fields
 from .oracle import ExactEvolver
-from .reduced_density import normalize, raise_at_first
+from .reduced_density import check_grid, normalize, raise_at_first
 from .symmetric import SymmetricLiteralEvaluator
-
-
-# how far W may leave [-1, 1], and a concurrence or E_F [0, 1], by rounding
-RANGE_TOL = 1e-12
-
-
-def check_grid(gts, increasing: bool = False) -> np.ndarray:
-    """gts as a 1-D float array; a grid of more dimensions, NaN, infinite
-    and negative values and, where increasing is set, a grid that is not
-    strictly increasing are configuration errors.  Every route's grid
-    passes through here."""
-    gts = np.atleast_1d(np.asarray(gts, dtype=float))
-    if gts.ndim != 1:
-        raise ConfigurationError(f"gt grid must be one-dimensional, got shape {gts.shape}")
-    bad = ~(np.isfinite(gts) & (gts >= 0.0))
-    if bad.any():
-        raise ConfigurationError(
-            f"gt must be finite and nonnegative, got {gts[bad][0]}")
-    if increasing and np.any(np.diff(gts) <= 0):
-        raise ConfigurationError("gt grid must be strictly increasing")
-    return gts
 
 
 def closed_form_route(fields: list[FieldDistribution], convention: str):

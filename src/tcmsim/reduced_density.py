@@ -3,8 +3,10 @@
 Densities are normalized and checked in one pass (normalize) over
 (G, 4, 4) stacks, one matrix per gt; a single matrix is a stack of one.
 Each check runs on the whole stack, and a stack fails at the first check
-that fails, at that check's first failing gt (raise_at_first).  Every
-route contracts its branch amplitudes into such a stack with
+that fails, at that check's first failing gt (raise_at_first).  This
+module also decides what an evaluation takes in: every evaluator's grid
+passes check_grid and every route's bytes check_memory, and each route
+contracts its branch amplitudes into such a stack with
 DensityContraction, under one chunk budget.
 """
 
@@ -14,10 +16,26 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailureError
-from .fock_field import check_memory
+from .errors import ConfigurationError, NumericalFailureError
 
 PSD_TOL = 1e-10
+
+
+def check_grid(gts, increasing: bool = False) -> np.ndarray:
+    """gts as a 1-D float array; a grid of more dimensions, NaN, infinite
+    and negative values and, where increasing is set, a grid that is not
+    strictly increasing are configuration errors.  Every evaluator's grid
+    passes through here."""
+    gts = np.atleast_1d(np.asarray(gts, dtype=float))
+    if gts.ndim != 1:
+        raise ConfigurationError(f"gt grid must be one-dimensional, got shape {gts.shape}")
+    bad = ~(np.isfinite(gts) & (gts >= 0.0))
+    if bad.any():
+        raise ConfigurationError(
+            f"gt must be finite and nonnegative, got {gts[bad][0]}")
+    if increasing and np.any(np.diff(gts) <= 0):
+        raise ConfigurationError("gt grid must be strictly increasing")
+    return gts
 
 
 def raise_at_first(bad: np.ndarray, message: Callable[[int], str]) -> None:
@@ -53,6 +71,22 @@ def normalize(raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise_at_first(lo < -PSD_TOL, lambda i: (
         f"density matrix has negative eigenvalue {lo[i]:.3e} beyond tolerance"))
     return rho, 1.0 - trace
+
+
+# the most memory a route may hold, in bytes: a quarter of an 8 GB host.
+# Every route states the bytes it holds per configuration, multiset or
+# sector entry, from the dtypes and shapes it allocates, and check_memory
+# refuses an input from those counts before the allocation they guard
+MEMORY_BUDGET_BYTES = 2 << 30
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise a ConfigurationError naming what when nbytes, the memory it
+    needs, exceed MEMORY_BUDGET_BYTES."""
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise ConfigurationError(
+            f"{what} need {nbytes} bytes, beyond the memory budget of "
+            f"{MEMORY_BUDGET_BYTES} bytes; reduce the windows, the mean or the mode count")
 
 
 # the most bytes a density contraction's two stacks hold for one chunk of

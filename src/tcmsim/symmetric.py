@@ -31,8 +31,8 @@ import numpy as np
 
 from .closed_form import LiteralTerms, literal_features
 from .errors import ConfigurationError
-from .fock_field import FieldDistribution, check_memory
-from .reduced_density import DensityContraction, contraction_bytes
+from .fock_field import FieldDistribution
+from .reduced_density import DensityContraction, check_grid, check_memory, contraction_bytes
 
 # bounds the evaluation time
 MAX_MULTISETS = 100_000_000
@@ -174,7 +174,7 @@ class SymmetricLiteralEvaluator:
         contracted, weighted by the multiplicities, a chunk of gts at a time
         (reduced_density.DensityContraction), so the working set stays the
         same size whatever the mode count."""
-        gts = np.atleast_1d(np.asarray(gts, dtype=float))
+        gts = check_grid(gts)
         contraction = DensityContraction(gts.size, TILE_MULTISETS, self.memory_bytes)
         for tile in self._tiles():
             mult = float(math.factorial(self.mode_count)) / tile.denom

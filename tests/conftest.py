@@ -21,6 +21,6 @@ def literal_mean25_series():
 
 @pytest.fixture
 def memory_budget(monkeypatch):
-    """A setter of fock_field.MEMORY_BUDGET_BYTES for the test's duration."""
-    module = importlib.import_module("tcmsim.fock_field")
+    """A setter of reduced_density.MEMORY_BUDGET_BYTES for the test's duration."""
+    module = importlib.import_module("tcmsim.reduced_density")
     return lambda nbytes: monkeypatch.setattr(module, "MEMORY_BUDGET_BYTES", nbytes)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcmsim import NumericalFailureError, binary_entropy, eof, spin_flip
+from tcmsim import ConfigurationError, NumericalFailureError, binary_entropy, eof, spin_flip
 from tcmsim.entanglement import concurrences
 from tcmsim.pipeline import observables
 
@@ -69,9 +69,9 @@ def test_binary_entropy():
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-14)
     assert binary_entropy(0.9) == pytest.approx(0.468995593589281, abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         binary_entropy(1.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         binary_entropy(-0.1)
 
 

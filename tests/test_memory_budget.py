@@ -1,7 +1,7 @@
 """Each route's stated memory against what it allocates.
 
 Every multimode route records in memory_bytes the bytes it checked against
-fock_field.MEMORY_BUDGET_BYTES, written from the dtypes and shapes it
+reduced_density.MEMORY_BUDGET_BYTES, written from the dtypes and shapes it
 allocates.  The tracemalloc peak of building a route and evaluating two gts
 must stay within them; on an instance of ten megabytes or more they must
 also be within twice the peak, so that the statement is neither an

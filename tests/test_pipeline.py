@@ -2,14 +2,46 @@ import numpy as np
 import pytest
 
 import tcmsim
-from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, NumericalFailureError,
-                    coherent_field, eof, fock_field, mode_sweep)
+from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, ExactEvolver,
+                    NumericalFailureError, coherent_field, eof, fock_field, mode_sweep,
+                    single_atom_jcm_series)
+from tcmsim import closed_form, oracle, symmetric
 from tcmsim.closed_form import ProductLiteral
 from tcmsim.entanglement import concurrences
 from tcmsim.pipeline import (closed_form_route, closed_form_series, observables,
                              oracle_series, uniform_grid)
 from tcmsim.reduced_density import normalize
 from test_reduced_density import amplitudes
+
+FIELD = coherent_field(2.0)
+# every evaluator's own grid entry point: the five closed-form routes'
+# raw_densities, the oracle's densities and branch_vectors, and the
+# one-atom inversion
+EVALUATORS = {
+    "single-mode-literal-raw": lambda gts: closed_form_route([FIELD], LITERAL).raw_densities(gts),
+    "single-mode-consistent-raw":
+        lambda gts: closed_form_route([FIELD], CONSISTENT).raw_densities(gts),
+    "product-literal-raw":
+        lambda gts: closed_form_route([FIELD, fock_field(1)], LITERAL).raw_densities(gts),
+    "consistent-blocks-raw":
+        lambda gts: closed_form_route([FIELD] * 2, CONSISTENT).raw_densities(gts),
+    "symmetric-literal-raw":
+        lambda gts: closed_form_route([FIELD] * 2, LITERAL).raw_densities(gts),
+    "oracle-densities": lambda gts: ExactEvolver([FIELD]).densities(gts),
+    "oracle-branch-vectors": lambda gts: ExactEvolver([FIELD]).branch_vectors(gts),
+    "single-atom-jcm": lambda gts: single_atom_jcm_series(FIELD, gts),
+}
+
+
+@pytest.fixture
+def no_contraction(monkeypatch):
+    """Fail the test if any route builds a DensityContraction: a refused
+    grid is refused before one."""
+    def built(*args):
+        raise AssertionError("a DensityContraction was built")
+
+    for module in (closed_form, oracle, symmetric):
+        monkeypatch.setattr(module, "DensityContraction", built)
 
 
 def test_uniform_grid():
@@ -22,14 +54,16 @@ def test_uniform_grid():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
-def test_every_route_rejects_a_bad_gt(bad):
+def test_every_route_rejects_a_bad_gt(bad, no_contraction):
     field = coherent_field(2.0)
     with pytest.raises(ConfigurationError):
         uniform_grid(bad, 5)
     for call in (lambda: closed_form_series([field], [0.0, bad], LITERAL),
                  lambda: closed_form_series([field] * 2, [bad], CONSISTENT),
                  lambda: oracle_series([field], [bad]),
-                 lambda: mode_sweep([1.0, bad], 2.0, [1], LITERAL)):
+                 lambda: mode_sweep([1.0, bad], 2.0, [1], LITERAL),
+                 *(lambda evaluate=evaluate: evaluate([0.0, bad])
+                   for evaluate in EVALUATORS.values())):
         with pytest.raises(ConfigurationError, match="finite and nonnegative"):
             call()
 
@@ -103,8 +137,10 @@ def test_every_export_resolves():
     lambda gts: closed_form_series([coherent_field(2.0)] * 2, gts, CONSISTENT),
     lambda gts: closed_form_series([coherent_field(2.0)] * 2, gts, LITERAL),
     lambda gts: oracle_series([coherent_field(2.0)], gts),
-], ids=["single-mode-consistent", "consistent-blocks", "symmetric-literal", "oracle"])
-def test_every_route_refuses_a_grid_that_is_not_one_dimensional(call):
+    *EVALUATORS.values(),
+], ids=["single-mode-consistent", "consistent-blocks", "symmetric-literal", "oracle",
+        *EVALUATORS])
+def test_every_route_refuses_a_grid_that_is_not_one_dimensional(call, no_contraction):
     with pytest.raises(ConfigurationError,
                        match=r"^gt grid must be one-dimensional, got shape \(2, 2\)$"):
         call(np.array([[0.0, 1.0], [2.0, 3.0]]))
