@@ -51,8 +51,8 @@ def normalize(raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     minus the trace before normalization).  The checks run in order:
     finite entries, a positive trace, finite densities, and no eigenvalue
     below -PSD_TOL.  The symmetrized stack is exactly Hermitian with a real
-    trace, and the division keeps both; overflows are left to the density
-    check, without numpy warnings."""
+    trace, and the division keeps both, for subnormal traces too; overflows
+    are left to the density check, without numpy warnings."""
     raw = np.asarray(raws, dtype=complex)
     raise_at_first(~np.isfinite(raw).all(axis=(-2, -1)), lambda i: (
         "unnormalized density matrix has non-finite entries: the amplitude "
@@ -61,7 +61,15 @@ def normalize(raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raw = 0.5 * (raw + np.conj(np.swapaxes(raw, -1, -2)))
         trace = np.trace(raw, axis1=-2, axis2=-1).real
         raise_at_first(trace <= 0.0, lambda i: "amplitude set has zero total norm")
-        rho = raw / trace[:, None, None]
+        # numpy divides by a real trace through its reciprocal, which
+        # overflows below 2^-1024: a matrix whose trace is below 2^-1000 is
+        # first scaled, exactly, by the power of two that brings its trace
+        # into [0.5, 1); every other matrix is divided as it stands
+        _, shift = np.frexp(trace)
+        shift[trace >= 2.0 ** -1000] = 0
+        parts = np.ascontiguousarray(raw).view(float)
+        rho = (np.ldexp(parts, -shift[:, None, None]).view(complex)
+               / np.ldexp(trace, -shift)[:, None, None])
     raise_at_first(~np.isfinite(rho).all(axis=(-2, -1)),
                    lambda i: "density matrix has non-finite entries")
     try:

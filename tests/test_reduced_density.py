@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -142,6 +142,9 @@ def raw_stacks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(raws=raw_stacks())
+# a subnormal trace, whose reciprocal overflows
+@example(raws=np.diag([5e-324] * 4).astype(complex)[None])
+@example(raws=np.diag([3e-310, 1e-320, 0.0, 0.0]).astype(complex)[None])
 def test_normalized_densities_are_exactly_hermitian_with_unit_trace(raws):
     # the checks normalize no longer makes: its densities equal their
     # adjoints exactly (a zero's sign aside), and their traces are real and
