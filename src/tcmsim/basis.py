@@ -6,3 +6,6 @@ refers to atom 1.
 """
 
 BRANCHES = ("aa", "ab", "ba", "bb")
+
+# photons emitted along each branch relative to the initial |aa> state
+EMITTED = (0, 1, 1, 2)

@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from .basis import EMITTED
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, TruncationWindow, config_array, joint_amplitudes
 from .reduced_density import DensityContraction, check_grid, check_memory, contraction_bytes
@@ -47,9 +48,9 @@ def summation_window(window: TruncationWindow) -> TruncationWindow:
 
 
 def extended_window(window: TruncationWindow) -> TruncationWindow:
-    """Final-configuration window: the literal summation range, widened two
-    above the initial window (two-photon emission)."""
-    return TruncationWindow(summation_window(window).n_min, window.n_max + 2)
+    """Final-configuration window: the literal summation range, widened
+    above the initial window by the most photons a branch emits (two)."""
+    return TruncationWindow(summation_window(window).n_min, window.n_max + max(EMITTED))
 
 
 class AnchoredRoute:

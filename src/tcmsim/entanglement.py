@@ -60,10 +60,12 @@ def concurrences(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2 (1-x) with h(0) = h(1) = 0,
-    elementwise; a float for a scalar x."""
+    elementwise; a float for a scalar x.  The first x outside [0, 1]
+    beyond RANGE_TOL is named in a ConfigurationError."""
     x = np.asarray(x, dtype=float)
-    if np.any((x < -RANGE_TOL) | (x > 1.0 + RANGE_TOL)):
-        raise ConfigurationError(f"binary entropy argument {x} outside [0, 1]")
+    bad = (x < -RANGE_TOL) | (x > 1.0 + RANGE_TOL)
+    if bad.any():
+        raise ConfigurationError(f"binary entropy argument {x[bad][0]} outside [0, 1]")
     x = np.minimum(np.maximum(x, 0.0), 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 0.0 - np.where(x > 0.0, x * np.log2(x), 0.0)
@@ -73,9 +75,11 @@ def binary_entropy(x):
 
 def eof(c):
     """Entanglement of formation E_F = h((1 + sqrt(1 - C^2))/2),
-    elementwise; a float for a scalar C."""
+    elementwise; a float for a scalar C.  The first C outside [0, 1]
+    beyond RANGE_TOL is named in a ConfigurationError."""
     c = np.asarray(c, dtype=float)
-    if np.any((c < -RANGE_TOL) | (c > 1.0 + RANGE_TOL)):
-        raise ConfigurationError(f"concurrence {c} outside [0, 1]")
+    bad = (c < -RANGE_TOL) | (c > 1.0 + RANGE_TOL)
+    if bad.any():
+        raise ConfigurationError(f"concurrence {c[bad][0]} outside [0, 1]")
     c = np.minimum(np.maximum(c, 0.0), 1.0)
     return binary_entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fock_field import FieldDistribution
-from .reduced_density import check_grid, raise_at_first
+from .reduced_density import check_grid, check_memory, raise_at_first
 
 
 def single_atom_jcm_series(field: FieldDistribution, gts: np.ndarray) -> np.ndarray:
@@ -17,6 +17,10 @@ def single_atom_jcm_series(field: FieldDistribution, gts: np.ndarray) -> np.ndar
     p = field.probabilities()
     p = p / p.sum()
     rabi = 2.0 * np.sqrt(field.window.values() + 1.0)
+    # the float64 phases and their cosines, a gt and photon number each
+    check_memory(16 * gts.size * rabi.size,
+                 f"the one-atom phases and cosines of {gts.size} gts over "
+                 f"{rabi.size} photon numbers")
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.outer(gts, rabi)
         w = np.cos(phases) @ p

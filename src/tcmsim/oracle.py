@@ -7,8 +7,9 @@ sectors of fixed total excitation N = sum_k n_k + (number of excited
 atoms).  Each sector block is diagonalized once and the propagator
 exp(-i H gt) is applied per requested time, which is exactly unitary.
 
-The oracle Fock window extends the field window by two photons per mode,
-enough to absorb the at most two photons the atoms emit into one mode.
+The oracle Fock window extends the field window by the most photons a
+branch emits (basis.EMITTED), two per mode, enough to absorb the at most
+two photons the atoms emit into one mode.
 For m >= 2 the box is not closed under photon exchange between modes and
 cuts the dynamics there, with no norm drift to show it (docs/decisions.md,
 "Open point: photon exchange leaves the oracle box").
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BRANCHES
+from .basis import BRANCHES, EMITTED
 from .errors import ConfigurationError
 from .fock_field import FieldDistribution, TruncationWindow, config_array, joint_amplitudes
 from .reduced_density import (DensityContraction, check_grid, check_memory, contraction_bytes,
@@ -31,14 +32,10 @@ from .reduced_density import (DensityContraction, check_grid, check_memory, cont
 NORM_DRIFT_TOL = 1e-8
 # bounds each sector's eigh time
 MAX_SECTOR_DIM = 4000
-ORACLE_WINDOW_EXTENSION = 2
 
 # (branch, target branch) index pairs of S- a_k^+, which lowers one atom
 # and adds a photon to mode k: aa -> ab, ba and ab, ba -> bb
 _LOWERING = ((0, 1), (0, 2), (1, 3), (2, 3))
-
-# photons emitted along each branch relative to the initial |aa> state
-_EMITTED = np.array([0, 1, 1, 2])
 
 # the Python objects of a sector: its _Sector, SectorBasis and eight array
 # headers, about 1.2 KB measured
@@ -120,9 +117,11 @@ class _Sector:
 
     def evolve(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), dim) coefficients of the initial state: one stacked
-        matrix-vector product per gt."""
-        phases = np.exp(self._rates * gts[:, None])
-        return (self.eigvecs @ (phases * self._proj)[:, :, None])[:, :, 0]
+        matrix-vector product per gt.  Overflowing phases are left to the
+        density's non-finite check, without numpy warnings."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = np.exp(self._rates * gts[:, None])
+            return (self.eigvecs @ (phases * self._proj)[:, :, None])[:, :, 0]
 
 
 class ExactEvolver:
@@ -137,7 +136,7 @@ class ExactEvolver:
         if not fields:
             raise ConfigurationError("at least one field is required")
         self.windows = [TruncationWindow(f.window.n_min,
-                                         f.window.n_max + ORACLE_WINDOW_EXTENSION)
+                                         f.window.n_max + max(EMITTED))
                         for f in fields]
         self.shape = tuple(w.size for w in self.windows)
         self._vector_size = math.prod(self.shape)
@@ -166,7 +165,7 @@ class ExactEvolver:
         # the first sector is built.
         counts = np.bincount(totals - totals[0])
         n = sum(f.window.size - 1 for f in fields) + 1
-        branch_total = np.arange(n)[:, None] + _EMITTED
+        branch_total = np.arange(n)[:, None] + EMITTED
         sizes = counts[branch_total]
         dims = sizes.sum(axis=1)
         over = np.flatnonzero(dims > MAX_SECTOR_DIM)
@@ -246,7 +245,7 @@ class ExactEvolver:
                 flat[:, sector.final] = c
             norms[chunk] = sector_norms.sum(axis=-1)
             if len(self.shape) == 1:
-                for b, shift in enumerate(_EMITTED[1:], 1):
+                for b, shift in enumerate(EMITTED[1:], 1):
                     vectors[:, b, :-shift] = vectors[:, b, shift:]
                     vectors[:, b, -shift:] = 0
             contraction.add(chunk, vectors)

@@ -17,10 +17,11 @@ of the level below in place and first writes the rest into that level's
 buffer of TILE_MULTISETS rows.  Levels up to m - 3 are held whole, the
 (m - 2)-level as its first TILE_MULTISETS rows and the last two only in
 their buffers; a tile is at most TILE_MULTISETS rows of one block of the
-last level.  Each row is extended by the same operations from the same
-source rows as if every level were held, and the tiles depend only on the
-block, never on the gt grid, and are summed in the same order, so a grid
-call and single-gt calls give the same bits.
+last level, held one at a time in that level's buffer.  Each row is
+extended by the same operations from the same source rows as if every
+level were held, and the tiles depend only on the block, never on the gt
+grid, and are summed in the same order, so a grid call and single-gt
+calls give the same bits.
 """
 
 from __future__ import annotations
@@ -45,57 +46,54 @@ class _Level:
     """Nondecreasing j-tuples over the value range (a level, or rows of
     one), as parallel arrays, ordered by their last value."""
 
-    def __init__(self, stats, weights, last, run, denom):
+    def __init__(self, stats, weights, run, denom):
         self.stats = stats        # (9, size) float: literal_features' statistic rows
         self.weights = weights    # (3, size) factor rows, real or complex
-        self.last = last          # index of the largest (= final) value
         self.run = run            # length of the trailing equal-value run
         self.denom = denom        # product of factorials of completed counts
-        self.size = last.size
+        self.size = run.size
 
     def __getitem__(self, rows: slice) -> _Level:
         """A view of the given rows."""
-        return _Level(self.stats[:, rows], self.weights[:, rows], self.last[rows],
-                      self.run[rows], self.denom[rows])
+        return _Level(self.stats[:, rows], self.weights[:, rows], self.run[rows],
+                      self.denom[rows])
 
     @classmethod
     def empty(cls, size: int, feats, weights) -> _Level:
         """size uninitialized rows shaped like the per-value table's."""
         return cls(stats=np.empty((len(feats), size)),
                    weights=np.empty((len(weights), size), dtype=weights.dtype),
-                   last=np.empty(size, dtype=np.int64),
                    run=np.empty(size, dtype=np.int32),
                    denom=np.empty(size))
 
 
 def _level_zero(feats, weights) -> _Level:
-    """The empty tuple: zero statistics, unit weights, no last value."""
+    """The empty tuple: zero statistics, unit weights, an empty run."""
     return _Level(stats=np.zeros((len(feats), 1)),
                   weights=np.ones((len(weights), 1), dtype=weights.dtype),
-                  last=np.full(1, -1, dtype=np.int64),
                   run=np.zeros(1, dtype=np.int32),
                   denom=np.ones(1))
 
 
-def _extend_rows(level: _Level, iv: int, feats, weights, out: _Level) -> None:
-    """Extend the rows of level (all with last <= iv) by value index iv,
-    writing them into out's first rows."""
+def _extend_rows(level: _Level, iv: int, tail: int, feats, weights, out: _Level) -> None:
+    """Extend the rows of level (all with last value <= iv) by value index
+    iv, writing them into out's first rows.  The rows from tail on (none
+    if tail is past the last, all if it is negative) already end in iv;
+    they lengthen their run."""
     end = level.size
+    tail = min(max(tail, 0), end)
     np.add(level.stats, feats[:, iv, None], out=out.stats[:, :end])
     np.multiply(level.weights, weights[:, iv, None], out=out.weights[:, :end])
-    out.last[:end] = iv
-    # the rows already ending in iv come last; they lengthen their run
-    tail = int(np.searchsorted(level.last, iv))
     out.run[:tail] = 1
     np.add(level.run[tail:], 1, out=out.run[tail:end])
     np.multiply(level.denom, out.run[:end], out=out.denom[:end])
 
 
 def _block_ends(n_values: int, k: int) -> np.ndarray:
-    """The row after each block of the k-level (k >= 1): block v, the
-    tuples whose largest value index is v, follows the comb(v + k - 1, k)
-    tuples over smaller values and extends the (k - 1)-level's first
-    comb(v + k - 1, k - 1) rows."""
+    """The row after each block of the k-level: block v, the tuples whose
+    largest value index is v, follows the comb(v + k - 1, k) tuples over
+    smaller values and extends the (k - 1)-level's first comb(v + k - 1,
+    k - 1) rows.  The 0-level's one row, the empty tuple, is block 0."""
     return np.array([math.comb(v + k, k) for v in range(n_values)], dtype=np.int64)
 
 
@@ -132,28 +130,29 @@ class SymmetricLiteralEvaluator:
                 "reduce windows, coverage, or mode count")
         # the floor (m - 3)-level and the one it is built from are the two
         # largest levels held at once; four TILE_MULTISETS-row levels (the
-        # (m - 2)-level's held rows, two buffers and the tile) and the
-        # density contraction come on top, stated for tiles as narrow as one
-        # multiset, whose chunks hold the most gts.  Its allowance also holds
-        # the tile's terms, multiplicities and their build (216 bytes a
-        # multiset): a tile of w multisets and its chunk hold at most
-        # (1.75 + 2 / w + 1.125 w / 8192) CHUNK_BYTES, largest at w = 1 and
-        # under 4 there
+        # (m - 2)-level's held rows and the last three levels' buffers, the
+        # last level's holding the tile) and the density contraction come on
+        # top, stated for tiles as narrow as one multiset, whose chunks hold
+        # the most gts.  Its allowance also holds the tile's terms,
+        # multiplicities and their build (216 bytes a multiset): a tile of w
+        # multisets and its chunk hold at most (1.75 + 2 / w + 1.125 w /
+        # 8192) CHUNK_BYTES, largest at w = 1 and under 4 there
         floor = mode_count - 3
         levels = range(max(floor - 1, 0), max(floor, 0) + 1)
         rows = sum(math.comb(self.n_values + k - 1, k) for k in levels)
-        # a level row: the float64 statistics, the factors, the int64 last
-        # value, the int32 run and the float64 denominator
-        row = 8 * len(self.feats) + self.wfeats.itemsize * len(self.wfeats) + 8 + 4 + 8
+        # a level row: the float64 statistics, the factors, the int32 run
+        # and the float64 denominator
+        row = 8 * len(self.feats) + self.wfeats.itemsize * len(self.wfeats) + 4 + 8
         self.memory_bytes = (self.feats.nbytes + self.wfeats.nbytes + rows * row
                              + TILE_MULTISETS * 4 * row + contraction_bytes(1))
         check_memory(self.memory_bytes,
                      f"the multiset levels {' and '.join(map(str, levels))} of {mode_count} "
                      f"modes over {self.n_values} values, {rows} rows,")
-        self._ends = [None] + [_block_ends(self.n_values, k) for k in range(1, mode_count + 1)]
+        self._ends = [_block_ends(self.n_values, k) for k in range(mode_count + 1)]
         # held: every level up to the floor (each dropped once the next is
         # built) and the (m - 2)-level's first TILE_MULTISETS rows; the last
-        # two levels write the rest into a buffer each (see _tiles)
+        # two levels write the rest into a buffer each, and the last level's
+        # holds the tile (see _tiles)
         empty = _Level.empty(0, self.feats, self.wfeats)
         self._held = [_level_zero(self.feats, self.wfeats)] + [empty] * (mode_count - 1)
         for k in range(1, mode_count - 1):
@@ -163,7 +162,7 @@ class SymmetricLiteralEvaluator:
             if whole:
                 self._held[k - 1] = empty
         self._buffers = {k: _Level.empty(TILE_MULTISETS, self.feats, self.wfeats)
-                         for k in (mode_count - 2, mode_count - 1)}
+                         for k in (mode_count - 2, mode_count - 1, mode_count)}
 
     def raw_densities(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), 4, 4) unnormalized density matrices: for every gt the
@@ -181,7 +180,7 @@ class SymmetricLiteralEvaluator:
             terms = LiteralTerms(self.mode_count, tile.stats, tile.weights)
             for chunk, amp, _ in contraction.chunks(terms.size):
                 contraction.add(chunk, terms.branches(gts[chunk], amp), mult)
-            del mult, terms    # freed before the next tile and its terms are built
+            del mult, terms    # freed before the next tile is written and its terms built
         return contraction.raw
 
     def _tiles(self):
@@ -189,9 +188,11 @@ class SymmetricLiteralEvaluator:
         level: each block in turn, cut every TILE_MULTISETS rows from its
         first.  A tile from its block's first row holds the (m - 1)-rows
         the tile before wrote into the level's buffer and writes only the
-        rest, so at m = 3, where a block is one tile, each adds one block."""
+        rest, so at m = 3, where a block is one tile, each adds one block.
+        Every tile is written into the last level's buffer, which holds it
+        until the next is written."""
         m = self.mode_count
-        rows = self._buffers[m - 1]
+        rows, tile = self._buffers[m - 1], self._buffers[m]
         for _, first, _, end in _blocks(self._ends[m], 0, int(self._ends[m][-1])):
             for lo in range(first, end, TILE_MULTISETS):
                 hi = min(lo + TILE_MULTISETS, end)
@@ -200,23 +201,29 @@ class SymmetricLiteralEvaluator:
                 held = self._held[m - 1].size
                 self._write(m - 1, held, b, rows[held:])
                 self._held[m - 1] = rows[:b]
-                yield self._write(m, lo, hi)
+                yield self._write(m, lo, hi, tile)[:hi - lo]
 
     def _write(self, k: int, start: int, hi: int, out: _Level | None = None) -> _Level:
         """Rows start:hi of level k, written into out from row 0 (into a new
         level if out is None).  Rows a:b of block v extend the same rows of
         the (k - 1)-level by v: those held are read in place, and the rest
-        are first written into that level's buffer."""
+        are first written into that level's buffer.  The (k - 1)-rows from
+        that level's block v on already end in v."""
         if out is None:
             out = _Level.empty(hi - start, self.feats, self.wfeats)
         held = self._held[k - 1]
         for v, first, lo, stop in _blocks(self._ends[k], start, hi):
             a, b = lo - first, stop - first
             cut = min(max(a, held.size), b)
+            # the 0-level's one row ends in no value, and its run of 0
+            # lengthens to 1 whichever tail it is given
+            since = int(self._ends[k - 1][v - 1]) if v else 0
             if a < cut:
-                _extend_rows(held[a:cut], v, self.feats, self.wfeats, out[lo - start:])
+                _extend_rows(held[a:cut], v, since - a, self.feats, self.wfeats,
+                             out[lo - start:])
             if cut < b:
                 rows = self._write(k - 1, cut, b, self._buffers[k - 1])
-                _extend_rows(rows[:b - cut], v, self.feats, self.wfeats, out[first + cut - start:])
+                _extend_rows(rows[:b - cut], v, since - cut, self.feats, self.wfeats,
+                             out[first + cut - start:])
         return out
 

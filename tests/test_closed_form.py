@@ -445,8 +445,9 @@ def test_symmetric_evaluator_memory_at_six_modes():
 
     from tcmsim.symmetric import SymmetricLiteralEvaluator
 
-    # the sweep-modes field at m = 6: the stored levels, one tile's
-    # buffers and its working set
+    # the sweep-modes field at m = 6: the tile's working set alone, since
+    # every tile is written into one buffer made with the evaluator; a
+    # second tile of 8,192 rows would add 0.88 MB
     field = coherent_field(15.0, sigma_width=4, coverage_epsilon=1e-6)
     ev = SymmetricLiteralEvaluator(field, 6)
     tracemalloc.start()
@@ -455,15 +456,16 @@ def test_symmetric_evaluator_memory_at_six_modes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9e6
+    assert peak < 3e6
 
 
 def _reference_level(ev, k):
-    """The evaluator's k-level by brute force: every nondecreasing k-tuple
-    of value indices, sorted by the reversed tuple (the levels' order),
-    with its statistics summed from zeros and its factors multiplied from
-    ones in tuple order, and its run and denominator taken from the
-    trailing run lengths."""
+    """The evaluator's k-level by brute force, and each row's largest value
+    index (-1 for the empty tuple): every nondecreasing k-tuple of value
+    indices, sorted by the reversed tuple (the levels' order), with its
+    statistics summed from zeros and its factors multiplied from ones in
+    tuple order, and its run and denominator taken from the trailing run
+    lengths."""
     from tcmsim import symmetric
 
     tuples = sorted(itertools.combinations_with_replacement(range(ev.n_values), k),
@@ -480,38 +482,59 @@ def _reference_level(ev, k):
         run = np.where(same, run + 1, 1).astype(np.int32)
         denom *= run
     last = idx[:, -1] if k else np.full(1, -1, dtype=np.int64)
-    return symmetric._Level(stats, weights, last, run, denom)
+    return symmetric._Level(stats, weights, run, denom), last
+
+
+@pytest.fixture(scope="session")
+def reference_levels():
+    """_reference_level, built once a session for each field and level:
+    the six- and seven-mode tile cases share their fields, and the
+    six-mode final level is the seven-mode penultimate one."""
+    cache = {}
+
+    def level(ev, k):
+        key = (ev.feats.tobytes(), ev.wfeats.tobytes(), k)
+        if key not in cache:
+            cache[key] = _reference_level(ev, k)
+        return cache[key]
+
+    return level
 
 
 def _tile_ranges(ev):
-    """(lo, hi, iv, tile) for each of ev's tiles in summation order: tile
-    holds the multisets that extend penultimate rows lo:hi by value index
-    iv, their largest value."""
+    """(lo, hi, iv, tile) for each of ev's tiles in summation order: tile,
+    a copy (the evaluator writes every tile into one buffer), holds the
+    multisets that extend penultimate rows lo:hi by value index iv, their
+    largest value, whose block holds the tile's first row."""
     from tcmsim import symmetric
 
     ends = symmetric._block_ends(ev.n_values, ev.mode_count)
     at, out = 0, []
     for tile in ev._tiles():
-        iv = int(tile.last[0])
+        iv = int(np.searchsorted(ends, at, side="right"))
         lo = at - (int(ends[iv - 1]) if iv else 0)
-        out.append((lo, lo + tile.size, iv, tile))
+        copy = symmetric._Level(tile.stats.copy(), tile.weights.copy(), tile.run.copy(),
+                                tile.denom.copy())
+        out.append((lo, lo + tile.size, iv, copy))
         at += tile.size
     return out
 
 
-def _base_ranges(penultimate, lo, hi):
-    """(a, b) for each penultimate block that rows lo:hi meet: its rows
-    there extend rows a:b of the (m - 2)-level."""
-    for jv in np.unique(penultimate.last[lo:hi]):
-        first = int(np.searchsorted(penultimate.last, jv))
-        end = int(np.searchsorted(penultimate.last, jv, side="right"))
+def _base_ranges(last, lo, hi):
+    """(a, b) for each penultimate block that rows lo:hi meet, given the
+    penultimate rows' largest values last: its rows there extend rows a:b
+    of the (m - 2)-level."""
+    for jv in np.unique(last[lo:hi]):
+        first = int(np.searchsorted(last, jv))
+        end = int(np.searchsorted(last, jv, side="right"))
         yield max(lo, first) - first, min(hi, end) - first
 
 
 @pytest.mark.parametrize("m, chunk_elements", [
     pytest.param(2, 7, id="2"), pytest.param(3, 7, id="3"), pytest.param(4, 7, id="4"),
     pytest.param(5, 7, id="5"), (6, 7), (6, 40), (7, 7), (7, 40)])
-def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, monkeypatch):
+def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, monkeypatch,
+                                                          reference_levels):
     from tcmsim import symmetric
     from tcmsim.fock_field import custom_field
 
@@ -532,8 +555,8 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, mon
     for field, dtype in zip(fields, (float, complex)):
         ev = symmetric.SymmetricLiteralEvaluator(field, m)
         assert ev.wfeats.dtype == dtype
-        penultimate = _reference_level(ev, m - 1)
-        final = _reference_level(ev, m)
+        penultimate, last = reference_levels(ev, m - 1)
+        final, _ = reference_levels(ev, m)
         ends = symmetric._block_ends(ev.n_values, m)
         tiles = _tile_ranges(ev)
         # the tiles cover every block in order, some start inside a
@@ -542,20 +565,18 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, mon
         assert covered[0][0] == 0 and covered[-1][1] == penultimate.size
         assert sum(hi - lo for lo, hi, _, _ in tiles) == math.comb(ev.n_values + m - 1, m)
         if m > 2:
-            assert any(penultimate.last[lo - 1] == penultimate.last[lo]
-                       for lo, _, _, _ in tiles if lo > 0)
-        assert any(np.unique(penultimate.last[lo:hi]).size > 1 for lo, hi, _, _ in tiles)
+            assert any(last[lo - 1] == last[lo] for lo, _, _, _ in tiles if lo > 0)
+        assert any(np.unique(last[lo:hi]).size > 1 for lo, hi, _, _ in tiles)
         # does a tile read held (m - 2)-rows and write the rest of the same
         # block's rows from the floor level?
         cut = ev._held[m - 2].size
         crossed |= any(a < cut < b for lo, hi, _, _ in tiles
-                       for a, b in _base_ranges(penultimate, lo, hi))
+                       for a, b in _base_ranges(last, lo, hi))
         for lo, hi, iv, tile in tiles:
             # penultimate rows lo:hi extended by iv: the final level's rows
             # from block iv's first row + lo
             first = int(ends[iv - 1]) if iv else 0
             rows = slice(first + lo, first + hi)
-            assert np.array_equal(tile.last, final.last[rows])
             assert np.array_equal(tile.run, final.run[rows])
             assert tile.stats.dtype == final.stats.dtype
             assert np.array_equal(tile.stats, final.stats[:, rows])
@@ -565,7 +586,7 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, mon
             assert np.array_equal(tile.denom, final.denom[rows])
         # a second pass starts from the (m - 1)-rows the first left held
         for (_, _, _, tile), (_, _, _, again) in zip(tiles, _tile_ranges(ev)):
-            for name in ("stats", "weights", "last", "run", "denom"):
+            for name in ("stats", "weights", "run", "denom"):
                 assert np.array_equal(getattr(again, name), getattr(tile, name)), name
         gts = np.linspace(0.0, 6.0, 13)
         assert np.array_equal(ev.raw_densities(gts),
@@ -680,13 +701,13 @@ def test_consistent_observables_match_assembled_densities():
 
 
 @pytest.mark.parametrize("m", [3, 4])
-def test_penultimate_level_equals_concatenated_blocks(m):
+def test_penultimate_level_equals_concatenated_blocks(m, reference_levels):
     from tcmsim import symmetric
 
     field = coherent_field(2.0, sigma_width=4.0, coverage_epsilon=1e-8)
     ev = symmetric.SymmetricLiteralEvaluator(field, m)
     # reference: each level by brute force, its blocks in colex order
-    levels = [_reference_level(ev, k) for k in range(m)]
+    levels = [reference_levels(ev, k)[0] for k in range(m)]
     level = levels[m - 1]
     built = ev._write(m - 1, 0, level.size)
     assert built.size == level.size == math.comb(ev.n_values + m - 2, m - 1)
@@ -696,7 +717,7 @@ def test_penultimate_level_equals_concatenated_blocks(m):
     for i in range(len(ev.wfeats)):
         assert built.weights[i].dtype == level.weights[i].dtype
         assert np.array_equal(built.weights[i], level.weights[i])
-    for name in ("last", "run", "denom"):
+    for name in ("run", "denom"):
         assert getattr(built, name).dtype == getattr(level, name).dtype
         assert np.array_equal(getattr(built, name), getattr(level, name))
     # the evaluator holds the (m - 3)-level, the (m - 2)-level's first
@@ -706,6 +727,6 @@ def test_penultimate_level_equals_concatenated_blocks(m):
     assert ev._held[m - 1].size == 0
     for stored, ref in ((floor, levels[m - 3]), (head, levels[m - 2])):
         assert stored.size == min(ref.size, prefix if stored is head else ref.size)
-        for name in ("stats", "weights", "last", "run", "denom"):
+        for name in ("stats", "weights", "run", "denom"):
             got, want = getattr(stored, name), getattr(ref, name)[..., :stored.size]
             assert got.dtype == want.dtype and np.array_equal(got, want), name

@@ -124,6 +124,19 @@ def test_entanglement_point():
     assert np.array_equal(obs["eof"] == 0.0, obs["concurrence"] == 0.0)
 
 
+@pytest.mark.parametrize("function, name", [(eof, "concurrence"),
+                                            (binary_entropy, "binary entropy argument")],
+                         ids=["eof", "binary_entropy"])
+def test_an_argument_out_of_range_is_named_by_its_first_value(function, name):
+    values = np.linspace(0.0, 1.0, 1201)
+    values[[700, 900]] = [1.5, -0.25]
+    with pytest.raises(ConfigurationError, match=rf"^{name} 1\.5 outside \[0, 1\]$"):
+        function(values)
+    values[600] = -0.5
+    with pytest.raises(ConfigurationError, match=rf"^{name} -0\.5 outside \[0, 1\]$"):
+        function(values)
+
+
 def test_eof_of_an_array_is_eof_of_each_value():
     cs = np.concatenate([np.linspace(0.0, 1.0, 2001), [0.96, 0.25, 1e-9]])
     values = eof(cs)

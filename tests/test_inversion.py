@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tcmsim import (CONSISTENT, closed_form_series, coherent_field, fock_field,
-                    single_atom_jcm_series)
+from tcmsim import (CONSISTENT, ConfigurationError, closed_form_series, coherent_field,
+                    fock_field, single_atom_jcm_series)
 
 
 def two_atom_inversion(field, gts):
@@ -47,3 +47,16 @@ def test_single_atom_collapse():
     w = single_atom_jcm_series(f, gts)
     window = (gts >= 8.0) & (gts <= 20.0)
     assert np.max(np.abs(w[window])) < 0.05
+
+
+def test_single_atom_phases_are_checked_against_the_budget(memory_budget):
+    # 16 bytes a gt and photon number: the float64 phases and cosines
+    field = coherent_field(4.0)
+    gts = np.linspace(0.0, 10.0, 101)
+    nbytes = 16 * gts.size * field.window.size
+    memory_budget(nbytes - 1)
+    with pytest.raises(ConfigurationError,
+                       match=f"101 gts over {field.window.size} photon numbers need {nbytes} bytes"):
+        single_atom_jcm_series(field, gts)
+    memory_budget(nbytes)
+    assert single_atom_jcm_series(field, gts).shape == gts.shape

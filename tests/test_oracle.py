@@ -434,6 +434,15 @@ def test_batched_oracle_raises_on_norm_drift(monkeypatch):
         evolver.check_drift(evolver.densities([0.5])[1])
 
 
+def test_an_overflowing_phase_fails_the_density_check_without_warnings():
+    from tcmsim.pipeline import oracle_series
+
+    # gt times a sector eigenvalue overflows: the density check's one
+    # error, with no numpy warning ahead of it (warnings are errors here)
+    with pytest.raises(NumericalFailureError, match="non-finite entries"):
+        oracle_series([coherent_field(2.0)], [0.0, 1e308])
+
+
 def test_branch_vectors_pair_like_the_multimode_density():
     # for m >= 2 densities pairs amplitudes by final configuration, which
     # is the standard partial trace over branch_vectors
