@@ -13,7 +13,7 @@ from . import pipeline
 from .entanglement import RANGE_TOL
 from .errors import ConfigurationError
 from .fock_field import DEFAULT_COVERAGE_EPSILON, DEFAULT_SIGMA_WIDTH, coherent_field
-from .reduced_density import check_grid
+from .reduced_density import check_finite, check_grid
 
 ENVELOPE_WINDOW_GT = 1.0
 CHANNELS = ("W", "concurrence", "eof")
@@ -23,8 +23,14 @@ def check_series(series: dict, *channels: str) -> list[np.ndarray]:
     """The gt column and then the named channels of series, as float
     arrays.  A gt grid that check_grid(increasing=True) refuses, columns
     that do not share it, |W| > 1, a concurrence or eof outside [0, 1]
-    (each checked where series holds it) and an unknown channel are
-    configuration errors."""
+    (each checked where series holds it), an unknown channel and a gt or
+    named channel that series lacks are configuration errors."""
+    unknown = [name for name in channels if name not in CHANNELS]
+    if unknown:
+        raise ConfigurationError(f"unknown channel {unknown[0]!r}")
+    missing = [name for name in ("gt", *channels) if name not in series]
+    if missing:
+        raise ConfigurationError(f"series has no {missing[0]!r} column")
     gt = check_grid(series["gt"], increasing=True)
     columns = {name: np.asarray(series[name], dtype=float)
                for name in CHANNELS if name in series}
@@ -36,9 +42,6 @@ def check_series(series: dict, *channels: str) -> list[np.ndarray]:
         col = columns.get(name)
         if col is not None and (np.any(col < -RANGE_TOL) or np.any(col > 1 + RANGE_TOL)):
             raise ConfigurationError(f"{name} outside [0, 1]")
-    unknown = [name for name in channels if name not in CHANNELS]
-    if unknown:
-        raise ConfigurationError(f"unknown channel {unknown[0]!r}")
     return [gt, *(columns[name] for name in channels)]
 
 
@@ -195,32 +198,45 @@ def oscillation_rate(series: dict, channel: str,
     return crossings / (hi - lo)
 
 
-def mode_sweep(gt_values: list[float], mean: float, m_range: list[int],
-               convention: str, sigma_width: float = DEFAULT_SIGMA_WIDTH,
+def mode_sweep(gt_values, mean: float, m_range, convention: str,
+               sigma_width: float = DEFAULT_SIGMA_WIDTH,
                coverage_epsilon: float = DEFAULT_COVERAGE_EPSILON) -> dict[str, np.ndarray]:
     """Entanglement per (mode count, gt) cell for identical coherent fields
     of the given per-mode mean, as the columns m, gt, concurrence and eof
     with one row per cell, by ascending m and then gt.  Single-mode cells
-    use the single-mode amplitudes; every gt must be finite, nonnegative
-    and given once."""
-    if not m_range:
+    use the single-mode amplitudes; every mode count must be an integer
+    >= 1 and every gt finite and nonnegative, each given once.
+
+    Each mode count's raw densities fail at once on a non-finite entry;
+    the rest of the observables' checks run in one pass over the whole
+    table, after the last route has freed its working set."""
+    counts = np.asarray(m_range, dtype=float)
+    if counts.ndim != 1:
+        raise ConfigurationError(f"mode counts must be one-dimensional, got shape {counts.shape}")
+    if not counts.size:
         raise ConfigurationError("empty mode list")
-    if len(set(m_range)) != len(m_range):
+    fractional = ~np.isfinite(counts) | (counts != np.floor(counts))
+    if fractional.any():
+        raise ConfigurationError(f"mode counts must be integers, got {counts[fractional][0]:g}")
+    ms = sorted(int(m) for m in counts)
+    if len(set(ms)) != len(ms):
         raise ConfigurationError(f"duplicate mode counts in {m_range}")
-    if any(m < 1 for m in m_range):
+    if ms[0] < 1:
         raise ConfigurationError("mode counts must be >= 1")
-    if not gt_values:
-        raise ConfigurationError("empty gt list")
     gts = np.sort(check_grid(gt_values))
+    if not gts.size:
+        raise ConfigurationError("empty gt list")
     if np.any(np.diff(gts) == 0):
         raise ConfigurationError(f"duplicate gt values in {gt_values}")
 
     field = coherent_field(mean, sigma_width, coverage_epsilon)
-    ms = sorted(m_range)
-    series = [pipeline.closed_form_series([field] * m, gts, convention) for m in ms]
+    # no eigensolver runs before the last route: the pages it faults in
+    # would stay resident under the largest route's working set
+    raws = [check_finite(pipeline.closed_form_route([field] * m, convention).raw_densities(gts))
+            for m in ms]
+    obs = pipeline.observables(np.concatenate(raws))
     return {"m": np.repeat(ms, gts.size), "gt": np.tile(gts, len(ms)),
-            "concurrence": np.concatenate([s["concurrence"] for s in series]),
-            "eof": np.concatenate([s["eof"] for s in series])}
+            "concurrence": obs["concurrence"], "eof": obs["eof"]}
 
 
 @dataclass

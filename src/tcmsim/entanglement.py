@@ -61,9 +61,9 @@ def concurrences(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2 (1-x) with h(0) = h(1) = 0,
     elementwise; a float for a scalar x.  The first x outside [0, 1]
-    beyond RANGE_TOL is named in a ConfigurationError."""
+    beyond RANGE_TOL, or NaN, is named in a ConfigurationError."""
     x = np.asarray(x, dtype=float)
-    bad = (x < -RANGE_TOL) | (x > 1.0 + RANGE_TOL)
+    bad = ~((x >= -RANGE_TOL) & (x <= 1.0 + RANGE_TOL))
     if bad.any():
         raise ConfigurationError(f"binary entropy argument {x[bad][0]} outside [0, 1]")
     x = np.minimum(np.maximum(x, 0.0), 1.0)
@@ -76,9 +76,9 @@ def binary_entropy(x):
 def eof(c):
     """Entanglement of formation E_F = h((1 + sqrt(1 - C^2))/2),
     elementwise; a float for a scalar C.  The first C outside [0, 1]
-    beyond RANGE_TOL is named in a ConfigurationError."""
+    beyond RANGE_TOL, or NaN, is named in a ConfigurationError."""
     c = np.asarray(c, dtype=float)
-    bad = (c < -RANGE_TOL) | (c > 1.0 + RANGE_TOL)
+    bad = ~((c >= -RANGE_TOL) & (c <= 1.0 + RANGE_TOL))
     if bad.any():
         raise ConfigurationError(f"concurrence {c[bad][0]} outside [0, 1]")
     c = np.minimum(np.maximum(c, 0.0), 1.0)

@@ -24,6 +24,8 @@ def closed_form_route(fields: list[FieldDistribution], convention: str):
     enumerate the configuration product (with resource guards)."""
     if convention not in CONVENTIONS:
         raise ConfigurationError(f"unknown convention {convention!r}")
+    if not fields:
+        raise ConfigurationError("at least one field is required")
     m = len(fields)
     if m == 1:
         route = SingleModeLiteral if convention == LITERAL else SingleModeConsistent

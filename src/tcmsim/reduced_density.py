@@ -45,18 +45,26 @@ def raise_at_first(bad: np.ndarray, message: Callable[[int], str]) -> None:
         raise NumericalFailureError(message(int(np.argmax(bad))))
 
 
-def normalize(raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The density matrices of a (G, 4, 4) unnormalized stack, Hermitian-
-    symmetrized and divided by their traces, and their norm deficits (1
-    minus the trace before normalization).  The checks run in order:
-    finite entries, a positive trace, finite densities, and no eigenvalue
-    below -PSD_TOL.  The symmetrized stack is exactly Hermitian with a real
-    trace, and the division keeps both, for subnormal traces too; overflows
-    are left to the density check, without numpy warnings."""
+def check_finite(raws: np.ndarray) -> np.ndarray:
+    """A (G, 4, 4) unnormalized stack as a complex array; a stack with a
+    non-finite entry fails at its first such gt."""
     raw = np.asarray(raws, dtype=complex)
     raise_at_first(~np.isfinite(raw).all(axis=(-2, -1)), lambda i: (
         "unnormalized density matrix has non-finite entries: the amplitude "
         "sums overflowed"))
+    return raw
+
+
+def normalize(raws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The density matrices of a (G, 4, 4) unnormalized stack, Hermitian-
+    symmetrized and divided by their traces, and their norm deficits (1
+    minus the trace before normalization).  The checks run in order:
+    finite entries (check_finite), a positive trace, finite densities, and
+    no eigenvalue below -PSD_TOL.  The symmetrized stack is exactly
+    Hermitian with a real trace, and the division keeps both, for subnormal
+    traces too; overflows are left to the density check, without numpy
+    warnings."""
+    raw = check_finite(raws)
     with np.errstate(over="ignore", invalid="ignore"):
         raw = 0.5 * (raw + np.conj(np.swapaxes(raw, -1, -2)))
         trace = np.trace(raw, axis1=-2, axis2=-1).real

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcmsim import (LITERAL, ConfigurationError, coherent_field,
-                    collapse_windows, detect_revival_peaks, deviation_report,
-                    mode_sweep, oscillation_rate)
+from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, NumericalFailureError,
+                    coherent_field, collapse_windows, detect_revival_peaks,
+                    deviation_report, mode_sweep, oscillation_rate, pipeline)
 from tcmsim.analysis import check_series, find_peaks, moving_average
 from tcmsim.pipeline import closed_form_series
 
@@ -27,6 +27,17 @@ def test_series_validation():
     with pytest.raises(ConfigurationError):
         check_series({"gt": gts, "W": np.zeros(10), "concurrence": np.full(10, 1.2),
                       "eof": np.zeros(10)})
+
+
+def test_a_series_without_a_requested_column_is_refused():
+    gts = np.linspace(0, 1, 10)
+    with pytest.raises(ConfigurationError, match="^series has no 'concurrence' column$"):
+        collapse_windows({"gt": gts}, 0.05)
+    no_w = {"gt": gts, "concurrence": np.zeros(10), "eof": np.zeros(10)}
+    with pytest.raises(ConfigurationError, match="^series has no 'W' column$"):
+        deviation_report(no_w, flat_series(gts))
+    with pytest.raises(ConfigurationError, match="^series has no 'gt' column$"):
+        check_series({"W": np.zeros(10)}, "W")
 
 
 def test_moving_average_constant():
@@ -151,6 +162,70 @@ def test_mode_sweep_errors():
         mode_sweep([], 2.0, [1], LITERAL)
     with pytest.raises(ConfigurationError, match=r"^duplicate gt values in \[1\.5, 1\.5, 3\.0\]$"):
         mode_sweep([1.5, 1.5, 3.0], 2.0, [1, 2], LITERAL)
+
+
+def test_mode_sweep_takes_arrays_and_refuses_fractional_mode_counts():
+    table = mode_sweep([1.5, 2.25], 2.0, [1, 2], LITERAL)
+    for gts, modes in (([1.5, 2.25], (2, 1)), (np.array([2.25, 1.5]), [1, 2]),
+                       ([1.5, 2.25], np.array([1, 2])), ((1.5, 2.25), np.array([2.0, 1.0]))):
+        other = mode_sweep(gts, 2.0, modes, LITERAL)
+        assert all(np.array_equal(other[k], table[k]) for k in table)
+    assert table["m"].dtype.kind == "i"
+    for modes, value in (([2.5], r"2\.5"), (np.array([1.0, 1.5]), r"1\.5"), ([1, np.nan], "nan")):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^mode counts must be integers, got {value}$"):
+            mode_sweep([1.5], 2.0, modes, LITERAL)
+    for modes in (2, [[1, 2]]):
+        with pytest.raises(ConfigurationError, match="^mode counts must be one-dimensional"):
+            mode_sweep([1.5], 2.0, modes, LITERAL)
+    with pytest.raises(ConfigurationError, match="^empty gt list$"):
+        mode_sweep(np.array([]), 2.0, [1], LITERAL)
+    with pytest.raises(ConfigurationError, match="^empty mode list$"):
+        mode_sweep([1.5], 2.0, np.array([], dtype=int), LITERAL)
+
+
+def test_mode_sweep_fails_at_the_first_overflowing_mode_count(monkeypatch):
+    # gt = 1e308 overflows the m = 1 amplitudes: the sweep stops there,
+    # without building the m = 6 route first
+    built = []
+    route = pipeline.closed_form_route
+
+    def counted(fields, convention):
+        built.append(len(fields))
+        return route(fields, convention)
+
+    monkeypatch.setattr(pipeline, "closed_form_route", counted)
+    with pytest.raises(NumericalFailureError, match="^unnormalized density matrix has non-finite"):
+        mode_sweep([1e308], 15.0, [1, 6], LITERAL, sigma_width=4, coverage_epsilon=1e-6)
+    assert built == [1]
+
+
+@pytest.mark.parametrize("gts, mean, modes, convention, widths", [
+    ([1.5, 2.25, 3.0], 15.0, [1, 2, 3, 4, 5, 6], LITERAL,
+     {"sigma_width": 4, "coverage_epsilon": 1e-6}),
+    ([0.0, 0.5, 1.0, 2.5], 2.0, [1, 2, 3, 4], LITERAL, {}),
+    ([0.5, 1.0, 2.0], 2.0, [1, 2, 3], CONSISTENT, {}),
+    ([2.25], 5.0, [1, 2, 3, 4], LITERAL, {}),
+], ids=["canonical", "window-from-0", "consistent", "single-gt"])
+def test_mode_sweep_is_one_observables_pass_with_the_series_bits(monkeypatch, gts, mean, modes,
+                                                                  convention, widths):
+    field = coherent_field(mean, **widths)
+    series = [closed_form_series([field] * m, np.array(gts), convention) for m in modes]
+    if mean == 2.0:  # these tables' window reaches n = 0
+        assert field.window.n_min == 0
+    passes = []
+    observables = pipeline.observables
+
+    def counted(raws):
+        passes.append(len(raws))
+        return observables(raws)
+
+    monkeypatch.setattr(pipeline, "observables", counted)
+    table = mode_sweep(gts, mean, modes, convention, **widths)
+    assert passes == [len(modes) * len(gts)]
+    for name in ("concurrence", "eof"):
+        expected = np.concatenate([s[name] for s in series])
+        assert table[name].tobytes() == expected.tobytes()
 
 
 def test_deviation_report_identical_and_mismatch():

@@ -137,6 +137,20 @@ def test_an_argument_out_of_range_is_named_by_its_first_value(function, name):
         function(values)
 
 
+@pytest.mark.parametrize("function, name", [(eof, "concurrence"),
+                                            (binary_entropy, "binary entropy argument")],
+                         ids=["eof", "binary_entropy"])
+def test_nan_is_refused_as_out_of_range(function, name):
+    # NaN fails every comparison, so a range test written as "below 0 or
+    # above 1" lets it through, to be zeroed as no entanglement
+    with pytest.raises(ConfigurationError, match=rf"^{name} nan outside \[0, 1\]$"):
+        function(np.nan)
+    values = np.linspace(0.0, 1.0, 11)
+    values[[3, 7]] = [np.nan, 2.0]
+    with pytest.raises(ConfigurationError, match=rf"^{name} nan outside \[0, 1\]$"):
+        function(values)
+
+
 def test_eof_of_an_array_is_eof_of_each_value():
     cs = np.concatenate([np.linspace(0.0, 1.0, 2001), [0.96, 0.25, 1e-9]])
     values = eof(cs)

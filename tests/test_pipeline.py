@@ -107,6 +107,12 @@ def test_stacked_eigensolver_failure_is_a_numerical_failure(monkeypatch, name, w
         observables(raws)
 
 
+@pytest.mark.parametrize("convention", [LITERAL, CONSISTENT])
+def test_a_route_without_fields_is_refused(convention):
+    with pytest.raises(ConfigurationError, match="^at least one field is required$"):
+        closed_form_route([], convention)
+
+
 def test_consistent_multimode_series_runs():
     fields = [coherent_field(1.5, sigma_width=4.0, coverage_epsilon=1e-8)] * 2
     series = closed_form_series(fields, np.linspace(0, 3, 7), CONSISTENT)
