@@ -23,8 +23,9 @@ def check_series(series: dict, *channels: str) -> list[np.ndarray]:
     """The gt column and then the named channels of series, as float
     arrays.  A gt grid that check_grid(increasing=True) refuses, columns
     that do not share it, |W| > 1, a concurrence or eof outside [0, 1]
-    (each checked where series holds it), an unknown channel and a gt or
-    named channel that series lacks are configuration errors."""
+    (each checked where series holds it, NaN failing both), an unknown
+    channel and a gt or named channel that series lacks are configuration
+    errors."""
     unknown = [name for name in channels if name not in CHANNELS]
     if unknown:
         raise ConfigurationError(f"unknown channel {unknown[0]!r}")
@@ -36,11 +37,11 @@ def check_series(series: dict, *channels: str) -> list[np.ndarray]:
                for name in CHANNELS if name in series}
     if any(col.shape != gt.shape for col in columns.values()):
         raise ConfigurationError("all series columns must share the gt grid")
-    if "W" in columns and np.any(np.abs(columns["W"]) > 1 + RANGE_TOL):
+    if "W" in columns and not np.all(np.abs(columns["W"]) <= 1 + RANGE_TOL):
         raise ConfigurationError("|W| exceeds 1")
     for name in CHANNELS[1:]:
         col = columns.get(name)
-        if col is not None and (np.any(col < -RANGE_TOL) or np.any(col > 1 + RANGE_TOL)):
+        if col is not None and not np.all((col >= -RANGE_TOL) & (col <= 1 + RANGE_TOL)):
             raise ConfigurationError(f"{name} outside [0, 1]")
     return [gt, *(columns[name] for name in channels)]
 
@@ -119,8 +120,9 @@ def detect_revival_peaks(series: dict, channel: str, max_j: int,
 
     The envelope is the centered moving average of |channel| over a gt
     window of 1.0; peaks are its local maxima separated by at least
-    pi*sqrt(mean).  The search starts at gt = pi*sqrt(mean), past the
-    initial Rabi transient, which would otherwise register as a peak.
+    pi*sqrt(mean), which must be at least one grid step.  The search starts
+    at gt = pi*sqrt(mean), past the initial Rabi transient, which would
+    otherwise register as a peak.
     """
     gt, values = check_series(series, channel)
     if max_j < 1:
@@ -133,20 +135,23 @@ def detect_revival_peaks(series: dict, channel: str, max_j: int,
     dgt = float(gt[1] - gt[0])
     if np.any(np.abs(np.diff(gt) - dgt) > 1e-6 * dgt):
         raise ConfigurationError("peak detection needs a uniform gt grid")
+    separation = np.pi * np.sqrt(mean)
+    if separation < dgt:
+        raise ConfigurationError(
+            f"revival peak separation pi*sqrt(mean) = {separation:g} is below "
+            f"the gt step {dgt:g}")
     needed = 2 * max_j * np.pi * np.sqrt(mean) * 1.2
     if gt[-1] < needed:
         raise ConfigurationError(
             f"series reaches gt={gt[-1]:g} but peak detection up to "
             f"j={max_j} needs gt >= {needed:g}")
     envelope = moving_average(np.abs(values), int(round(0.5 * ENVELOPE_WINDOW_GT / dgt)))
-    separation = np.pi * np.sqrt(mean)
     start = int(np.searchsorted(gt, separation))
     region = envelope[start:]
     # ignore numerical ripple in the collapsed stretches: a revival must
     # reach a nonnegligible fraction of the strongest envelope value
     floor = 0.05 * float(region.max())
-    peaks = find_peaks(region, distance=max(1, int(np.ceil(separation / dgt))),
-                       height=floor)
+    peaks = find_peaks(region, distance=int(np.ceil(separation / dgt)), height=floor)
     times = [float(gt[start + i]) for i in peaks][:max_j]
     predicted = [2 * j * np.pi * np.sqrt(mean) for j in range(1, max_j + 1)]
     rel = [(t - p) / p for t, p in zip(times, predicted)]

@@ -284,11 +284,20 @@ def custom_field(amplitudes) -> FieldDistribution:
         raise ConfigurationError("custom amplitudes must be a nonempty 1-D vector")
     if not np.isfinite(amps).all():
         raise ConfigurationError("custom amplitudes must be finite")
+    # first scaled, exactly, by the power of two of the largest real or
+    # imaginary part, so that no square overflows and no norm underflows
+    # to zero; where the unscaled squares do neither, the quotients keep
+    # their bits
+    parts = np.ascontiguousarray(amps).view(float)
+    _, shift = np.frexp(np.abs(parts).max())
+    amps = np.ldexp(parts, -shift).view(complex)
     norm = np.sqrt(np.sum(np.abs(amps) ** 2))
     if norm == 0.0:
         raise ConfigurationError("custom amplitudes have zero norm")
-    if abs(norm - 1.0) > NORM_WARN_TOLERANCE:
-        warnings.warn(f"custom distribution norm {norm:.9g} != 1; renormalizing",
+    with np.errstate(over="ignore"):
+        unscaled = np.ldexp(norm, shift)
+    if abs(unscaled - 1.0) > NORM_WARN_TOLERANCE:
+        warnings.warn(f"custom distribution norm {unscaled:.9g} != 1; renormalizing",
                       stacklevel=2)
     amps = amps / norm
     return FieldDistribution("custom", TruncationWindow(0, amps.size - 1), amps,

@@ -13,15 +13,15 @@ multiplicity denominators, with no per-configuration Python loop.  Block v
 of level k (the tuples whose largest value index is v) is the (k - 1)-
 level's first rows extended by v; block offsets are binomial coefficients.
 One method, _write, writes any rows of any level: it reads the held rows
-of the level below in place and first writes the rest into that level's
-buffer of TILE_MULTISETS rows.  Levels up to m - 3 are held whole, the
-(m - 2)-level as its first TILE_MULTISETS rows and the last two only in
-their buffers; a tile is at most TILE_MULTISETS rows of one block of the
-last level, held one at a time in that level's buffer.  Each row is
-extended by the same operations from the same source rows as if every
-level were held, and the tiles depend only on the block, never on the gt
-grid, and are summed in the same order, so a grid call and single-gt
-calls give the same bits.
+of the level below in place, and writes the rest into its output at the
+rows they extend, extending them there.  Levels up to m - 3 are held
+whole, and the (m - 2)- and (m - 1)-levels as their first TILE_MULTISETS
+rows; a tile is at most TILE_MULTISETS rows of one block of the last
+level, written one at a time into one buffer.  Each row is extended by
+the same operations from the same source rows as if every level were
+held, and the tiles depend only on the block, never on the gt grid, and
+are summed in the same order, so a grid call and single-gt calls give
+the same bits.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def _level_zero(feats, weights) -> _Level:
 
 def _extend_rows(level: _Level, iv: int, tail: int, feats, weights, out: _Level) -> None:
     """Extend the rows of level (all with last value <= iv) by value index
-    iv, writing them into out's first rows.  The rows from tail on (none
-    if tail is past the last, all if it is negative) already end in iv;
-    they lengthen their run."""
+    iv, writing them into out's first rows, which may be level's own.  The
+    rows from tail on (none if tail is past the last, all if it is
+    negative) already end in iv; they lengthen their run."""
     end = level.size
     tail = min(max(tail, 0), end)
     np.add(level.stats, feats[:, iv, None], out=out.stats[:, :end])
@@ -129,14 +129,14 @@ class SymmetricLiteralEvaluator:
                 f"{total} occupation multisets exceed the budget {MAX_MULTISETS}; "
                 "reduce windows, coverage, or mode count")
         # the floor (m - 3)-level and the one it is built from are the two
-        # largest levels held at once; four TILE_MULTISETS-row levels (the
-        # (m - 2)-level's held rows and the last three levels' buffers, the
-        # last level's holding the tile) and the density contraction come on
-        # top, stated for tiles as narrow as one multiset, whose chunks hold
-        # the most gts.  Its allowance also holds the tile's terms,
-        # multiplicities and their build (216 bytes a multiset): a tile of w
-        # multisets and its chunk hold at most (1.75 + 2 / w + 1.125 w /
-        # 8192) CHUNK_BYTES, largest at w = 1 and under 4 there
+        # largest levels held at once; three TILE_MULTISETS-row levels (the
+        # (m - 2)- and (m - 1)-levels' held rows and the tile's buffer) and
+        # the density contraction come on top, stated for tiles as narrow as
+        # one multiset, whose chunks hold the most gts.  Its allowance also
+        # holds the tile's terms, multiplicities and their build (216 bytes
+        # a multiset): a tile of w multisets and its chunk hold at most
+        # (1.75 + 2 / w + 1.125 w / 8192) CHUNK_BYTES, largest at w = 1 and
+        # under 4 there
         floor = mode_count - 3
         levels = range(max(floor - 1, 0), max(floor, 0) + 1)
         rows = sum(math.comb(self.n_values + k - 1, k) for k in levels)
@@ -144,25 +144,22 @@ class SymmetricLiteralEvaluator:
         # and the float64 denominator
         row = 8 * len(self.feats) + self.wfeats.itemsize * len(self.wfeats) + 4 + 8
         self.memory_bytes = (self.feats.nbytes + self.wfeats.nbytes + rows * row
-                             + TILE_MULTISETS * 4 * row + contraction_bytes(1))
+                             + TILE_MULTISETS * 3 * row + contraction_bytes(1))
         check_memory(self.memory_bytes,
                      f"the multiset levels {' and '.join(map(str, levels))} of {mode_count} "
                      f"modes over {self.n_values} values, {rows} rows,")
         self._ends = [_block_ends(self.n_values, k) for k in range(mode_count + 1)]
         # held: every level up to the floor (each dropped once the next is
-        # built) and the (m - 2)-level's first TILE_MULTISETS rows; the last
-        # two levels write the rest into a buffer each, and the last level's
-        # holds the tile (see _tiles)
+        # built) and the next two levels' first TILE_MULTISETS rows
         empty = _Level.empty(0, self.feats, self.wfeats)
         self._held = [_level_zero(self.feats, self.wfeats)] + [empty] * (mode_count - 1)
-        for k in range(1, mode_count - 1):
+        for k in range(1, mode_count):
             size = int(self._ends[k][-1])
             whole = k <= floor
             self._held[k] = self._write(k, 0, size if whole else min(size, TILE_MULTISETS))
             if whole:
                 self._held[k - 1] = empty
-        self._buffers = {k: _Level.empty(TILE_MULTISETS, self.feats, self.wfeats)
-                         for k in (mode_count - 2, mode_count - 1, mode_count)}
+        self._tile = _Level.empty(TILE_MULTISETS, self.feats, self.wfeats)
 
     def raw_densities(self, gts: np.ndarray) -> np.ndarray:
         """(len(gts), 4, 4) unnormalized density matrices: for every gt the
@@ -186,29 +183,21 @@ class SymmetricLiteralEvaluator:
     def _tiles(self):
         """Yield the multisets in summation order, as tiles of the last
         level: each block in turn, cut every TILE_MULTISETS rows from its
-        first.  A tile from its block's first row holds the (m - 1)-rows
-        the tile before wrote into the level's buffer and writes only the
-        rest, so at m = 3, where a block is one tile, each adds one block.
-        Every tile is written into the last level's buffer, which holds it
-        until the next is written."""
+        first.  Every tile is written into one buffer, which holds it until
+        the next is written."""
         m = self.mode_count
-        rows, tile = self._buffers[m - 1], self._buffers[m]
         for _, first, _, end in _blocks(self._ends[m], 0, int(self._ends[m][-1])):
             for lo in range(first, end, TILE_MULTISETS):
                 hi = min(lo + TILE_MULTISETS, end)
-                # hold the (m - 1)-rows 0:b, writing only those not yet held
-                b = hi - first if lo == first else 0
-                held = self._held[m - 1].size
-                self._write(m - 1, held, b, rows[held:])
-                self._held[m - 1] = rows[:b]
-                yield self._write(m, lo, hi, tile)[:hi - lo]
+                yield self._write(m, lo, hi, self._tile)[:hi - lo]
 
     def _write(self, k: int, start: int, hi: int, out: _Level | None = None) -> _Level:
         """Rows start:hi of level k, written into out from row 0 (into a new
         level if out is None).  Rows a:b of block v extend the same rows of
         the (k - 1)-level by v: those held are read in place, and the rest
-        are first written into that level's buffer.  The (k - 1)-rows from
-        that level's block v on already end in v."""
+        are first written into out at the rows they extend, and extended
+        there.  The (k - 1)-rows from that level's block v on already end
+        in v."""
         if out is None:
             out = _Level.empty(hi - start, self.feats, self.wfeats)
         held = self._held[k - 1]
@@ -222,8 +211,7 @@ class SymmetricLiteralEvaluator:
                 _extend_rows(held[a:cut], v, since - a, self.feats, self.wfeats,
                              out[lo - start:])
             if cut < b:
-                rows = self._write(k - 1, cut, b, self._buffers[k - 1])
-                _extend_rows(rows[:b - cut], v, since - cut, self.feats, self.wfeats,
-                             out[first + cut - start:])
+                rows = self._write(k - 1, cut, b, out[first + cut - start:])
+                _extend_rows(rows[:b - cut], v, since - cut, self.feats, self.wfeats, rows)
         return out
 

@@ -29,6 +29,27 @@ def test_series_validation():
                       "eof": np.zeros(10)})
 
 
+@pytest.mark.parametrize("channel, message", [("W", r"^\|W\| exceeds 1$"),
+                                              ("concurrence", r"^concurrence outside \[0, 1\]$"),
+                                              ("eof", r"^eof outside \[0, 1\]$")],
+                         ids=["W", "concurrence", "eof"])
+def test_nan_channels_are_refused(channel, message):
+    gts = np.linspace(0, 1, 10)
+    series = flat_series(gts)
+    series[channel] = np.where(gts > 0.5, np.nan, 0.0)
+    with pytest.raises(ConfigurationError, match=message):
+        check_series(series)
+
+
+def test_an_all_nan_series_is_refused_by_every_analysis():
+    gts = np.linspace(0, 1, 10)
+    nan = {"gt": gts, **{name: np.full(10, np.nan) for name in ("W", "concurrence", "eof")}}
+    for analysis in (lambda: check_series(nan, "W"), lambda: collapse_windows(nan, 0.05),
+                     lambda: deviation_report(nan, nan)):
+        with pytest.raises(ConfigurationError, match=r"^\|W\| exceeds 1$"):
+            analysis()
+
+
 def test_a_series_without_a_requested_column_is_refused():
     gts = np.linspace(0, 1, 10)
     with pytest.raises(ConfigurationError, match="^series has no 'concurrence' column$"):

@@ -262,6 +262,28 @@ def test_bad_numeric_input_exits_with_one_message(tmp_path, args):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_custom_amplitudes_whose_squares_overflow_are_normalized(tmp_path):
+    # normalized to (1, 1e-200), with the renormalizing notice alone
+    (tmp_path / "big.txt").write_text("1e200\n1\n")
+    proc = run_cli(["run", "--field", "custom", "--custom-file", "big.txt", "--modes", "1",
+                    "--gt-steps", "5", "--out", "x.csv"], tmp_path)
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert (tmp_path / "x.csv").read_text().splitlines()[1] == "0,1,0,0"
+
+
+def test_revival_search_finer_than_the_grid_is_refused(tmp_path):
+    # a peak separation pi*sqrt(mean) below one gt step resolves no revival
+    assert run_cli(["run", "--modes", "1", "--mean", "2", "--gt-max", "1e220",
+                    "--gt-steps", "30", "--out", "r.csv"], tmp_path).returncode == 0
+    proc = run_cli(["analyze", "--in", "r.csv", "--max-j", "1", "--mean", "3.9e-187"],
+                   tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("configuration error: revival peak separation pi*sqrt(mean) = "
+                           "1.96192e-93 is below the gt step 3.44828e+218\n")
+
+
 @pytest.mark.parametrize("args", [
     ["run", "--modes", "1", "--convention", "literal", "--gt-max", "1e308", "--gt-steps", "3"],
     ["run", "--modes", "1", "--convention", "consistent", "--gt-max", "1e308",

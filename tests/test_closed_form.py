@@ -428,8 +428,9 @@ def test_symmetric_evaluator_constructor_memory():
     from tcmsim.symmetric import SymmetricLiteralEvaluator
 
     # the sweep-modes field at m = 6: the stored (m - 3)-level holds 9,880
-    # rows and the prefix 8,192 (~2 MB together); the (m - 2)-level would
-    # hold 101,270 (~12 MB) and the penultimate level 850,668
+    # rows, the two prefixes and the tile's buffer 8,192 each (~3.7 MB
+    # together); the (m - 2)-level would hold 101,270 (~12 MB) and the
+    # penultimate level 850,668
     field = coherent_field(15.0, sigma_width=4, coverage_epsilon=1e-6)
     tracemalloc.start()
     try:
@@ -457,6 +458,25 @@ def test_symmetric_evaluator_memory_at_six_modes():
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+def test_symmetric_evaluator_holds_three_tile_row_levels():
+    import tracemalloc
+
+    from tcmsim.symmetric import SymmetricLiteralEvaluator
+
+    # the sweep-modes field at m = 6, built and evaluated: the floor level,
+    # the (m - 2)- and (m - 1)-levels' first 8,192 rows, the tile's buffer
+    # and one tile's chunk peak near 6.3 MB; a fourth level of 8,192
+    # 108-byte rows would add 0.88 MB
+    field = coherent_field(15.0, sigma_width=4, coverage_epsilon=1e-6)
+    tracemalloc.start()
+    try:
+        SymmetricLiteralEvaluator(field, 6).raw_densities([1.5, 2.25, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.7e6
 
 
 def _reference_level(ev, k):
@@ -584,7 +604,7 @@ def test_symmetric_tiles_equal_extended_penultimate_level(m, chunk_elements, mon
             assert np.array_equal(tile.weights, final.weights[:, rows])
             assert tile.denom.dtype == final.denom.dtype
             assert np.array_equal(tile.denom, final.denom[rows])
-        # a second pass starts from the (m - 1)-rows the first left held
+        # a second pass writes the same tiles
         for (_, _, _, tile), (_, _, _, again) in zip(tiles, _tile_ranges(ev)):
             for name in ("stats", "weights", "run", "denom"):
                 assert np.array_equal(getattr(again, name), getattr(tile, name)), name
@@ -720,11 +740,14 @@ def test_penultimate_level_equals_concatenated_blocks(m, reference_levels):
     for name in ("run", "denom"):
         assert getattr(built, name).dtype == getattr(level, name).dtype
         assert np.array_equal(getattr(built, name), getattr(level, name))
-    # the evaluator holds the (m - 3)-level, the (m - 2)-level's first
-    # TILE_MULTISETS rows and no row of the penultimate level
+    # the evaluator holds the (m - 3)-level and the first TILE_MULTISETS
+    # rows of the (m - 2)-level and of the penultimate level
     prefix = min(symmetric.TILE_MULTISETS, levels[m - 2].size)
-    floor, head = ev._held[m - 3], ev._held[m - 2]
-    assert ev._held[m - 1].size == 0
+    floor, head, tail = ev._held[m - 3], ev._held[m - 2], ev._held[m - 1]
+    assert tail.size == min(symmetric.TILE_MULTISETS, level.size)
+    for name in ("stats", "weights", "run", "denom"):
+        got, want = getattr(tail, name), getattr(level, name)[..., :tail.size]
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
     for stored, ref in ((floor, levels[m - 3]), (head, levels[m - 2])):
         assert stored.size == min(ref.size, prefix if stored is head else ref.size)
         for name in ("stats", "weights", "run", "denom"):

@@ -212,6 +212,16 @@ def test_custom_field_normalizes_and_warns():
     assert g.amplitudes_at(0) == pytest.approx(1 / math.sqrt(2))
 
 
+@pytest.mark.parametrize("amps, expected", [([1e200, 1.0], [1.0, 1e-200]),
+                                            ([1e-200, 1e-300], [1.0, 1e-100])])
+def test_custom_field_normalizes_amplitudes_whose_squares_leave_the_range(amps, expected):
+    # the squares overflow, or underflow to a zero norm, unless scaled first
+    with pytest.warns(UserWarning, match="renormalizing") as record:
+        f = custom_field(amps)
+    assert [w.category for w in record] == [UserWarning]
+    assert np.array_equal(f.amplitudes, expected)
+
+
 def test_load_custom_field(tmp_path):
     path = tmp_path / "field.txt"
     path.write_text("0.6\n0.0 0.8\n")
