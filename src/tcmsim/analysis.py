@@ -127,7 +127,7 @@ def detect_revival_peaks(series: dict, channel: str, max_j: int,
     gt, values = check_series(series, channel)
     if max_j < 1:
         raise ConfigurationError(f"max_j must be >= 1, got {max_j}")
-    if mean <= 0:
+    if not mean > 0:
         raise ConfigurationError("revival prediction needs a positive mean")
     if gt.size < 2:
         raise ConfigurationError("peak detection needs at least two gt samples")
@@ -188,15 +188,19 @@ def oscillation_rate(series: dict, channel: str,
     oscillates about a steady mean, such as the Rabi stretch before a
     collapse.  Over a window that holds a collapse, or a stretch clipped at
     zero (a concurrence that has died), the crossings stop early and the
-    rate measures how long the channel oscillates, not how fast.
+    rate measures how long the channel oscillates, not how fast.  A window
+    with a NaN bound, or one that holds fewer than two gt samples, is
+    refused.
     """
     gt, values = check_series(series, channel)
     lo, hi = window
     eps = 1e-9
-    if lo >= hi or lo < gt[0] - eps or hi > gt[-1] + eps:
+    if not gt[0] - eps <= lo < hi <= gt[-1] + eps:
         raise ConfigurationError(f"window {window} not inside the gt grid")
-    sel = (gt >= lo - eps) & (gt <= hi + eps)
-    y = values[sel]
+    y = values[(gt >= lo - eps) & (gt <= hi + eps)]
+    if y.size < 2:
+        raise ConfigurationError(
+            f"window {window} holds {y.size} gt samples; an oscillation rate needs at least two")
     signs = np.sign(y - y.mean())
     signs = signs[signs != 0]
     crossings = int(np.count_nonzero(np.diff(signs)))

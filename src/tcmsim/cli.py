@@ -33,15 +33,6 @@ from .inversion import single_atom_jcm_series
 from .oracle import expansion_diagnostic
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {text!r}")
-
-
 def _finite_float(text: str) -> float:
     """float() that rejects nan and the infinities: the caster of every
     float flag and list entry."""
@@ -107,16 +98,12 @@ def _config_flags(path: str, commands: dict, command: str) -> list[str]:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in own:
             continue
-        flag = own[key].option_strings[0]
+        flag = f"{own[key].option_strings[0]}={value}"
         try:
-            if own[key].nargs == 0:    # a switch such as --oracle
-                entry = [flag] if _parse_bool(value) else []
-            else:
-                entry = [f"{flag}={value}"]
-            sub.parse_args(entry)
+            sub.parse_args([flag])
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-        flags += entry
+        flags.append(flag)
     return flags
 
 
@@ -217,21 +204,12 @@ def _series_columns(series: dict) -> dict[str, np.ndarray]:
     return {name: series[name] for name in ("gt", *analysis.CHANNELS)}
 
 
-def _oracle_columns(exact: dict) -> dict[str, np.ndarray]:
-    return {f"{name}_oracle": exact[name] for name in analysis.CHANNELS}
-
-
 def _cmd_run(args) -> int:
+    """The closed-form series; compare-oracle adds the exact columns."""
     fields = _mode_fields(_build_field(args), args.modes)
     gts = pipeline.uniform_grid(args.gt_max, args.gt_steps)
-    series = pipeline.closed_form_series(fields, gts, args.convention)
-    columns = _series_columns(series)
-    if args.oracle:
-        exact = pipeline.oracle_series(fields, gts)
-        _, deltas = analysis.deviation_report(series, exact)
-        columns |= _oracle_columns(exact)
-        columns["delta_C"] = deltas["delta_C"]
-    _write_csv(args.out, columns)
+    _write_csv(args.out, _series_columns(
+        pipeline.closed_form_series(fields, gts, args.convention)))
     return 0
 
 
@@ -256,7 +234,8 @@ def _cmd_compare_oracle(args) -> int:
     series = pipeline.closed_form_series(fields, gts, args.convention)
     exact = pipeline.oracle_series(fields, gts)
     summary, deltas = analysis.deviation_report(series, exact)
-    _write_csv(args.out, _series_columns(series) | _oracle_columns(exact) | deltas)
+    oracle_columns = {f"{name}_oracle": exact[name] for name in analysis.CHANNELS}
+    _write_csv(args.out, _series_columns(series) | oracle_columns | deltas)
     print(summary.render())
     return 0
 
@@ -420,7 +399,6 @@ def build_parser() -> _Parser:
     sub = new_sub("run", _cmd_run, "two-atom observable time series CSV",
                   "timeseries.csv")
     _add_series_flags(sub)
-    sub.add_argument("--oracle", action="store_true")
 
     sub = new_sub("inversion", _cmd_inversion, "one-atom inversion W(gt) CSV",
                   "inversion.csv")

@@ -7,6 +7,7 @@ from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, NumericalFailureErr
                     coherent_field, collapse_windows, detect_revival_peaks,
                     deviation_report, mode_sweep, oscillation_rate, pipeline)
 from tcmsim.analysis import check_series, find_peaks, moving_average
+from tcmsim.fock_field import same_fields
 from tcmsim.pipeline import closed_form_series
 
 
@@ -96,6 +97,13 @@ def test_detect_requires_long_enough_series():
         detect_revival_peaks(flat_series(np.array([1000.0])), "W", 1, 1.0)
 
 
+def test_a_nan_mean_is_refused_by_revival_detection():
+    gts = np.linspace(0, 20, 1001)
+    series = flat_series(gts) | {"W": np.cos(gts)}
+    with pytest.raises(ConfigurationError, match="^revival prediction needs a positive mean$"):
+        detect_revival_peaks(series, "W", 1, np.nan)
+
+
 def test_detect_scale_invariance():
     gts = np.linspace(0, 20, 801)
     w = np.maximum(0.0, 1.0 - np.abs(gts - 10.0) / 2.0)
@@ -161,6 +169,20 @@ def test_oscillation_rate_window_validation():
     gts = np.linspace(0, 5, 100)
     with pytest.raises(ConfigurationError):
         oscillation_rate(flat_series(gts), "W", (1.0, 99.0))
+
+
+@pytest.mark.parametrize("window, message", [
+    ((np.nan, 5.0), r"^window \(nan, 5\.0\) not inside the gt grid$"),
+    ((0.0, np.nan), r"^window \(0\.0, nan\) not inside the gt grid$"),
+    ((1.01, 1.05), r"^window \(1\.01, 1\.05\) holds 0 gt samples; "),
+    ((1.0, 1.05), r"^window \(1\.0, 1\.05\) holds 1 gt samples; "),
+], ids=["nan-lo", "nan-hi", "no-sample", "one-sample"])
+def test_oscillation_rate_refuses_windows_it_cannot_measure(window, message):
+    # a 0.1-step grid: the last two windows fall between or on its samples
+    gts = np.linspace(0, 5, 51)
+    series = flat_series(gts) | {"W": np.cos(3 * gts)}
+    with pytest.raises(ConfigurationError, match=message):
+        oscillation_rate(series, "W", window)
 
 
 def test_mode_sweep_wellformed():
@@ -231,9 +253,23 @@ def test_mode_sweep_fails_at_the_first_overflowing_mode_count(monkeypatch):
 def test_mode_sweep_is_one_observables_pass_with_the_series_bits(monkeypatch, gts, mean, modes,
                                                                   convention, widths):
     field = coherent_field(mean, **widths)
-    series = [closed_form_series([field] * m, np.array(gts), convention) for m in modes]
     if mean == 2.0:  # these tables' window reaches n = 0
         assert field.window.n_min == 0
+    # each route's raw stack as the sweep builds it, and the routes it asks for
+    routes, stacks = [], []
+    route = pipeline.closed_form_route
+
+    class Recorded:
+        def __init__(self, fields, convention):
+            assert same_fields([field, *fields])
+            routes.append((len(fields), convention))
+            self.route = route(fields, convention)
+
+        def raw_densities(self, gts):
+            raws = self.route.raw_densities(gts)
+            stacks.append(raws.copy())
+            return raws
+
     passes = []
     observables = pipeline.observables
 
@@ -241,9 +277,13 @@ def test_mode_sweep_is_one_observables_pass_with_the_series_bits(monkeypatch, gt
         passes.append(len(raws))
         return observables(raws)
 
+    monkeypatch.setattr(pipeline, "closed_form_route", Recorded)
     monkeypatch.setattr(pipeline, "observables", counted)
     table = mode_sweep(gts, mean, modes, convention, **widths)
     assert passes == [len(modes) * len(gts)]
+    assert routes == [(m, convention) for m in modes]
+    # closed_form_series's bits: one observables pass per mode count
+    series = [observables(raws) for raws in stacks]
     for name in ("concurrence", "eof"):
         expected = np.concatenate([s[name] for s in series])
         assert table[name].tobytes() == expected.tobytes()

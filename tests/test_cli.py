@@ -29,15 +29,17 @@ def test_run_basic(tmp_path):
     assert first == "0,1,0,0"
 
 
-def test_run_with_oracle_columns(tmp_path):
-    out = tmp_path / "ts.csv"
-    code = main(["run", "--mean", "2", "--gt-max", "3", "--gt-steps", "30",
-                 "--oracle", "--out", str(out)])
+def test_compare_oracle_holds_the_oracle_columns(tmp_path):
+    # the series, the exact columns and delta_C, in this order among the others
+    out = tmp_path / "cmp.csv"
+    code = main(["compare-oracle", "--mean", "2", "--gt-max", "3", "--gt-steps", "30",
+                 "--out", str(out)])
     assert code == 0
     header, data = read_csv(out)
-    assert header == ["gt", "W", "concurrence", "eof", "W_oracle",
-                      "concurrence_oracle", "eof_oracle", "delta_C"]
-    assert data[:, 7].max() <= 1e-8
+    at = [header.index(name) for name in ("gt", "W", "concurrence", "eof", "W_oracle",
+                                          "concurrence_oracle", "eof_oracle", "delta_C")]
+    assert at == sorted(at)
+    assert data[:, header.index("delta_C")].max() <= 1e-8
 
 
 def test_exit_code_on_bad_flag_value(tmp_path):
@@ -168,11 +170,11 @@ except ConfigurationError as exc:
 
 @pytest.mark.parametrize("args", [
     # 205 sectors, the largest of dimension 15,122: the sector budget
-    ["-m", "tcmsim", "run", "--modes", "3", "--mean", "25", "--convention", "literal",
-     "--oracle", "--gt-steps", "2", "--out", "x.csv"],
+    ["-m", "tcmsim", "compare-oracle", "--modes", "3", "--mean", "25",
+     "--convention", "literal", "--gt-steps", "2", "--out", "x.csv"],
     # every sector within budget, 1.0e9 matrix entries in all
-    ["-m", "tcmsim", "run", "--modes", "2", "--mean", "1000", "--convention", "literal",
-     "--oracle", "--gt-steps", "2", "--out", "x.csv"],
+    ["-m", "tcmsim", "compare-oracle", "--modes", "2", "--mean", "1000",
+     "--convention", "literal", "--gt-steps", "2", "--out", "x.csv"],
     # 71**5 oracle configurations
     ["-c", BUILD_FIVE_MODE_ORACLE],
     # refused by the literal multiset budget: the control
@@ -196,7 +198,7 @@ import sys
 from tcmsim.cli import main
 grid = ["--gt-max", "2", "--gt-steps", "5"]
 for argv in (
-        ["run", "--modes", "2", "--mean", "2", "--convention", "literal", "--oracle",
+        ["run", "--modes", "2", "--mean", "2", "--convention", "literal",
          *grid, "--out", "run.csv"],
         ["inversion", "--mean", "2", "--gt-max", "30",
          "--gt-steps", "600", "--out", "inv.csv"],
@@ -498,7 +500,7 @@ def test_config_file_errors(tmp_path):
     (["analyze", "--in", "series.csv", "--threshold", "0.05"], "channel = bogus\n"),
     (["run"], "convention = bogus\n"),
     (["run"], "field = bogus\n"),
-    (["run"], "gt_steps = 5\noracle = maybe\n"),
+    (["run"], "gt_steps = 5\nmodes = x\n"),
     (["sweep-modes"], "sweep_modes = 1,x\n"),
 ])
 def test_config_values_are_checked_as_flags(tmp_path, monkeypatch, capsys, args, text):
@@ -513,15 +515,15 @@ def test_config_values_are_checked_as_flags(tmp_path, monkeypatch, capsys, args,
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_config_file_switch_and_shared_keys(tmp_path):
+def test_config_file_shared_keys(tmp_path):
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("modes = 1\nmean = 2\ngt_max = 3\ngt_steps = 30\noracle = true\n")
-    out = tmp_path / "run.csv"
+    cfg.write_text("modes = 2\nmean = 2\ngt_max = 3\ngt_steps = 30\n")
+    out, flagged = tmp_path / "run.csv", tmp_path / "flagged.csv"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    header, data = read_csv(out)
-    assert header[4:] == ["W_oracle", "concurrence_oracle", "eof_oracle", "delta_C"]
-    assert data.shape == (30, 8)
-    # modes and oracle are run's keys: an inversion reads the same file
+    assert main(["run", "--modes", "2", "--mean", "2", "--gt-max", "3", "--gt-steps", "30",
+                 "--out", str(flagged)]) == 0
+    assert out.read_bytes() == flagged.read_bytes()
+    # modes is run's key: an inversion reads the same file
     inv = tmp_path / "inv.csv"
     assert main(["inversion", "--config", str(cfg), "--out", str(inv)]) == 0
     header, data = read_csv(inv)
@@ -540,11 +542,12 @@ def test_diagnose_small(tmp_path):
 
 
 def test_removed_options_are_rejected(tmp_path, capsys):
-    # --formulas, inversion --atoms, --convention and --modes, analyze
-    # --channel W_envelope, and diagnose's field flags are gone
+    # --formulas, run --oracle, inversion --atoms, --convention and --modes,
+    # analyze --channel W_envelope, and diagnose's field flags are gone
     series = tmp_path / "series.csv"
     series.write_text("gt,W,concurrence,eof\n0,1,0,0\n1,0.5,0.2,0.1\n")
-    for args in (["run", "--formulas", "auto"], ["inversion", "--atoms", "2"],
+    for args in (["run", "--formulas", "auto"], ["run", "--oracle"],
+                 ["inversion", "--atoms", "2"],
                  ["inversion", "--convention", "literal"], ["inversion", "--modes", "1"],
                  ["analyze", "--in", str(series), "--channel", "W_envelope",
                   "--threshold", "0.05"],
@@ -553,7 +556,10 @@ def test_removed_options_are_rejected(tmp_path, capsys):
         assert main([*args, "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text("formulas = auto\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "y.csv")]) == 1
+    for text in ("formulas = auto\n", "oracle = true\n"):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "y.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {cfg}:1: unknown key {text.split()[0]!r}\n"
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "y.csv").exists()
