@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, pipeline
 from .closed_form import CONSISTENT, LITERAL
-from .errors import ConfigurationError, NumericalFailureError, TcmError
+from .errors import ConfigurationError, NumericalFailureError
 from .fock_field import (DEFAULT_COVERAGE_EPSILON, DEFAULT_SIGMA_WIDTH, coherent_field,
                          fock_field, load_custom_field)
 from .inversion import single_atom_jcm_series
@@ -231,8 +231,8 @@ def _cmd_sweep_modes(args) -> int:
 def _cmd_compare_oracle(args) -> int:
     fields = _mode_fields(_build_field(args), args.modes)
     gts = pipeline.uniform_grid(args.gt_max, args.gt_steps)
-    series = pipeline.closed_form_series(fields, gts, args.convention)
     exact = pipeline.oracle_series(fields, gts)
+    series = pipeline.closed_form_series(fields, gts, args.convention)
     summary, deltas = analysis.deviation_report(series, exact)
     oracle_columns = {f"{name}_oracle": exact[name] for name in analysis.CHANNELS}
     _write_csv(args.out, _series_columns(series) | oracle_columns | deltas)
@@ -273,8 +273,8 @@ def _cmd_diagnose(args) -> int:
         field = coherent_field(mean, sigma_width=args.sigma_width,
                                coverage_epsilon=args.coverage_epsilon)
         fields = _mode_fields(field, args.modes)
-        closed = pipeline.closed_form_series(fields, gts, args.convention)
         exact = pipeline.oracle_series(fields, gts)
+        closed = pipeline.closed_form_series(fields, gts, args.convention)
         summary, _ = analysis.deviation_report(closed, exact)
         sections.append(
             f"=== {args.convention} closed form vs oracle "
@@ -448,9 +448,6 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except TcmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MemoryError:
         print("configuration error: out of memory; reduce modes, mean, coverage "
               "or gt steps", file=sys.stderr)

@@ -208,22 +208,20 @@ class ExactEvolver:
             self.sectors.append(_Sector(basis, rows, self._vector_size, initial))
         self._norm0 = float(sum(np.sum(np.abs(s.c0) ** 2) for s in self.sectors))
 
-    def check_drift(self, norms: np.ndarray) -> None:
-        """Raise at the first gt whose total norm drifted from the initial
-        one.  Every sector Hamiltonian, truncated or not, is Hermitian, so
-        drift detects propagation that lost unitarity, not a small window."""
-        drift = np.abs(np.asarray(norms) - self._norm0)
-        raise_at_first(drift > NORM_DRIFT_TOL, lambda i: (
-            f"norm drift {drift[i]:.3e} beyond {NORM_DRIFT_TOL:g}; "
-            "the propagation lost unitarity"))
-
     def densities(self, gts) -> tuple[np.ndarray, np.ndarray]:
         """(G, 4, 4) unnormalized two-atom densities and (G,) total norms,
         propagated and contracted a chunk of gts at a time
-        (reduced_density.DensityContraction); check_drift checks the norms.
-        Each sector's coefficients are written to their final configurations
-        in the chunk's stack as they are computed, and their norms into a
-        table summed per gt, so one sector's are held at a time.
+        (reduced_density.DensityContraction).  Each sector's coefficients
+        are written to their final configurations in the chunk's stack as
+        they are computed, and their norms into a table summed per gt, so
+        one sector's are held at a time.  Each gt's bits are those of a
+        grid of that gt alone, whatever the chunk.
+
+        After the last chunk the grid fails at its first gt whose total
+        norm drifted from the initial one by more than NORM_DRIFT_TOL.
+        Every sector Hamiltonian, truncated or not, is Hermitian, so drift
+        detects propagation that lost unitarity, not a small window; it is
+        reported ahead of the density failures it causes.
 
         For a single mode amplitudes are paired by initial photon number
         (final occupation minus the photons emitted), as the published
@@ -249,6 +247,10 @@ class ExactEvolver:
                     vectors[:, b, :-shift] = vectors[:, b, shift:]
                     vectors[:, b, -shift:] = 0
             contraction.add(chunk, vectors)
+        drift = np.abs(norms - self._norm0)
+        raise_at_first(drift > NORM_DRIFT_TOL, lambda i: (
+            f"norm drift {drift[i]:.3e} beyond {NORM_DRIFT_TOL:g}; "
+            "the propagation lost unitarity"))
         return contraction.raw, norms
 
     def branch_vectors(self, gts) -> np.ndarray:

@@ -191,6 +191,31 @@ def test_oracle_budgets_are_checked_before_allocating(tmp_path, args):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("args, what", [
+    pytest.param(["diagnose", "--modes", "5", "--means", "25", "--gt-steps", "2"],
+                 "1804229351 oracle configurations need ", id="diagnose"),
+    pytest.param(["compare-oracle", "--modes", "3", "--mean", "25", "--convention",
+                  "literal", "--gt-steps", "1200"],
+                 "(budget 4000); reduce modes, mean, or coverage", id="compare-oracle"),
+])
+def test_the_oracle_refuses_before_the_closed_form_runs(tmp_path, capsys, monkeypatch,
+                                                        args, what):
+    # an input the oracle refuses from its window sizes pays for no
+    # closed-form evaluation: the oracle runs first
+    from tcmsim import pipeline
+
+    def closed_form_series(*_):
+        pytest.fail("the closed form ran ahead of the oracle's refusal")
+
+    monkeypatch.setattr(pipeline, "closed_form_series", closed_form_series)
+    out = tmp_path / "x.out"
+    assert main([*args, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+    assert what in lines[0]
+    assert not out.exists()
+
+
 def test_cli_loads_no_scipy_module(tmp_path):
     # numpy is the only runtime dependency: no subcommand may import scipy
     code = """

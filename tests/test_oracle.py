@@ -431,7 +431,7 @@ def test_batched_oracle_raises_on_norm_drift(monkeypatch):
     with pytest.raises(NumericalFailureError, match="norm drift"):
         oracle_series(fields, np.linspace(0.0, 2.0, 5))
     with pytest.raises(NumericalFailureError, match="norm drift"):
-        evolver.check_drift(evolver.densities([0.5])[1])
+        evolver.densities([0.5])
 
 
 def test_an_overflowing_phase_fails_the_density_check_without_warnings():
@@ -482,3 +482,54 @@ def test_unequal_coherent_modes_evolve_as_one_collective_mode(means):
     multimode = ExactEvolver(fields).densities(gts)[0]
     v = ExactEvolver([collective]).branch_vectors(math.sqrt(2) * gts)
     assert np.abs(multimode - contract(v)).max() <= 1e-10
+
+
+def kronecker_densities(field, gts):
+    """The dense referee of one mode: two atoms (aa, ab, ba, bb; a excited)
+    times the Fock space [0, n_max + 2], evolved from |aa> x field by an
+    eigh of the dense V = S+ a + S- a^+, and the field traced out: the
+    (G, 4, 4) unnormalized partial-trace densities.  It reads nothing of
+    the package but the field's window and amplitudes."""
+    size = field.window.n_max + 3
+    a = np.diag(np.sqrt(np.arange(1.0, size)), k=1)
+    s_plus = np.zeros((4, 4))
+    # <aa|S+|ab> = <aa|S+|ba> = <ab|S+|bb> = <ba|S+|bb> = 1
+    s_plus[[0, 0, 1, 2], [1, 2, 3, 3]] = 1.0
+    eigvals, eigvecs = np.linalg.eigh(np.kron(s_plus, a) + np.kron(s_plus.T, a.T))
+    psi0 = np.zeros(4 * size, dtype=complex)
+    psi0[field.window.n_min:field.window.n_max + 1] = field.amplitudes
+    phases = np.exp(-1j * np.outer(gts, eigvals))
+    psi = ((eigvecs.T @ psi0) * phases) @ eigvecs.T
+    psi = psi.reshape(len(gts), 4, size)
+    return psi @ np.conj(psi.transpose(0, 2, 1))
+
+
+GOLDEN_CUSTOM = np.array([complex(0.3, -0.0), complex(-0.0, -0.5),
+                          complex(0.4, 0.2), complex(-0.6, -0.0)])
+
+
+@pytest.mark.parametrize("field", [
+    fock_field(3), custom_field(GOLDEN_CUSTOM / np.linalg.norm(GOLDEN_CUSTOM)), fock_field(0),
+], ids=["fock-3", "custom", "fock-0"])
+def test_one_mode_partial_trace_matches_the_dense_kronecker_evolution(field):
+    # the standard partial trace of the oracle's unshifted branch vectors
+    # is the atoms' reduced state of the dense evolution; densities pairs
+    # by anchor instead (docs/decisions.md, "Open point: the reading")
+    gts = np.linspace(0.0, 15.0, 301)
+    assert np.abs(contract(ExactEvolver([field]).branch_vectors(gts))
+                  - kronecker_densities(field, gts)).max() <= 1e-12
+
+
+def test_the_vacuum_point_in_the_partial_trace_reading():
+    # Fock 0 at gt = pi / sqrt(6): the n = 0 sector's chain aa - (ab + ba)
+    # - bb gives amplitudes 1/3 on |aa, 0> and -2 sqrt(2)/3 on |bb, 2>, so
+    # the partial trace is diag(1/9, 0, 0, 8/9): W = -7/9 and C = 0.  The
+    # anchor reading keeps the aa-bb coherence: criterion 8's C = 4 sqrt(2)/9
+    gt = math.pi / math.sqrt(6)
+    expected = np.diag([1 / 9, 0, 0, 8 / 9])
+    raws = np.concatenate([contract(ExactEvolver([fock_field(0)]).branch_vectors([gt])),
+                           kronecker_densities(fock_field(0), [gt])])
+    assert np.abs(raws - expected).max() <= 1e-14
+    obs = observables(raws)
+    assert np.abs(obs["W"] + 7 / 9).max() <= 1e-14
+    assert np.all(obs["concurrence"] == 0.0)

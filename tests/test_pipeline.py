@@ -126,6 +126,23 @@ def test_oracle_series_has_drift_column():
     assert series["norm_drift"].max() <= 1e-10
 
 
+@pytest.mark.parametrize("fields", [[coherent_field(2.0)], [coherent_field(1.5)] * 2],
+                         ids=["m1", "m2"])
+def test_oracle_series_off_zero_keeps_the_bits_of_separate_calls(fields):
+    # gt = 0 is propagated with a grid that does not hold it: the drift
+    # column and the observables keep the bits of a gt = 0 call and a grid
+    # call made apart
+    gts = np.array([0.4, 1.1, 2.9])
+    series = oracle_series(fields, gts)
+    evolver = ExactEvolver(fields)
+    raws, norms = evolver.densities(gts)
+    drift = np.abs(norms - evolver.densities([0.0])[1][0])
+    assert series["norm_drift"].tobytes() == drift.tobytes()
+    for name, column in observables(raws).items():
+        if name != "norm_deficit":
+            assert series[name].tobytes() == column.tobytes(), name
+
+
 def test_series_extras_norm_deficit():
     series = closed_form_series([coherent_field(3.0)], np.linspace(0, 4, 9),
                                 LITERAL)
