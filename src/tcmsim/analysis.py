@@ -217,8 +217,8 @@ def mode_sweep(gt_values, mean: float, m_range, convention: str,
     >= 1 and every gt finite and nonnegative, each given once.
 
     Each mode count's raw densities fail at once on a non-finite entry;
-    the rest of the observables' checks run in one pass over the whole
-    table, after the last route has freed its working set."""
+    the rest of the observables' checks run in one observables call over
+    the whole table, after the last route has freed its working set."""
     counts = np.asarray(m_range, dtype=float)
     if counts.ndim != 1:
         raise ConfigurationError(f"mode counts must be one-dimensional, got shape {counts.shape}")

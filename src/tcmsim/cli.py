@@ -21,6 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain, islice
 
 import numpy as np
 
@@ -165,12 +167,14 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write atomically enough for the determinism contract: on any failure
-    the partial file is removed and the error maps to exit code 1."""
+def _write_file(path: str, pieces: Iterable[str]) -> None:
+    """Write the pieces in turn, atomically enough for the determinism
+    contract: on any failure, in the file or in making a piece, the
+    partial file is removed; an OSError maps to exit code 1."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
     except OSError as exc:
         if os.path.isfile(path):
             os.unlink(path)
@@ -182,18 +186,18 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, columns: dict[str, np.ndarray]) -> None:
-    """One CSV column per entry, headed by its key, in the dict's order."""
-    lines = [",".join(columns)]
-    for row in zip(*columns.values()):
-        lines.append(",".join(_fmt(x) for x in row))
-    _write_file(path, "\n".join(lines) + "\n")
+    """One CSV column per entry, headed by its key, in the dict's order,
+    written pipeline.BLOCK_GTS rows at a time."""
+    lines = (",".join(_fmt(x) for x in row) + "\n" for row in zip(*columns.values()))
+    blocks = iter(lambda: "".join(islice(lines, pipeline.BLOCK_GTS)), "")
+    _write_file(path, chain([",".join(columns) + "\n"], blocks))
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         print(text)
         return
-    _write_file(path, text if text.endswith("\n") else text + "\n")
+    _write_file(path, [text if text.endswith("\n") else text + "\n"])
 
 
 # ---------------------------------------------------------------------------

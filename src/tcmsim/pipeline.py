@@ -1,7 +1,7 @@
 """Observable series built from the closed-form or oracle routes: each
 route evaluates a whole gt grid into a (G, 4, 4) stack of unnormalized
-densities, and one batched pass (observables) makes the columns.  A series
-is the dict of its CSV columns, gt first."""
+densities, and one batched pass (observables), a block of gts at a time,
+makes the columns.  A series is the dict of its CSV columns, gt first."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 from .closed_form import (CONSISTENT, CONVENTIONS, LITERAL, ConsistentBlocks,
                           ProductLiteral, SingleModeConsistent, SingleModeLiteral)
 from .entanglement import RANGE_TOL, concurrences, eof
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalFailureError
 from .fock_field import FieldDistribution, same_fields
 from .oracle import ExactEvolver
 from .reduced_density import check_grid, normalize, raise_at_first
@@ -37,18 +37,39 @@ def closed_form_route(fields: list[FieldDistribution], convention: str):
     return ProductLiteral(fields)
 
 
-def observables(raws: np.ndarray) -> dict[str, np.ndarray]:
-    """The W, concurrence, eof and norm_deficit columns of a (G, 4, 4)
-    stack of unnormalized densities, all gts at once: normalize and its
-    checks, the Wootters concurrence and the range of W each run on the
-    whole stack.  NumericalFailureError reports the first check that
-    fails, at its first failing gt.  The concurrence and eof clip into
-    [0, 1]."""
+# gts per observables block: one gt's normalize, eigvalsh, eigvals and
+# snap temporaries come to about 1.1 KB, so a block holds about 280 KB
+BLOCK_GTS = 256
+
+
+def _block_observables(raws: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The W, concurrence, eof and norm_deficit columns of one pass over a
+    (G, 4, 4) stack, each check on the whole of it."""
     rho, deficit = normalize(raws)
     c, _ = concurrences(rho)
     w = rho[:, 0, 0].real - rho[:, 3, 3].real
     raise_at_first(np.abs(w) > 1 + RANGE_TOL, lambda i: f"|W| = {abs(w[i]):.15g} exceeds 1")
-    return {"W": w, "concurrence": c, "eof": eof(c), "norm_deficit": deficit}
+    return w, c, eof(c), deficit
+
+
+def observables(raws: np.ndarray) -> dict[str, np.ndarray]:
+    """The W, concurrence, eof and norm_deficit columns of a (G, 4, 4)
+    stack of unnormalized densities, BLOCK_GTS gts at a time: normalize
+    and its checks, the Wootters concurrence and the range of W act on each
+    matrix alone, so no bit depends on the block.  A stack with a failing
+    block goes through the same pass whole, which raises
+    NumericalFailureError for the first check that fails, at its first
+    failing gt.  The concurrence and eof clip into [0, 1]."""
+    columns = [np.empty(len(raws)) for _ in range(4)]
+    try:
+        for start in range(0, len(raws), BLOCK_GTS):
+            block = slice(start, start + BLOCK_GTS)
+            for column, values in zip(columns, _block_observables(raws[block])):
+                column[block] = values
+    except NumericalFailureError:
+        _block_observables(raws)
+        raise
+    return dict(zip(("W", "concurrence", "eof", "norm_deficit"), columns))
 
 
 def closed_form_series(fields: list[FieldDistribution], gts: np.ndarray,

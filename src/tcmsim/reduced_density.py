@@ -2,8 +2,11 @@
 
 Densities are normalized and checked in one pass (normalize) over
 (G, 4, 4) stacks, one matrix per gt; a single matrix is a stack of one.
-Each check runs on the whole stack, and a stack fails at the first check
-that fails, at that check's first failing gt (raise_at_first).  This
+Each check runs on the whole stack it is given, and a stack fails at the
+first check that fails, at that check's first failing gt
+(raise_at_first).  Every check acts on each matrix alone, so the
+observables give it a grid a block of gts at a time, and a failing
+block's whole grid again, and report what one pass would.  This
 module also decides what an evaluation takes in: every evaluator's grid
 passes check_grid and every route's bytes check_memory, and each route
 contracts its branch amplitudes into such a stack with
@@ -109,9 +112,11 @@ def check_memory(nbytes: int, what: str) -> None:
 # gts: one gt's stacks of width 12,288, 1.5 symmetric tiles of 8,192
 CHUNK_BYTES = 3 * 64 * 8192
 # the grid's own output per gt, beside what its route states: the complex
-# (4, 4) unnormalized density (256) and the float64 norm the oracle
-# returns with it (8)
-GRID_GT_BYTES = 256 + 8
+# (4, 4) unnormalized density (256), the float64 norm the oracle returns
+# with it (8) and the five float64 columns of its series (40): gt, W,
+# concurrence, eof and norm_deficit or norm_drift.  The observables'
+# temporaries are one block's (pipeline.BLOCK_GTS), whatever the grid
+GRID_GT_BYTES = 256 + 8 + 5 * 8
 
 
 def stack_bytes(width: int) -> int:

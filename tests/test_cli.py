@@ -2,11 +2,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from tcmsim import cli
 from tcmsim.cli import main
 
 
@@ -501,6 +503,47 @@ def test_unwritable_out_path(tmp_path):
     code = main(["run", "--mean", "2", "--gt-max", "1", "--gt-steps", "5",
                  "--out", str(target)])
     assert code == 1
+
+
+def test_a_failure_mid_write_removes_the_partial_file(tmp_path, monkeypatch):
+    # the file is open, a block of rows written to it, when the 301st row
+    # fails to format; the error propagates and the file is gone
+    path = tmp_path / "t.csv"
+    columns = {"a": np.arange(1000.0), "b": np.arange(1000.0) / 7}
+    formatted, opened = [], []
+    fmt = cli._fmt
+
+    def failing(x):
+        if len(formatted) == 300 * len(columns):
+            opened.append(path.exists())
+            raise RuntimeError("formatting failed")
+        formatted.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", failing)
+    with pytest.raises(RuntimeError, match="^formatting failed$"):
+        cli._write_csv(str(path), columns)
+    assert opened == [True]
+    assert not path.exists()
+
+
+def test_write_csv_holds_one_block_of_rows(tmp_path):
+    # 20,000 rows of 10 columns, three megabytes of text, written in well
+    # under one megabyte, with the text of the whole table at once
+    rng = np.random.default_rng(3)
+    columns = {f"c{j}": rng.uniform(-1.0, 1.0, 20_000) for j in range(10)}
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(path), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = [",".join(columns)] + [",".join(cli._fmt(x) for x in row)
+                                   for row in zip(*columns.values())]
+    text = "\n".join(lines) + "\n"
+    assert path.read_text() == text and len(text) > 3_000_000
+    assert peak < 1_000_000
 
 
 def test_missing_custom_file(tmp_path):

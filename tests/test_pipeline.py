@@ -8,7 +8,7 @@ from tcmsim import (CONSISTENT, LITERAL, ConfigurationError, ExactEvolver,
 from tcmsim import closed_form, oracle, symmetric
 from tcmsim.closed_form import ProductLiteral
 from tcmsim.entanglement import concurrences
-from tcmsim.pipeline import (closed_form_route, closed_form_series, observables,
+from tcmsim.pipeline import (BLOCK_GTS, closed_form_route, closed_form_series, observables,
                              oracle_series, uniform_grid)
 from tcmsim.reduced_density import normalize
 from test_reduced_density import amplitudes
@@ -195,3 +195,25 @@ def test_a_computed_inversion_beyond_one_is_a_numerical_failure():
     normalize(raws)
     with pytest.raises(NumericalFailureError, match=r"^\|W\| = 1\.00000000003\d* exceeds 1$"):
         observables(raws)
+
+
+@pytest.mark.parametrize("raw_densities", [
+    lambda gts: closed_form_route([coherent_field(2.0)] * 2, LITERAL).raw_densities(gts),
+    lambda gts: ExactEvolver([coherent_field(1.5)] * 2).densities(gts)[0],
+], ids=["literal-window-from-0", "oracle-m2"])
+def test_observables_across_blocks_keep_the_bits_of_each_gt(raw_densities):
+    # a stack of several blocks, the last one partial, gives each gt the
+    # columns of its stack of one, bit for bit
+    assert coherent_field(2.0).window.n_min == 0  # complex x2 frequencies
+    raws = raw_densities(np.linspace(0.0, 3.0, 2 * BLOCK_GTS + 5))
+    obs = observables(raws)
+    singles = [observables(raws[i:i + 1]) for i in range(len(raws))]
+    for name, column in obs.items():
+        one = np.concatenate([single[name] for single in singles])
+        assert column.dtype == one.dtype and column.tobytes() == one.tobytes(), name
+
+
+def test_observables_of_an_empty_stack_are_four_empty_columns():
+    obs = observables(np.empty((0, 4, 4), dtype=complex))
+    assert list(obs) == ["W", "concurrence", "eof", "norm_deficit"]
+    assert all(column.shape == (0,) and column.dtype == float for column in obs.values())

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from tcmsim import NumericalFailureError, coherent_field, fock_field
 from tcmsim.closed_form import SingleModeConsistent, SingleModeLiteral
 from tcmsim.pipeline import observables
-from tcmsim import reduced_density
+from tcmsim import pipeline, reduced_density
 from tcmsim.reduced_density import DensityContraction, normalize
 
 
@@ -189,6 +189,24 @@ def test_stack_fails_at_its_first_failing_matrix():
     # the zero norm (normalize) is found before the negative eigenvalue
     # (validate) of an earlier gt
     stack = np.stack([good, negative, good, zero])
+    assert _failure(lambda: observables(stack)) == _failure(lambda: density(zero))
+
+
+def test_stack_fails_at_its_first_failing_matrix_across_blocks():
+    # the observables take BLOCK_GTS gts at a time, but a failing block
+    # sends the whole stack through the checks: the overflow in the last
+    # block is reported ahead of the zero trace in block 1 and the negative
+    # eigenvalue in block 0, as within one block, and without it the zero
+    # trace is
+    block = pipeline.BLOCK_GTS
+    good = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
+    negative = np.diag([0.8, 0.4, -0.1, -0.1]).astype(complex)
+    overflowed = np.diag([np.inf, 0.0, 0.0, 1.0]).astype(complex)
+    zero = np.zeros((4, 4), dtype=complex)
+    stack = np.stack([good] * (2 * block + 7))
+    stack[3], stack[block + 2], stack[2 * block + 4] = negative, zero, overflowed
+    assert _failure(lambda: observables(stack)) == _failure(lambda: density(overflowed))
+    stack[2 * block + 4] = good
     assert _failure(lambda: observables(stack)) == _failure(lambda: density(zero))
 
 
