@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 1,
-numerical failures with 2.
+numerical failures with 2.  ``cli.main`` alone also maps a file's ``OSError``
+or ``UnicodeDecodeError`` (what the operating system refuses) to exit 1.
 """
 
 

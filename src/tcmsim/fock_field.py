@@ -306,13 +306,10 @@ def custom_field(amplitudes) -> FieldDistribution:
 
 def load_custom_field(path) -> FieldDistribution:
     """Read a custom distribution file: one line per photon number starting
-    at n=0, each line ``re [im]`` (imaginary part optional)."""
+    at n=0, each line ``re [im]`` (imaginary part optional).  A file that
+    cannot be opened, read or decoded raises what ``open`` and reading raise."""
     values = []
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    with fh:
+    with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -527,6 +527,75 @@ def test_a_failure_mid_write_removes_the_partial_file(tmp_path, monkeypatch):
     assert not path.exists()
 
 
+def test_an_out_path_that_cannot_be_opened_is_left_as_it_is(tmp_path, monkeypatch, capsys):
+    # an existing file the system will not open for writing (read-only to
+    # anyone but root) keeps its bytes
+    out = tmp_path / "precious.csv"
+    out.write_bytes(b"kept\n")
+    real_open = open
+
+    def refusing(file, *args, **kwargs):
+        if file == str(out):
+            raise PermissionError(13, "Permission denied", file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refusing)
+    code = main(["run", "--mean", "2", "--gt-max", "1", "--gt-steps", "5", "--out", str(out)])
+    monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: [Errno 13] Permission denied: '{out}'\n")
+    assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("args, named", [
+    pytest.param(["run", "--config", "dir"], "dir", id="run-config-directory"),
+    pytest.param(["analyze", "--in", "dir", "--threshold", "0.05"], "dir",
+                 id="analyze-in-directory"),
+    pytest.param(["run", "--config", "bytes"], None, id="run-config-undecodable"),
+    pytest.param(["run", "--field", "custom", "--custom-file", "bytes"], None,
+                 id="custom-file-undecodable"),
+    pytest.param(["analyze", "--in", "bytes", "--threshold", "0.05"], None,
+                 id="analyze-in-undecodable"),
+    pytest.param(["run", "--config", "missing"], "missing", id="run-config-missing"),
+    pytest.param(["run", "--field", "custom", "--custom-file", "dir"], "dir",
+                 id="custom-file-directory"),
+    pytest.param(["analyze", "--in", "missing", "--threshold", "0.05"], "missing",
+                 id="analyze-in-missing"),
+])
+def test_a_file_that_cannot_be_read_exits_with_one_line(tmp_path, monkeypatch, capsys, args,
+                                                         named):
+    # an OSError names the path it carries; a UnicodeDecodeError carries none
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "bytes").write_bytes(b"\xff\xfe")
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--out", "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert f"'{named}'" in err if named else "can't decode" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_read_csv_holds_one_float64_table(tmp_path):
+    # 20,000 rows of 10 columns, read in under twice the bytes of their
+    # float64 table; lists of the lines' cells held about eleven times that
+    rng = np.random.default_rng(5)
+    columns = {f"c{j}": rng.uniform(-1.0, 1.0, 20_000) for j in range(10)}
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), columns)
+    tracemalloc.start()
+    try:
+        read = cli._read_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert list(read) == list(columns)
+    assert all(np.array_equal(read[name], table[:, j]) for j, name in enumerate(columns))
+    assert peak < 2 * table.nbytes
+
+
 def test_write_csv_holds_one_block_of_rows(tmp_path):
     # 20,000 rows of 10 columns, three megabytes of text, written in well
     # under one megabyte, with the text of the whole table at once

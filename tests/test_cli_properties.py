@@ -6,7 +6,9 @@ traceback or a numpy warning.
 The strategies draw mostly valid arguments for every subcommand, with the
 extremes the contract must survive: gt_max up to 1e300, custom amplitudes
 of 0, 1e-200, 1e150 and 1e200, Fock n0 from -2 to 12, repeated and
-unsorted gt and mode lists, and an analyze of each run CSV.  The means are
+unsorted gt and mode lists, an analyze of each run CSV, and now and then a
+--config, --custom-file or analyze --in that is missing, a directory or
+bytes that do not decode.  The means are
 bounded per mode count so that a draw that reaches the exact oracle or
 diagnose stays within about half a second; over-budget inputs enter as
 fixed examples that are refused before they allocate.
@@ -83,6 +85,23 @@ def mostly(valid, rare):
     return st.integers(0, 7).flatmap(lambda k: rare if k == 0 else valid)
 
 
+# what a drawn path holds in place of its text: nothing, a directory, or
+# bytes that do not decode
+MISSING, DIRECTORY, UNDECODABLE = None, "<directory>", b"\xff\xfe"
+REFUSED = st.sampled_from([MISSING, DIRECTORY, UNDECODABLE])
+
+
+def write_files(files):
+    """Each drawn file in the current directory, as its text or bytes, or
+    as a directory; a missing one is not made."""
+    for name, content in files.items():
+        if content is DIRECTORY:
+            os.mkdir(name)
+        elif content is not MISSING:
+            with open(name, "wb" if isinstance(content, bytes) else "w") as fh:
+                fh.write(content)
+
+
 def means(bound):
     return mostly(st.floats(0.05, bound), st.sampled_from([0.0, -1.0, 1e300]))
 
@@ -106,7 +125,7 @@ def field_flags(draw, files, bound):
         return ["--field", "fock", "--n0", str(draw(mostly(st.integers(0, 12),
                                                             st.integers(-2, -1))))]
     if field == "custom":
-        files["amps.txt"] = draw(custom_file())
+        files["amps.txt"] = draw(mostly(custom_file(), REFUSED))
         return ["--field", "custom", "--custom-file", "amps.txt"]
     flags = ["--mean", number(draw(means(bound)))]
     if draw(st.booleans()):
@@ -131,14 +150,18 @@ def series_invocation(draw, files, command, bounds):
              "--convention", draw(st.sampled_from(["literal", "consistent"]))]
     if draw(st.booleans()):
         pairs = zip(flags[::2], flags[1::2])
-        files["run.cfg"] = "".join(f"{flag[2:].replace('-', '_')} = {value}\n"
-                                   for flag, value in pairs)
+        text = "".join(f"{flag[2:].replace('-', '_')} = {value}\n" for flag, value in pairs)
+        files["run.cfg"] = draw(mostly(st.just(text), REFUSED))
         flags = ["--config", "run.cfg"]
     return [command, *flags]
 
 
 @st.composite
-def analyze_invocation(draw, csv):
+def analyze_invocation(draw, files, csv):
+    """analyze --in csv, or now and then --in a file that cannot be read."""
+    if draw(mostly(st.just(False), st.just(True))):
+        csv = "series.csv"
+        files[csv] = draw(REFUSED)
     flags = ["analyze", "--in", csv]
     max_j = draw(st.integers(0, 2))
     if max_j:
@@ -167,7 +190,7 @@ def invocations(draw):
                                     "diagnose"]))
     if command == "run":
         run = draw(series_invocation(files, "run", SERIES_MEANS))
-        return files, [run, draw(analyze_invocation("out"))]
+        return files, [run, draw(analyze_invocation(files, "out"))]
     if command == "compare-oracle":
         return files, [draw(series_invocation(files, command, ORACLE_MEANS))]
     if command == "inversion":
@@ -203,6 +226,9 @@ def call(argv):
 
 
 FIVE_VALUES = {"five.txt": "0.4472135954999579\n" * 5}
+RUN_CONFIG_ANALYZE = [["run", "--config", "run.cfg"],
+                      ["analyze", "--in", "series.csv", "--threshold", "0.05"]]
+CUSTOM = ["--field", "custom", "--custom-file", "amps.txt"]
 
 
 @PROFILE
@@ -217,15 +243,19 @@ FIVE_VALUES = {"five.txt": "0.4472135954999579\n" * 5}
 @example(case=({}, [["compare-oracle", "--modes", "3", "--mean", "25", "--convention",
                      "literal", "--gt-steps", "2"]]))
 @example(case=({}, [["sweep-modes", "--mean", "100", "--sweep-modes", "6"]]))
+# each file the system refuses, at each flag that reads a file
+@example(case=({"run.cfg": DIRECTORY, "series.csv": UNDECODABLE}, RUN_CONFIG_ANALYZE))
+@example(case=({"run.cfg": UNDECODABLE, "series.csv": DIRECTORY}, RUN_CONFIG_ANALYZE))
+@example(case=({"amps.txt": DIRECTORY}, [["run", *CUSTOM]]))
+@example(case=({"amps.txt": UNDECODABLE}, [["inversion", *CUSTOM]]))
+@example(case=({}, [["compare-oracle", *CUSTOM]]))
 def test_every_invocation_exits_with_a_checked_file_or_one_line(case):
     files, argvs = case
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, text in files.items():
-                with open(name, "w") as fh:
-                    fh.write(text)
+            write_files(files)
             for argv in argvs:
                 check_invocation(argv)
         finally:
